@@ -4,15 +4,13 @@
 // Two sections:
 //   (a) cluster: end-to-end events/sec, wall-clock ms and peak event-queue
 //       size for the gossip fabric at n in {64, 256, 1024} (the e11
-//       flagship workload, shortened). This is the number the tentpole
-//       refactors move: slab events + timer wheel in the queue, verdict-
-//       first Network::route, and incremental suspicion tracking in the
-//       engine's check loop.
+//       flagship workload, shortened).
 //   (b) core: a synthetic heartbeat-shaped workload (a large population of
 //       periodic timers, each firing a short-delay jittered delivery) run
-//       through the current EventQueue and through LegacyEventQueue - a
-//       frozen copy of the pre-refactor std::function + binary-heap core -
-//       so the core-level speedup stays measurable across future PRs.
+//       through the EventQueue alone.
+//
+// Regressions are measured against the checked-in end-to-end benchmark
+// baseline (bench_end2end/results), not against constants frozen here.
 //
 // RFD_E12_SMOKE=1 restricts section (a) to n=64 for CI smoke runs.
 //
@@ -28,13 +26,11 @@
 #include <cstdlib>
 #include <ctime>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "cluster/engine.hpp"
-#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "runtime/event_queue.hpp"
@@ -42,18 +38,9 @@
 namespace rfd {
 namespace {
 
+using bench::gossip_config;
 using cluster::ClusterConfig;
 using cluster::ClusterReport;
-using cluster::TopologyKind;
-
-// Pre-refactor events/sec on the section-(a) workload, measured with this
-// bench's config on the PR-1 core (std::function heap events, O(n^2)
-// per-tick suspicion scan, per-pair heap detector objects) on the
-// development machine (median of 3 runs). Machine-relative: compare the
-// current/baseline ratio, not absolute rates, across machines.
-constexpr double kBaselineEventsPerS64 = 1.02e6;
-constexpr double kBaselineEventsPerS256 = 2.00e5;
-constexpr double kBaselineEventsPerS1024 = 4.67e4;
 
 double wall_ms(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
@@ -75,90 +62,12 @@ double cpu_ms(const std::function<void()>& fn) {
          (static_cast<double>(end.tv_nsec - start.tv_nsec)) * 1e-6;
 }
 
-// The e11 gossip scaling cell, shortened to a throughput workload: the
-// detector timeout tracks the dissemination cadence exactly as in e11 so
-// the event mix (pumps, deliveries, checks) is representative.
-ClusterConfig gossip_config(int n) {
-  constexpr double kIntervalMs = 250.0;
-  ClusterConfig config;
-  config.n = n;
-  config.topology.kind = TopologyKind::kGossip;
-  config.topology.digest_size = std::max(32, n / 8);
-  config.heartbeat_interval_ms = kIntervalMs;
-  // The check grid runs finer than the heartbeat period: detection
-  // latencies and convergence times are quantized to it, and a 250ms
-  // quantum is coarse against the latencies under measurement. It is
-  // also the knob the simulation core must sustain: every tick cost the
-  // pre-refactor engine a full n*(n-1) suspicion scan, which is the
-  // documented reason e11 runs were unaffordable past n=256.
-  config.check_interval_ms = 50.0;
-  config.detector.kind = rt::DetectorKind::kFixed;
-  const double per_round =
-      static_cast<double>(config.topology.gossip_fanout) *
-      config.topology.digest_size;
-  const double gap_ms = kIntervalMs * std::max(1.0, n / per_round);
-  config.detector.fixed.timeout_ms = std::max(1'000.0, 12.0 * gap_ms);
-  config.bootstrap_grace_ms =
-      std::max(1500.0, config.detector.fixed.timeout_ms);
-  config.duration_ms = 12'000.0;
-  const int crashes = std::max(1, n / 64);
-  config.scenario =
-      cluster::multi_crash_scenario(n, crashes, config.duration_ms * 0.4);
-  return config;
-}
-
-// ------------------------------------------------------------------ legacy
-// Frozen copy of the pre-refactor event core (PR 1 state): one heap-
-// allocated std::function per event, all events through a binary heap.
-// Kept as the comparison baseline for section (b); do not "improve" it.
-class LegacyEventQueue {
- public:
-  using Action = std::function<void()>;
-
-  void schedule(double at, Action action) {
-    queue_.push({at, next_seq_++, std::move(action)});
-  }
-  void schedule_in(double delay, Action action) {
-    schedule(now_ + delay, std::move(action));
-  }
-  double now() const { return now_; }
-  std::int64_t executed() const { return executed_; }
-
-  void run_until(double t_end) {
-    while (!queue_.empty() && queue_.top().at <= t_end) {
-      Entry entry{queue_.top().at, queue_.top().seq,
-                  std::move(const_cast<Entry&>(queue_.top()).action)};
-      queue_.pop();
-      now_ = entry.at;
-      ++executed_;
-      entry.action();
-    }
-    now_ = t_end;
-  }
-
- private:
-  struct Entry {
-    double at;
-    std::int64_t seq;
-    Action action;
-    bool operator>(const Entry& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-  double now_ = 0.0;
-  std::int64_t next_seq_ = 0;
-  std::int64_t executed_ = 0;
-};
-
 // Synthetic heartbeat-shaped workload: `timers` periodic 100ms timers,
 // each firing a 0.5-8.5ms jittered one-shot delivery per period (the
 // heartbeat + network-delivery mix that dominates the cluster engine).
-template <typename Queue>
 class CoreWorkload {
  public:
-  explicit CoreWorkload(Queue& queue, int timers) : queue_(queue) {
+  explicit CoreWorkload(rt::EventQueue& queue, int timers) : queue_(queue) {
     const Rng base(0xe12);
     Rng phases(0x9a5e);
     rngs_.reserve(static_cast<std::size_t>(timers));
@@ -178,7 +87,7 @@ class CoreWorkload {
     queue_.schedule_in(100.0, [this, i] { tick(i); });
   }
 
-  Queue& queue_;
+  rt::EventQueue& queue_;
   std::vector<Rng> rngs_;
   std::int64_t delivered_ = 0;
 };
@@ -207,25 +116,20 @@ int main(int argc, char** argv) {
 
   {
     Table table({"n", "sim events", "wall ms", "events/s", "peak queue",
-                 "msgs sent", "vs PR-1"});
+                 "msgs sent"});
     const std::vector<int> sizes = smoke ? std::vector<int>{64}
                                          : std::vector<int>{64, 256, 1024};
     for (const int n : sizes) {
-      const double baseline = n == 64    ? kBaselineEventsPerS64
-                              : n == 256 ? kBaselineEventsPerS256
-                                         : kBaselineEventsPerS1024;
       const ClusterConfig config = gossip_config(n);
       ClusterReport r;
       const double ms = wall_ms([&] { r = cluster::run_cluster(config, 0xe12); });
       const double events_per_s =
           ms > 0.0 ? static_cast<double>(r.events_executed) / (ms / 1000.0)
                    : 0.0;
-      const double speedup = baseline > 0.0 ? events_per_s / baseline : 0.0;
       table.add_row({Table::num(n), Table::num(r.events_executed),
                      Table::fixed(ms, 1), Table::fixed(events_per_s, 0),
                      Table::num(r.peak_event_queue),
-                     Table::num(r.messages_sent),
-                     Table::fixed(speedup, 2) + "x"});
+                     Table::num(r.messages_sent)});
       json.row("cluster")
           .str("topology", "gossip")
           .num("n", n)
@@ -234,8 +138,7 @@ int main(int argc, char** argv) {
           .num("wall_ms", ms)
           .num("events_per_s", events_per_s)
           .num("peak_event_queue", static_cast<double>(r.peak_event_queue))
-          .num("messages_sent", static_cast<double>(r.messages_sent))
-          .num("speedup_vs_prerefactor", speedup);
+          .num("messages_sent", static_cast<double>(r.messages_sent));
     }
     table.print("E12a: cluster engine throughput (12s simulated, gossip)");
   }
@@ -322,63 +225,27 @@ int main(int argc, char** argv) {
   }
 
   {
-    struct Baseline {
-      int n;
-      double events_per_s;
-    };
-    const std::vector<Baseline> baselines = {
-        {64, kBaselineEventsPerS64},
-        {256, kBaselineEventsPerS256},
-        {1024, kBaselineEventsPerS1024},
-    };
-    for (const auto& b : baselines) {
-      json.row("prerefactor_baseline")
-          .str("topology", "gossip")
-          .num("n", b.n)
-          .num("events_per_s", b.events_per_s);
-    }
-  }
-
-  {
-    Table table({"core", "timers", "sim events", "wall ms", "events/s"});
+    Table table({"timers", "sim events", "wall ms", "events/s"});
     const int timers = smoke ? 256 : 1024;
     const double horizon = smoke ? 5'000.0 : 20'000.0;
 
-    rt::EventQueue current;
-    const double cur_ms = wall_ms([&] {
-      CoreWorkload workload(current, timers);
-      current.run_until(horizon);
+    rt::EventQueue queue;
+    const double ms = wall_ms([&] {
+      CoreWorkload workload(queue, timers);
+      queue.run_until(horizon);
       benchmark::DoNotOptimize(workload.delivered());
     });
-    LegacyEventQueue legacy;
-    const double leg_ms = wall_ms([&] {
-      CoreWorkload workload(legacy, timers);
-      legacy.run_until(horizon);
-      benchmark::DoNotOptimize(workload.delivered());
-    });
-    RFD_REQUIRE(current.executed() == legacy.executed());
-
-    const auto rate = [](std::int64_t events, double ms) {
-      return ms > 0.0 ? static_cast<double>(events) / (ms / 1000.0) : 0.0;
-    };
-    for (const auto& [label, ms, events] :
-         {std::tuple<const char*, double, std::int64_t>{
-              "current", cur_ms, current.executed()},
-          {"legacy", leg_ms, legacy.executed()}}) {
-      table.add_row({label, Table::num(timers), Table::num(events),
-                     Table::fixed(ms, 1), Table::fixed(rate(events, ms), 0)});
-      json.row("core")
-          .str("impl", label)
-          .num("timers", timers)
-          .num("events_executed", static_cast<double>(events))
-          .num("wall_ms", ms)
-          .num("events_per_s", rate(events, ms));
-    }
-    json.row("core_speedup").num("current_over_legacy",
-                                 leg_ms > 0.0 ? leg_ms / cur_ms : 0.0);
-    table.print("E12b: event core, current vs frozen pre-refactor copy");
-    std::printf("\ncore speedup (legacy wall / current wall): %.2fx\n\n",
-                leg_ms > 0.0 ? leg_ms / cur_ms : 0.0);
+    const double events_per_s =
+        ms > 0.0 ? static_cast<double>(queue.executed()) / (ms / 1000.0)
+                 : 0.0;
+    table.add_row({Table::num(timers), Table::num(queue.executed()),
+                   Table::fixed(ms, 1), Table::fixed(events_per_s, 0)});
+    json.row("core")
+        .num("timers", timers)
+        .num("events_executed", static_cast<double>(queue.executed()))
+        .num("wall_ms", ms)
+        .num("events_per_s", events_per_s);
+    table.print("E12b: event core throughput (synthetic heartbeat timers)");
   }
 
   json.write();

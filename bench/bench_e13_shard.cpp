@@ -18,10 +18,10 @@
 // result-identical to the first cell - the knobs are scheduling only.
 //
 // RFD_E13_SMOKE=1 restricts to n=4096, shards in {1, 2, 4} for CI, which
-// gates shards=2 at >= 1.15x and shards=4 at >= 1.5x the shards=1 run
-// (4-vCPU runners). Rows land in BENCH_e13_shard.json, with an `env`
-// block recording the host's CPU budget so the speedups can be read in
-// context.
+// gates each shards=s row against the shards=1 run at a floor set by
+// p = min(s, env.usable_cpus): 1.5x for p >= 4, 1.15x for p = 2 or 3, no
+// gate for p = 1. Rows land in BENCH_e13_shard.json, with an `env` block
+// recording the host's CPU budget so the speedups can be read in context.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,10 +32,6 @@
 #include <thread>
 #include <vector>
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "bench_util.hpp"
 #include "cluster/engine.hpp"
 #include "common/assert.hpp"
@@ -44,41 +40,16 @@
 namespace rfd {
 namespace {
 
+using bench::gossip_config;
+using bench::usable_cpus;
 using cluster::ClusterConfig;
 using cluster::ClusterReport;
-using cluster::TopologyKind;
 
 double wall_ms(const std::function<void()>& fn) {
   const auto start = std::chrono::steady_clock::now();
   fn();
   const auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(end - start).count();
-}
-
-// The E12a gossip scaling cell (identical tuning, so E12/E13 numbers are
-// directly comparable): detector timeout tracking the dissemination
-// cadence, a crash wave at 40% of the horizon.
-ClusterConfig gossip_config(int n) {
-  constexpr double kIntervalMs = 250.0;
-  ClusterConfig config;
-  config.n = n;
-  config.topology.kind = TopologyKind::kGossip;
-  config.topology.digest_size = std::max(32, n / 8);
-  config.heartbeat_interval_ms = kIntervalMs;
-  config.check_interval_ms = 50.0;
-  config.detector.kind = rt::DetectorKind::kFixed;
-  const double per_round =
-      static_cast<double>(config.topology.gossip_fanout) *
-      config.topology.digest_size;
-  const double gap_ms = kIntervalMs * std::max(1.0, n / per_round);
-  config.detector.fixed.timeout_ms = std::max(1'000.0, 12.0 * gap_ms);
-  config.bootstrap_grace_ms =
-      std::max(1500.0, config.detector.fixed.timeout_ms);
-  config.duration_ms = 12'000.0;
-  const int crashes = std::max(1, n / 64);
-  config.scenario =
-      cluster::multi_crash_scenario(n, crashes, config.duration_ms * 0.4);
-  return config;
 }
 
 /// The fields the shard-count invariance is asserted on (cheap proxies
@@ -109,18 +80,6 @@ void sync_rollup(const ClusterReport& r, std::int64_t* calls,
     *calls += stat.calls;
     *est_ms += stat.est_ms;
   }
-}
-
-/// CPUs this process may actually run on (the speedup ceiling); falls
-/// back to hardware_concurrency where there is no affinity API.
-int usable_cpus() {
-#ifdef __linux__
-  cpu_set_t set;
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return CPU_COUNT(&set);
-  }
-#endif
-  return static_cast<int>(std::thread::hardware_concurrency());
 }
 
 }  // namespace

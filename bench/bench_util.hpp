@@ -4,16 +4,66 @@
 // be tracked across PRs.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
+#include "cluster/engine.hpp"
 #include "core/api.hpp"
 
 namespace rfd::bench {
+
+/// The E11 gossip scaling cell shortened to a throughput workload, shared
+/// by E12a and E13 so their numbers stay directly comparable: the
+/// detector timeout tracks the dissemination cadence exactly as in E11,
+/// so the event mix (pumps, deliveries, checks) is representative, and a
+/// crash wave lands at 40% of the horizon.
+inline cluster::ClusterConfig gossip_config(int n) {
+  constexpr double kIntervalMs = 250.0;
+  cluster::ClusterConfig config;
+  config.n = n;
+  config.topology.kind = cluster::TopologyKind::kGossip;
+  config.topology.digest_size = std::max(32, n / 8);
+  config.heartbeat_interval_ms = kIntervalMs;
+  // The check grid runs finer than the heartbeat period: detection
+  // latencies and convergence times are quantized to it, and a 250ms
+  // quantum is coarse against the latencies under measurement.
+  config.check_interval_ms = 50.0;
+  config.detector.kind = rt::DetectorKind::kFixed;
+  const double per_round =
+      static_cast<double>(config.topology.gossip_fanout) *
+      config.topology.digest_size;
+  const double gap_ms = kIntervalMs * std::max(1.0, n / per_round);
+  config.detector.fixed.timeout_ms = std::max(1'000.0, 12.0 * gap_ms);
+  config.bootstrap_grace_ms =
+      std::max(1500.0, config.detector.fixed.timeout_ms);
+  config.duration_ms = 12'000.0;
+  const int crashes = std::max(1, n / 64);
+  config.scenario =
+      cluster::multi_crash_scenario(n, crashes, config.duration_ms * 0.4);
+  return config;
+}
+
+/// CPUs this process may actually run on (the speedup ceiling); falls
+/// back to hardware_concurrency where there is no affinity API.
+inline int usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return CPU_COUNT(&set);
+  }
+#endif
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
 
 /// Accumulates flat records and writes them as `BENCH_<name>.json` in the
 /// working directory, next to the human-readable tables. Usage:

@@ -29,6 +29,7 @@
 // kills the process the default way.
 //
 // The last stdout line is machine-readable: "SOAK {json}".
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -112,7 +113,8 @@ int main(int argc, char** argv) {
     }
     config.scenario = std::move(doc.scenario);
   }
-  config.topology.digest_size = std::max(32, config.n);
+  config.topology.digest_size =
+      std::min(std::max(32, config.n), transport::kMaxSoakDigest);
 
   install_shutdown_handlers();
 

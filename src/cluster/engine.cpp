@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cluster/digest_codec.hpp"
+#include "cluster/fault_state.hpp"
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -159,10 +160,9 @@ class EvalWheel {
 
 /// Coordinator-side record of one fault a shard found effective; shard 0
 /// stages these so the coordinator can do the cluster-global bookkeeping
-/// (disruption counting, convergence timing, detection baselines) at the
-/// next barrier.
+/// (disruption counting, convergence timing) at the next barrier.
 struct FaultNote {
-  std::size_t index = 0;  // into the sorted fault list
+  FaultEffect effect = FaultEffect::kIgnored;
   double at = 0.0;
 };
 
@@ -179,10 +179,10 @@ struct ShardState {
   std::unique_ptr<obs::Profiler> profiler;
   std::vector<BufferedLogLine> log_buf;
 
-  // Ground-truth replicas (every shard applies every fault to its own
-  // copy, so window-time reads never cross shards).
-  std::vector<char> ever_active;
-  std::vector<char> truth_active;
+  // Ground-truth replica (every shard applies every fault to its own
+  // copy, so window-time reads never cross shards). Its lie state is
+  // written only for the nodes this shard owns.
+  FaultState truth{0, 0};
   std::int64_t disagreeing = 0;
 
   std::int64_t check_tick = 0;
@@ -203,9 +203,7 @@ struct ShardState {
   // coordinator (integer sums are order-insensitive).
   std::int64_t c_digest_entries = 0;
   std::int64_t c_payload_bytes = 0;
-  std::int64_t c_raises = 0;
-  std::int64_t c_clears = 0;
-  std::int64_t c_false = 0;
+  QosLedger qos;
 
   std::vector<NodeId> targets_scratch;
   std::vector<NodeId> digest_scratch;
@@ -343,14 +341,14 @@ class ClusterEngine {
         shard->network->set_trace(shard->trace);
       }
       shard->topology->set_trace(shard->trace, &shard->queue);
+      shard->qos.set_trace(shard->trace);
       if (profile) {
         shard->profiler =
             std::make_unique<obs::Profiler>(config_.obs.profile_sample_shift);
         shard->queue.set_profiler(shard->profiler.get());
         shard->network->set_profiler(shard->profiler.get());
       }
-      shard->ever_active.assign(static_cast<std::size_t>(max_nodes_), 0);
-      shard->truth_active.assign(static_cast<std::size_t>(max_nodes_), 0);
+      shard->truth = FaultState(max_nodes_, config_.n);
       shard->send_seq.assign(static_cast<std::size_t>(max_nodes_), 0);
       shard->outbox.resize(static_cast<std::size_t>(shard_count_));
       shard->buckets.resize(kBucketSlots);
@@ -397,16 +395,6 @@ class ClusterEngine {
       rngs_.push_back(base_rng.split(static_cast<std::uint64_t>(i)));
     }
 
-    down_since_.assign(static_cast<std::size_t>(max_nodes_), -1.0);
-    lying_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    lie_delta_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
-    lie_value_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
-    for (auto& shard : shards_) {
-      for (NodeId i = 0; i < config_.n; ++i) {
-        shard->ever_active[static_cast<std::size_t>(i)] = 1;
-        shard->truth_active[static_cast<std::size_t>(i)] = 1;
-      }
-    }
     for (NodeId i = config_.n; i < max_nodes_; ++i) {
       nodes_[static_cast<std::size_t>(i)].set_active(false);
     }
@@ -697,11 +685,6 @@ class ClusterEngine {
     return j >= shard.lo && j < shard.hi;
   }
 
-  bool truly_down(const ShardState& shard, NodeId j) const {
-    return shard.ever_active[static_cast<std::size_t>(j)] != 0 &&
-           shard.truth_active[static_cast<std::size_t>(j)] == 0;
-  }
-
   std::uint64_t pair_key(NodeId i, NodeId j) const {
     return static_cast<std::uint64_t>(i) *
                static_cast<std::uint64_t>(max_nodes_) +
@@ -751,7 +734,7 @@ class ClusterEngine {
   /// arrives first.
   void on_learned(ShardState& shard, NodeId i, NodeId j) {
     if (nodes_[static_cast<std::size_t>(i)].active() &&
-        truly_down(shard, j)) {
+        shard.truth.truly_down(j)) {
       ++shard.disagreeing;
     }
     arm_deadline(shard, i, j);
@@ -764,7 +747,7 @@ class ClusterEngine {
     const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     for (NodeId j = 0; j < max_nodes_; ++j) {
       if (j == i || !node.knows(j)) continue;
-      if (node.is_suspected(j) != truly_down(shard, j)) {
+      if (node.is_suspected(j) != shard.truth.truly_down(j)) {
         shard.disagreeing += sign;
       }
     }
@@ -774,7 +757,7 @@ class ClusterEngine {
   /// truth replicas already updated. Every shard rescoring its own
   /// observer rows covers the column exactly once.
   void rescore_column(ShardState& shard, NodeId j) {
-    const bool down = truly_down(shard, j);
+    const bool down = shard.truth.truly_down(j);
     for (NodeId i = shard.lo; i < shard.hi; ++i) {
       const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
       if (i == j || !node.active() || !node.knows(j)) continue;
@@ -839,18 +822,10 @@ class ClusterEngine {
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     if (node.active()) {
       node.advance_own_counter();
-      std::uint32_t advertised =
-          static_cast<std::uint32_t>(node.own_counter());
-      if (lying_[static_cast<std::size_t>(i)] != 0) {
-        // The lie moves by delta per heartbeat interval while the true
-        // counter keeps its honest +1 underneath; clamping keeps the
-        // advertisement a plausible wire value whatever the delta.
-        double& v = lie_value_[static_cast<std::size_t>(i)];
-        v = std::clamp(v + lie_delta_[static_cast<std::size_t>(i)], 1.0,
-                       static_cast<double>(
-                           std::numeric_limits<std::int32_t>::max()));
-        advertised = static_cast<std::uint32_t>(v);
-      }
+      // A lie moves by its delta per heartbeat interval while the true
+      // counter keeps its honest +1 underneath.
+      const std::uint32_t advertised =
+          shard.truth.advertise(i, node.own_counter());
       shard.targets_scratch.clear();
       shard.topology->targets(node, rngs_[static_cast<std::size_t>(i)],
                               shard.targets_scratch);
@@ -1045,218 +1020,68 @@ class ClusterEngine {
     // A crashed observer's cached state is frozen until it resets; a
     // wiped record re-arms when the peer is re-learned.
     if (!node.active() || !node.knows(j)) return;
-    const bool down = truly_down(shard, j);
+    const bool down = shard.truth.truly_down(j);
     const bool was_suspected = node.is_suspected(j);
     const bool suspected = node.suspects(j, now);
     if (suspected != was_suspected) {
       shard.disagreeing += (suspected != down) ? 1 : 0;
       shard.disagreeing -= (was_suspected != down) ? 1 : 0;
       node.set_suspected(j, suspected, suspected ? now : -1.0);
-      if (suspected) {
-        ++shard.c_raises;
-        if (!down) ++shard.c_false;
-      } else {
-        ++shard.c_clears;
-      }
-      if (shard.trace != nullptr) {
-        obs::Record r;
-        r.type =
-            suspected ? obs::RecordType::kSuspect : obs::RecordType::kClear;
-        r.t = now;
-        r.a = i;
-        r.b = j;
-        r.c = down ? 1 : 0;
-        shard.trace->emit(r);
-      }
+      shard.qos.flip(i, j, suspected, down, now);
     }
     // Unsuspected pairs always hold a future deadline; suspected pairs
     // sleep until a counter advance refutes them.
     if (!suspected) arm_deadline(shard, i, j);
   }
 
-  std::vector<NodeId> active_contacts(const ShardState& shard) const {
-    std::vector<NodeId> contacts;
-    for (NodeId j = 0; j < max_nodes_; ++j) {
-      if (shard.truth_active[static_cast<std::size_t>(j)] != 0) {
-        contacts.push_back(j);
-      }
-    }
-    return contacts;
-  }
-
-  /// Rejoins node `x` with a wiped peer table seeded from `contacts`,
-  /// re-arming the grace deadline of every seeded pair. The caller
-  /// activates the row and counts it afterwards. Owner shard only.
-  void reseed_peers(ShardState& shard, NodeId x, double now,
-                    const std::vector<NodeId>& contacts) {
-    nodes_[static_cast<std::size_t>(x)].reset_peers(now, contacts);
-    for (NodeId contact : contacts) {
-      if (contact != x) arm_deadline(shard, x, contact);
-    }
-  }
-
-  /// Stages the coordinator-side bookkeeping (and the trace record) for
-  /// an effective fault. Only shard 0 stages, so each fault is recorded
-  /// exactly once; effectiveness is decided identically by every shard
-  /// from its truth replica. The trace's fault stream remains exactly
-  /// the ground-truth transition sequence - the invariant the offline
-  /// replay relies on.
-  void note_fault(ShardState& shard, std::size_t index, double now) {
-    if (shard.index != 0) return;
-    if (shard.trace != nullptr) {
-      shard.trace->emit(fault_record(faults_[index], now));
-    }
-    shard.fault_notes.push_back({index, now});
-  }
-
-  /// Applies the shard-local effects of one fault: truth replicas, owned
-  /// node state, owned observer rows, and this shard's network instance.
+  /// Applies the shard-local effects of one fault: the truth replica,
+  /// this shard's network instance, owned node state and owned observer
+  /// rows. Only shard 0 stages the coordinator bookkeeping and the trace
+  /// record, so each effective fault is recorded exactly once; every
+  /// shard decides effectiveness identically from its replica, so the
+  /// trace's fault stream is exactly the ground-truth transition
+  /// sequence - the invariant the offline replay relies on.
   void apply_fault(ShardState& shard, std::size_t index) {
     const FaultEvent& event = faults_[index];
     const double now = shard.queue.now();
-    switch (event.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        if (shard.truth_active[static_cast<std::size_t>(j)] == 0) return;
-        note_fault(shard, index, now);
-        if (owns(shard, j)) {
-          count_row(shard, j, -1);  // the dead row leaves the agreement set
+    const NodeId j = event.node;
+    const bool owned = j >= 0 && owns(shard, j);
+    ClusterNode* node = owned ? &nodes_[static_cast<std::size_t>(j)] : nullptr;
+    const FaultEffect effect = shard.truth.apply(event, now, node);
+    if (effect == FaultEffect::kIgnored) return;
+    if (shard.index == 0) {
+      if (shard.trace != nullptr) shard.trace->emit(fault_record(event, now));
+      shard.fault_notes.push_back({effect, now});
+    }
+    apply_network_fault(event, *shard.network);
+    if (effect == FaultEffect::kDown) {
+      if (owned) count_row(shard, j, -1);  // the dead row leaves the set
+      rescore_column(shard, j);
+    } else if (effect == FaultEffect::kUp || effect == FaultEffect::kJoined) {
+      // A join does not change the true crashed set; a recover does.
+      if (effect == FaultEffect::kUp) rescore_column(shard, j);
+      if (owned) {
+        // The restarted row knows only its seeded contacts: arm each
+        // pair's grace deadline, then count the row back in.
+        for (NodeId peer = 0; peer < max_nodes_; ++peer) {
+          if (peer != j && node->knows(peer)) arm_deadline(shard, j, peer);
         }
-        shard.truth_active[static_cast<std::size_t>(j)] = 0;
-        if (owns(shard, j)) {
-          nodes_[static_cast<std::size_t>(j)].set_active(false);
-        }
-        rescore_column(shard, j);
-        break;
-      }
-      case FaultKind::kRecover: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        if (shard.ever_active[static_cast<std::size_t>(j)] == 0 ||
-            shard.truth_active[static_cast<std::size_t>(j)] != 0) {
-          return;
-        }
-        note_fault(shard, index, now);
-        shard.truth_active[static_cast<std::size_t>(j)] = 1;
-        rescore_column(shard, j);
-        if (owns(shard, j)) {
-          // A restarted process lost its peer memory; it rejoins from
-          // the current membership the way a provisioning system would
-          // seed it.
-          reseed_peers(shard, j, now, active_contacts(shard));
-          nodes_[static_cast<std::size_t>(j)].set_active(true);
-          count_row(shard, j, +1);
-        }
-        break;
-      }
-      case FaultKind::kJoin: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        if (shard.ever_active[static_cast<std::size_t>(j)] != 0) return;
-        note_fault(shard, index, now);
-        shard.ever_active[static_cast<std::size_t>(j)] = 1;
-        shard.truth_active[static_cast<std::size_t>(j)] = 1;
-        if (owns(shard, j)) {
-          reseed_peers(shard, j, now, active_contacts(shard));
-          nodes_[static_cast<std::size_t>(j)].set_active(true);
-          count_row(shard, j, +1);
-        }
-        // The join itself does not change the true crashed set, so it is
-        // not a disruption to converge from.
-        break;
-      }
-      case FaultKind::kPartition:
-        note_fault(shard, index, now);
-        shard.network->set_partition(event.groups);
-        break;
-      case FaultKind::kHeal:
-        note_fault(shard, index, now);
-        shard.network->clear_partition();
-        break;
-      case FaultKind::kStormStart:
-        note_fault(shard, index, now);
-        shard.network->set_storm(event.extra_delay_ms, event.delay_prob);
-        break;
-      case FaultKind::kStormEnd:
-        note_fault(shard, index, now);
-        shard.network->clear_storm();
-        break;
-      case FaultKind::kLinkDown:
-        note_fault(shard, index, now);
-        shard.network->add_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kLinkUp:
-        note_fault(shard, index, now);
-        shard.network->remove_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kSlowStart:
-        RFD_REQUIRE(event.node >= 0 && event.node < max_nodes_);
-        note_fault(shard, index, now);
-        shard.network->set_delay_factor(event.node, event.factor);
-        break;
-      case FaultKind::kSlowEnd:
-        RFD_REQUIRE(event.node >= 0 && event.node < max_nodes_);
-        note_fault(shard, index, now);
-        shard.network->set_delay_factor(event.node, 1.0);
-        break;
-      case FaultKind::kLieStart: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        note_fault(shard, index, now);
-        if (owns(shard, j)) {
-          lying_[static_cast<std::size_t>(j)] = 1;
-          lie_delta_[static_cast<std::size_t>(j)] = event.factor;
-          // The lie diverges from the current truth, so a jump and a
-          // regress both start from the counter peers last believed.
-          lie_value_[static_cast<std::size_t>(j)] = static_cast<double>(
-              nodes_[static_cast<std::size_t>(j)].own_counter());
-        }
-        break;
-      }
-      case FaultKind::kLieEnd: {
-        const NodeId j = event.node;
-        RFD_REQUIRE(j >= 0 && j < max_nodes_);
-        note_fault(shard, index, now);
-        if (owns(shard, j)) lying_[static_cast<std::size_t>(j)] = 0;
-        break;
+        count_row(shard, j, +1);
       }
     }
   }
 
   /// Coordinator bookkeeping for one fault shard 0 found effective:
-  /// ground-truth versioning, disruption counting, detection baselines.
-  /// Applied in staged (chronological) order, before the agreement check
-  /// of the tick whose window produced it - the old in-window ordering.
+  /// ground-truth versioning and disruption counting. Applied in staged
+  /// (chronological) order, before the agreement check of the tick whose
+  /// window produced it - the old in-window ordering.
   void apply_fault_note(const FaultNote& note) {
-    const FaultEvent& event = faults_[note.index];
-    switch (event.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-        down_since_[static_cast<std::size_t>(event.node)] = note.at;
-        bump_truth(note.at);
-        break;
-      case FaultKind::kRecover:
-        down_since_[static_cast<std::size_t>(event.node)] = -1.0;
-        bump_truth(note.at);
-        break;
-      case FaultKind::kJoin:
-      case FaultKind::kPartition:
-      case FaultKind::kStormStart:
-      case FaultKind::kLinkDown:
-      case FaultKind::kSlowStart:
-      case FaultKind::kLieStart:
-        break;
-      case FaultKind::kHeal:
-      case FaultKind::kStormEnd:
-      case FaultKind::kLinkUp:
-      case FaultKind::kSlowEnd:
-      case FaultKind::kLieEnd:
-        // Re-convergence is only measurable if the episode actually
-        // drove the cluster into disagreement.
-        if (!last_agreement_) bump_truth(note.at);
-        break;
+    if (note.effect == FaultEffect::kDown || note.effect == FaultEffect::kUp) {
+      bump_truth(note.at);
+    } else if (note.effect == FaultEffect::kRelief && !last_agreement_) {
+      // Re-convergence is only measurable if the episode actually drove
+      // the cluster into disagreement.
+      bump_truth(note.at);
     }
   }
 
@@ -1463,9 +1288,9 @@ class ClusterEngine {
     for (const auto& shard : shards_) {
       digest += shard->c_digest_entries;
       payload += shard->c_payload_bytes;
-      raises += shard->c_raises;
-      clears += shard->c_clears;
-      false_s += shard->c_false;
+      raises += shard->qos.raises();
+      clears += shard->qos.clears();
+      false_s += shard->qos.false_suspicions();
     }
     c_digest_entries_->add(digest - c_digest_entries_->value());
     c_payload_bytes_->add(payload - c_payload_bytes_->value());
@@ -1532,30 +1357,14 @@ class ClusterEngine {
       apply_fault_note(note);
     }
     shards_.front()->fault_notes.clear();
-    const ShardState& shard0 = *shards_.front();
-    for (NodeId j = 0; j < max_nodes_; ++j) {
-      const bool down = truly_down(shard0, j);
-      if (!down || down_since_[static_cast<std::size_t>(j)] < 0.0) {
-        continue;
-      }
-      const double down_at = down_since_[static_cast<std::size_t>(j)];
-      for (NodeId i = 0; i < max_nodes_; ++i) {
-        if (i == j ||
-            shard0.truth_active[static_cast<std::size_t>(i)] == 0) {
-          continue;
-        }
-        const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
-        if (!node.knows(j)) continue;  // never met the victim; not a miss
-        if (node.is_suspected(j)) {
-          // A suspicion already standing at crash time detects
-          // "instantly" from the abstraction's point of view.
-          h_detect_->add(
-              std::max(0.0, node.record(j).suspect_since - down_at));
-        } else {
-          c_missed_->add(1);
-        }
-      }
-    }
+    // A victim an observer never met is not a miss here.
+    const StandingTally tally = standing_suspicions(
+        shards_.front()->truth, false,
+        [this](NodeId i, NodeId j) {
+          return standing_of(nodes_[static_cast<std::size_t>(i)], j);
+        },
+        [this](double ms) { h_detect_->add(ms); });
+    c_missed_->add(tally.missed);
     if (stopped_early_) {
       // Normalize rates over the time actually simulated, not the
       // horizon the stop cut short.
@@ -1644,18 +1453,8 @@ class ClusterEngine {
   std::vector<ClusterNode> nodes_;
   std::vector<Rng> rngs_;
 
-  // Byzantine-ish lying nodes (kLieStart/kLieEnd): the advertised
-  // counter diverges from own_counter() by lie_delta_ per heartbeat
-  // interval while lying_[i] is set. Owner-shard-only writes, like the
-  // node state itself, so shard determinism is preserved; when no lie is
-  // active the pump path is bit-identical to the pre-lie engine.
-  std::vector<char> lying_;
-  std::vector<double> lie_delta_;
-  std::vector<double> lie_value_;
-
-  // Coordinator-side scenario bookkeeping (shard replicas carry the
-  // window-time truth; these drive the report's QoS aggregation).
-  std::vector<double> down_since_;
+  // Coordinator-side scenario bookkeeping (the shard replicas carry the
+  // ground truth; these drive the report's convergence aggregation).
   std::int64_t truth_version_ = 0;
   std::int64_t agreed_version_ = 0;
   double truth_change_time_ = 0.0;

@@ -1,0 +1,199 @@
+// The one interpreter of scenario faults and the one ledger of suspicion
+// verdicts, shared by the sharded engine, the transport soak runner and
+// the offline trace replay. The paper scores a detector against the real
+// failure pattern (strong completeness, strong accuracy); each of them
+// needs the same ground truth and the same accounting of verdict flips
+// against it to keep that score, so a `.scn` timeline means one thing
+// under the engine and the soak, and a replayed trace re-derives the live
+// numbers by construction.
+//
+// Detection samples have two definitions, one per run loop. The engine
+// (and the replay) takes, per (live observer, crashed victim) pair, crash
+// -> start of the suspicion still standing at the end of the run: a
+// completeness measure that ignores suspicions a flap withdrew. The soak
+// takes one sample per raise against a down peer, crash -> raise (flip()
+// returns true for exactly those): a soak may be killed and resumed, so
+// it checkpoints samples as they occur, and a re-raise counts again.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "cluster/node.hpp"
+#include "cluster/scenario.hpp"
+#include "common/bytes.hpp"
+#include "obs/record.hpp"
+#include "runtime/network.hpp"
+
+namespace rfd::cluster {
+
+/// What an applied fault did, for the caller's own bookkeeping.
+enum class FaultEffect : std::uint8_t {
+  kIgnored,  // a no-op under the effectiveness rules: emit nothing
+  kDown,     // crash / leave: the node is now truly down
+  kUp,       // recover: a down node restarts with empty peer memory
+  kJoined,   // join: a never-active id becomes active
+  kOnset,    // a partition, storm, link block, slowdown or lie begins
+  kRelief,   // heal, storm end, link up, slow end or lie end
+};
+
+class FaultState {
+ public:
+  /// Ids [0, initial_active) start active; the rest have never been.
+  FaultState(int max_nodes, int initial_active);
+
+  int max_nodes() const { return static_cast<int>(ever_active_.size()); }
+  bool ever_active(NodeId j) const { return ever_active_[at(j)] != 0; }
+  bool truly_active(NodeId j) const { return truth_active_[at(j)] != 0; }
+  bool truly_down(NodeId j) const {
+    return ever_active_[at(j)] != 0 && truth_active_[at(j)] == 0;
+  }
+  /// When `j` went down; -1 unless it is truly down.
+  double down_since(NodeId j) const { return down_since_[at(j)]; }
+  /// The truly active ids, ascending: the membership a restarted or
+  /// joining process is seeded from.
+  std::vector<NodeId> active_contacts() const;
+
+  /// Applies `event` at sim time `now` and reports its effect. The ground
+  /// truth is a replica: every caller applies every event. `subject` is
+  /// the event's node when the caller owns it, else null (always null in
+  /// a replay); only through it does a fault reach the process - a crash
+  /// stops it, a recover or join restarts it with no peer memory, seeded
+  /// from the live membership the way a provisioning system would, and a
+  /// lie is anchored at the counter peers last believed.
+  FaultEffect apply(const FaultEvent& event, double now,
+                    ClusterNode* subject = nullptr);
+
+  /// The counter node `i` advertises on a heartbeat whose honest counter
+  /// is `own`: `own` itself, or while lying, the lie moved by its delta
+  /// and clamped to [1, INT32_MAX] so it stays a plausible wire value.
+  std::uint32_t advertise(NodeId i, std::int64_t own) {
+    const std::size_t p = at(i);
+    if (lying_[p] == 0) return static_cast<std::uint32_t>(own);
+    lie_value_[p] = std::clamp(
+        lie_value_[p] + lie_delta_[p], 1.0,
+        static_cast<double>(std::numeric_limits<std::int32_t>::max()));
+    return static_cast<std::uint32_t>(lie_value_[p]);
+  }
+
+  /// Checkpoint hooks (per node: ever, truth, down-since, lie state).
+  void save(ByteWriter& w) const;
+  void restore(ByteReader& r);
+
+ private:
+  static std::size_t at(NodeId j) { return static_cast<std::size_t>(j); }
+
+  std::vector<char> ever_active_;
+  std::vector<char> truth_active_;
+  std::vector<double> down_since_;
+  std::vector<char> lying_;
+  std::vector<double> lie_delta_;
+  std::vector<double> lie_value_;
+};
+
+/// Whether `kind` acts on the network (partition, heal, storm, link,
+/// slow) rather than on a node.
+bool is_network_fault(FaultKind kind);
+
+/// Applies a network-shaped fault to `net`; other kinds are a no-op.
+void apply_network_fault(const FaultEvent& event, rt::Network& net);
+
+class QosLedger {
+ public:
+  void set_trace(obs::RecordSink* trace) { trace_ = trace; }
+
+  /// Books observer `i`'s verdict about victim `j` flipping to
+  /// `suspected` at `now`, scored against the ground truth `down`, and
+  /// emits the matching record. Returns true for a raise against a down
+  /// victim: the soak's detection sample point.
+  bool flip(NodeId i, NodeId j, bool suspected, bool down, double now) {
+    if (suspected) {
+      ++raises_;
+      if (!down) ++false_suspicions_;
+    } else {
+      ++clears_;
+    }
+    if (trace_ != nullptr) {
+      obs::Record r;
+      r.type = suspected ? obs::RecordType::kSuspect : obs::RecordType::kClear;
+      r.t = now;
+      r.a = i;
+      r.b = j;
+      r.c = down ? 1 : 0;
+      trace_->emit(r);
+    }
+    return suspected && down;
+  }
+
+  std::int64_t raises() const { return raises_; }
+  std::int64_t clears() const { return clears_; }
+  std::int64_t false_suspicions() const { return false_suspicions_; }
+
+  void save(ByteWriter& w) const;
+  void restore(ByteReader& r);
+
+ private:
+  obs::RecordSink* trace_ = nullptr;
+  std::int64_t raises_ = 0;
+  std::int64_t clears_ = 0;
+  std::int64_t false_suspicions_ = 0;
+};
+
+/// An observer's cached verdict about one victim at the end of a run.
+struct Standing {
+  bool known = false;
+  bool suspected = false;
+  double since = -1.0;  // start of the standing suspicion
+};
+
+/// `observer`'s cached verdict about `j`.
+inline Standing standing_of(const ClusterNode& observer, NodeId j) {
+  return {observer.knows(j), observer.is_suspected(j),
+          observer.record(j).suspect_since};
+}
+
+struct StandingTally {
+  /// Down victims a live observer knows of but does not suspect.
+  std::int64_t missed = 0;
+  /// Down victims a live observer never learned of. The engine does not
+  /// count these as missed; the soak does.
+  std::int64_t unmet = 0;
+  /// Live victims a live observer still suspects.
+  std::int64_t wrong = 0;
+};
+
+/// The end-of-run pass over (live observer, victim) pairs, victim outer
+/// and observer inner - the order that fixes the detection samples'
+/// accumulation. Down victims are always visited; live ones, which only
+/// `wrong` needs, only with `score_live`, since that visits every pair.
+/// `standing_of(i, j)` returns a Standing; `sample(ms)` receives crash ->
+/// standing-suspicion latencies.
+template <typename StandingOf, typename Sample>
+StandingTally standing_suspicions(const FaultState& truth, bool score_live,
+                                  StandingOf&& standing_of, Sample&& sample) {
+  StandingTally tally;
+  for (NodeId j = 0; j < truth.max_nodes(); ++j) {
+    const bool down = truth.truly_down(j);
+    if (!down && !(score_live && truth.ever_active(j))) continue;
+    for (NodeId i = 0; i < truth.max_nodes(); ++i) {
+      if (i == j || !truth.truly_active(i)) continue;
+      const Standing s = standing_of(i, j);
+      if (!s.known) {
+        if (down) ++tally.unmet;
+      } else if (!down) {
+        if (s.suspected) ++tally.wrong;
+      } else if (s.suspected) {
+        // A suspicion already standing at crash time detects "instantly"
+        // from the abstraction's point of view.
+        sample(std::max(0.0, s.since - truth.down_since(j)));
+      } else {
+        ++tally.missed;
+      }
+    }
+  }
+  return tally;
+}
+
+}  // namespace rfd::cluster

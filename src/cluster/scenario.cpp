@@ -387,6 +387,14 @@ const char* fault_kind_cstr(FaultKind kind) {
 
 std::string fault_kind_name(FaultKind kind) { return fault_kind_cstr(kind); }
 
+std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
+  for (int k = 0; k <= static_cast<int>(FaultKind::kLieEnd); ++k) {
+    const auto kind = static_cast<FaultKind>(k);
+    if (name == fault_kind_cstr(kind)) return kind;
+  }
+  return std::nullopt;
+}
+
 obs::Record fault_record(const FaultEvent& event, double t) {
   obs::Record r;
   r.type = obs::RecordType::kFault;

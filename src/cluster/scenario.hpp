@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/record.hpp"
@@ -142,6 +143,9 @@ std::string fault_kind_name(FaultKind kind);
 /// Static-lifetime kind name, safe to stash in a deferred-formatting
 /// obs::Record.
 const char* fault_kind_cstr(FaultKind kind);
+/// Inverse of fault_kind_cstr (a trace's `kind` field); nullopt when
+/// `name` names no kind.
+std::optional<FaultKind> fault_kind_from_name(std::string_view name);
 
 /// Trace record for `event` as applied at sim time `t` (the schema's
 /// "fault" record; see obs/record.hpp and the README record tables).

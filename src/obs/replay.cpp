@@ -4,9 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "cluster/fault_state.hpp"
 
 namespace rfd::obs {
 namespace {
@@ -59,15 +62,18 @@ ReplayQos replay_qos(const std::string& path) {
     return result;
   }
 
-  // Ground truth, mirrored from ClusterEngine's scenario interpreter.
-  std::vector<char> ever_active;
-  std::vector<char> truth_active;
-  std::vector<double> down_since;
-  // Standing suspicions: (observer, victim) -> raise time, mirrored from
-  // the engine's cached per-pair verdicts.
+  // The engine's and the soak's own interpreter and ledger, fed from the
+  // records.
+  cluster::FaultState truth(0, 0);
+  cluster::QosLedger qos;
+  // Standing suspicions: (observer, victim) -> raise time, mirroring the
+  // nodes' cached per-pair verdicts.
   std::unordered_map<std::int64_t, double> suspicion;
   auto pair_key = [&](std::int64_t i, std::int64_t j) {
     return i * static_cast<std::int64_t>(result.max_nodes) + j;
+  };
+  auto in_range = [&](double id) {
+    return id >= 0.0 && id < static_cast<double>(result.max_nodes);
   };
 
   std::string line;
@@ -98,55 +104,47 @@ ReplayQos replay_qos(const std::string& path) {
       result.n = static_cast<int>(n);
       result.max_nodes = static_cast<int>(max_nodes);
       result.duration_ms = duration;
-      const std::size_t cap = static_cast<std::size_t>(result.max_nodes);
-      ever_active.assign(cap, 0);
-      truth_active.assign(cap, 0);
-      down_since.assign(cap, -1.0);
-      for (int i = 0; i < result.n; ++i) {
-        ever_active[static_cast<std::size_t>(i)] = 1;
-        truth_active[static_cast<std::size_t>(i)] = 1;
+      if (result.n < 0 || result.n > result.max_nodes) {
+        result.error = "inconsistent run header in " + path;
+        break;
       }
+      truth = cluster::FaultState(result.max_nodes, result.n);
     } else if (type == "fault") {
-      // The engine emits fault records only when they take effect, so the
-      // replayed transition is unconditional.
-      if (!field_str(line, "kind", kind)) continue;
+      // The engine and the soak emit fault records only when they take
+      // effect; only the node-shaped kinds move the ground truth.
       double node = -1.0;
       field_num(line, "node", node);
-      const auto j = static_cast<std::int64_t>(node);
-      if (j < 0 || j >= result.max_nodes) continue;
-      if (kind == "crash" || kind == "leave") {
-        truth_active[static_cast<std::size_t>(j)] = 0;
-        down_since[static_cast<std::size_t>(j)] = t;
-      } else if (kind == "recover" || kind == "join") {
-        ever_active[static_cast<std::size_t>(j)] = 1;
-        truth_active[static_cast<std::size_t>(j)] = 1;
-        down_since[static_cast<std::size_t>(j)] = -1.0;
+      const std::optional<cluster::FaultKind> fault_kind =
+          field_str(line, "kind", kind) ? cluster::fault_kind_from_name(kind)
+                                        : std::nullopt;
+      if (!fault_kind || !in_range(node)) continue;
+      cluster::FaultEvent event;
+      event.kind = *fault_kind;
+      event.node = static_cast<cluster::NodeId>(node);
+      const cluster::FaultEffect effect = truth.apply(event, t);
+      if (effect == cluster::FaultEffect::kUp ||
+          effect == cluster::FaultEffect::kJoined) {
         // A restarted/joined process has no peer memory: its row of
         // standing suspicions is wiped (ClusterNode::reset_peers).
         for (std::int64_t v = 0; v < result.max_nodes; ++v) {
-          suspicion.erase(pair_key(j, v));
+          suspicion.erase(pair_key(event.node, v));
         }
       }
-      // partition / heal / storm records do not change the crashed set.
-    } else if (type == "suspect") {
-      double observer = -1.0;
-      double victim = -1.0;
-      double down = 0.0;
-      field_num(line, "observer", observer);
-      field_num(line, "victim", victim);
-      field_num(line, "down", down);
-      suspicion[pair_key(static_cast<std::int64_t>(observer),
-                         static_cast<std::int64_t>(victim))] = t;
-      ++result.suspicion_raises;
-      if (down == 0.0) ++result.false_suspicions;
-    } else if (type == "clear") {
+    } else if (type == "suspect" || type == "clear") {
       double observer = -1.0;
       double victim = -1.0;
       field_num(line, "observer", observer);
       field_num(line, "victim", victim);
-      suspicion.erase(pair_key(static_cast<std::int64_t>(observer),
-                               static_cast<std::int64_t>(victim)));
-      ++result.suspicion_clears;
+      if (!in_range(observer) || !in_range(victim)) continue;
+      const auto i = static_cast<cluster::NodeId>(observer);
+      const auto j = static_cast<cluster::NodeId>(victim);
+      const bool raise = type == "suspect";
+      qos.flip(i, j, raise, truth.truly_down(j), t);
+      if (raise) {
+        suspicion[pair_key(i, j)] = t;
+      } else {
+        suspicion.erase(pair_key(i, j));
+      }
     } else if (type == "lost") {
       double dropped = 0.0;
       field_num(line, "dropped", dropped);
@@ -155,26 +153,23 @@ ReplayQos replay_qos(const std::string& path) {
   }
   std::fclose(f);
 
+  if (!result.error.empty()) return result;
   if (result.max_nodes <= 0) {
     result.error = "no run header record in " + path;
     return result;
   }
 
-  // Finalize, in the same (victim outer, observer inner) order as
-  // ClusterEngine::finalize so the Welford mean accumulates identically.
-  for (std::int64_t j = 0; j < result.max_nodes; ++j) {
-    const std::size_t js = static_cast<std::size_t>(j);
-    if (!ever_active[js] || truth_active[js] || down_since[js] < 0.0) {
-      continue;
-    }
-    const double down_at = down_since[js];
-    for (std::int64_t i = 0; i < result.max_nodes; ++i) {
-      if (i == j || !truth_active[static_cast<std::size_t>(i)]) continue;
-      const auto it = suspicion.find(pair_key(i, j));
-      if (it == suspicion.end()) continue;  // not suspected (or never met)
-      result.detection_latency_ms.add(std::max(0.0, it->second - down_at));
-    }
-  }
+  result.suspicion_raises = qos.raises();
+  result.suspicion_clears = qos.clears();
+  result.false_suspicions = qos.false_suspicions();
+  cluster::standing_suspicions(
+      truth, false,
+      [&](cluster::NodeId i, cluster::NodeId j) {
+        const auto it = suspicion.find(pair_key(i, j));
+        if (it == suspicion.end()) return cluster::Standing{};
+        return cluster::Standing{true, true, it->second};
+      },
+      [&](double ms) { result.detection_latency_ms.add(ms); });
   result.ok = true;
   return result;
 }

@@ -1,12 +1,16 @@
-// Offline QoS re-derivation from a JSONL cluster trace.
+// Offline QoS re-derivation from a JSONL trace of the cluster engine or
+// the soak runner.
 //
-// Replays the fault / suspect / clear records of a trace through the same
-// ground-truth machine the cluster engine runs live, and recomputes the
-// detection-latency samples and false-suspicion count exactly as
-// ClusterEngine::finalize does. On a fixed seed the re-derived numbers
-// must match the live ClusterReport bit-for-bit - the proof that the
-// trace is a complete record of the run (the completeness the ML arrival
-// predictor and run-diffing tooling depend on).
+// Feeds the fault / suspect / clear records through the engine's and the
+// soak runner's own interpreter and ledger (cluster/fault_state.hpp):
+// FaultState rebuilds the ground truth, QosLedger recounts raises, clears
+// and false suspicions, and standing_suspicions() recomputes the engine's
+// end-of-run detection samples. The live numbers are therefore
+// reproduced by construction: on an engine trace they match the
+// ClusterReport bit-for-bit, on a soak trace the raise/clear/false
+// counts match the SoakReport (the soak's raise-time detection samples
+// are not re-derived). That is the proof that a trace is a complete
+// record of the run.
 #pragma once
 
 #include <cstdint>

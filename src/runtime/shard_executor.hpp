@@ -184,10 +184,6 @@ class ShardExecutor {
   /// and barrier remain usable for further run() calls.
   void run(FnRef fn);
 
-  /// Legacy fork-join entry, now an alias for run(). Kept so callers
-  /// that dispatch short phases (tests, ad-hoc tools) read naturally.
-  void parallel(FnRef fn) { run(fn); }
-
  private:
   void worker(int shard);
   void run_shard(FnRef fn, int shard);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/digest_codec.hpp"
+#include "cluster/fault_state.hpp"
 #include "cluster/node.hpp"
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
@@ -68,7 +69,8 @@ class SoakRunner {
       : config_(config),
         max_nodes_(effective_max_nodes(config)),
         fingerprint_(soak_config_fingerprint(config)),
-        faults_(config.scenario.sorted()) {
+        faults_(config.scenario.sorted()),
+        truth_(max_nodes_, config.n) {
     build_transport();
     cluster::NodeParams node_params;
     node_params.detector = config_.detector;
@@ -81,12 +83,6 @@ class SoakRunner {
       rngs_.push_back(base.split(static_cast<std::uint64_t>(i)));
     }
     topology_ = cluster::make_topology(config_.topology, max_nodes_);
-    ever_active_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    truth_active_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    down_since_.assign(static_cast<std::size_t>(max_nodes_), -1.0);
-    lying_.assign(static_cast<std::size_t>(max_nodes_), 0);
-    lie_delta_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
-    lie_value_.assign(static_cast<std::size_t>(max_nodes_), 0.0);
   }
 
   static int effective_max_nodes(const SoakConfig& config) {
@@ -137,10 +133,13 @@ class SoakRunner {
         stopped_ = true;
         break;
       }
-      apply_due_faults(now);
+      while (fault_cursor_ < faults_.size() &&
+             faults_[fault_cursor_].at_ms <= now) {
+        apply_fault(faults_[fault_cursor_++], now);
+      }
       heartbeats(now);
       deliver(now);
-      check(now, k);
+      check(now);
       tick_ = k;
       ++ticks_run;
       if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
@@ -191,8 +190,6 @@ class SoakRunner {
       nodes_[static_cast<std::size_t>(i)].set_active(i < config_.n);
     }
     for (rt::NodeId i = 0; i < config_.n; ++i) {
-      ever_active_[static_cast<std::size_t>(i)] = 1;
-      truth_active_[static_cast<std::size_t>(i)] = 1;
       for (rt::NodeId j = 0; j < config_.n; ++j) {
         nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
       }
@@ -210,6 +207,7 @@ class SoakRunner {
     if (udp_ != nullptr) udp_->set_trace(trace_.get());
     if (flaky_ != nullptr) flaky_->set_trace(trace_.get());
     topology_->set_trace(trace_.get(), nullptr);
+    qos_.set_trace(trace_.get());
     obs::JsonLine header;
     header.str("type", "run")
         .str("mode", "soak")
@@ -244,84 +242,11 @@ class SoakRunner {
     }
   }
 
-  void apply_due_faults(double now) {
-    while (fault_cursor_ < faults_.size() &&
-           faults_[fault_cursor_].at_ms <= now) {
-      apply_fault(faults_[fault_cursor_], now);
-      ++fault_cursor_;
-    }
-  }
-
-  std::vector<rt::NodeId> active_contacts() const {
-    std::vector<rt::NodeId> contacts;
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      if (truth_active_[static_cast<std::size_t>(i)] != 0) {
-        contacts.push_back(i);
-      }
-    }
-    return contacts;
-  }
-
-  void note_fault(const cluster::FaultEvent& event, double now) {
-    if (trace_ != nullptr) trace_->emit(cluster::fault_record(event, now));
-  }
-
-  // Mirrors the engine's fault semantics (cluster/engine.cpp) so a .scn
-  // timeline means the same thing under both drivers; network-shaped
+  // The .scn semantics are the shared interpreter's; network-shaped
   // faults go to the transport's verdict network when it has one.
   void apply_fault(const cluster::FaultEvent& event, double now) {
-    using cluster::FaultKind;
-    const std::size_t j = static_cast<std::size_t>(std::max<rt::NodeId>(
-        0, event.node));
-    switch (event.kind) {
-      case FaultKind::kCrash:
-      case FaultKind::kLeave:
-        if (truth_active_[j] == 0) return;
-        note_fault(event, now);
-        truth_active_[j] = 0;
-        down_since_[j] = now;
-        nodes_[j].set_active(false);
-        return;
-      case FaultKind::kRecover:
-        if (ever_active_[j] == 0 || truth_active_[j] != 0) return;
-        note_fault(event, now);
-        truth_active_[j] = 1;
-        down_since_[j] = -1.0;
-        // A restarted process lost its peer memory; reseed from the
-        // currently live membership like a provisioning system would.
-        nodes_[j].reset_peers(now, active_contacts());
-        nodes_[j].set_active(true);
-        return;
-      case FaultKind::kJoin:
-        if (ever_active_[j] != 0) return;
-        note_fault(event, now);
-        ever_active_[j] = 1;
-        truth_active_[j] = 1;
-        nodes_[j].reset_peers(now, active_contacts());
-        nodes_[j].set_active(true);
-        return;
-      case FaultKind::kLieStart:
-        note_fault(event, now);
-        lying_[j] = 1;
-        lie_delta_[j] = event.factor;
-        lie_value_[j] = static_cast<double>(nodes_[j].own_counter());
-        return;
-      case FaultKind::kLieEnd:
-        note_fault(event, now);
-        lying_[j] = 0;
-        return;
-      case FaultKind::kPartition:
-      case FaultKind::kHeal:
-      case FaultKind::kStormStart:
-      case FaultKind::kStormEnd:
-      case FaultKind::kLinkDown:
-      case FaultKind::kLinkUp:
-      case FaultKind::kSlowStart:
-      case FaultKind::kSlowEnd:
-        break;
-    }
     rt::Network* net = transport_->fault_network();
-    if (net == nullptr) {
+    if (net == nullptr && cluster::is_network_fault(event.kind)) {
       if (!warned_no_fault_network_ && trace_ != nullptr) {
         trace_->log_line(LogLevel::kWarn,
                          "scenario has network faults but the transport "
@@ -331,35 +256,14 @@ class SoakRunner {
       warned_no_fault_network_ = true;
       return;
     }
-    note_fault(event, now);
-    switch (event.kind) {
-      case FaultKind::kPartition:
-        net->set_partition(event.groups);
-        break;
-      case FaultKind::kHeal:
-        net->clear_partition();
-        break;
-      case FaultKind::kStormStart:
-        net->set_storm(event.extra_delay_ms, event.delay_prob);
-        break;
-      case FaultKind::kStormEnd:
-        net->clear_storm();
-        break;
-      case FaultKind::kLinkDown:
-        net->add_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kLinkUp:
-        net->remove_link_block(event.groups[0], event.groups[1]);
-        break;
-      case FaultKind::kSlowStart:
-        net->set_delay_factor(event.node, event.factor);
-        break;
-      case FaultKind::kSlowEnd:
-        net->set_delay_factor(event.node, 1.0);
-        break;
-      default:
-        break;
+    cluster::ClusterNode* node =
+        event.node >= 0 ? &nodes_[static_cast<std::size_t>(event.node)]
+                        : nullptr;
+    if (truth_.apply(event, now, node) == cluster::FaultEffect::kIgnored) {
+      return;
     }
+    if (trace_ != nullptr) trace_->emit(cluster::fault_record(event, now));
+    if (net != nullptr) cluster::apply_network_fault(event, *net);
   }
 
   void heartbeats(double now) {
@@ -367,15 +271,8 @@ class SoakRunner {
       cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
       if (!node.active()) continue;
       node.advance_own_counter();
-      std::uint32_t advertised =
-          static_cast<std::uint32_t>(node.own_counter());
-      if (lying_[static_cast<std::size_t>(i)] != 0) {
-        double& v = lie_value_[static_cast<std::size_t>(i)];
-        v = std::clamp(
-            v + lie_delta_[static_cast<std::size_t>(i)], 1.0,
-            static_cast<double>(std::numeric_limits<std::int32_t>::max()));
-        advertised = static_cast<std::uint32_t>(v);
-      }
+      const std::uint32_t advertised =
+          truth_.advertise(i, node.own_counter());
       targets_scratch_.clear();
       topology_->targets(node, rngs_[static_cast<std::size_t>(i)],
                          targets_scratch_);
@@ -452,8 +349,7 @@ class SoakRunner {
     pending_.clear();
   }
 
-  void check(double now, std::int64_t tick) {
-    (void)tick;
+  void check(double now) {
     for (rt::NodeId i = 0; i < max_nodes_; ++i) {
       cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
       if (!node.active()) continue;
@@ -462,33 +358,8 @@ class SoakRunner {
         const bool verdict = node.suspects(j, now);
         if (verdict == node.is_suspected(j)) continue;
         node.set_suspected(j, verdict, verdict ? now : -1.0);
-        const std::size_t pj = static_cast<std::size_t>(j);
-        if (verdict) {
-          ++raises_;
-          if (truth_active_[pj] != 0) {
-            ++false_suspicions_;
-          } else if (down_since_[pj] >= 0.0) {
-            detection_samples_.push_back(now - down_since_[pj]);
-          }
-          if (trace_ != nullptr) {
-            obs::Record r;
-            r.type = obs::RecordType::kSuspect;
-            r.t = now;
-            r.a = i;
-            r.b = j;
-            r.c = truth_active_[pj] != 0 ? 0 : 1;
-            trace_->emit(r);
-          }
-        } else {
-          ++clears_;
-          if (trace_ != nullptr) {
-            obs::Record r;
-            r.type = obs::RecordType::kClear;
-            r.t = now;
-            r.a = i;
-            r.b = j;
-            trace_->emit(r);
-          }
+        if (qos_.flip(i, j, verdict, truth_.truly_down(j), now)) {
+          detection_samples_.push_back(now - truth_.down_since(j));
         }
       }
     }
@@ -507,10 +378,10 @@ class SoakRunner {
     registry_.gauge("transport.retries").set(static_cast<double>(c.retries));
     registry_.gauge("transport.sock_errors")
         .set(static_cast<double>(c.sock_errors));
-    registry_.gauge("soak.raises").set(static_cast<double>(raises_));
-    registry_.gauge("soak.clears").set(static_cast<double>(clears_));
+    registry_.gauge("soak.raises").set(static_cast<double>(qos_.raises()));
+    registry_.gauge("soak.clears").set(static_cast<double>(qos_.clears()));
     registry_.gauge("soak.false_suspicions")
-        .set(static_cast<double>(false_suspicions_));
+        .set(static_cast<double>(qos_.false_suspicions()));
     registry_.gauge("soak.checkpoints")
         .set(static_cast<double>(checkpoints_written_));
     registry_.snapshot(*trace_, now, tick);
@@ -531,19 +402,9 @@ class SoakRunner {
     for (const Rng& rng : rngs_) {
       for (std::uint64_t word : rng.save_state()) w.u64(word);
     }
-    for (int i = 0; i < max_nodes_; ++i) {
-      const std::size_t p = static_cast<std::size_t>(i);
-      w.u8(static_cast<std::uint8_t>(ever_active_[p]));
-      w.u8(static_cast<std::uint8_t>(truth_active_[p]));
-      w.f64(down_since_[p]);
-      w.u8(static_cast<std::uint8_t>(lying_[p]));
-      w.f64(lie_delta_[p]);
-      w.f64(lie_value_[p]);
-    }
+    truth_.save(w);
     w.u32(static_cast<std::uint32_t>(fault_cursor_));
-    w.i64(raises_);
-    w.i64(clears_);
-    w.i64(false_suspicions_);
+    qos_.save(w);
     w.u32(static_cast<std::uint32_t>(detection_samples_.size()));
     for (double s : detection_samples_) w.f64(s);
     std::vector<std::uint8_t> transport_bytes;
@@ -606,19 +467,9 @@ class SoakRunner {
       for (std::uint64_t& word : state) word = r.u64();
       rng.restore_state(state);
     }
-    for (int i = 0; i < max_nodes_; ++i) {
-      const std::size_t p = static_cast<std::size_t>(i);
-      ever_active_[p] = static_cast<char>(r.u8());
-      truth_active_[p] = static_cast<char>(r.u8());
-      down_since_[p] = r.f64();
-      lying_[p] = static_cast<char>(r.u8());
-      lie_delta_[p] = r.f64();
-      lie_value_[p] = r.f64();
-    }
+    truth_.restore(r);
     const std::uint32_t cursor = r.u32();
-    raises_ = r.i64();
-    clears_ = r.i64();
-    false_suspicions_ = r.i64();
+    qos_.restore(r);
     const std::uint32_t sample_count = r.u32();
     if (!r.ok() || cursor > faults_.size() ||
         sample_count > (1u << 24)) {
@@ -650,50 +501,17 @@ class SoakRunner {
       error = "checkpoint transport state is inconsistent";
       return false;
     }
-    // Re-apply the faults the saved run had already consumed that live
-    // outside the checkpoint: network fault state (partitions, storms,
-    // blocks, slow factors) is deliberately not serialized - replaying
-    // the timeline prefix against the fresh verdict network rebuilds it.
-    replay_network_faults(fault_cursor_);
-    tick_ = data.tick;
-    return true;
-  }
-
-  void replay_network_faults(std::size_t upto) {
-    using cluster::FaultKind;
-    rt::Network* net = transport_->fault_network();
-    if (net == nullptr) return;
-    for (std::size_t i = 0; i < upto; ++i) {
-      const cluster::FaultEvent& event = faults_[i];
-      switch (event.kind) {
-        case FaultKind::kPartition:
-          net->set_partition(event.groups);
-          break;
-        case FaultKind::kHeal:
-          net->clear_partition();
-          break;
-        case FaultKind::kStormStart:
-          net->set_storm(event.extra_delay_ms, event.delay_prob);
-          break;
-        case FaultKind::kStormEnd:
-          net->clear_storm();
-          break;
-        case FaultKind::kLinkDown:
-          net->add_link_block(event.groups[0], event.groups[1]);
-          break;
-        case FaultKind::kLinkUp:
-          net->remove_link_block(event.groups[0], event.groups[1]);
-          break;
-        case FaultKind::kSlowStart:
-          net->set_delay_factor(event.node, event.factor);
-          break;
-        case FaultKind::kSlowEnd:
-          net->set_delay_factor(event.node, 1.0);
-          break;
-        default:
-          break;
+    // Re-apply the network faults the saved run had already consumed:
+    // network fault state (partitions, storms, blocks, slow factors) is
+    // deliberately not serialized - replaying the timeline prefix
+    // against the fresh verdict network rebuilds it.
+    if (rt::Network* net = transport_->fault_network()) {
+      for (std::size_t i = 0; i < fault_cursor_; ++i) {
+        cluster::apply_network_fault(faults_[i], *net);
       }
     }
+    tick_ = data.tick;
+    return true;
   }
 
   void finalize(SoakReport& report, std::int64_t ticks_run,
@@ -705,30 +523,20 @@ class SoakRunner {
     report.sim_ms = static_cast<double>(tick_) * config_.tick_ms;
     report.ticks_run = ticks_run;
     report.transport = transport_->counters();
-    report.raises = raises_;
-    report.clears = clears_;
-    report.false_suspicions = false_suspicions_;
+    report.raises = qos_.raises();
+    report.clears = qos_.clears();
+    report.false_suspicions = qos_.false_suspicions();
     for (double s : detection_samples_) report.detection.add(s);
-    report.missed = 0;
-    report.final_agreement = true;
-    for (rt::NodeId i = 0; i < max_nodes_; ++i) {
-      if (truth_active_[static_cast<std::size_t>(i)] == 0) continue;
-      const cluster::ClusterNode& node =
-          nodes_[static_cast<std::size_t>(i)];
-      for (rt::NodeId j = 0; j < max_nodes_; ++j) {
-        if (j == i || ever_active_[static_cast<std::size_t>(j)] == 0) {
-          continue;
-        }
-        const bool down = truth_active_[static_cast<std::size_t>(j)] == 0;
-        const bool flagged = node.knows(j) && node.is_suspected(j);
-        if (down && !flagged) {
-          ++report.missed;
-          report.final_agreement = false;
-        } else if (!down && flagged) {
-          report.final_agreement = false;
-        }
-      }
-    }
+    // A down victim its observer never met counts as missed here; the
+    // samples were taken at raise time, so the pass's are not needed.
+    const cluster::StandingTally tally = cluster::standing_suspicions(
+        truth_, true,
+        [this](rt::NodeId i, rt::NodeId j) {
+          return cluster::standing_of(nodes_[static_cast<std::size_t>(i)], j);
+        },
+        [](double) {});
+    report.missed = tally.missed + tally.unmet;
+    report.final_agreement = report.missed == 0 && tally.wrong == 0;
     report.checkpoints_written = checkpoints_written_;
     report.resumed = resumed_;
     report.stopped_by_signal = stopped_;
@@ -739,9 +547,9 @@ class SoakRunner {
       footer.str("type", "end")
           .num("t", report.sim_ms)
           .integer("ticks", tick_)
-          .integer("raises", raises_)
-          .integer("clears", clears_)
-          .integer("false", false_suspicions_)
+          .integer("raises", report.raises)
+          .integer("clears", report.clears)
+          .integer("false", report.false_suspicions)
           .integer("missed", report.missed)
           .boolean("agreement", report.final_agreement)
           .boolean("signal", stopped_)
@@ -758,9 +566,9 @@ class SoakRunner {
     std::vector<std::uint8_t> blob;
     ByteWriter w(blob);
     w.i64(tick_);
-    w.i64(raises_);
-    w.i64(clears_);
-    w.i64(false_suspicions_);
+    w.i64(report.raises);
+    w.i64(report.clears);
+    w.i64(report.false_suspicions);
     w.i64(report.missed);
     w.u8(report.final_agreement ? 1 : 0);
     w.i64(report.transport.sent);
@@ -785,17 +593,11 @@ class SoakRunner {
   std::vector<cluster::ClusterNode> nodes_;
   std::vector<Rng> rngs_;
   std::unique_ptr<cluster::Topology> topology_;
-  std::vector<char> ever_active_;
-  std::vector<char> truth_active_;
-  std::vector<double> down_since_;
-  std::vector<char> lying_;
-  std::vector<double> lie_delta_;
-  std::vector<double> lie_value_;
+  cluster::FaultState truth_;
+  cluster::QosLedger qos_;
 
   std::int64_t tick_ = 0;  // last completed tick
-  std::int64_t raises_ = 0;
-  std::int64_t clears_ = 0;
-  std::int64_t false_suspicions_ = 0;
+  /// Crash -> raise latencies, one per raise against a down peer.
   std::vector<double> detection_samples_;
   int checkpoints_written_ = 0;
   bool resumed_ = false;

@@ -43,6 +43,12 @@ namespace rfd::transport {
 
 enum class SoakBackend { kSim, kUdp };
 
+/// Largest digest a soak heartbeat should carry. Its worst-case frame,
+/// 256 x (2 B id gap + 5 B counter) + 7 B of own/count varints + the
+/// 12 B frame header = 1,811 B, fits UdpTransport's 2,048 B datagram for
+/// any counter value and any max_nodes < 4096.
+inline constexpr int kMaxSoakDigest = 256;
+
 const char* soak_backend_name(SoakBackend backend);
 
 struct SoakConfig {
@@ -107,7 +113,8 @@ struct SoakReport {
   std::int64_t raises = 0;
   std::int64_t clears = 0;
   std::int64_t false_suspicions = 0;
-  /// Crash-to-first-raise latencies (ms), cumulative across resumes.
+  /// Crash-to-raise latencies (ms), one per raise against a down peer
+  /// (see cluster/fault_state.hpp), cumulative across resumes.
   Summary detection;
   /// (live observer, truly down peer) pairs still unsuspected at exit.
   std::int64_t missed = 0;

@@ -4,10 +4,15 @@
 // suspected - the honest counter keeps advancing underneath and has to
 // refute the suspicion once the lie stops. Also pins the shard
 // determinism of the lie path (advertised-counter state is owner-shard
-// only) and the self-healing timing argument for both lie polarities.
+// only), the self-healing timing argument for both lie polarities, and
+// the clamp that keeps any lie a plausible wire counter.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "cluster/engine.hpp"
+#include "cluster/fault_state.hpp"
 #include "cluster/scenario_dsl.hpp"
 #include "scenario_test_util.hpp"
 
@@ -104,6 +109,33 @@ TEST(Byzantine, RegressLieIsRefutedImmediatelyAfterLieEnd) {
   // ...and the first honest gossip after lie_end carries a counter far
   // above every high-water mark, clearing it well before the run ends.
   EXPECT_TRUE(r.final_agreement) << "regressing liar never refuted";
+}
+
+TEST(Byzantine, AdvertisedLieIsClampedToPlausibleCounters) {
+  constexpr auto kMax =
+      static_cast<std::uint32_t>(std::numeric_limits<std::int32_t>::max());
+  ClusterNode liar(0, 2, NodeParams{});
+  for (int k = 0; k < 5; ++k) liar.advance_own_counter();
+  FaultState truth(2, 2);
+  Scenario s;
+  s.lie(1.0, 0, -1e12).lie_end(2.0, 0).lie(3.0, 0, 1e12);
+  const std::vector<FaultEvent> events = s.sorted();
+
+  // Honest until the lie starts; a huge regress bottoms out at 1.
+  EXPECT_EQ(truth.advertise(0, 5), 5u);
+  EXPECT_EQ(truth.apply(events[0], 1.0, &liar), FaultEffect::kOnset);
+  EXPECT_EQ(truth.advertise(0, 6), 1u);
+  EXPECT_EQ(truth.advertise(0, 7), 1u);
+  EXPECT_EQ(truth.apply(events[1], 2.0, &liar), FaultEffect::kRelief);
+  EXPECT_EQ(truth.advertise(0, 8), 8u);
+  // A huge jump tops out at INT32_MAX and stays there.
+  EXPECT_EQ(truth.apply(events[2], 3.0, &liar), FaultEffect::kOnset);
+  EXPECT_EQ(truth.advertise(0, 9), kMax);
+  EXPECT_EQ(truth.advertise(0, 10), kMax);
+  // A replica that does not own the liar keeps no lie state for it.
+  FaultState replica(2, 2);
+  EXPECT_EQ(replica.apply(events[0], 1.0), FaultEffect::kOnset);
+  EXPECT_EQ(replica.advertise(0, 6), 6u);
 }
 
 }  // namespace

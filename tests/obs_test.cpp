@@ -2,7 +2,8 @@
 // exact overflow accounting, log-sink capture, registry snapshots,
 // byte-identical traces across fixed-seed runs, and the offline QoS
 // re-derivation check - detection percentiles recomputed from the trace
-// must match the engine's live ClusterReport exactly.
+// must match the engine's live ClusterReport exactly, and a soak trace
+// must replay to the soak's own verdict counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +22,8 @@
 #include "obs/replay.hpp"
 #include "obs/ring.hpp"
 #include "obs/trace_writer.hpp"
+#include "scenario_test_util.hpp"
+#include "transport/soak.hpp"
 
 namespace rfd::obs {
 namespace {
@@ -279,6 +282,35 @@ TEST(Trace, OfflineReplayMatchesLiveClusterReport) {
   EXPECT_EQ(replayed.false_suspicions, live.false_suspicions);
   EXPECT_EQ(replayed.suspicion_raises, live.suspicion_raises);
   EXPECT_EQ(replayed.suspicion_clears, live.suspicion_clears);
+  std::remove(path.c_str());
+}
+
+TEST(Trace, SoakTraceReplaysToTheSoakReport) {
+  const cluster::ScenarioDoc doc =
+      cluster::testutil::load_doc("crash_recovery_wave.scn");
+  transport::SoakConfig config;
+  config.n = doc.n;
+  config.max_nodes = doc.max_nodes;
+  config.duration_ms = doc.duration_ms;
+  config.scenario = doc.scenario;
+  config.topology.kind = cluster::TopologyKind::kGossip;
+  config.topology.gossip_fanout = 3;
+  config.topology.digest_size = 32;
+  config.seed = 7;
+  const std::string path = "obs_test_soak.jsonl";
+  config.obs.trace_path = path;
+  transport::SoakReport live;
+  std::string error;
+  ASSERT_TRUE(transport::run_soak(config, live, error)) << error;
+  ASSERT_GT(live.raises, 0);
+  ASSERT_GT(live.false_suspicions, 0);
+
+  const ReplayQos replayed = replay_qos(path);
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  EXPECT_EQ(replayed.lost_records, 0);
+  EXPECT_EQ(replayed.suspicion_raises, live.raises);
+  EXPECT_EQ(replayed.suspicion_clears, live.clears);
+  EXPECT_EQ(replayed.false_suspicions, live.false_suspicions);
   std::remove(path.c_str());
 }
 

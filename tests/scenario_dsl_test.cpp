@@ -6,13 +6,15 @@
 // regression: builders may append events in any time order, the engine
 // consumes the stable-sorted timeline, and a genuinely malformed
 // timeline is rejected before the run starts instead of silently
-// corrupting network state.
+// corrupting network state. And the interpreter's effectiveness rules:
+// which faults are no-ops that must leave no trace record.
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/engine.hpp"
+#include "cluster/fault_state.hpp"
 #include "cluster/scenario_dsl.hpp"
 #include "scenario_test_util.hpp"
 
@@ -347,6 +349,46 @@ TEST(ScenarioOrdering, CheckReportsOffendingEventIndex) {
   const std::optional<ScenarioIssue> issue = s.check();
   ASSERT_TRUE(issue.has_value());
   EXPECT_EQ(issue->event_index, 1u);
+}
+
+TEST(FaultInterpreter, IneffectiveFaultsAreNoOps) {
+  FaultState truth(4, 2);  // 0, 1 active; 2, 3 never active
+  Scenario s;
+  s.recover(1.0, 2)   // never active: nothing to recover
+      .crash(2.0, 3)  // never active: nothing to crash
+      .join(3.0, 1)   // a known id cannot join again
+      .crash(4.0, 0)
+      .crash(5.0, 0)  // already down
+      .leave(6.0, 0)
+      .recover(7.0, 1);  // live: nothing to recover
+  std::vector<FaultEffect> effects;
+  for (const FaultEvent& e : s.sorted()) {
+    effects.push_back(truth.apply(e, e.at_ms));
+  }
+  EXPECT_EQ(effects,
+            (std::vector<FaultEffect>{
+                FaultEffect::kIgnored, FaultEffect::kIgnored,
+                FaultEffect::kIgnored, FaultEffect::kDown,
+                FaultEffect::kIgnored, FaultEffect::kIgnored,
+                FaultEffect::kIgnored}));
+  // Only the first crash moved the truth, and it keeps its time.
+  EXPECT_TRUE(truth.truly_down(0));
+  EXPECT_EQ(truth.down_since(0), 4.0);
+  EXPECT_FALSE(truth.ever_active(2));
+  EXPECT_FALSE(truth.truly_down(3));
+  EXPECT_EQ(truth.active_contacts(), (std::vector<NodeId>{1}));
+
+  Scenario effective;
+  effective.recover(8.0, 0).join(9.0, 3).heal(10.0);
+  std::vector<FaultEffect> more;
+  for (const FaultEvent& e : effective.sorted()) {
+    more.push_back(truth.apply(e, e.at_ms));
+  }
+  EXPECT_EQ(more, (std::vector<FaultEffect>{FaultEffect::kUp,
+                                            FaultEffect::kJoined,
+                                            FaultEffect::kRelief}));
+  EXPECT_EQ(truth.down_since(0), -1.0);
+  EXPECT_EQ(truth.active_contacts(), (std::vector<NodeId>{0, 1, 3}));
 }
 
 }  // namespace

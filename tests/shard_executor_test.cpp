@@ -17,7 +17,7 @@ TEST(ShardExecutor, RunsEveryShardOncePerInvocation) {
   ASSERT_EQ(executor.shards(), 4);
   std::vector<std::atomic<int>> hits(4);
   for (int round = 1; round <= 3; ++round) {
-    executor.parallel([&](int s) { ++hits[static_cast<std::size_t>(s)]; });
+    executor.run([&](int s) { ++hits[static_cast<std::size_t>(s)]; });
     for (int s = 0; s < 4; ++s) {
       EXPECT_EQ(hits[static_cast<std::size_t>(s)].load(), round);
     }
@@ -28,7 +28,7 @@ TEST(ShardExecutor, SingleShardRunsOnCallingThread) {
   ShardExecutor executor(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id seen;
-  executor.parallel([&](int s) {
+  executor.run([&](int s) {
     EXPECT_EQ(s, 0);
     seen = std::this_thread::get_id();
   });
@@ -38,7 +38,7 @@ TEST(ShardExecutor, SingleShardRunsOnCallingThread) {
 TEST(ShardExecutor, BarrierSequencesPhasesAcrossShards) {
   // The engine's correctness hinges on this: values shard A writes in
   // phase N are visible to shard B in phase N+1 with no synchronization
-  // beyond the parallel() barrier. Each shard writes its slot in phase
+  // beyond the run() barrier. Each shard writes its slot in phase
   // one; every shard sums all slots in phase two.
   constexpr int kShards = 4;
   constexpr int kRounds = 200;
@@ -46,9 +46,9 @@ TEST(ShardExecutor, BarrierSequencesPhasesAcrossShards) {
   std::vector<int> slots(kShards, 0);       // plain ints on purpose
   std::vector<long long> sums(kShards, 0);  // one writer each
   for (int round = 1; round <= kRounds; ++round) {
-    executor.parallel(
+    executor.run(
         [&](int s) { slots[static_cast<std::size_t>(s)] = round * (s + 1); });
-    executor.parallel([&](int s) {
+    executor.run([&](int s) {
       long long sum = 0;
       for (const int v : slots) sum += v;
       sums[static_cast<std::size_t>(s)] = sum;
@@ -65,7 +65,7 @@ TEST(ShardExecutor, BarrierSequencesPhasesAcrossShards) {
 TEST(ShardExecutor, LowestShardExceptionPropagates) {
   ShardExecutor executor(3);
   try {
-    executor.parallel([](int s) {
+    executor.run([](int s) {
       if (s >= 1) throw std::runtime_error("shard " + std::to_string(s));
     });
     FAIL() << "expected the shard exception to be rethrown";
@@ -74,7 +74,7 @@ TEST(ShardExecutor, LowestShardExceptionPropagates) {
   }
   // The pool survives a throwing invocation.
   std::atomic<int> hits{0};
-  executor.parallel([&](int) { ++hits; });
+  executor.run([&](int) { ++hits; });
   EXPECT_EQ(hits.load(), 3);
 }
 
@@ -150,7 +150,7 @@ TEST(ShardExecutor, ThreadLogBuffersCaptureWorkerLines) {
   const LogLevel saved = log_level();
   set_log_level(LogLevel::kInfo);
   std::vector<std::vector<BufferedLogLine>> buffers(kShards);
-  executor.parallel([&](int s) {
+  executor.run([&](int s) {
     const ScopedThreadLogBuffer scope(&buffers[static_cast<std::size_t>(s)]);
     RFD_LOG(kInfo) << "hello from shard " << s;
     RFD_LOG(kDebug) << "suppressed";  // below the level: not buffered

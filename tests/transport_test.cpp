@@ -9,12 +9,15 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cluster/digest_codec.hpp"
 #include "transport/flaky.hpp"
 #include "transport/sim.hpp"
+#include "transport/soak.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
 
@@ -260,6 +263,41 @@ TEST(UdpTransport, IgnoresOutOfRangeNodeIds) {
   EXPECT_EQ(got[0].from, 1);
   EXPECT_EQ(got[0].to, 0);
   EXPECT_TRUE(got[0].payload.empty());
+}
+
+TEST(UdpTransport, LargestSoakDigestFitsOneDatagram) {
+  // The worst case the soak's digest cap admits: kMaxSoakDigest entries
+  // with ids spread over the whole UdpTransport id space and every
+  // counter (the sender's own included) at the 32-bit maximum.
+  std::vector<std::int32_t> ids;
+  for (int e = 0; e < kMaxSoakDigest; ++e) ids.push_back(e * 16 + 15);
+  ASSERT_EQ(ids.back(), 4095);
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint8_t> payload;
+  cluster::encode_digest(
+      kMax, ids, [](std::int32_t) { return kMax; }, payload);
+
+  UdpParams params;
+  params.base_port = 41300;
+  UdpTransport udp(2, params);
+  udp.send(0, 1, payload.data(), payload.size(), 0.0);
+  std::vector<Delivery> got;
+  for (int spins = 0; spins < 200 && got.empty(); ++spins) {
+    udp.wait_readable(10.0);
+    udp.poll(spins * 10.0, got);
+  }
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].payload, payload);
+  cluster::DigestReader reader(got[0].payload.data(), got[0].payload.size());
+  EXPECT_EQ(reader.varint(), kMax);
+  ASSERT_EQ(reader.varint(), static_cast<std::uint32_t>(kMaxSoakDigest));
+  std::int32_t id = 0;
+  for (const std::int32_t expected : ids) {
+    id += static_cast<std::int32_t>(reader.varint());
+    EXPECT_EQ(id, expected);
+    EXPECT_EQ(reader.varint(), kMax);
+  }
+  EXPECT_TRUE(reader.done());
 }
 
 }  // namespace
