@@ -1,29 +1,24 @@
 #include "common/process_set.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
 namespace rfd {
-namespace {
-
-std::size_t word_count(ProcessId universe_size) {
-  return static_cast<std::size_t>((universe_size + 63) / 64);
-}
-
-}  // namespace
 
 ProcessSet::ProcessSet(ProcessId universe_size)
-    : universe_size_(universe_size), words_(word_count(universe_size), 0) {
+    : universe_size_(universe_size) {
   RFD_REQUIRE(universe_size >= 0);
+  if (universe_size > kInlineBits) heap_words_.assign(num_words(), 0);
 }
 
 ProcessSet ProcessSet::full(ProcessId universe_size) {
   ProcessSet s(universe_size);
-  for (ProcessId p = 0; p < universe_size; ++p) {
-    s.insert(p);
-  }
+  std::uint64_t* words = s.data();
+  for (std::size_t i = 0; i < s.num_words(); ++i) words[i] = ~std::uint64_t{0};
+  s.mask_tail();
   return s;
 }
 
@@ -36,54 +31,65 @@ ProcessSet ProcessSet::of(ProcessId universe_size,
   return s;
 }
 
+void ProcessSet::mask_tail() {
+  const auto used = static_cast<unsigned>(universe_size_ % 64);
+  if (used != 0) {
+    data()[num_words() - 1] &= (std::uint64_t{1} << used) - 1;
+  }
+}
+
 bool ProcessSet::contains(ProcessId p) const {
   if (p < 0 || p >= universe_size_) return false;
   const auto idx = static_cast<std::size_t>(p);
-  return (words_[idx / 64] >> (idx % 64)) & 1u;
+  return (data()[idx / 64] >> (idx % 64)) & 1u;
 }
 
 void ProcessSet::insert(ProcessId p) {
   RFD_REQUIRE_MSG(p >= 0 && p < universe_size_,
                   "process id outside the universe");
   const auto idx = static_cast<std::size_t>(p);
-  words_[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  data()[idx / 64] |= std::uint64_t{1} << (idx % 64);
 }
 
 void ProcessSet::erase(ProcessId p) {
   if (p < 0 || p >= universe_size_) return;
   const auto idx = static_cast<std::size_t>(p);
-  words_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+  data()[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
 }
 
 void ProcessSet::clear() {
-  for (auto& w : words_) w = 0;
+  std::uint64_t* words = data();
+  for (std::size_t i = 0; i < num_words(); ++i) words[i] = 0;
 }
 
 ProcessId ProcessSet::count() const {
+  const std::uint64_t* words = data();
   int total = 0;
-  for (auto w : words_) {
-    total += std::popcount(w);
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    total += std::popcount(words[i]);
   }
   return total;
 }
 
 ProcessId ProcessSet::min() const {
-  for (std::size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != 0) {
+  const std::uint64_t* words = data();
+  for (std::size_t w = 0; w < num_words(); ++w) {
+    if (words[w] != 0) {
       return static_cast<ProcessId>(w * 64 +
                                     static_cast<std::size_t>(
-                                        std::countr_zero(words_[w])));
+                                        std::countr_zero(words[w])));
     }
   }
   return -1;
 }
 
 ProcessId ProcessSet::max() const {
-  for (std::size_t w = words_.size(); w-- > 0;) {
-    if (words_[w] != 0) {
+  const std::uint64_t* words = data();
+  for (std::size_t w = num_words(); w-- > 0;) {
+    if (words[w] != 0) {
       return static_cast<ProcessId>(w * 64 + 63 -
                                     static_cast<std::size_t>(
-                                        std::countl_zero(words_[w])));
+                                        std::countl_zero(words[w])));
     }
   }
   return -1;
@@ -103,56 +109,66 @@ void ProcessSet::check_universe(const ProcessSet& other) const {
 
 ProcessSet& ProcessSet::operator|=(const ProcessSet& other) {
   check_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
+  std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) words[i] |= theirs[i];
   return *this;
 }
 
 ProcessSet& ProcessSet::operator&=(const ProcessSet& other) {
   check_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
+  std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) words[i] &= theirs[i];
   return *this;
 }
 
 ProcessSet& ProcessSet::operator-=(const ProcessSet& other) {
   check_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= ~other.words_[i];
-  }
+  std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) words[i] &= ~theirs[i];
   return *this;
 }
 
 ProcessSet ProcessSet::complement() const {
-  ProcessSet out(universe_size_);
-  for (ProcessId p = 0; p < universe_size_; ++p) {
-    if (!contains(p)) out.insert(p);
-  }
+  ProcessSet out(*this);
+  std::uint64_t* words = out.data();
+  for (std::size_t i = 0; i < num_words(); ++i) words[i] = ~words[i];
+  out.mask_tail();
   return out;
 }
 
 bool ProcessSet::is_subset_of(const ProcessSet& other) const {
   check_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & ~other.words_[i]) != 0) return false;
+  const std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    if ((words[i] & ~theirs[i]) != 0) return false;
   }
   return true;
 }
 
 bool ProcessSet::intersects(const ProcessSet& other) const {
   check_universe(other);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    if ((words_[i] & other.words_[i]) != 0) return true;
+  const std::uint64_t* words = data();
+  const std::uint64_t* theirs = other.data();
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    if ((words[i] & theirs[i]) != 0) return true;
   }
   return false;
 }
 
 bool ProcessSet::operator==(const ProcessSet& other) const {
-  return universe_size_ == other.universe_size_ && words_ == other.words_;
+  if (universe_size_ != other.universe_size_) return false;
+  return std::equal(data(), data() + num_words(), other.data());
 }
 
 std::uint64_t ProcessSet::hash() const {
+  const std::uint64_t* words = data();
   std::uint64_t h = static_cast<std::uint64_t>(universe_size_);
-  for (auto w : words_) {
-    h = mix_seed(h, w);
+  for (std::size_t i = 0; i < num_words(); ++i) {
+    h = mix_seed(h, words[i]);
   }
   return h;
 }

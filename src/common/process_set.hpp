@@ -2,8 +2,11 @@
 //
 // Failure detector outputs (suspect lists), alive-tags on messages, and the
 // correct/crashed partitions of failure patterns are all subsets of Omega.
-// The paper's n is small but unbounded, so the set is a dynamic bitset
-// (vector of 64-bit words) with value semantics and set-algebra operators.
+// The paper's n is small but unbounded, so the set is a bitset of 64-bit
+// words with value semantics and set-algebra operators. A universe of at
+// most 64 processes keeps its one word inline, so building, copying and
+// combining such sets never touches the heap; larger universes keep their
+// words in a vector.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +84,9 @@ class ProcessSet {
   /// Iterates members in increasing order without materializing a vector.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      std::uint64_t word = words_[w];
+    const std::uint64_t* words = data();
+    for (std::size_t w = 0; w < num_words(); ++w) {
+      std::uint64_t word = words[w];
       while (word != 0) {
         const int bit = __builtin_ctzll(word);
         fn(static_cast<ProcessId>(w * 64 + static_cast<std::size_t>(bit)));
@@ -92,10 +96,24 @@ class ProcessSet {
   }
 
  private:
+  static constexpr ProcessId kInlineBits = 64;
+
+  std::size_t num_words() const {
+    return static_cast<std::size_t>((universe_size_ + 63) / 64);
+  }
+  std::uint64_t* data() {
+    return universe_size_ <= kInlineBits ? &inline_word_ : heap_words_.data();
+  }
+  const std::uint64_t* data() const {
+    return universe_size_ <= kInlineBits ? &inline_word_ : heap_words_.data();
+  }
+  /// Clears the bits of the last word that lie beyond the universe.
+  void mask_tail();
   void check_universe(const ProcessSet& other) const;
 
   ProcessId universe_size_;
-  std::vector<std::uint64_t> words_;
+  std::uint64_t inline_word_ = 0;          // the bits when universe <= 64
+  std::vector<std::uint64_t> heap_words_;  // the words when universe > 64
 };
 
 }  // namespace rfd

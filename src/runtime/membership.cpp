@@ -99,10 +99,15 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
     }
   };
 
+  // The self-rescheduling heartbeat pump and check loop of every node. The
+  // closures live here, not in the queue: each scheduled event only points
+  // back at its loop, so nothing outlives the run.
+  std::vector<std::function<void()>> pumps(nodes.size());
+  std::vector<std::function<void()>> checks(nodes.size());
+
   // Heartbeat pumps.
   for (NodeId i = 0; i < config.n; ++i) {
-    std::shared_ptr<std::function<void()>> pump =
-        std::make_shared<std::function<void()>>();
+    std::function<void()>* pump = &pumps[static_cast<std::size_t>(i)];
     *pump = [&, i, pump] {
       Node& node = nodes[static_cast<std::size_t>(i)];
       const double now = queue.now();
@@ -115,15 +120,14 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
           detector_for(dst, i).on_heartbeat(queue.now());
         });
       }
-      queue.schedule_in(config.heartbeat_interval_ms, *pump);
+      queue.schedule_in(config.heartbeat_interval_ms, [pump] { (*pump)(); });
     };
-    queue.schedule(0.0, *pump);
+    queue.schedule(0.0, [pump] { (*pump)(); });
   }
 
   // Coordinator check loops.
   for (NodeId i = 0; i < config.n; ++i) {
-    std::shared_ptr<std::function<void()>> check =
-        std::make_shared<std::function<void()>>();
+    std::function<void()>* check = &checks[static_cast<std::size_t>(i)];
     *check = [&, i, check] {
       Node& node = nodes[static_cast<std::size_t>(i)];
       const double now = queue.now();
@@ -176,9 +180,9 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
           });
         }
       }
-      queue.schedule_in(config.check_interval_ms, *check);
+      queue.schedule_in(config.check_interval_ms, [check] { (*check)(); });
     };
-    queue.schedule(config.check_interval_ms, *check);
+    queue.schedule(config.check_interval_ms, [check] { (*check)(); });
   }
 
   queue.run_until(config.duration_ms);

@@ -11,10 +11,15 @@ RandomAdversary::RandomAdversary(std::uint64_t seed, double lambda_prob)
 
 ProcessId RandomAdversary::pick_process(const SchedView& /*view*/,
                                         const ProcessSet& candidates) {
-  const auto members = candidates.members();
-  RFD_REQUIRE(!members.empty());
-  return members[static_cast<std::size_t>(
-      rng_.below(static_cast<std::int64_t>(members.size())))];
+  const ProcessId count = candidates.count();
+  RFD_REQUIRE(count > 0);
+  // The k-th member in id order, as indexing members() would pick.
+  std::int64_t k = rng_.below(count);
+  ProcessId picked = -1;
+  candidates.for_each([&](ProcessId p) {
+    if (k-- == 0) picked = p;
+  });
+  return picked;
 }
 
 MessageId RandomAdversary::pick_message(

@@ -8,23 +8,14 @@
 // queryable DAG rather than a proof device.
 #pragma once
 
-#include <vector>
-
 #include "common/types.hpp"
 #include "fd/fd_value.hpp"
 
 namespace rfd::sim {
 
-struct Decision {
-  InstanceId instance;
-  Value value;
-};
-
-struct Delivery {
-  InstanceId instance;
-  Value value;
-};
-
+/// The decide()/deliver() calls of a step live in the trace-level
+/// decisions()/deliveries() lists, keyed by event id; the messages it sent
+/// are those whose send_event is its id.
 struct Event {
   EventId id = kNoEvent;
   ProcessId process = -1;
@@ -32,9 +23,6 @@ struct Event {
   MessageId received = kNoMessage;    // kNoMessage encodes the null message
   fd::FdValue fd_value;               // d seen by the process in this step
   EventId prev_same_process = kNoEvent;
-  std::vector<MessageId> sent;        // messages sent during this step
-  std::vector<Decision> decisions;    // decide() calls made in this step
-  std::vector<Delivery> deliveries;   // deliver() calls made in this step
   bool is_start = false;              // first step of the process
 };
 

@@ -245,6 +245,7 @@ void Simulator::step_once() {
 void Simulator::run_for(Tick ticks) {
   RFD_REQUIRE(ticks >= 0);
   const Tick deadline = now_ + ticks;
+  trace_.reserve_events(ticks);
   while (now_ < deadline) {
     step_once();
   }
@@ -252,6 +253,7 @@ void Simulator::run_for(Tick ticks) {
 
 bool Simulator::run_until(const std::function<bool(const Trace&)>& pred,
                           Tick deadline) {
+  if (deadline > now_) trace_.reserve_events(deadline - now_);
   while (now_ < deadline) {
     if (pred(trace_)) return true;
     step_once();

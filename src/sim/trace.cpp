@@ -27,6 +27,13 @@ Event& Trace::append_event(ProcessId process, Tick time, MessageId received,
   return events_.back();
 }
 
+void Trace::reserve_events(std::int64_t more) {
+  const auto needed = events_.size() + static_cast<std::size_t>(more);
+  if (needed > events_.capacity()) {
+    events_.reserve(std::max(needed, 2 * events_.capacity()));
+  }
+}
+
 Message& Trace::append_message(ProcessId src, ProcessId dst, Bytes payload,
                                ProcessSet alive_tags, EventId send_event,
                                Tick sent_at) {
@@ -150,14 +157,12 @@ ProcessSet Trace::causal_message_senders(EventId e) const {
 }
 
 void Trace::record_decision(EventId e, InstanceId instance, Value v) {
-  Event& ev = events_[static_cast<std::size_t>(e)];
-  ev.decisions.push_back({instance, v});
+  const Event& ev = events_[static_cast<std::size_t>(e)];
   decisions_.push_back({e, ev.process, ev.time, instance, v});
 }
 
 void Trace::record_delivery(EventId e, InstanceId instance, Value v) {
-  Event& ev = events_[static_cast<std::size_t>(e)];
-  ev.deliveries.push_back({instance, v});
+  const Event& ev = events_[static_cast<std::size_t>(e)];
   deliveries_.push_back({e, ev.process, ev.time, instance, v});
 }
 

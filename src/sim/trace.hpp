@@ -51,6 +51,9 @@ class Trace {
   Event& append_event(ProcessId process, Tick time, MessageId received,
                       fd::FdValue fd_value, EventId prev_same_process,
                       bool is_start);
+  /// Makes room for `more` further events, so that appending them never
+  /// moves the events already recorded.
+  void reserve_events(std::int64_t more);
   Message& append_message(ProcessId src, ProcessId dst, Bytes payload,
                           ProcessSet alive_tags, EventId send_event,
                           Tick sent_at);

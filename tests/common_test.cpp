@@ -153,6 +153,61 @@ TEST(ProcessSet, ComplementAndFull) {
   EXPECT_EQ(s.complement(), ProcessSet::of(5, {1, 3, 4}));
   EXPECT_EQ(ProcessSet::full(5).count(), 5);
   EXPECT_EQ(ProcessSet::full(5).complement().count(), 0);
+  // Around both word boundaries, inline (<= 64) and heap (> 64) storage:
+  // the unused bits of the tail word never become members.
+  for (ProcessId u : {0, 1, 63, 64, 65, 128, 130}) {
+    const ProcessSet all = ProcessSet::full(u);
+    EXPECT_EQ(all.count(), u) << u;
+    EXPECT_EQ(all.max(), u - 1) << u;
+    EXPECT_EQ(ProcessSet(u).complement(), all) << u;
+    ProcessSet thirds(u);
+    for (ProcessId p = 0; p < u; p += 3) thirds.insert(p);
+    const ProcessSet rest = thirds.complement();
+    EXPECT_EQ(rest.complement(), thirds) << u;
+    EXPECT_EQ(rest.count() + thirds.count(), u) << u;
+    EXPECT_LT(rest.max(), u) << u;
+    EXPECT_EQ(rest | thirds, all) << u;
+    EXPECT_FALSE(rest.intersects(thirds)) << u;
+  }
+}
+
+TEST(ProcessSet, EqualityAndHashIgnoreHowTheSetWasBuilt) {
+  for (ProcessId u : {1, 63, 64, 65, 128, 130}) {
+    const ProcessSet built = ProcessSet::of(u, {0, u / 2, u - 1});
+    ProcessSet carved = ProcessSet::full(u);
+    for (ProcessId p = 0; p < u; ++p) {
+      if (!built.contains(p)) carved.erase(p);
+    }
+    EXPECT_EQ(carved, built) << u;
+    EXPECT_EQ(carved.hash(), built.hash()) << u;
+  }
+}
+
+TEST(ProcessSet, CopyAndMoveAcrossStorage) {
+  const ProcessSet big = ProcessSet::of(130, {0, 64, 129});
+  const ProcessSet small = ProcessSet::of(5, {1, 4});
+  ProcessSet copy = big;
+  copy.erase(64);
+  EXPECT_TRUE(big.contains(64));  // the copy owns its own words
+  EXPECT_EQ(copy, ProcessSet::of(130, {0, 129}));
+
+  ProcessSet slot = big;
+  slot = small;  // multi-word -> one word
+  EXPECT_EQ(slot, small);
+  slot = big;  // and back
+  EXPECT_EQ(slot, big);
+  slot.insert(100);
+  EXPECT_FALSE(big.contains(100));
+
+  ProcessSet moved = std::move(slot);
+  EXPECT_EQ(moved, ProcessSet::of(130, {0, 64, 100, 129}));
+  moved = ProcessSet(small);
+  EXPECT_EQ(moved, small);
+  moved = ProcessSet(big);
+  EXPECT_EQ(moved, big);
+  ProcessSet small_copy = small;
+  small_copy.insert(0);
+  EXPECT_FALSE(small.contains(0));
 }
 
 TEST(ProcessSet, ForEachOrder) {

@@ -74,6 +74,95 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(trace_digest(consensus_trace(9)), trace_digest(consensus_trace(10)));
 }
 
+// FNV-1a over everything a run makes observable. Unlike the replay tests
+// above, which compare two runs of the same build, this pins the schedules
+// themselves: an optimisation of the simulator, the detectors or ProcessSet
+// that changes any step, detector value, message or decision changes it.
+class Fnv1a {
+ public:
+  void i64(std::int64_t v) {
+    const auto u = static_cast<std::uint64_t>(v);
+    for (int shift = 0; shift < 64; shift += 8) byte(u >> shift);
+  }
+  void bytes(const Bytes& b) {
+    i64(static_cast<std::int64_t>(b.size()));
+    for (std::byte c : b) byte(static_cast<std::uint64_t>(c));
+  }
+  void set(const ProcessSet& s) {
+    i64(s.universe_size());
+    s.for_each([&](ProcessId p) { i64(p); });
+    i64(-1);
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  void byte(std::uint64_t c) {
+    h_ ^= c & 0xff;
+    h_ *= 0x100000001b3ull;
+  }
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+void digest_run(Fnv1a& h, const std::string& detector,
+                const model::FailurePattern& pattern, bool trb, Tick ticks,
+                std::uint64_t seed) {
+  const ProcessId n = pattern.n();
+  const auto oracle = fd::find_detector(detector).factory(pattern, seed);
+  std::vector<std::unique_ptr<sim::Automaton>> automata;
+  for (ProcessId p = 0; p < n; ++p) {
+    if (trb) {
+      automata.push_back(std::make_unique<algo::TrbAutomaton>(n, 1, 7777));
+    } else {
+      automata.push_back(std::make_unique<algo::CtStrongConsensus>(n, 100 + p));
+    }
+  }
+  sim::Simulator sim(pattern, *oracle, std::move(automata),
+                     std::make_unique<sim::RandomAdversary>(seed));
+  sim.run_for(ticks);
+  const sim::Trace& trace = sim.trace();
+  h.i64(trace.num_events());
+  for (EventId e = 0; e < trace.num_events(); ++e) {
+    const auto& ev = trace.event(e);
+    h.i64(ev.process);
+    h.i64(ev.time);
+    h.i64(ev.received);
+    h.set(ev.fd_value.suspects);
+    h.bytes(ev.fd_value.extra);
+  }
+  h.i64(trace.num_messages());
+  for (MessageId m = 0; m < trace.num_messages(); ++m) {
+    const auto& msg = trace.message(m);
+    h.i64(msg.src);
+    h.i64(msg.dst);
+    h.bytes(msg.payload);
+    h.set(msg.alive_tags);
+  }
+  auto refs = [&](const auto& list) {
+    h.i64(static_cast<std::int64_t>(list.size()));
+    for (const auto& d : list) {
+      h.i64(d.event);
+      h.i64(d.process);
+      h.i64(d.time);
+      h.i64(d.instance);
+      h.i64(d.value);
+    }
+  };
+  refs(trace.decisions());
+  refs(trace.deliveries());
+}
+
+TEST(Determinism, PaperModelSchedulesArePinned) {
+  const auto pattern = model::cascade(5, 2, 100, 150);
+  Fnv1a h;
+  for (const char* detector : {"P", "S(cheat)", "Scribe", "<>P"}) {
+    digest_run(h, detector, pattern, /*trb=*/false, 4000, 9);
+  }
+  digest_run(h, "P<", pattern, /*trb=*/true, 4000, 9);
+  // n = 70 needs two words per set, so the multi-word path is pinned too.
+  digest_run(h, "P", model::cascade(70, 3, 100, 150), /*trb=*/false, 3000, 9);
+  EXPECT_EQ(h.value(), 0x2d6c5f49ca2798a4ull);
+}
+
 TEST(Determinism, QosResultsReplay) {
   rt::QosConfig config;
   config.crash_at_ms = 20'000.0;
