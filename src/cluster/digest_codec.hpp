@@ -13,12 +13,31 @@
 //
 // Sorting by id is also what makes the receiver's observe() loop walk
 // its per-peer arrays in ascending index order - the cache-friendly
-// drain that removes the PR-5 observe hot spot - and it is lossless:
-// duplicate ids (a hot-queue entry also hit by the rotation cursor) are
-// kept as zero gaps, so the decoded entry count and multiset match the
-// selection exactly.
+// drain of the observe hot spot - and it is lossless: duplicate ids (a
+// hot-queue entry also hit by the rotation cursor) are kept as zero
+// gaps, so the decoded entry count and multiset match the selection
+// exactly.
+//
+// The codec owns that order. The engine and the soak runner pass a
+// selection as ClusterNode::select_digest produced it, and
+// DigestEncoder orders it with two bitmaps instead of a comparison
+// sort. select_digest emits each id at most twice - the hot queue
+// holds an id at most once and the rotation pass visits each id at
+// most once - so one bitmap holds the first copies and a second the
+// repeats. A third copy, which only a hand-built selection can
+// contain, falls back to std::sort + encode_digest; either path writes
+// the same bytes.
+//
+// DigestReader is the one decoder. It is bounds-checked and returns
+// false instead of asserting, because the soak runner decodes bytes
+// that crossed a real socket: the soak drops a payload the reader
+// rejects, and the engine, whose payloads are its own memory, wraps
+// every read in RFD_REQUIRE.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -45,31 +64,64 @@ inline std::uint8_t* put_varint_raw(std::uint8_t* p, std::uint32_t v) {
   return p;
 }
 
-/// Sequential reader over an encoded payload; the caller bounds reads by
-/// the encoded entry count, and the assert guards against truncation.
+/// Sequential reader over one encoded payload: header() once, then
+/// entry() up to `count` times. Each call returns false - never
+/// asserts, never overflows - on bytes the encoder cannot produce:
+///   - a truncated stream, or a count that cannot fit in the bytes
+///     left (every entry takes at least 2) or exceeds two copies of
+///     each of `max_nodes` ids;
+///   - a varint that does not fit 32 bits (more than 5 bytes, or a
+///     fifth byte above 0x0f);
+///   - an id gap that would leave [0, max_nodes), checked in unsigned
+///     arithmetic before the add.
 class DigestReader {
  public:
-  DigestReader(const std::uint8_t* data, std::size_t size)
-      : p_(data), end_(data + size) {}
+  DigestReader(const std::uint8_t* data, std::size_t size,
+               std::int32_t max_nodes)
+      : p_(data),
+        end_(data + size),
+        max_nodes_(max_nodes > 0 ? static_cast<std::uint32_t>(max_nodes)
+                                 : 0u) {}
 
-  std::uint32_t varint() {
-    std::uint32_t value = 0;
-    int shift = 0;
-    for (;;) {
-      RFD_REQUIRE_MSG(p_ != end_, "truncated digest payload");
-      const std::uint8_t byte = *p_++;
-      value |= static_cast<std::uint32_t>(byte & 0x7fu)
-               << static_cast<unsigned>(shift);
-      if ((byte & 0x80u) == 0) return value;
-      shift += 7;
+  /// Reads the sender's own counter and the entry count.
+  bool header(std::uint32_t& own, std::uint32_t& count) {
+    if (!varint(own) || !varint(count)) return false;
+    return count <= static_cast<std::size_t>(end_ - p_) / 2 &&
+           count <= std::uint64_t{2} * max_nodes_;
+  }
+
+  /// Reads the next entry: `id` is the running sum of the gaps.
+  bool entry(std::int32_t& id, std::uint32_t& counter) {
+    std::uint32_t gap = 0;
+    if (!varint(gap) || gap >= max_nodes_ - id_ || !varint(counter)) {
+      return false;
     }
+    id_ += gap;
+    id = static_cast<std::int32_t>(id_);
+    return true;
   }
 
   bool done() const { return p_ == end_; }
 
  private:
+  bool varint(std::uint32_t& out) {
+    std::uint32_t value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      if (p_ == end_) return false;
+      const std::uint32_t byte = *p_++;
+      if (shift == 28 && byte > 0x0fu) return false;  // beyond 32 bits
+      value |= (byte & 0x7fu) << shift;
+      if (byte < 0x80u) {
+        out = value;
+        return true;
+      }
+    }
+  }
+
   const std::uint8_t* p_;
   const std::uint8_t* end_;
+  std::uint32_t max_nodes_;
+  std::uint32_t id_ = 0;  // last decoded id (the gaps' base)
 };
 
 /// Encodes one message payload: the sender's counter, the entry count,
@@ -97,5 +149,83 @@ void encode_digest(std::uint32_t own_counter,
   }
   out.resize(static_cast<std::size_t>(p - out.data()));
 }
+
+/// Sort-free encode_digest for unsorted selections over ids in
+/// [0, max_nodes): writes exactly the bytes encode_digest writes for
+/// the std::sort-ed selection. Owns two scratch bitmaps, interleaved
+/// word by word so an id's two bits share a cache line, that are
+/// all-zero between calls; one encoder serves every message of one
+/// thread.
+class DigestEncoder {
+ public:
+  explicit DigestEncoder(std::int32_t max_nodes)
+      : max_nodes_(max_nodes > 0 ? static_cast<std::uint32_t>(max_nodes)
+                                 : 0u),
+        bits_((max_nodes_ + 63) / 64 * 2, 0) {}
+
+  template <typename CounterOf>
+  void encode(std::uint32_t own_counter,
+              const std::vector<std::int32_t>& ids, CounterOf&& counter_of,
+              std::vector<std::uint8_t>& out) {
+    for (const std::int32_t id : ids) {
+      RFD_REQUIRE(static_cast<std::uint32_t>(id) < max_nodes_);
+      std::uint64_t* word = &bits_[(static_cast<std::size_t>(id) >> 6) * 2];
+      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+      if ((word[0] & bit) == 0) {
+        word[0] |= bit;
+      } else if ((word[1] & bit) == 0) {
+        word[1] |= bit;
+      } else {
+        encode_sorted(own_counter, ids, counter_of, out);
+        return;
+      }
+    }
+    const std::size_t base = out.size();
+    out.resize(base + 10 + ids.size() * 10);
+    std::uint8_t* p = out.data() + base;
+    p = put_varint_raw(p, own_counter);
+    p = put_varint_raw(p, static_cast<std::uint32_t>(ids.size()));
+    std::uint32_t prev = 0;
+    for (std::size_t w = 0; w < bits_.size() / 2; ++w) {
+      std::uint64_t word = bits_[2 * w];
+      if (word == 0) continue;
+      const std::uint64_t repeats = bits_[2 * w + 1];
+      bits_[2 * w] = 0;
+      bits_[2 * w + 1] = 0;
+      do {
+        const int b = std::countr_zero(word);
+        const auto id = static_cast<std::uint32_t>((w << 6) + b);
+        const auto counter = static_cast<std::uint32_t>(
+            counter_of(static_cast<std::int32_t>(id)));
+        p = put_varint_raw(p, id - prev);
+        p = put_varint_raw(p, counter);
+        if (((repeats >> b) & 1u) != 0) {
+          *p++ = 0;  // the repeat's zero gap
+          p = put_varint_raw(p, counter);
+        }
+        prev = id;
+        word &= word - 1;
+      } while (word != 0);
+    }
+    out.resize(static_cast<std::size_t>(p - out.data()));
+  }
+
+ private:
+  /// The third-copy fallback: re-zero the bitmaps, then sort a copy.
+  template <typename CounterOf>
+  void encode_sorted(std::uint32_t own_counter,
+                     const std::vector<std::int32_t>& ids,
+                     CounterOf&& counter_of, std::vector<std::uint8_t>& out) {
+    std::fill(bits_.begin(), bits_.end(), 0);
+    sorted_.assign(ids.begin(), ids.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    encode_digest(own_counter, sorted_, counter_of, out);
+  }
+
+  std::uint32_t max_nodes_;
+  /// Two words per 64 ids: [2w] marks ids seen once, [2w + 1] twice.
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::int32_t> sorted_;  // the fallback's sorted copy
+};
 
 }  // namespace rfd::cluster

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -167,6 +166,8 @@ struct FaultNote {
 };
 
 struct ShardState {
+  explicit ShardState(int max_nodes) : encoder(max_nodes) {}
+
   int index = 0;
   NodeId lo = 0;  // owned node range [lo, hi)
   NodeId hi = 0;
@@ -208,8 +209,8 @@ struct ShardState {
   std::vector<NodeId> targets_scratch;
   std::vector<NodeId> digest_scratch;
   std::vector<std::uint64_t> wheel_scratch;
-  /// Scratch bitmap over node ids for sort_ids(); all-zero between calls.
-  std::vector<std::uint64_t> id_bits;
+  /// Orders and encodes this shard's outgoing digests.
+  DigestEncoder encoder;
 
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
@@ -328,7 +329,7 @@ class ClusterEngine {
     const int extra = max_nodes_ % shard_count_;
     NodeId lo = 0;
     for (int s = 0; s < shard_count_; ++s) {
-      auto shard = std::make_unique<ShardState>();
+      auto shard = std::make_unique<ShardState>(max_nodes_);
       shard->index = s;
       shard->lo = lo;
       shard->hi = lo + base + (s < extra ? 1 : 0);
@@ -352,8 +353,6 @@ class ClusterEngine {
       shard->send_seq.assign(static_cast<std::size_t>(max_nodes_), 0);
       shard->outbox.resize(static_cast<std::size_t>(shard_count_));
       shard->buckets.resize(kBucketSlots);
-      shard->id_bits.assign(static_cast<std::size_t>(max_nodes_ + 63) / 64,
-                            0);
       for (NodeId j = shard->lo; j < shard->hi; ++j) {
         owner_[static_cast<std::size_t>(j)] = s;
       }
@@ -766,36 +765,6 @@ class ClusterEngine {
     }
   }
 
-  /// Sorts digest ids ascending in place for the codec. The selection is
-  /// near-unique ids bounded by max_nodes_, so a bitmap insert + ordered
-  /// bit walk beats a comparison sort per message; the rare duplicate (a
-  /// hot-queue id also hit by the rotation cursor) falls back to
-  /// std::sort. Either path yields the identical sorted multiset.
-  void sort_ids(ShardState& shard, std::vector<NodeId>& ids) {
-    auto& words = shard.id_bits;
-    for (const NodeId id : ids) {
-      const std::size_t w = static_cast<std::size_t>(id) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (id & 63);
-      if ((words[w] & bit) != 0) {
-        for (const NodeId x : ids) words[static_cast<std::size_t>(x) >> 6] = 0;
-        std::sort(ids.begin(), ids.end());
-        return;
-      }
-      words[w] |= bit;
-    }
-    std::size_t n = 0;
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      std::uint64_t word = words[w];
-      if (word == 0) continue;
-      words[w] = 0;
-      do {
-        ids[n++] = static_cast<NodeId>(
-            (w << 6) + static_cast<std::size_t>(std::countr_zero(word)));
-        word &= word - 1;
-      } while (word != 0);
-    }
-  }
-
   std::vector<std::uint8_t> take_payload(ShardState& shard) {
     if (shard.payload_pool.empty()) return {};
     std::vector<std::uint8_t> buffer = std::move(shard.payload_pool.back());
@@ -860,8 +829,7 @@ class ClusterEngine {
         m.to = target;
         m.seq = shard.send_seq[static_cast<std::size_t>(i)]++;
         m.payload = take_payload(shard);
-        sort_ids(shard, shard.digest_scratch);
-        encode_digest(
+        shard.encoder.encode(
             advertised,
             shard.digest_scratch,
             [&node](NodeId j) {
@@ -958,15 +926,16 @@ class ClusterEngine {
       // materialized entry list. After the leading sender entry, ids
       // arrive sorted ascending (the codec's delta stream), so the walk
       // touches the per-peer arrays in ascending order - the
-      // cache-friendly drain that removed the PR-5 observe hot spot.
+      // cache-friendly drain of the observe hot spot. The payload is
+      // this engine's own encoding, so a rejected read is a bug.
       obs::ScopedPhase phase(shard.profiler.get(), obs::Phase::kObserve);
-      DigestReader reader(m.payload.data(), m.payload.size());
-      const std::uint32_t own = reader.varint();
-      const std::uint32_t count = reader.varint();
+      DigestReader reader(m.payload.data(), m.payload.size(), max_nodes_);
+      std::uint32_t own = 0;
+      std::uint32_t count = 0;
+      RFD_REQUIRE(reader.header(own, count));
       entry_count = static_cast<std::int64_t>(count) + 1;
       NodeId peer = m.from;
       std::int32_t value = static_cast<std::int32_t>(own);
-      NodeId id = 0;
       for (std::uint32_t e = 0;; ++e) {
         const ObserveResult result = node.observe(peer, value, now);
         if (result.newly_known) on_learned(shard, to, peer);
@@ -990,9 +959,9 @@ class ClusterEngine {
           }
         }
         if (e == count) break;
-        id += static_cast<NodeId>(reader.varint());
-        peer = id;
-        value = static_cast<std::int32_t>(reader.varint());
+        std::uint32_t counter = 0;
+        RFD_REQUIRE(reader.entry(peer, counter));
+        value = static_cast<std::int32_t>(counter);
       }
     }
     m.payload.clear();

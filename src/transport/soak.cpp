@@ -42,27 +42,6 @@ double wall_elapsed_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Bounds-checked varint read for received payloads. Unlike the engine's
-/// DigestReader (which asserts - its payloads are trusted local memory),
-/// a soak receiver sees bytes that crossed a real socket; a malformed
-/// payload is dropped, never fatal.
-bool safe_varint(const std::uint8_t*& p, const std::uint8_t* end,
-                 std::uint32_t& out) {
-  std::uint32_t value = 0;
-  int shift = 0;
-  while (p != end && shift < 35) {
-    const std::uint8_t byte = *p++;
-    value |= static_cast<std::uint32_t>(byte & 0x7fu)
-             << static_cast<unsigned>(shift);
-    if ((byte & 0x80u) == 0) {
-      out = value;
-      return true;
-    }
-    shift += 7;
-  }
-  return false;
-}
-
 class SoakRunner {
  public:
   explicit SoakRunner(const SoakConfig& config)
@@ -70,7 +49,8 @@ class SoakRunner {
         max_nodes_(effective_max_nodes(config)),
         fingerprint_(soak_config_fingerprint(config)),
         faults_(config.scenario.sorted()),
-        truth_(max_nodes_, config.n) {
+        truth_(max_nodes_, config.n),
+        encoder_(max_nodes_) {
     build_transport();
     cluster::NodeParams node_params;
     node_params.detector = config_.detector;
@@ -279,9 +259,8 @@ class SoakRunner {
       for (rt::NodeId target : targets_scratch_) {
         digest_scratch_.clear();
         topology_->digest(node, target, digest_scratch_);
-        std::sort(digest_scratch_.begin(), digest_scratch_.end());
         payload_scratch_.clear();
-        cluster::encode_digest(
+        encoder_.encode(
             advertised, digest_scratch_,
             [&node](rt::NodeId id) {
               return static_cast<std::uint32_t>(node.counter(id));
@@ -308,31 +287,22 @@ class SoakRunner {
       if (d.to < 0 || d.to >= max_nodes_) continue;
       cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(d.to)];
       if (!node.active()) continue;  // crashed sockets still receive; drop
-      const std::uint8_t* p = d.payload.data();
-      const std::uint8_t* end = p + d.payload.size();
+      // Bytes off a real socket: a payload the reader rejects is
+      // dropped, never fatal. Entries decoded before the bad byte have
+      // been observed; the hb_recv record is skipped.
+      cluster::DigestReader reader(d.payload.data(), d.payload.size(),
+                                   max_nodes_);
       std::uint32_t own = 0;
       std::uint32_t count = 0;
-      if (!safe_varint(p, end, own) || !safe_varint(p, end, count) ||
-          count > static_cast<std::uint32_t>(max_nodes_) * 2u) {
-        continue;  // corrupt payload off the wire: drop, never crash
-      }
+      if (!reader.header(own, count)) continue;
       std::int64_t advances = 0;
       if (node.observe(d.from, own, d.at_ms).advanced) ++advances;
-      rt::NodeId id = 0;
       bool ok = true;
-      for (std::uint32_t e = 0; e < count; ++e) {
-        std::uint32_t gap = 0;
+      for (std::uint32_t e = 0; ok && e < count; ++e) {
+        rt::NodeId id = 0;
         std::uint32_t counter = 0;
-        if (!safe_varint(p, end, gap) || !safe_varint(p, end, counter)) {
-          ok = false;
-          break;
-        }
-        id += static_cast<rt::NodeId>(gap);
-        if (id < 0 || id >= max_nodes_) {
-          ok = false;
-          break;
-        }
-        if (node.observe(id, counter, d.at_ms).advanced) ++advances;
+        ok = reader.entry(id, counter);
+        if (ok && node.observe(id, counter, d.at_ms).advanced) ++advances;
       }
       if (!ok) continue;
       if (trace_ != nullptr) {
@@ -595,6 +565,7 @@ class SoakRunner {
   std::unique_ptr<cluster::Topology> topology_;
   cluster::FaultState truth_;
   cluster::QosLedger qos_;
+  cluster::DigestEncoder encoder_;
 
   std::int64_t tick_ = 0;  // last completed tick
   /// Crash -> raise latencies, one per raise against a down peer.

@@ -1,10 +1,12 @@
 // Checkpoint format and soak crash-resume tests: files round-trip,
 // corruption in any byte is caught by the CRC trailer, foreign configs
 // are refused, and a killed-and-resumed sim-backend soak produces the
-// exact outcome an uninterrupted run does.
+// exact outcome an uninterrupted run does. The soak's outcome is also
+// pinned in absolute terms, per scenario file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -12,6 +14,7 @@
 
 #include "cluster/scenario.hpp"
 #include "common/shutdown.hpp"
+#include "scenario_test_util.hpp"
 #include "transport/checkpoint.hpp"
 #include "transport/soak.hpp"
 
@@ -251,6 +254,71 @@ TEST(SoakShutdown, StopsAtNextTickAndStillCheckpoints) {
   ASSERT_TRUE(run_soak(second, resumed, error)) << error;
   EXPECT_TRUE(resumed.resumed);
   std::remove(ckpt.c_str());
+}
+
+// --- pinned soak outcomes --------------------------------------------
+
+/// The configuration `soak_main 7 --backend sim --n <n>` builds: gossip
+/// fanout 3, a fixed 1 s detector on a 100 ms grid, and a digest of n
+/// entries clamped to [32, kMaxSoakDigest].
+SoakConfig soak_main_config(int n) {
+  SoakConfig config;
+  config.seed = 7;
+  config.n = n;
+  config.duration_ms = 30'000.0;
+  config.topology.kind = cluster::TopologyKind::kGossip;
+  config.topology.gossip_fanout = 3;
+  config.topology.digest_size = std::min(std::max(32, n), kMaxSoakDigest);
+  config.detector.kind = rt::DetectorKind::kFixed;
+  config.detector.fixed.timeout_ms = 1'000.0;
+  return config;
+}
+
+TEST(SoakOutcome, FingerprintsArePinned) {
+  // Outcome fingerprints of `soak_main 7 --backend sim --scenario <f>`
+  // over the scenario library. The resume tests compare a soak with
+  // itself; these constants pin what the soak computes, so a change to
+  // the digest codec, the topology or the fault interpreter that shifts
+  // any verdict, counter or detection sample fails here.
+  const struct {
+    const char* file;
+    std::uint64_t fingerprint;
+  } kPinned[] = {
+      {"asymmetric_partition.scn", 0xf2f1900c312f04a8ull},
+      {"byzantine_counters.scn", 0x525bc62063a46728ull},
+      {"cascading_overload.scn", 0xba7a8dd3b3828aedull},
+      {"churn_storm.scn", 0x2540ec17b7c6184full},
+      {"crash_recovery_wave.scn", 0x8989c7c5891e70e0ull},
+      {"flapping_links.scn", 0x80fc15fd1bd23e21ull},
+      {"gray_failure.scn", 0x5d42a861c8bc27f8ull},
+      {"partition_cascade.scn", 0xe3474ebffee12fc8ull},
+      {"rack_failure.scn", 0x4d6bd2357f443d31ull},
+      {"slow_nodes.scn", 0x98c2085d38d850e3ull},
+  };
+  reset_shutdown();
+  for (const auto& pin : kPinned) {
+    const cluster::ScenarioDoc doc = cluster::testutil::load_doc(pin.file);
+    SoakConfig config = soak_main_config(doc.n > 0 ? doc.n : 16);
+    if (doc.max_nodes > 0) config.max_nodes = doc.max_nodes;
+    if (doc.duration_ms > 0.0) config.duration_ms = doc.duration_ms;
+    config.scenario = doc.scenario;
+    SoakReport report;
+    std::string error;
+    ASSERT_TRUE(run_soak(config, report, error)) << pin.file << ": " << error;
+    EXPECT_EQ(report.outcome_fingerprint, pin.fingerprint)
+        << pin.file << ": got " << std::hex << report.outcome_fingerprint;
+  }
+
+  // `soak_main 7 --backend sim --n 64 --flaky --flaky-loss 0.05`: the
+  // socket-boundary injection layer over the sim backend.
+  SoakConfig flaky = soak_main_config(64);
+  flaky.flaky = true;
+  flaky.flaky_params.network.loss_prob = 0.05;
+  SoakReport report;
+  std::string error;
+  ASSERT_TRUE(run_soak(flaky, report, error)) << error;
+  EXPECT_EQ(report.outcome_fingerprint, 0xe3c990f0d7b8072eull)
+      << "flaky: got " << std::hex << report.outcome_fingerprint;
 }
 
 }  // namespace

@@ -3,14 +3,22 @@
 // partition/heal scenario (all live nodes converge on the true crashed
 // set after heal), churn, delay storms, determinism under a fixed seed,
 // and the message-complexity separation (gossip sublinear vs all-to-all
-// quadratic) that the E11 bench measures at scale.
+// quadratic) that the E11 bench measures at scale. The digest codec's
+// encoder and checked reader are tested here too.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include "cluster/digest_codec.hpp"
 #include "cluster/engine.hpp"
 #include "cluster/node.hpp"
 #include "cluster/scenario.hpp"
 #include "cluster/topology.hpp"
+#include "common/rng.hpp"
 #include "runtime/event_queue.hpp"
 #include "runtime/network.hpp"
 
@@ -274,16 +282,138 @@ TEST(DigestCodec, RoundTripsWorstCaseVarints) {
   EXPECT_EQ(out[0], 0xab);
   EXPECT_EQ(out[1], 0xcd);
 
-  DigestReader reader(out.data() + 2, out.size() - 2);
-  EXPECT_EQ(reader.varint(), 0xdeadbeefu);
-  ASSERT_EQ(reader.varint(), ids.size());
-  std::int32_t id = 0;
+  DigestReader reader(out.data() + 2, out.size() - 2,
+                      std::numeric_limits<std::int32_t>::max());
+  std::uint32_t own = 0;
+  std::uint32_t count = 0;
+  ASSERT_TRUE(reader.header(own, count));
+  EXPECT_EQ(own, 0xdeadbeefu);
+  ASSERT_EQ(count, ids.size());
   for (const std::int32_t expected : ids) {
-    id += static_cast<std::int32_t>(reader.varint());
+    std::int32_t id = -1;
+    std::uint32_t counter = 0;
+    ASSERT_TRUE(reader.entry(id, counter));
     EXPECT_EQ(id, expected);
-    EXPECT_EQ(reader.varint(), counter_of(expected));
+    EXPECT_EQ(counter, counter_of(expected));
   }
   EXPECT_TRUE(reader.done());
+}
+
+TEST(DigestCodec, EncoderMatchesSortedEncode) {
+  // DigestEncoder must write exactly what encode_digest writes for the
+  // std::sort-ed selection, for every shape ClusterNode::select_digest
+  // emits - a hot prefix of distinct ids in queue order followed by a
+  // rotation run that may repeat some of them - plus the hand-built
+  // third copy that takes the sort fallback. One encoder runs over the
+  // selections twice, so every call after the first only matches if
+  // the call before it left the scratch bitmaps zeroed.
+  const auto counter_of = [](std::int32_t id) {
+    return static_cast<std::uint32_t>(id) * 2654435761u;
+  };
+  Rng rng(0xd16e57);
+  for (const std::int32_t universe : {1, 63, 64, 65, 256, 2048, 4095}) {
+    std::vector<std::int32_t> all(static_cast<std::size_t>(universe));
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<std::vector<std::int32_t>> selections;
+    selections.emplace_back();  // empty
+    for (int round = 0; round < 8; ++round) {
+      std::shuffle(all.begin(), all.end(), rng);
+      // Distinct ids in random order (a hot pass that filled the budget).
+      const auto hot = static_cast<std::size_t>(rng.range(1, universe));
+      selections.emplace_back(all.begin(), all.begin() + hot);
+      // Hot prefix + a rotation run over the id space from a random
+      // cursor: every id at most twice.
+      std::vector<std::int32_t> twice(all.begin(),
+                                      all.begin() + rng.range(0, hot));
+      const std::int64_t cursor = rng.below(universe);
+      const std::int64_t run = rng.range(1, universe);
+      for (std::int64_t k = 0; k < run; ++k) {
+        twice.push_back(static_cast<std::int32_t>((cursor + k) % universe));
+      }
+      selections.push_back(twice);
+    }
+    std::vector<std::int32_t> thrice = selections.back();
+    thrice.push_back(thrice.front());
+    thrice.push_back(thrice.front());
+    selections.push_back(thrice);
+
+    DigestEncoder encoder(universe);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::vector<std::int32_t>& ids : selections) {
+        std::vector<std::int32_t> sorted = ids;
+        std::sort(sorted.begin(), sorted.end());
+        std::vector<std::uint8_t> want = {0x5a};  // pre-existing bytes
+        encode_digest(77u, sorted, counter_of, want);
+        std::vector<std::uint8_t> got = {0x5a};
+        encoder.encode(77u, ids, counter_of, got);
+        ASSERT_EQ(got, want) << "universe " << universe << ", "
+                             << ids.size() << " ids, pass " << pass;
+      }
+    }
+  }
+}
+
+/// Decodes a whole payload the way the soak does; false = dropped.
+bool decodes(const std::vector<std::uint8_t>& payload,
+             std::int32_t max_nodes) {
+  DigestReader reader(payload.data(), payload.size(), max_nodes);
+  std::uint32_t own = 0;
+  std::uint32_t count = 0;
+  if (!reader.header(own, count)) return false;
+  for (std::uint32_t e = 0; e < count; ++e) {
+    std::int32_t id = 0;
+    std::uint32_t counter = 0;
+    if (!reader.entry(id, counter)) return false;
+  }
+  return true;
+}
+
+TEST(DigestCodec, ReaderRejectsCraftedPayloads) {
+  // Payloads a hostile sender can put in a datagram: each must be
+  // rejected without undefined behaviour (the sanitizer CI job runs
+  // this under UBSan), and the well-formed control must decode.
+  constexpr std::int32_t kMaxNodes = 4096;
+  std::vector<std::uint8_t> ok;
+  for (const std::uint32_t v : {5u, 2u, 4095u, 9u}) put_varint(ok, v);
+  ASSERT_FALSE(decodes(ok, kMaxNodes));  // count 2, one entry present
+  put_varint(ok, 0u);
+  put_varint(ok, 9u);
+  EXPECT_TRUE(decodes(ok, kMaxNodes));  // id 4095 twice
+  EXPECT_FALSE(decodes(ok, 4095));      // id 4095 is out of range
+
+  // Gap 0x7fffffff after id 4095: the sum would overflow int32.
+  std::vector<std::uint8_t> overflow;
+  for (const std::uint32_t v : {5u, 2u, 4095u, 9u, 0x7fffffffu, 9u}) {
+    put_varint(overflow, v);
+  }
+  EXPECT_FALSE(decodes(overflow, kMaxNodes));
+  EXPECT_FALSE(decodes(overflow, std::numeric_limits<std::int32_t>::max()));
+
+  // A 6-byte varint, and a 5-byte one whose value needs 33 bits.
+  EXPECT_FALSE(decodes({0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00},
+                       kMaxNodes));
+  EXPECT_FALSE(decodes({0xff, 0xff, 0xff, 0xff, 0x1f, 0x00}, kMaxNodes));
+  EXPECT_TRUE(decodes({0xff, 0xff, 0xff, 0xff, 0x0f, 0x00}, kMaxNodes));
+
+  // Truncation after `count`, inside a varint, and before `count`.
+  EXPECT_FALSE(decodes({0x05, 0x01}, kMaxNodes));
+  EXPECT_FALSE(decodes({0x05, 0x01, 0x80, 0x80}, kMaxNodes));
+  EXPECT_FALSE(decodes({0x05}, kMaxNodes));
+  EXPECT_FALSE(decodes({}, kMaxNodes));
+
+  // A count larger than the entries present, whether it fits the bytes
+  // left (the third entry is missing) or not, and one beyond two copies
+  // of every id.
+  std::vector<std::uint8_t> short_count;
+  for (const std::uint32_t v : {5u, 3u, 1u, 300u, 1u, 300u}) {
+    put_varint(short_count, v);
+  }
+  EXPECT_FALSE(decodes(short_count, kMaxNodes));
+  EXPECT_FALSE(decodes({0x05, 0x7f, 0x01, 0x01}, kMaxNodes));
+  std::vector<std::uint8_t> too_many = {0x05, 0x05};
+  for (int e = 0; e < 5; ++e) too_many.insert(too_many.end(), {0x00, 0x01});
+  EXPECT_FALSE(decodes(too_many, 2));
+  EXPECT_TRUE(decodes({0x05, 0x00}, 0));  // empty digest, empty universe
 }
 
 TEST(Cluster, HierarchicalLoadSitsBetweenGossipAndAllToAll) {

@@ -268,13 +268,16 @@ TEST(UdpTransport, IgnoresOutOfRangeNodeIds) {
 TEST(UdpTransport, LargestSoakDigestFitsOneDatagram) {
   // The worst case the soak's digest cap admits: kMaxSoakDigest entries
   // with ids spread over the whole UdpTransport id space and every
-  // counter (the sender's own included) at the 32-bit maximum.
+  // counter (the sender's own included) at the 32-bit maximum, encoded
+  // and decoded by the codec the soak runs.
+  constexpr std::int32_t kIdSpace = 4096;
   std::vector<std::int32_t> ids;
   for (int e = 0; e < kMaxSoakDigest; ++e) ids.push_back(e * 16 + 15);
-  ASSERT_EQ(ids.back(), 4095);
+  ASSERT_EQ(ids.back(), kIdSpace - 1);
   constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
   std::vector<std::uint8_t> payload;
-  cluster::encode_digest(
+  cluster::DigestEncoder encoder(kIdSpace);
+  encoder.encode(
       kMax, ids, [](std::int32_t) { return kMax; }, payload);
 
   UdpParams params;
@@ -288,14 +291,19 @@ TEST(UdpTransport, LargestSoakDigestFitsOneDatagram) {
   }
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].payload, payload);
-  cluster::DigestReader reader(got[0].payload.data(), got[0].payload.size());
-  EXPECT_EQ(reader.varint(), kMax);
-  ASSERT_EQ(reader.varint(), static_cast<std::uint32_t>(kMaxSoakDigest));
-  std::int32_t id = 0;
+  cluster::DigestReader reader(got[0].payload.data(), got[0].payload.size(),
+                               kIdSpace);
+  std::uint32_t own = 0;
+  std::uint32_t count = 0;
+  ASSERT_TRUE(reader.header(own, count));
+  EXPECT_EQ(own, kMax);
+  ASSERT_EQ(count, static_cast<std::uint32_t>(kMaxSoakDigest));
   for (const std::int32_t expected : ids) {
-    id += static_cast<std::int32_t>(reader.varint());
+    std::int32_t id = -1;
+    std::uint32_t counter = 0;
+    ASSERT_TRUE(reader.entry(id, counter));
     EXPECT_EQ(id, expected);
-    EXPECT_EQ(reader.varint(), kMax);
+    EXPECT_EQ(counter, kMax);
   }
   EXPECT_TRUE(reader.done());
 }
