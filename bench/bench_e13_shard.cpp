@@ -10,13 +10,6 @@
 // bench asserts the invariance on its own results, so a determinism
 // regression fails the bench before it can mislead the scaling numbers.
 //
-// E13b isolates the synchronization cost itself: n=4096 at shards=4,
-// crossing barrier_spin in {0 (park immediately: the condvar-style cost
-// floor), -1 (hardware-aware spin)} with lookahead_windows in {1, 8}.
-// Each cell reports events/sec plus the always-sampled kSync rollup
-// (barrier meets and per-shard wait time), and is asserted
-// result-identical to the first cell - the knobs are scheduling only.
-//
 // RFD_E13_SMOKE=1 restricts to n=4096, shards in {1, 2, 4} for CI, which
 // gates each shards=s row against the shards=1 run at a floor set by
 // p = min(s, env.usable_cpus): 1.5x for p >= 4, 1.15x for p = 2 or 3, no
@@ -66,20 +59,6 @@ struct Invariant {
 Invariant invariant_of(const ClusterReport& r) {
   return Invariant{r.events_executed, r.messages_sent, r.false_suspicions,
                    r.detection_latency_ms.count()};
-}
-
-/// Sum of the always-sampled kSync rollups across shards: total barrier
-/// meets entered and wall-clock spent waiting at them (idle time, not
-/// simulation work).
-void sync_rollup(const ClusterReport& r, std::int64_t* calls,
-                 double* est_ms) {
-  *calls = 0;
-  *est_ms = 0.0;
-  for (const auto& stat : r.profile) {
-    if (stat.phase != "sync") continue;
-    *calls += stat.calls;
-    *est_ms += stat.est_ms;
-  }
 }
 
 }  // namespace
@@ -162,67 +141,6 @@ int main(int argc, char** argv) {
       "barrier protocol), so it isolates the parallelism win; results are\n"
       "asserted identical across shard counts before any rate is "
       "reported.\n\n");
-
-  // E13b: barrier cost in isolation. Same workload, shards=4, crossing
-  // the two scheduling knobs; the kSync rollup is the per-shard time
-  // spent waiting at barriers and for the trace merger, summed over
-  // shards (so it can exceed wall-clock).
-  {
-    constexpr int kShards = 4;
-    ClusterConfig config = gossip_config(4096);
-    config.shards = kShards;
-    config.obs.profile = true;
-    struct Cell {
-      int spin;
-      int lookahead;
-    };
-    const std::vector<Cell> cells = {{0, 1}, {0, 8}, {-1, 1}, {-1, 8}};
-    std::printf("E13b: barrier cost (n=4096, shards=%d)\n\n", kShards);
-    Table table_b({"barrier_spin", "lookahead", "wall ms", "events/s",
-                   "sync meets", "sync wait ms"});
-    bool have_baseline = false;
-    Invariant baseline;
-    for (const Cell& cell : cells) {
-      config.barrier_spin = cell.spin;
-      config.lookahead_windows = cell.lookahead;
-      ClusterReport r;
-      const double ms =
-          wall_ms([&] { r = cluster::run_cluster(config, 0xe13); });
-      const double events_per_s =
-          ms > 0.0 ? static_cast<double>(r.events_executed) / (ms / 1000.0)
-                   : 0.0;
-      const Invariant inv = invariant_of(r);
-      if (!have_baseline) {
-        baseline = inv;
-        have_baseline = true;
-      } else {
-        RFD_REQUIRE_MSG(inv == baseline,
-                        "barrier/lookahead knobs changed results");
-      }
-      std::int64_t sync_meets = 0;
-      double sync_ms = 0.0;
-      sync_rollup(r, &sync_meets, &sync_ms);
-      table_b.add_row({cell.spin == 0 ? "0 (park)" : "-1 (default)",
-                       Table::num(cell.lookahead), Table::fixed(ms, 1),
-                       Table::fixed(events_per_s, 0), Table::num(sync_meets),
-                       Table::fixed(sync_ms, 1)});
-      json.row("barrier_cost")
-          .str("topology", "gossip")
-          .num("n", config.n)
-          .num("shards", kShards)
-          .num("barrier_spin", cell.spin)
-          .num("lookahead_windows", cell.lookahead)
-          .num("wall_ms", ms)
-          .num("events_per_s", events_per_s)
-          .num("sync_calls", static_cast<double>(sync_meets))
-          .num("sync_est_ms", sync_ms);
-    }
-    table_b.print("E13b: spin vs park, lookahead off vs on");
-    std::printf(
-        "\nevery cell is the identical simulation (asserted); the knobs\n"
-        "only move synchronization cost. sync wait is summed across "
-        "shards.\n\n");
-  }
 
   json.write();
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -32,32 +31,16 @@ namespace {
 // The node id space is partitioned into contiguous blocks, one per shard.
 // Each shard owns an EventQueue (heartbeat pump timers for its nodes), a
 // Network instance, a Topology instance, and per-shard replicas of the
-// scenario ground truth. Time advances in *epochs* of one or more check
-// windows: every worker runs the whole loop itself (the engine dispatches
-// each shard exactly once per run), advancing its local events window by
-// window, then meeting the other shards at a spin barrier to exchange the
-// messages produced since the last exchange, apply them, and evaluate the
-// exchange tick; the per-shard-reducible coordinator inputs (disagreeing
-// pairs, pending-event counts, lookahead bounds) flow up a binomial tree
-// and shard 0 runs the serial coordinator step (agreement, convergence,
-// snapshots) before a second barrier releases the next epoch. Staged
-// trace records are double-buffered to a dedicated merger thread, so
-// shards enter epoch e+1 while epoch e's records are being merged and
-// formatted.
-//
-// Lookahead (conservative-DES): deliveries apply at barrier_index(at) -
-// the first check tick strictly after arrival - so when no *buffered*
-// message's barrier falls within the next L windows and no message *yet
-// to be sent* can arrive that early either (earliest next queue event
-// plus the minimum possible network delay under the scenario's slow
-// factors; storms and pre-GST chaos only add delay), the shards run L
-// windows between exchanges instead of one. Every check tick is still
-// evaluated locally and every skipped tick's coordinator inputs are
-// recorded per shard and replayed serially by shard 0 with the identical
-// additive time accumulation, so metrics and trace bytes are unchanged
-// by the setting (the lookahead-invariance tests pin this; the
-// empty-bucket asserts at every skipped tick make a violated bound loud,
-// not silent).
+// scenario ground truth. Time advances one check window at a time: every
+// worker runs the whole loop itself (the engine dispatches each shard
+// exactly once per run), advancing its local events to the window's
+// check tick, then meeting the other shards at a spin barrier to exchange
+// the messages produced in the window, apply them, and evaluate the
+// tick. The per-shard coordinator inputs (disagreeing pairs,
+// pending-event counts) flow up a binomial tree and shard 0 runs the
+// serial coordinator step - agreement, convergence, the trace merge,
+// snapshots, the stop flag - before a second barrier releases the next
+// window.
 //
 // Messages are never delivered inside the window they were sent in:
 // every message - same-shard or cross-shard alike - is buffered and
@@ -86,17 +69,16 @@ namespace {
 //      shard's subsequence of the shards=1 sequence, so every per-pair
 //      outcome matches.
 //   4. Trace bytes: records are staged per shard and merged once per
-//      epoch under a total order on (t, type rank, a, b) - any remaining
-//      tie is between records of one shard, whose relative order is
-//      itself shard-invariant - then formatted by the single TraceWriter
-//      in merged order. Epoch batching cannot reorder anything: window
-//      k+1 only emits records with t strictly above window k's, so the
-//      sorted concatenation of per-epoch batches equals the globally
-//      sorted stream no matter how ticks group into epochs (which is why
-//      lookahead and shard count both leave the bytes untouched).
-//      Floating-point reductions (detection latency,
-//      convergence) happen only on the coordinator in a fixed global
-//      order, never as a shard-order-dependent sum.
+//      window by shard 0, while its peers wait at the release barrier,
+//      under a total order on (t, type rank, a, b) - any remaining tie is
+//      between records of one shard, whose relative order is itself
+//      shard-invariant - then formatted by the single TraceWriter in
+//      merged order. Shard 0 reads its peers' staging buffers after the
+//      reduction tree: each shard's last write to its buffer precedes its
+//      release store into the tree, and the tree's acquire loads chain
+//      every shard to shard 0. Floating-point reductions (detection
+//      latency, convergence) happen only on the coordinator in a fixed
+//      global order, never as a shard-order-dependent sum.
 //
 // Relative to the pre-sharding engine the *semantics* changed in exactly
 // one way: a message is now observed at the barrier after its arrival
@@ -214,33 +196,23 @@ struct ShardState {
 
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
-
-  // Double-buffered hand-off to the trace-merger thread: at the end of
-  // epoch e the shard swaps its staged records/logs into parity slot
-  // e & 1 (after the merger finished epoch e - 2, which used the same
-  // slot) and keeps simulating while the merger sorts and formats.
-  std::array<std::vector<obs::Record>, 2> staged_records;
-  std::array<std::vector<BufferedLogLine>, 2> staged_logs;
 };
 
-/// Per-shard tree-reduction slot: the shard fills the payload after its
-/// exchange, publishes by storing the epoch number (release), and parent
-/// shards in the binomial tree fold children in (acquire). Padded so two
-/// shards' slots never share a cache line.
+/// Per-shard tree-reduction slot: the shard writes its tick's
+/// coordinator inputs after its exchange, folds in its children's, and
+/// publishes by storing the tick (release); its parent in the binomial
+/// tree folds it in after an acquire load. Padded so two shards' slots
+/// never share a cache line.
 struct alignas(64) SyncSlot {
-  std::atomic<std::int64_t> epoch{0};
-  /// Per check tick of the epoch: the shard's disagreeing-pair count and
-  /// local pending-event count (queue + buffered messages) after that
-  /// tick's evaluation - everything the coordinator replay needs.
-  std::vector<std::int64_t> tick_disagree;
-  std::vector<std::int64_t> tick_pending;
-  /// Lookahead inputs: earliest buffered delivery barrier (INT64_MAX if
-  /// none) and a lower bound on the next local queue event's time.
-  std::int64_t min_barrier = std::numeric_limits<std::int64_t>::max();
-  double next_send_at = std::numeric_limits<double>::infinity();
+  std::atomic<std::int64_t> tick{0};
+  /// Disagreeing-pair count and local pending-event count (queue +
+  /// buffered messages) after the tick's evaluation, summed over the
+  /// shard's subtree once its children are folded in.
+  std::int64_t disagree = 0;
+  std::int64_t pending = 0;
 };
 
-/// Total order for the per-round trace merge: records sort by time, then
+/// Total order for the per-window trace merge: records sort by time, then
 /// a fixed per-type rank, then the (a, b) ids. Any remaining tie is
 /// between records staged by one shard in a shard-invariant relative
 /// order, which stable_sort preserves.
@@ -360,28 +332,8 @@ class ClusterEngine {
     }
     RFD_REQUIRE(lo == max_nodes_);
     executor_ = std::make_unique<rt::ShardExecutor>(shard_count_);
-    if (config_.barrier_spin >= 0) {
-      executor_->set_spin_iterations(config_.barrier_spin);
-    }
     sync_ = std::make_unique<SyncSlot[]>(
         static_cast<std::size_t>(shard_count_));
-    // The ring-slot emptiness argument for coalesced ticks needs spans
-    // shorter than one ring revolution.
-    lookahead_cap_ = std::clamp(config_.lookahead_windows, 1,
-                                static_cast<int>(kBucketSlots));
-    // Minimum possible network delay over the whole run: the sampled
-    // delay is (min_delay + positive jitter + non-negative extras) *
-    // factor, and only scenario slow factors can scale it below
-    // min_delay, so the floor over their minimum is a sound per-message
-    // lower bound for the lookahead plan.
-    double factor_floor = 1.0;
-    for (const FaultEvent& fault : faults_) {
-      if (fault.kind == FaultKind::kSlowStart) {
-        factor_floor = std::min(factor_floor, std::max(0.0, fault.factor));
-      }
-    }
-    min_net_delay_ms_ =
-        std::max(0.0, config_.network.min_delay_ms) * factor_floor;
 
     NodeParams node_params;
     node_params.detector = config_.detector;
@@ -397,16 +349,6 @@ class ClusterEngine {
     for (NodeId i = config_.n; i < max_nodes_; ++i) {
       nodes_[static_cast<std::size_t>(i)].set_active(false);
     }
-    // The initial membership list is configuration, not discovery.
-    for (NodeId i = 0; i < config_.n; ++i) {
-      ShardState& shard = *shards_[static_cast<std::size_t>(
-          owner_[static_cast<std::size_t>(i)])];
-      for (NodeId j = 0; j < config_.n; ++j) {
-        if (i == j) continue;
-        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
-        on_learned(shard, i, j);
-      }
-    }
 
     report_.n = config_.n;
     report_.max_nodes = max_nodes_;
@@ -416,6 +358,19 @@ class ClusterEngine {
   }
 
   ClusterReport run() {
+    // The initial membership list is configuration, not discovery. It is
+    // seeded here rather than in the constructor because GCC's growth
+    // limit for large functions would stop inlining suspect_deadline
+    // into this n^2 loop there.
+    for (NodeId i = 0; i < config_.n; ++i) {
+      ShardState& shard = *shards_[static_cast<std::size_t>(
+          owner_[static_cast<std::size_t>(i)])];
+      for (NodeId j = 0; j < config_.n; ++j) {
+        if (i == j) continue;
+        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
+        on_learned(shard, i, j);
+      }
+    }
     if (trace_ != nullptr) {
       trace_->write_line(
           obs::JsonLine{}
@@ -447,7 +402,7 @@ class ClusterEngine {
 
     // Fix the round count of the check grid up front, replicating the
     // exact additive accumulation (T += check) the loop below performs,
-    // so the final plan and the workers' clocks agree bit-for-bit with
+    // so the round count and the workers' clocks agree bit-for-bit with
     // the old self-rescheduling check timer.
     rounds_total_ = 0;
     {
@@ -459,23 +414,9 @@ class ClusterEngine {
         ++rounds_total_;
       }
     }
-    // The first epoch is always a single window (there are no lookahead
-    // inputs yet); shard 0 publishes every later plan.
-    plan_hi_ = std::min<std::int64_t>(1, rounds_total_);
-    use_merger_ = trace_ != nullptr && shard_count_ > 1;
-    if (use_merger_) {
-      merger_ = std::thread([this] { merger_main(); });
-    }
-    try {
-      // One dispatch per run: the workers own the whole epoch loop and
-      // synchronize among themselves at the executor's spin barrier.
-      executor_->run([this](int s) { shard_loop(s); });
-    } catch (...) {
-      stop_merger();
-      throw;
-    }
-    stop_merger();
-    if (merger_error_ != nullptr) std::rethrow_exception(merger_error_);
+    // One dispatch per run: the workers own the whole window loop and
+    // synchronize among themselves at the executor's spin barrier.
+    executor_->run([this](int s) { shard_loop(s); });
     rounds_done_ = rounds_total_;
     finalize();
     return std::move(report_);
@@ -484,13 +425,16 @@ class ClusterEngine {
  private:
   static constexpr std::int64_t kBucketSlots = 256;  // power of two
 
-  /// The worker-resident epoch loop; every shard runs this once per
-  /// simulation (shard 0 on the calling thread). plan_hi_ names the
-  /// current epoch's exchange tick; shard 0 publishes the next plan in
-  /// coordinator_step(), between the reduction tree and the release
-  /// barrier, so the barrier's release/acquire pairing is what carries
-  /// it to the peers. Any `return` on a false arrive_and_wait() is the
-  /// abort path: a peer threw, the executor rethrows after the join.
+  /// The worker-resident window loop; every shard runs this once per
+  /// simulation (shard 0 on the calling thread). Each pass advances one
+  /// check window, meets the other shards at the window barrier,
+  /// delivers and evaluates the tick, folds the reduction tree, and
+  /// - on shard 0 - runs the coordinator step before the release
+  /// barrier. rounds_total_ is read only after that barrier, so a stop
+  /// the coordinator recorded reaches every peer through the barrier's
+  /// release/acquire pairing. Any `return` on a false arrive_and_wait()
+  /// is the abort path: a peer threw, the executor rethrows after the
+  /// join.
   void shard_loop(int s) {
     ShardState& shard = *shards_[static_cast<std::size_t>(s)];
     const ScopedThreadLogBuffer log_scope(&shard.log_buf);
@@ -500,63 +444,30 @@ class ClusterEngine {
     SyncSlot& slot = sync_[static_cast<std::size_t>(s)];
 
     double T = 0.0;
-    std::int64_t k_done = 0;
-    std::int64_t epoch = 0;
-    for (;;) {
-      const std::int64_t k_hi = plan_hi_;
-      if (k_hi <= k_done) break;
-      const std::int64_t k_lo = k_done + 1;
-      ++epoch;
-      const std::size_t span = static_cast<std::size_t>(k_hi - k_lo + 1);
-      slot.tick_disagree.assign(span, 0);
-      slot.tick_pending.assign(span, 0);
-      for (std::int64_t k = k_lo; k < k_hi; ++k) {
-        T += check_ms_;
-        run_window(shard, T, k);
-        // A coalesced (exchange-free) tick is legal only because the
-        // lookahead bound proved nothing can land at it; these asserts
-        // make a violated bound loud, not silently nondeterministic.
-        RFD_REQUIRE(
-            shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))]
-                .empty());
-        RFD_REQUIRE(shard.far_buckets.find(k) == shard.far_buckets.end());
-        evaluate_tick(shard, k, T);
-        record_tick(shard, slot, k - k_lo);
-      }
+    std::int64_t k = 0;
+    while (k < rounds_total_) {
+      ++k;
       T += check_ms_;
-      run_window(shard, T, k_hi);
+      run_window(shard, T, k);
       if (multi) {
         const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
         if (!barrier.arrive_and_wait()) return;
       }
-      deliver_and_evaluate(shard, k_hi, T);
-      record_tick(shard, slot, static_cast<std::int64_t>(span) - 1);
-      if (lookahead_cap_ > 1) {
-        slot.min_barrier = min_buffered_barrier(shard, k_hi);
-        slot.next_send_at = shard.queue.next_event_at_bound();
-      }
-      if (use_merger_) {
-        // Hand this epoch's records and log lines to the merger via the
-        // parity slot the merger last used two epochs ago.
-        const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-        wait_merged(epoch - 2);
-        shard.staged_records[static_cast<std::size_t>(epoch & 1)].swap(
-            shard.sink.records);
-        shard.staged_logs[static_cast<std::size_t>(epoch & 1)].swap(
-            shard.log_buf);
-      }
+      deliver_and_evaluate(shard, k, T);
+      slot.disagree = shard.disagreeing;
+      slot.pending =
+          static_cast<std::int64_t>(shard.queue.size()) + shard.pending_msgs;
       if (multi) {
         {
           const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-          if (!reduce_combine(s, epoch, barrier)) return;
+          if (!reduce_combine(s, k, barrier)) return;
         }
-        if (s == 0) coordinator_step(epoch, k_lo, k_hi);
+        if (s == 0) coordinator_step(k, T);
         const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
         if (!barrier.arrive_and_wait()) return;
       } else {
-        coordinator_step(epoch, k_lo, k_hi);
+        coordinator_step(k, T);
       }
-      k_done = k_hi;
     }
     if (!stopped_early_ && T < config_.duration_ms) {
       // Grid-misaligned tail: run the remaining pumps (and any faults)
@@ -565,119 +476,39 @@ class ClusterEngine {
       // longer influence any metric, so they stay buffered. A stopped
       // run skips the tail: simulating up to the full horizon is
       // exactly what the stop flag asked to avoid.
-      run_window(shard, config_.duration_ms, k_done + 1);
+      run_window(shard, config_.duration_ms, k + 1);
       if (multi) {
         const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
         if (!barrier.arrive_and_wait()) return;
       }
     }
-    // Peers do nothing after their final barrier, so shard 0 may read
-    // every shard's staging buffers here without further handshaking.
-    if (s == 0) drain_trailing(epoch);
-  }
-
-  /// Records tick `i`'s coordinator inputs: this shard's disagreeing
-  /// count and local pending-event population after the tick's
-  /// evaluation.
-  void record_tick(const ShardState& shard, SyncSlot& slot,
-                   std::int64_t i) const {
-    slot.tick_disagree[static_cast<std::size_t>(i)] = shard.disagreeing;
-    slot.tick_pending[static_cast<std::size_t>(i)] =
-        static_cast<std::int64_t>(shard.queue.size()) + shard.pending_msgs;
-  }
-
-  /// Earliest buffered delivery barrier still pending on this shard
-  /// after the exchange at tick `k` (INT64_MAX if none). Ring slots are
-  /// keyed mod kBucketSlots, but an occupied slot j windows ahead can
-  /// only mean barrier k + j: entries are filed with b - round <
-  /// kBucketSlots and every b <= k was already drained.
-  std::int64_t min_buffered_barrier(const ShardState& shard,
-                                    std::int64_t k) const {
-    std::int64_t best = std::numeric_limits<std::int64_t>::max();
-    for (std::int64_t j = 1; j < kBucketSlots; ++j) {
-      if (!shard
-               .buckets[static_cast<std::size_t>((k + j) &
-                                                 (kBucketSlots - 1))]
-               .empty()) {
-        best = k + j;
-        break;
-      }
-    }
-    if (!shard.far_buckets.empty()) {
-      best = std::min(best, shard.far_buckets.begin()->first);
-    }
-    return best;
-  }
-
-  /// Parks until the merger finished epoch `target` (<= 0: trivially
-  /// done). Deadlock-free even on the abort path: the merger is
-  /// independent of the worker barrier, only ever waits for epochs
-  /// already staged, and always advances merged_epoch_ (even when
-  /// capturing an error).
-  void wait_merged(std::int64_t target) {
-    std::int64_t cur = merged_epoch_.load(std::memory_order_acquire);
-    while (cur < target) {
-      merged_epoch_.wait(cur, std::memory_order_acquire);
-      cur = merged_epoch_.load(std::memory_order_acquire);
-    }
+    // Peers do nothing after their final barrier, so shard 0 may merge
+    // what the tail window staged without further handshaking.
+    if (s == 0) merge_inline();
   }
 
   /// Binomial-tree fold of the sync slots: shard s folds child s + d for
   /// d = 1, 2, 4, ... while (s & d) == 0, then publishes its own slot.
   /// The child waits are bounded spin/yield - never a park - so a peer's
   /// abort() can always drain us out (a thrown shard never publishes).
-  bool reduce_combine(int s, std::int64_t epoch, rt::SpinBarrier& barrier) {
+  bool reduce_combine(int s, std::int64_t k, rt::SpinBarrier& barrier) {
     SyncSlot& slot = sync_[static_cast<std::size_t>(s)];
     for (int d = 1; d < shard_count_; d <<= 1) {
       if ((s & d) != 0) break;
       const int child = s + d;
       if (child >= shard_count_) continue;
-      SyncSlot& cs = sync_[static_cast<std::size_t>(child)];
+      const SyncSlot& cs = sync_[static_cast<std::size_t>(child)];
       std::uint32_t spins = 0;
-      while (cs.epoch.load(std::memory_order_acquire) < epoch) {
+      while (cs.tick.load(std::memory_order_acquire) < k) {
         if (barrier.aborted()) return false;
         rt::cpu_relax();
         if ((++spins & 1023u) == 0) std::this_thread::yield();
       }
-      const std::size_t span = slot.tick_disagree.size();
-      for (std::size_t i = 0; i < span; ++i) {
-        slot.tick_disagree[i] += cs.tick_disagree[i];
-        slot.tick_pending[i] += cs.tick_pending[i];
-      }
-      slot.min_barrier = std::min(slot.min_barrier, cs.min_barrier);
-      slot.next_send_at = std::min(slot.next_send_at, cs.next_send_at);
+      slot.disagree += cs.disagree;
+      slot.pending += cs.pending;
     }
-    if (s != 0) slot.epoch.store(epoch, std::memory_order_release);
+    if (s != 0) slot.tick.store(k, std::memory_order_release);
     return true;
-  }
-
-  /// Chooses the exchange tick after `k_prev`: one window by default, up
-  /// to lookahead_cap_ when the reduced bounds prove no delivery can
-  /// land strictly inside the span. safe = min(earliest buffered
-  /// barrier, barrier of the earliest possible *future* arrival); any
-  /// k_hi <= safe keeps every skipped tick delivery-free, since a
-  /// message sent during the span leaves no earlier than the global
-  /// next-event bound and travels at least min_net_delay_ms_. Snapshot
-  /// cadences cap the plan so snapshot ticks stay exchange ticks.
-  std::int64_t next_plan(std::int64_t k_prev) const {
-    const std::int64_t k_lo = k_prev + 1;
-    if (k_lo > rounds_total_) return k_prev;  // done: workers exit
-    if (lookahead_cap_ <= 1) return k_lo;
-    const SyncSlot& global = sync_[0];
-    std::int64_t safe = global.min_barrier;
-    if (std::isfinite(global.next_send_at)) {
-      safe = std::min(
-          safe, barrier_index(global.next_send_at + min_net_delay_ms_));
-    }
-    std::int64_t hi =
-        std::clamp(safe, k_lo,
-                   k_lo + static_cast<std::int64_t>(lookahead_cap_) - 1);
-    hi = std::min(hi, rounds_total_);
-    if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0) {
-      const std::int64_t every = config_.obs.snapshot_every_ticks;
-      hi = std::min(hi, (k_prev / every + 1) * every);
-    }
-    return hi;
   }
 
   bool owns(const ShardState& shard, NodeId j) const {
@@ -894,13 +725,8 @@ class ClusterEngine {
     shard.delivered_msgs += static_cast<std::int64_t>(bucket.size());
     bucket.clear();
 
-    evaluate_tick(shard, k, now);
-  }
-
-  /// Evaluates check tick k: drains the suspicion wheel's slot and
-  /// re-judges every armed pair. Runs at every tick - coalesced ticks
-  /// included - which is why lookahead never changes a verdict time.
-  void evaluate_tick(ShardState& shard, std::int64_t k, double now) {
+    // Evaluate tick k: drain the suspicion wheel's slot and re-judge
+    // every armed pair.
     shard.check_tick = k;
     shard.wheel_scratch.clear();
     shard.wheel.drain(k, shard.wheel_scratch);
@@ -1064,157 +890,45 @@ class ClusterEngine {
   }
 
   /// The serial coordinator step (shard 0 only, peers quiesced between
-  /// the reduction tree and the release barrier): replays every tick of
-  /// the epoch in order from the reduced per-tick sums - scenario
-  /// bookkeeping, cluster agreement, convergence, pending peak, each
-  /// with the identical additive clock (coord_T_ += check per tick) the
-  /// single-window engine used - then hands the epoch's trace to the
-  /// merger, snapshots if due, and publishes the next plan.
-  void coordinator_step(std::int64_t epoch, std::int64_t k_lo,
-                        std::int64_t k_hi) {
+  /// the reduction tree and the release barrier) for check tick k at
+  /// time `now`: scenario bookkeeping, cluster agreement, convergence
+  /// and the pending peak from the reduced sums, then the window's trace
+  /// merge, a snapshot if due, and the stop flag.
+  void coordinator_step(std::int64_t k, double now) {
     ShardState& shard0 = *shards_.front();
     const SyncSlot& global = sync_[0];
-    std::size_t note_i = 0;
-    std::int64_t disagreeing = 0;
-    for (std::int64_t k = k_lo; k <= k_hi; ++k) {
-      coord_T_ += check_ms_;
-      const double now = coord_T_;
-      while (note_i < shard0.fault_notes.size() &&
-             shard0.fault_notes[note_i].at <= now) {
-        apply_fault_note(shard0.fault_notes[note_i]);
-        ++note_i;
-      }
-      while (coord_fault_cursor_ < faults_.size() &&
-             faults_[coord_fault_cursor_].at_ms <= now) {
-        ++coord_fault_cursor_;
-      }
-      disagreeing =
-          global.tick_disagree[static_cast<std::size_t>(k - k_lo)];
-      const bool all_agree = disagreeing == 0;
-      if (all_agree && agreed_version_ < truth_version_) {
-        h_convergence_->add(now - truth_change_time_);
-        agreed_version_ = truth_version_;
-      }
-      last_agreement_ = all_agree;
-      const std::int64_t pending =
-          global.tick_pending[static_cast<std::size_t>(k - k_lo)] +
-          static_cast<std::int64_t>(faults_.size() - coord_fault_cursor_);
-      peak_logical_queue_ = std::max(peak_logical_queue_, pending);
-    }
-    RFD_REQUIRE(note_i == shard0.fault_notes.size());
+    for (const FaultNote& note : shard0.fault_notes) apply_fault_note(note);
     shard0.fault_notes.clear();
-    if (use_merger_) {
-      staged_epoch_.store(epoch, std::memory_order_release);
-      merge_signal_.fetch_add(1, std::memory_order_release);
-      merge_signal_.notify_all();
-    } else {
-      merge_inline();
+    const bool all_agree = global.disagree == 0;
+    if (all_agree && agreed_version_ < truth_version_) {
+      h_convergence_->add(now - truth_change_time_);
+      agreed_version_ = truth_version_;
     }
-    // Snapshots piggyback on exchange barriers instead of scheduling
-    // their own events, so enabling them cannot perturb the simulation;
-    // next_plan caps spans at snapshot multiples, so every multiple is
-    // an exchange tick. The TraceWriter is shared with the merger
-    // thread, which therefore must drain this epoch first.
-    if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
-        k_hi % config_.obs.snapshot_every_ticks == 0) {
-      if (use_merger_) {
-        const obs::ScopedPhase sync(shard0.profiler.get(),
-                                    obs::Phase::kSync, true);
-        wait_merged(epoch);
-      }
-      snapshot(k_hi, coord_T_, disagreeing);
-    }
-    plan_hi_ = next_plan(k_hi);
-    if (config_.stop != nullptr && plan_hi_ > k_hi &&
-        config_.stop->load(std::memory_order_relaxed)) {
-      // Graceful stop: truncate the plan at this exchange tick so every
-      // shard exits its epoch loop together (the same release barrier
-      // that publishes plan_hi_ publishes the truncation), and shrink
-      // the round count so the report and rate normalization cover
-      // exactly what ran. finalize() still executes: counters merge,
-      // the trace drains and the footer is written.
-      plan_hi_ = k_hi;
-      rounds_total_ = k_hi;
-      stopped_early_ = true;
-    }
-  }
-
-  /// Shard 0, after every worker finished simulating: drain the merger,
-  /// then merge whatever a grid-misaligned tail window staged.
-  void drain_trailing(std::int64_t epochs) {
-    if (use_merger_) wait_merged(epochs);
+    last_agreement_ = all_agree;
+    // Shard 0's fault cursor has consumed exactly the faults at or
+    // before `now`, like every shard's.
+    const std::int64_t pending =
+        global.pending +
+        static_cast<std::int64_t>(faults_.size() - shard0.fault_cursor);
+    peak_logical_queue_ = std::max(peak_logical_queue_, pending);
     merge_inline();
-  }
-
-  /// Dedicated trace-merger thread (spawned only when tracing with more
-  /// than one shard): drains staged epochs in order while the shards
-  /// simulate ahead, bounded to two in-flight epochs by the parity
-  /// hand-off. Exceptions are captured - merged_epoch_ still advances,
-  /// so no worker ever hangs on the flow-control wait - and rethrown by
-  /// run() after the join.
-  void merger_main() {
-    std::int64_t done = 0;
-    for (;;) {
-      if (done < staged_epoch_.load(std::memory_order_acquire)) {
-        ++done;
-        try {
-          if (merger_error_ == nullptr) merge_staged_epoch(done);
-        } catch (...) {
-          merger_error_ = std::current_exception();
-        }
-        if (merger_error_ != nullptr) {
-          // Keep the parity hand-off flowing without doing work.
-          for (const auto& shard : shards_) {
-            shard->staged_records[static_cast<std::size_t>(done & 1)]
-                .clear();
-            shard->staged_logs[static_cast<std::size_t>(done & 1)].clear();
-          }
-        }
-        merged_epoch_.store(done, std::memory_order_release);
-        merged_epoch_.notify_all();
-        continue;
-      }
-      if (merge_stop_.load(std::memory_order_acquire)) return;
-      const std::int64_t sig =
-          merge_signal_.load(std::memory_order_acquire);
-      if (staged_epoch_.load(std::memory_order_acquire) > done ||
-          merge_stop_.load(std::memory_order_acquire)) {
-        continue;
-      }
-      merge_signal_.wait(sig, std::memory_order_acquire);
+    // Snapshots piggyback on the exchange instead of scheduling their own
+    // events, so enabling them cannot perturb the simulation.
+    if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
+        k % config_.obs.snapshot_every_ticks == 0) {
+      snapshot(k, now, global.disagree);
     }
-  }
-
-  /// Merges one staged epoch (both parity buffers' owners have long
-  /// published it): concatenate, stable-sort under the deterministic
-  /// total order, emit, then forward the buffered log lines.
-  void merge_staged_epoch(std::int64_t e) {
-    const std::size_t parity = static_cast<std::size_t>(e & 1);
-    merge_scratch_.clear();
-    for (const auto& shard : shards_) {
-      auto& records = shard->staged_records[parity];
-      merge_scratch_.insert(merge_scratch_.end(), records.begin(),
-                            records.end());
-      records.clear();
+    if (config_.stop != nullptr && k < rounds_total_ &&
+        config_.stop->load(std::memory_order_relaxed)) {
+      // Graceful stop: end the loop at this tick on every shard (the
+      // release barrier publishes the new round count) and normalize the
+      // report's rates over the time actually simulated. finalize()
+      // still executes: counters merge, the trace drains and the footer
+      // is written.
+      rounds_total_ = k;
+      stopped_early_ = true;
+      report_.duration_ms = now;
     }
-    std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
-                     record_before);
-    for (const obs::Record& r : merge_scratch_) trace_->emit(r);
-    for (const auto& shard : shards_) {
-      for (const BufferedLogLine& line :
-           shard->staged_logs[parity]) {
-        detail::log_line(line.level, line.line);
-      }
-      shard->staged_logs[parity].clear();
-    }
-  }
-
-  void stop_merger() {
-    if (!merger_.joinable()) return;
-    merge_stop_.store(true, std::memory_order_release);
-    merge_signal_.fetch_add(1, std::memory_order_release);
-    merge_signal_.notify_all();
-    merger_.join();
   }
 
   /// Logical pending-event count at an exchange barrier: local timers
@@ -1292,12 +1006,11 @@ class ClusterEngine {
     registry_.snapshot(*trace_, now, k);
   }
 
-  /// Inline (caller-thread) merge of every shard's *live* staging
-  /// buffers into the writer under the deterministic total order, then
-  /// forwards buffered worker log lines (whole lines, shard order) to
-  /// the process-wide sink. Used on the single-shard path (no merger
-  /// thread) and for the tail window after the workers quiesce; the
-  /// multi-shard steady state goes through merge_staged_epoch instead.
+  /// Merges every shard's staging buffer into the writer under the
+  /// deterministic total order, then forwards buffered worker log lines
+  /// (whole lines, shard order) to the process-wide sink. Shard 0 calls
+  /// it while its peers are quiesced: in each coordinator step, and once
+  /// more after the final barrier for the tail window.
   void merge_inline() {
     if (trace_ != nullptr) {
       merge_scratch_.clear();
@@ -1334,11 +1047,6 @@ class ClusterEngine {
         },
         [this](double ms) { h_detect_->add(ms); });
     c_missed_->add(tally.missed);
-    if (stopped_early_) {
-      // Normalize rates over the time actually simulated, not the
-      // horizon the stop cut short.
-      report_.duration_ms = coord_T_;
-    }
     sync_counters();
     fill_report_from_registry(report_, registry_);
     report_.events_executed = logical_executed(rounds_done_);
@@ -1431,34 +1139,14 @@ class ClusterEngine {
   std::int64_t rounds_done_ = 0;
   std::int64_t peak_logical_queue_ = 0;
 
-  // Worker-resident loop state. plan_hi_ is plain: it is written by
-  // shard 0 between the reduction tree and the release barrier and read
-  // by the peers only after that barrier (whose release/acquire chain
-  // orders it); everything else cross-thread goes through the atomics.
+  // Worker-resident loop state, plain because the barriers order it:
+  // shard 0 writes both between the reduction tree and the release
+  // barrier, and the peers read them only after that barrier.
   std::int64_t rounds_total_ = 0;
-  std::int64_t plan_hi_ = 0;
-  /// Set by the coordinator when config_.stop truncated the plan;
-  /// published to the workers by the same barrier as plan_hi_. The tail
-  /// window and the report's duration normalization read it.
+  /// Set by the coordinator when config_.stop ended the run early; the
+  /// tail window reads it.
   bool stopped_early_ = false;
-  int lookahead_cap_ = 1;
-  double min_net_delay_ms_ = 0.0;
   std::unique_ptr<SyncSlot[]> sync_;
-  // Coordinator replay cursors (only shard 0's serial step touches
-  // them): the replayed clock - bit-identical to the workers' additive
-  // accumulation - and the fault cursor mirroring the shards' own.
-  double coord_T_ = 0.0;
-  std::size_t coord_fault_cursor_ = 0;
-  // Trace-merger thread plumbing. merge_signal_ exists because
-  // atomic::wait needs a value that changes on every wake-worthy event
-  // (staged_epoch_ alone can be re-stored before a waiter re-checks).
-  bool use_merger_ = false;
-  std::thread merger_;
-  std::atomic<std::int64_t> staged_epoch_{0};
-  std::atomic<std::int64_t> merged_epoch_{0};
-  std::atomic<std::int64_t> merge_signal_{0};
-  std::atomic<bool> merge_stop_{false};
-  std::exception_ptr merger_error_;
 
   // Observability. The registry always exists (it is the aggregation
   // store); trace exists only when configured. Handles are cached once.

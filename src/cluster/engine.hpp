@@ -48,30 +48,15 @@ struct ClusterConfig {
   /// Values beyond the node count are clamped. See engine.cpp for the
   /// barrier protocol and the determinism argument.
   int shards = 1;
-  /// Conservative-DES lookahead: the maximum number of check windows the
-  /// shards may advance between message exchanges when no buffered or
-  /// possible future delivery can land earlier (computed from the
-  /// buffered application barriers plus the network's minimum possible
-  /// delay under the scenario's slow factors). Local evaluation still
-  /// happens at every check tick, so metrics and trace bytes are
-  /// unchanged for any value; <= 1 disables coalescing. Clamped to the
-  /// delivery ring size (256). See engine.cpp for the safety argument.
-  int lookahead_windows = 8;
-  /// Spin budget of the inter-shard barriers before parking in a futex
-  /// wait: -1 = executor default (hardware-aware), 0 = park immediately
-  /// (condvar-style cost floor, measured by bench_e13_shard's E13b
-  /// section), larger = spin longer. Scheduling only; never affects
-  /// results.
-  int barrier_spin = -1;
   /// Observability: trace sink, snapshot cadence, phase profiling. The
   /// defaults keep everything off; a disabled trace costs the hot path
   /// one predictable branch per instrumentation point.
   obs::Config obs;
   /// Optional graceful-stop flag (e.g. wired to a SIGINT handler). When
-  /// it reads true at an exchange tick, every shard exits its epoch loop
-  /// at that tick and the run finalizes normally: metrics aggregate, the
-  /// trace ring drains and the end-of-run footer is written, covering
-  /// exactly the rounds that executed. nullptr = run to duration_ms.
+  /// it reads true after a check tick, every shard stops at that tick
+  /// and the run finalizes normally: metrics aggregate, the trace ring
+  /// drains and the end-of-run footer is written, covering exactly the
+  /// check windows that executed. nullptr = run to duration_ms.
   const std::atomic<bool>* stop = nullptr;
 };
 

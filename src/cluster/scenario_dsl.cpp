@@ -11,6 +11,18 @@
 namespace rfd::cluster {
 namespace {
 
+/// Node ids must stay below this when neither the file nor the context
+/// sets max_nodes; it is also the largest n, max_nodes or cluster a file
+/// may set.
+constexpr std::int64_t kIdCeiling = std::int64_t{1} << 20;
+/// Most a whole scenario may expand into: primitive events plus the node
+/// ids their link and partition sets carry. Every statement computes its
+/// expansion before emitting anything.
+constexpr std::int64_t kMaxExpansion = std::int64_t{1} << 20;
+/// Largest time or delay a statement may name (about 31 years): every
+/// compound's `from + span * i / count` and `extra * steps` stay finite.
+constexpr double kMaxMs = 1e12;
+
 // ---------------------------------------------------------------------------
 // Line scanner: one statement per line, `#` comments, tokens separated by
 // blanks. Every token remembers its 1-based column so diagnostics point
@@ -126,51 +138,17 @@ bool parse_integer(const Statement& st, const KeyVal& kv, std::int64_t& out,
   return true;
 }
 
-/// Node set: comma-separated ids and lo-hi ranges, e.g. `0-3,7,9`.
-bool parse_set(const Statement& st, const KeyVal& kv, std::string_view text,
-               int text_col, std::vector<NodeId>& out, DslError& err) {
-  std::size_t pos = 0;
-  if (text.empty()) return fail(err, st.line, text_col, "empty node set");
-  while (pos < text.size()) {
-    const int part_col = text_col + static_cast<int>(pos);
-    std::size_t end = text.find(',', pos);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view part = text.substr(pos, end - pos);
-    const std::size_t dash = part.find('-');
-    auto id_of = [&](std::string_view digits, int col,
-                     NodeId& id) -> bool {
-      int value = 0;
-      const auto [ptr, ec] = std::from_chars(
-          digits.data(), digits.data() + digits.size(), value);
-      if (ec != std::errc{} || ptr != digits.data() + digits.size() ||
-          value < 0) {
-        return fail(err, st.line, col,
-                    "'" + std::string(digits) + "' is not a node id");
-      }
-      id = static_cast<NodeId>(value);
-      return true;
-    };
-    if (dash == std::string_view::npos) {
-      NodeId id = 0;
-      if (!id_of(part, part_col, id)) return false;
-      out.push_back(id);
-    } else {
-      NodeId lo = 0;
-      NodeId hi = 0;
-      if (!id_of(part.substr(0, dash), part_col, lo)) return false;
-      if (!id_of(part.substr(dash + 1),
-                 part_col + static_cast<int>(dash) + 1, hi)) {
-        return false;
-      }
-      if (hi < lo) {
-        return fail(err, st.line, part_col,
-                    "descending range '" + std::string(part) + "'");
-      }
-      for (NodeId id = lo; id <= hi; ++id) out.push_back(id);
-    }
-    pos = end + (end < text.size() ? 1 : 0);
+/// Down windows Scenario::flapping_link opens, counted with the
+/// builder's own time accumulation and stopped at `cap` + 1, so a
+/// period too small to advance the clock costs `cap` steps, not forever.
+std::int64_t flap_windows(double from, double to, double period, double duty,
+                          std::int64_t cap) {
+  if (duty >= 1.0) return 0;
+  std::int64_t windows = 0;
+  for (double t = from; t < to && t + duty * period < to; t += period) {
+    if (++windows > cap) break;
   }
-  return true;
+  return windows;
 }
 
 // ---------------------------------------------------------------------------
@@ -185,18 +163,41 @@ struct Parser {
   /// this.
   std::vector<int> event_lines;
   bool saw_fault = false;
+  /// What the statements so far expanded into (see kMaxExpansion).
+  std::int64_t expanded = 0;
 
-  /// Effective node-id bound for reference checks (0 = unchecked).
-  int id_limit() const {
-    if (doc.max_nodes > 0) return doc.max_nodes;
-    return ctx.max_nodes;
+  /// The file's or the context's max_nodes (0 = neither sets one).
+  int declared_limit() const {
+    return doc.max_nodes > 0 ? doc.max_nodes : ctx.max_nodes;
   }
 
-  int rack_size(std::int64_t explicit_size) const {
-    if (explicit_size > 0) return static_cast<int>(explicit_size);
+  /// Every node id must stay below this.
+  std::int64_t id_limit() const {
+    const int declared = declared_limit();
+    return declared > 0 ? declared : kIdCeiling;
+  }
+
+  std::int64_t room() const { return kMaxExpansion - expanded; }
+
+  bool past_cap(const Statement& st, int col) {
+    return fail(err, st.line, col,
+                st.keyword + " expands the scenario past " +
+                    std::to_string(kMaxExpansion) + " events and node ids");
+  }
+
+  /// Charges `amount` to the scenario's expansion before the statement
+  /// emits it, failing at `col` once the scenario would pass the cap.
+  bool expand(const Statement& st, int col, std::int64_t amount) {
+    if (amount > room()) return past_cap(st, col);
+    expanded += amount;
+    return true;
+  }
+
+  std::int64_t rack_size(std::int64_t explicit_size) const {
+    if (explicit_size > 0) return explicit_size;
     if (doc.cluster_size > 0) return doc.cluster_size;
     if (ctx.cluster_size > 0) return ctx.cluster_size;
-    const int limit = id_limit();
+    const int limit = declared_limit();
     if (limit > 0) {
       return std::max(
           2, static_cast<int>(std::ceil(std::sqrt(static_cast<double>(limit)))));
@@ -204,23 +205,63 @@ struct Parser {
     return 0;
   }
 
-  void note_ids(const std::vector<NodeId>& ids) {
-    for (const NodeId id : ids) {
-      doc.max_node_ref = std::max(doc.max_node_ref, id);
-    }
-  }
-
-  bool check_ids(const Statement& st, const KeyVal& kv,
-                 const std::vector<NodeId>& ids) {
-    note_ids(ids);
-    const int limit = id_limit();
-    if (limit <= 0) return true;
-    for (const NodeId id : ids) {
-      if (id >= limit) {
-        return fail(err, st.line, kv.value_col,
-                    "node " + std::to_string(id) + " is out of range (" +
-                        "max_nodes is " + std::to_string(limit) + ")");
+  /// Node set: comma-separated ids and lo-hi ranges, e.g. `0-3,7,9`.
+  /// Every id is checked against id_limit() at its token, and `out` may
+  /// hold at most `room` ids, both before anything expands.
+  bool parse_set(const Statement& st, std::string_view text, int text_col,
+                 std::int64_t room, std::vector<NodeId>& out) {
+    if (text.empty()) return fail(err, st.line, text_col, "empty node set");
+    auto id_of = [&](std::string_view digits, int col, NodeId& id) -> bool {
+      int value = 0;
+      const auto [ptr, ec] = std::from_chars(
+          digits.data(), digits.data() + digits.size(), value);
+      if (ec != std::errc{} || ptr != digits.data() + digits.size() ||
+          value < 0) {
+        return fail(err, st.line, col,
+                    "'" + std::string(digits) + "' is not a node id");
       }
+      if (value >= id_limit()) {
+        return fail(err, st.line, col,
+                    "node " + std::to_string(value) +
+                        " is out of range (ids stay below " +
+                        std::to_string(id_limit()) + ")");
+      }
+      id = static_cast<NodeId>(value);
+      return true;
+    };
+    std::size_t pos = 0;
+    while (pos < text.size()) {
+      const int part_col = text_col + static_cast<int>(pos);
+      std::size_t end = text.find(',', pos);
+      if (end == std::string_view::npos) end = text.size();
+      const std::string_view part = text.substr(pos, end - pos);
+      const std::size_t dash = part.find('-');
+      NodeId lo = 0;
+      NodeId hi = 0;
+      if (dash == std::string_view::npos) {
+        if (!id_of(part, part_col, lo)) return false;
+        hi = lo;
+      } else {
+        if (!id_of(part.substr(0, dash), part_col, lo) ||
+            !id_of(part.substr(dash + 1),
+                   part_col + static_cast<int>(dash) + 1, hi)) {
+          return false;
+        }
+        if (hi < lo) {
+          return fail(err, st.line, part_col,
+                      "descending range '" + std::string(part) + "'");
+        }
+      }
+      if (std::int64_t{hi} - lo + 1 >
+          room - static_cast<std::int64_t>(out.size())) {
+        return past_cap(st, part_col);
+      }
+      for (NodeId id = lo;; ++id) {
+        out.push_back(id);
+        if (id == hi) break;
+      }
+      doc.max_node_ref = std::max(doc.max_node_ref, hi);
+      pos = end + (end < text.size() ? 1 : 0);
     }
     return true;
   }
@@ -270,6 +311,23 @@ struct Parser {
       return fail(err, st.line, kv->value_col,
                   std::string(key) + " must be >= 0 ms");
     }
+    if (out > kMaxMs) {
+      return fail(err, st.line, kv->value_col,
+                  std::string(key) + " must be <= 1e12 ms");
+    }
+    return true;
+  }
+
+  /// The extra= delay of storm_on, delay_storm and overload.
+  bool extra_delay(const Statement& st, double& out) {
+    const KeyVal* kv = nullptr;
+    if (!required(st, "extra", kv) || !parse_number(st, *kv, out, err)) {
+      return false;
+    }
+    if (out < 0.0 || out > kMaxMs) {
+      return fail(err, st.line, kv->value_col,
+                  "extra must be >= 0 ms and <= 1e12 ms");
+    }
     return true;
   }
 
@@ -300,11 +358,8 @@ struct Parser {
   bool node_set(const Statement& st, std::string_view key,
                 std::vector<NodeId>& out) {
     const KeyVal* kv = nullptr;
-    if (!required(st, key, kv)) return false;
-    if (!parse_set(st, *kv, kv->value, kv->value_col, out, err)) {
-      return false;
-    }
-    return check_ids(st, *kv, out);
+    return required(st, key, kv) &&
+           parse_set(st, kv->value, kv->value_col, room(), out);
   }
 
   bool header(const Statement& st) {
@@ -321,22 +376,36 @@ struct Parser {
       return false;
     }
     std::int64_t value = 0;
+    // Counts stay within the id ceiling, so every later int fits.
+    auto count = [&](const KeyVal& kv, const char* key) {
+      if (!parse_integer(st, kv, value, err)) return false;
+      if (value > kIdCeiling) {
+        return fail(err, st.line, kv.value_col,
+                    std::string(key) + " must be <= " +
+                        std::to_string(kIdCeiling));
+      }
+      return true;
+    };
     if (const KeyVal* kv = find(st, "n")) {
-      if (!parse_integer(st, *kv, value, err)) return false;
+      if (!count(*kv, "n")) return false;
       if (value < 2) {
         return fail(err, st.line, kv->value_col, "n must be >= 2");
       }
       doc.n = static_cast<int>(value);
     }
     if (const KeyVal* kv = find(st, "max_nodes")) {
-      if (!parse_integer(st, *kv, value, err)) return false;
+      if (!count(*kv, "max_nodes")) return false;
       if (value < 2 || (doc.n > 0 && value < doc.n)) {
         return fail(err, st.line, kv->value_col, "max_nodes must be >= n");
       }
       doc.max_nodes = static_cast<int>(value);
     }
+    if (doc.max_nodes > 0 && doc.n > doc.max_nodes) {
+      // An n raised past the max_nodes of an earlier config statement.
+      return fail(err, st.line, st.col, "max_nodes must be >= n");
+    }
     if (const KeyVal* kv = find(st, "cluster")) {
-      if (!parse_integer(st, *kv, value, err)) return false;
+      if (!count(*kv, "cluster")) return false;
       if (value < 2) {
         return fail(err, st.line, kv->value_col, "cluster must be >= 2");
       }
@@ -359,7 +428,10 @@ struct Parser {
     if (!known_keys(st, {"at", "node"})) return false;
     double at = 0.0;
     std::vector<NodeId> nodes;
-    if (!time_at(st, "at", at) || !node_set(st, "node", nodes)) return false;
+    if (!time_at(st, "at", at) || !node_set(st, "node", nodes) ||
+        !expand(st, st.col, static_cast<std::int64_t>(nodes.size()))) {
+      return false;
+    }
     for (const NodeId node : nodes) (doc.scenario.*builder)(at, node);
     mark_events(st.line);
     return true;
@@ -429,12 +501,15 @@ struct Parser {
       std::vector<std::vector<NodeId>> groups;
       std::string_view rest = kv->value;
       int col = kv->value_col;
+      std::int64_t ids = 0;
       for (;;) {
         const std::size_t bar = rest.find('|');
         const std::string_view part = rest.substr(0, bar);
         groups.emplace_back();
-        if (!parse_set(st, *kv, part, col, groups.back(), err)) return false;
-        if (!check_ids(st, *kv, groups.back())) return false;
+        if (!parse_set(st, part, col, room() - ids, groups.back())) {
+          return false;
+        }
+        ids += static_cast<std::int64_t>(groups.back().size());
         if (bar == std::string_view::npos) break;
         rest = rest.substr(bar + 1);
         col += static_cast<int>(bar) + 1;
@@ -452,6 +527,7 @@ struct Parser {
         return fail(err, st.line, kv->value_col,
                     "partition groups overlap (a node is in two groups)");
       }
+      if (!expand(st, st.col, 1 + ids)) return false;
       doc.scenario.partition(at, std::move(groups));
       mark_events(st.line);
       return true;
@@ -462,7 +538,9 @@ struct Parser {
       std::vector<NodeId> from;
       std::vector<NodeId> to;
       if (!time_at(st, "at", at) || !node_set(st, "from", from) ||
-          !node_set(st, "to", to)) {
+          !node_set(st, "to", to) ||
+          !expand(st, st.col,
+                  static_cast<std::int64_t>(1 + from.size() + to.size()))) {
         return false;
       }
       if (kw == "link_down") {
@@ -487,6 +565,9 @@ struct Parser {
       if (factor <= 0.0) {
         return fail(err, st.line, kv->value_col, "factor must be > 0");
       }
+      if (!expand(st, st.col, static_cast<std::int64_t>(nodes.size()))) {
+        return false;
+      }
       for (const NodeId node : nodes) doc.scenario.slow(at, node, factor);
       mark_events(st.line);
       return true;
@@ -499,7 +580,8 @@ struct Parser {
       double delta = 0.0;
       if (!time_at(st, "at", at) || !node_set(st, "node", nodes) ||
           !required(st, "delta", kv) ||
-          !parse_number(st, *kv, delta, err)) {
+          !parse_number(st, *kv, delta, err) ||
+          !expand(st, st.col, static_cast<std::int64_t>(nodes.size()))) {
         return false;
       }
       for (const NodeId node : nodes) doc.scenario.lie(at, node, delta);
@@ -509,16 +591,11 @@ struct Parser {
     if (kw == "storm_on") {
       if (!known_keys(st, {"at", "extra", "prob"})) return false;
       double at = 0.0;
-      const KeyVal* kv = nullptr;
       double extra = 0.0;
       double prob = 1.0;
-      if (!time_at(st, "at", at) || !required(st, "extra", kv) ||
-          !parse_number(st, *kv, extra, err) ||
+      if (!time_at(st, "at", at) || !extra_delay(st, extra) ||
           !probability(st, "prob", 1.0, prob)) {
         return false;
-      }
-      if (extra < 0.0) {
-        return fail(err, st.line, kv->value_col, "extra must be >= 0 ms");
       }
       doc.scenario.storm_on(at, extra, prob);
       mark_events(st.line);
@@ -536,16 +613,11 @@ struct Parser {
       if (!known_keys(st, {"from", "to", "extra", "prob"})) return false;
       double from = 0.0;
       double to = 0.0;
-      const KeyVal* kv = nullptr;
       double extra = 0.0;
       double prob = 1.0;
-      if (!window(st, from, to) || !required(st, "extra", kv) ||
-          !parse_number(st, *kv, extra, err) ||
+      if (!window(st, from, to) || !extra_delay(st, extra) ||
           !probability(st, "prob", 1.0, prob)) {
         return false;
-      }
-      if (extra < 0.0) {
-        return fail(err, st.line, kv->value_col, "extra must be >= 0 ms");
       }
       doc.scenario.delay_storm(from, to, extra, prob);
       mark_events(st.line);
@@ -573,6 +645,12 @@ struct Parser {
           !node_set(st, "b", b)) {
         return false;
       }
+      // Four link events per window, each carrying both sets.
+      const std::int64_t per_window =
+          4 * static_cast<std::int64_t>(1 + a.size() + b.size());
+      const std::int64_t windows =
+          flap_windows(from, to, period, duty, room() / per_window);
+      if (!expand(st, kv->value_col, windows * per_window)) return false;
       doc.scenario.flapping_link(from, to, period, duty, std::move(a),
                                  std::move(b));
       mark_events(st.line);
@@ -591,34 +669,44 @@ struct Parser {
       if (group < 0) {
         return fail(err, st.line, kv->value_col, "group must be >= 0");
       }
-      if (const KeyVal* size_kv = find(st, "size")) {
+      const KeyVal* size_kv = find(st, "size");
+      if (size_kv != nullptr) {
         if (!parse_integer(st, *size_kv, size, err)) return false;
         if (size < 1) {
           return fail(err, st.line, size_kv->value_col, "size must be >= 1");
         }
       }
-      const int rack = rack_size(size);
+      const std::int64_t rack = rack_size(size);
       if (rack <= 0) {
         return fail(err, st.line, st.col,
                     "rack needs size= (no cluster size in config/context)");
       }
-      const int limit = id_limit();
-      std::int64_t lo = group * rack;
-      std::int64_t hi = lo + rack;
-      if (limit > 0) hi = std::min<std::int64_t>(hi, limit);
-      if (lo >= hi) {
+      // Bounds before arithmetic: with rack <= limit and lo < limit,
+      // neither group * rack nor lo + rack can overflow.
+      const std::int64_t limit = id_limit();
+      if (rack > limit) {
+        return fail(err, st.line,
+                    size_kv != nullptr ? size_kv->value_col : st.col,
+                    "rack size " + std::to_string(rack) +
+                        " is out of range (ids stay below " +
+                        std::to_string(limit) + ")");
+      }
+      if (group > (limit - 1) / rack) {
         return fail(err, st.line, kv->value_col,
                     "rack group " + std::to_string(group) +
                         " is beyond max_nodes");
       }
+      // The last rack may be partial, like the topology's last cluster.
+      const std::int64_t lo = group * rack;
+      const std::int64_t hi = std::min(lo + rack, limit);
+      if (!expand(st, st.col, hi - lo)) return false;
       // One instant, many victims: the engine counts a same-time batch
       // as a single correlated disruption.
-      std::vector<NodeId> victims;
       for (std::int64_t id = lo; id < hi; ++id) {
-        victims.push_back(static_cast<NodeId>(id));
         doc.scenario.crash(at, static_cast<NodeId>(id));
       }
-      note_ids(victims);
+      doc.max_node_ref =
+          std::max(doc.max_node_ref, static_cast<NodeId>(hi - 1));
       mark_events(st.line);
       return true;
     }
@@ -630,22 +718,20 @@ struct Parser {
       double to = 0.0;
       const KeyVal* steps_kv = nullptr;
       std::int64_t steps = 0;
-      const KeyVal* extra_kv = nullptr;
       double extra = 0.0;
       double prob = 1.0;
       if (!window(st, from, to) || !required(st, "steps", steps_kv) ||
           !parse_integer(st, *steps_kv, steps, err) ||
-          !required(st, "extra", extra_kv) ||
-          !parse_number(st, *extra_kv, extra, err) ||
-          !probability(st, "prob", 1.0, prob)) {
+          !extra_delay(st, extra) || !probability(st, "prob", 1.0, prob)) {
         return false;
       }
       if (steps < 1) {
         return fail(err, st.line, steps_kv->value_col, "steps must be >= 1");
       }
-      if (extra < 0.0) {
-        return fail(err, st.line, extra_kv->value_col,
-                    "extra must be >= 0 ms");
+      // One storm_on per step plus the closing storm_off.
+      if (!expand(st, steps_kv->value_col,
+                  std::min(steps, kMaxExpansion) + 1)) {
+        return false;
       }
       doc.scenario.overload_ramp(from, to, static_cast<int>(steps), extra,
                                  prob);
@@ -660,20 +746,22 @@ struct Parser {
       std::vector<NodeId> joins;
       std::vector<NodeId> leaves;
       if (const KeyVal* kv = find(st, "join")) {
-        if (!parse_set(st, *kv, kv->value, kv->value_col, joins, err) ||
-            !check_ids(st, *kv, joins)) {
+        if (!parse_set(st, kv->value, kv->value_col, room(), joins)) {
           return false;
         }
       }
       if (const KeyVal* kv = find(st, "leave")) {
-        if (!parse_set(st, *kv, kv->value, kv->value_col, leaves, err) ||
-            !check_ids(st, *kv, leaves)) {
+        if (!parse_set(st, kv->value, kv->value_col, room(), leaves)) {
           return false;
         }
       }
       if (joins.empty() && leaves.empty()) {
         return fail(err, st.line, st.col,
                     "churn needs join= and/or leave=");
+      }
+      if (!expand(st, st.col,
+                  static_cast<std::int64_t>(joins.size() + leaves.size()))) {
+        return false;
       }
       // Joins on the grid, leaves offset by half a step, so the two
       // streams interleave instead of colliding.

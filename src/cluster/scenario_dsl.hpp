@@ -47,6 +47,14 @@
 // line/column positions; cross-statement discipline (unmatched link_up,
 // storm_off, overlapping partition groups) is attributed to the
 // offending statement's line.
+//
+// Untrusted text cannot make the parser run away. Node ids stay below
+// max_nodes (the file's, else the context's, else 2^20), checked at the
+// token before a range expands; n, max_nodes and cluster are at most
+// 2^20; times and delays at most 1e12 ms. Every statement computes what
+// it expands into before emitting it, and a scenario may expand into at
+// most 2^20 events plus the node ids their link and partition sets
+// carry.
 #pragma once
 
 #include <string>
@@ -61,7 +69,7 @@ namespace rfd::cluster {
 /// `rack` statements without size= use `cluster_size` (0 = derive
 /// ceil(sqrt(max_nodes)) like the hierarchical topology does).
 struct DslContext {
-  int max_nodes = 0;    // 0 = node references unchecked
+  int max_nodes = 0;    // 0 = ids checked against the 2^20 ceiling only
   int cluster_size = 0;
 };
 

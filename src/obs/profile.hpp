@@ -23,7 +23,7 @@ enum class Phase : std::uint8_t {
   kDigest,       // topology digest selection per outgoing message
   kDispatch,     // EventQueue task dispatch
   kRoute,        // Network::route verdict + delay draw
-  kSync,         // sharded-core barrier/merge waits (per-shard idle time)
+  kSync,         // sharded-core barrier/reduction waits (per-shard idle time)
 };
 inline constexpr int kNumPhases = 5;
 

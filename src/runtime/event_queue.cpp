@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/assert.hpp"
 
@@ -208,38 +207,6 @@ void EventQueue::run(double t_end, bool exclusive) {
     collect_slot();
   }
   now_ = t_end;
-}
-
-double EventQueue::next_event_at_bound() {
-  // Skim canceled/stale refs off the heap so the top is a live event.
-  while (!ready_.empty()) {
-    const Ref top = ready_.top();
-    Event& e = slab_[top.idx];
-    if (e.gen == top.gen && e.armed) break;
-    ready_.pop();
-    if (e.gen == top.gen) release(top.idx);
-  }
-  double bound = std::numeric_limits<double>::infinity();
-  if (!ready_.empty()) bound = ready_.top().at;
-  if (wheel_count_ > 0) {
-    // Every level can hold the global minimum (coarser levels keep
-    // events until their slot boundary cascades), so take the min of
-    // each level's first occupied slot-start. Slot starts only ever
-    // under-estimate an occupant's time, which keeps the bound
-    // conservative; canceled occupants likewise only lower it.
-    for (int level = 0; level < kWheelLevels; ++level) {
-      const int shift = level * kWheelBits;
-      const std::int64_t level_tick = collected_tick_ >> shift;
-      for (int j = 0; j < kWheelSlots; ++j) {
-        const std::int64_t t = level_tick + j;
-        if (wheel_[level][t & (kWheelSlots - 1)] == kNullIndex) continue;
-        const std::int64_t first = std::max(collected_tick_, t << shift);
-        bound = std::min(bound, static_cast<double>(first) * tick_ms_);
-        break;
-      }
-    }
-  }
-  return std::max(bound, now_);
 }
 
 }  // namespace rfd::rt

@@ -109,15 +109,6 @@ class EventQueue {
 
   std::int64_t executed() const { return executed_; }
 
-  /// Conservative lower bound on the earliest pending event's time:
-  /// guaranteed <= the true minimum `at`, >= now(), +infinity when the
-  /// queue is empty. The heap top is exact (stale heads are skimmed);
-  /// wheel levels contribute slot-start times without walking chains,
-  /// so the cost is O(slots) probes, not O(events). The sharded cluster
-  /// engine uses this for conservative-DES lookahead: how far can every
-  /// shard run before anything new can possibly be sent.
-  double next_event_at_bound();
-
   /// Events currently pending (canceled-but-uncollected entries excluded).
   std::size_t size() const { return size_; }
   /// High-water mark of pending events over the queue's lifetime.

@@ -7,8 +7,13 @@
 // consumes the stable-sorted timeline, and a genuinely malformed
 // timeline is rejected before the run starts instead of silently
 // corrupting network state. And the interpreter's effectiveness rules:
-// which faults are no-ops that must leave no trace record.
+// which faults are no-ops that must leave no trace record. Last, a
+// seed-driven fuzzer over mutated library files: the parser must reject
+// with a positioned diagnostic or round-trip, never throw or abort.
+#include <algorithm>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +21,7 @@
 #include "cluster/engine.hpp"
 #include "cluster/fault_state.hpp"
 #include "cluster/scenario_dsl.hpp"
+#include "common/rng.hpp"
 #include "scenario_test_util.hpp"
 
 namespace rfd::cluster {
@@ -238,6 +244,24 @@ TEST(ScenarioDsl, DiagnosticsCarryExactLineAndColumn) {
       {"name \"open\n", 1, 6, "unterminated string"},
       {"churn from=0 to=1000\n", 1, 1, "join= and/or leave="},
       {"rack at=1000 group=1\n", 1, 1, "needs size="},
+      // Expansions are bounded before they run: ids against the id limit
+      // at their token, event counts against the expansion cap.
+      {"crash at=1 node=2147483600-2147483647\n", 1, 17, "out of range"},
+      {"config n=8 max_nodes=16\ncrash at=1 node=0-300000000\n", 2, 19,
+       "out of range"},
+      {"flap from=0 to=1000000000 period=0.001 duty=0.5 a=0 b=1\n", 1, 34,
+       "expands the scenario past"},
+      {"overload from=0 to=10 steps=2000000000 extra=5 prob=0.5\n", 1, 29,
+       "expands the scenario past"},
+      {"rack at=1 group=0 size=2000000000\n", 1, 24, "rack size"},
+      // The cap is per scenario: each line fits, the fifth passes it.
+      {"crash at=1 node=0-262143\ncrash at=1 node=0-262143\n"
+       "crash at=1 node=0-262143\ncrash at=1 node=0-262143\n"
+       "crash at=1 node=0-262143\n",
+       5, 17, "expands the scenario past"},
+      // A period too small to advance the clock from 1e11 ms.
+      {"flap from=100000000000 to=100000000001 period=0.000001 a=0 b=1\n",
+       1, 47, "expands the scenario past"},
   };
   for (const Case& c : cases) {
     const DslError err = parse_fail(c.text);
@@ -389,6 +413,112 @@ TEST(FaultInterpreter, IneffectiveFaultsAreNoOps) {
                                             FaultEffect::kRelief}));
   EXPECT_EQ(truth.down_since(0), -1.0);
   EXPECT_EQ(truth.active_contacts(), (std::vector<NodeId>{0, 1, 3}));
+}
+
+// ---------------------------------------------------------------------
+// Seed-driven fuzzing over mutated library files. Every mutant must
+// either fail with a positioned diagnostic or parse into a timeline whose
+// serialization is a text fixed point; text, not events, because
+// serialization canonicalizes node sets.
+
+/// [begin, end) of every run of digits and dots that starts with a digit.
+std::vector<std::pair<std::size_t, std::size_t>> numeric_tokens(
+    const std::string& text) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  auto numeric = [&](std::size_t i) {
+    return (text[i] >= '0' && text[i] <= '9') || text[i] == '.';
+  };
+  for (std::size_t i = 0; i < text.size();) {
+    if (text[i] < '0' || text[i] > '9') {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() && numeric(end)) ++end;
+    spans.emplace_back(i, end);
+    i = end;
+  }
+  return spans;
+}
+
+std::string mutate(std::string text, Rng& rng) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.below(static_cast<std::int64_t>(n)));
+  };
+  switch (rng.below(4)) {
+    case 0: {  // flip one to four bytes
+      const std::int64_t flips = 1 + rng.below(4);
+      for (std::int64_t i = 0; i < flips && !text.empty(); ++i) {
+        text[pick(text.size())] ^= static_cast<char>(1 + rng.below(255));
+      }
+      break;
+    }
+    case 1:  // truncate at a random offset
+      text.resize(pick(text.size() + 1));
+      break;
+    case 2: {  // replace a numeric token with an extreme value
+      static const char* const kExtremes[] = {
+          "0", "-1", "2147483647", "9223372036854775807", "1e308", "1e-300"};
+      const auto spans = numeric_tokens(text);
+      if (spans.empty()) break;
+      const auto [begin, end] = spans[pick(spans.size())];
+      text.replace(begin, end - begin, kExtremes[pick(6)]);
+      break;
+    }
+    default: {  // duplicate a line in place
+      std::vector<std::size_t> starts = {0};
+      for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+        if (text[i] == '\n') starts.push_back(i + 1);
+      }
+      const std::size_t begin = starts[pick(starts.size())];
+      std::size_t end = text.find('\n', begin);
+      end = end == std::string::npos ? text.size() : end + 1;
+      text.insert(end, text.substr(begin, end - begin));
+      break;
+    }
+  }
+  return text;
+}
+
+TEST(ScenarioDslFuzz, MutatedLibraryFilesFailCleanlyOrRoundTrip) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testutil::scenario_dir())) {
+    if (entry.path().extension() == ".scn") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  constexpr int kMutants = 1000;
+  const Rng base(0x5ca1ab1e);
+  int parsed = 0;
+  int rejected = 0;
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const std::string source = testutil::read_file(files[f].string());
+    Rng rng = base.split(f);
+    for (int i = 0; i < kMutants; ++i) {
+      const std::string text = mutate(source, rng);
+      const std::string where =
+          files[f].filename().string() + " mutant " + std::to_string(i);
+      ScenarioDoc doc;
+      DslError err;
+      if (!parse_scenario(text, DslContext{}, doc, err)) {
+        ++rejected;
+        EXPECT_GE(err.line, 1) << where << ": " << err.to_string();
+        EXPECT_GE(err.col, 1) << where << ": " << err.to_string();
+        continue;
+      }
+      ++parsed;
+      const std::string once = serialize_scenario(doc);
+      ScenarioDoc again;
+      ASSERT_TRUE(parse_scenario(once, DslContext{}, again, err))
+          << where << ": " << err.to_string() << "\n" << once;
+      EXPECT_EQ(serialize_scenario(again), once) << where;
+    }
+  }
+  // Both outcomes occur, so the mutations are neither all fatal nor all
+  // harmless.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -56,9 +56,9 @@ inline ClusterConfig scenario_cluster_config(const ScenarioDoc& doc) {
   return config;
 }
 
-/// Every report field a run produces, serialized for one-shot equality.
-/// Shared by the shard-count and lookahead invariance suites: both assert
-/// field-identical reports against a baseline run.
+/// Every report field a run produces, serialized for one-shot equality:
+/// the shard-count invariance suite asserts field-identical reports
+/// against a baseline run.
 inline std::string report_fingerprint(const ClusterReport& r) {
   std::ostringstream ss;
   ss.precision(17);

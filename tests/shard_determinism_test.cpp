@@ -3,9 +3,10 @@
 // wall-clock, never a single metric or trace byte. These tests run the
 // same scenarios at shards = 1, 2 and 4 and require field-identical
 // reports and byte-identical JSONL traces (see cluster/engine.cpp for
-// the barrier protocol and the determinism argument being verified).
+// the barrier protocol and the determinism argument being verified),
+// including a run the graceful-stop flag ends after its first window.
+#include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,13 +18,6 @@
 
 namespace rfd::cluster {
 namespace {
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 std::string temp_trace_path(const char* tag, int shards) {
   std::ostringstream ss;
@@ -45,26 +39,34 @@ ClusterConfig shard_config(int n) {
   return config;
 }
 
+using testutil::read_file;
 using testutil::report_fingerprint;
 
-void expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
-                            const char* tag) {
+struct ShardRun {
+  ClusterReport report;
+  std::string trace;
+};
+
+/// Runs `config` at shards 1, 2 and 4, requires every run to match the
+/// shards=1 report and trace bytes, and returns that shards=1 run.
+ShardRun expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
+                                const char* tag) {
+  ShardRun baseline;
   std::string baseline_report;
-  std::string baseline_trace;
   for (const int shards : {1, 2, 4}) {
     config.shards = shards;
     const std::string path = temp_trace_path(tag, shards);
     config.obs.trace_path = path;
     config.obs.snapshot_every_ticks = 10;
-    const ClusterReport report = run_cluster(config, seed);
+    ClusterReport report = run_cluster(config, seed);
     EXPECT_EQ(report.trace_dropped, 0);
     const std::string fingerprint = report_fingerprint(report);
-    const std::string trace = read_file(path);
+    std::string trace = read_file(path);
     std::remove(path.c_str());
-    ASSERT_FALSE(trace.empty());
+    EXPECT_FALSE(trace.empty());
     if (shards == 1) {
       baseline_report = fingerprint;
-      baseline_trace = trace;
+      baseline = ShardRun{std::move(report), std::move(trace)};
       continue;
     }
     EXPECT_EQ(fingerprint, baseline_report)
@@ -72,9 +74,10 @@ void expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
     // Byte-identical, not merely equivalent: the merged trace is the
     // replay/analysis input, so even reordering within a timestamp
     // would be a regression.
-    EXPECT_EQ(trace, baseline_trace)
+    EXPECT_EQ(trace, baseline.trace)
         << tag << ": trace bytes diverged at shards=" << shards;
   }
+  return baseline;
 }
 
 TEST(ShardDeterminism, CalmRunIsShardCountInvariant) {
@@ -136,6 +139,25 @@ TEST(ShardDeterminism, SlowNodesScenarioIsShardCountInvariant) {
 
 TEST(ShardDeterminism, AsymmetricPartitionScenarioIsShardCountInvariant) {
   expect_scenario_file_shard_invariant("asymmetric_partition.scn", "oneway");
+}
+
+TEST(ShardDeterminism, StopFlagEndsEveryShardCountAfterTheFirstWindow) {
+  // A stop flag that already reads true is seen at the first check tick:
+  // every shard count ends there together, normalizes its rates over
+  // that one window, and still closes the trace with its footer.
+  const std::atomic<bool> stop{true};
+  ClusterConfig config = shard_config(24);
+  config.scenario.crash(50.0, 3);
+  config.stop = &stop;
+  const ShardRun run = expect_shard_invariant(config, 7, "stop");
+  EXPECT_EQ(run.report.duration_ms, config.check_interval_ms);
+  EXPECT_GT(run.report.messages_sent, 0);
+  EXPECT_EQ(run.report.disruptions, 1);
+  const std::string footer = "\n{\"type\":\"end\",\"t\":100,";
+  const std::size_t last_line = run.trace.rfind('\n', run.trace.size() - 2);
+  ASSERT_NE(last_line, std::string::npos);
+  EXPECT_EQ(run.trace.compare(last_line, footer.size(), footer), 0)
+      << run.trace.substr(last_line);
 }
 
 TEST(ShardDeterminism, ShardCountBeyondNodesClamps) {
