@@ -130,7 +130,10 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   }
   hot_head_ = 0;
   if (!r.ok()) return false;
-  if (digest_cursor_ < 0 || digest_cursor_ >= max_nodes_ ||
+  // advance_own_counter() keeps the own counter in [0, INT32_MAX].
+  if (own_counter_ < 0 ||
+      own_counter_ > std::numeric_limits<std::int32_t>::max() ||
+      digest_cursor_ < 0 || digest_cursor_ >= max_nodes_ ||
       known_count_ < 0 || known_count_ > max_nodes_) {
     return false;
   }

@@ -301,16 +301,6 @@ class ClusterNode {
   /// topologies key their per-node target caches on it.
   std::int64_t membership_version() const { return membership_version_; }
 
-  /// Hints the prefetcher at `peer`'s hot slot; the engine issues this a
-  /// few digest entries ahead of observe() so the (random-index) slot is
-  /// in cache when the entry is processed. Semantically a no-op.
-  void prefetch_peer(NodeId peer) const {
-    if (peer >= 0 && peer < max_nodes_) {
-      __builtin_prefetch(&counters_[static_cast<std::size_t>(peer)], 1, 1);
-      __builtin_prefetch(&hot_[static_cast<std::size_t>(peer)], 1, 1);
-    }
-  }
-
   /// Appends up to `budget` known peer ids (never self) to `out`.
   /// Recently advanced peers go first - forwarding fresh counters is what
   /// makes dissemination epidemic (SWIM piggybacks rumors the same way);
@@ -397,7 +387,6 @@ class ClusterNode {
   const PeerRecord& record(NodeId peer) const {
     return records_[static_cast<std::size_t>(peer)];
   }
-  int known_count() const { return known_count_; }
   /// Current hot-queue occupancy (ids with undrained piggyback budget);
   /// snapshotted by the observability layer as a dissemination-backlog
   /// gauge.

@@ -74,65 +74,4 @@ std::string Summary::to_string() const {
   return buf;
 }
 
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), counts_(static_cast<std::size_t>(buckets), 0) {
-  RFD_REQUIRE(buckets > 0 && hi > lo);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-std::int64_t Histogram::bucket_count(int i) const {
-  RFD_REQUIRE(i >= 0 && i < buckets());
-  return counts_[static_cast<std::size_t>(i)];
-}
-
-double Histogram::bucket_lo(int i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * i;
-}
-
-double Histogram::bucket_hi(int i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * (i + 1);
-}
-
-std::string Histogram::render(int bar_width) const {
-  std::int64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char buf[96];
-  for (int i = 0; i < buckets(); ++i) {
-    const auto c = bucket_count(i);
-    const int bar =
-        static_cast<int>(static_cast<double>(c) / static_cast<double>(peak) *
-                         bar_width);
-    std::snprintf(buf, sizeof(buf), "[%10.3f, %10.3f) %8lld |", bucket_lo(i),
-                  bucket_hi(i), static_cast<long long>(c));
-    out += buf;
-    out.append(static_cast<std::size_t>(bar), '#');
-    out += '\n';
-  }
-  if (underflow_ != 0 || overflow_ != 0) {
-    std::snprintf(buf, sizeof(buf), "underflow=%lld overflow=%lld\n",
-                  static_cast<long long>(underflow_),
-                  static_cast<long long>(overflow_));
-    out += buf;
-  }
-  return out;
-}
-
 }  // namespace rfd

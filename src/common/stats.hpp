@@ -1,5 +1,5 @@
-// Running statistics and histograms for the QoS evaluation (experiment E9)
-// and the cost benchmarks (E10).
+// Running statistics for the QoS evaluation (experiment E9) and the cost
+// benchmarks (E10).
 #pragma once
 
 #include <cstdint>
@@ -42,32 +42,6 @@ class Summary {
   double max_ = 0.0;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int buckets);
-
-  void add(double x);
-  std::int64_t total() const { return total_; }
-  std::int64_t bucket_count(int i) const;
-  std::int64_t underflow() const { return underflow_; }
-  std::int64_t overflow() const { return overflow_; }
-  int buckets() const { return static_cast<int>(counts_.size()); }
-  double bucket_lo(int i) const;
-  double bucket_hi(int i) const;
-
-  /// Multi-line ASCII rendering (one row per bucket with a bar).
-  std::string render(int bar_width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t underflow_ = 0;
-  std::int64_t overflow_ = 0;
-  std::int64_t total_ = 0;
 };
 
 }  // namespace rfd

@@ -79,7 +79,6 @@ void ConsensusToP::on_child_decides(sim::Context& ctx, InstanceId k,
   Child& child = children_.at(k);
   if (child.decided) return;
   child.decided = true;
-  decision_ticks_.push_back(ctx.now());
 
   // Addition 3 of T(D->P): suspect exactly the processes whose alive tag
   // is missing from this decision event.

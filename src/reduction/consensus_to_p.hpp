@@ -66,9 +66,6 @@ class ConsensusToP final : public sim::Automaton {
     return count;
   }
 
-  /// Ticks at which instances decided at this process, in decision order.
-  const std::vector<Tick>& decision_ticks() const { return decision_ticks_; }
-
  private:
   struct Child {
     std::unique_ptr<sim::Automaton> automaton;
@@ -95,7 +92,6 @@ class ConsensusToP final : public sim::Automaton {
   Tick last_instance_start_ = 0;
   ProcessSet output_;
   std::vector<std::pair<Tick, ProcessId>> timeline_;
-  std::vector<Tick> decision_ticks_;
 };
 
 }  // namespace rfd::red

@@ -41,12 +41,4 @@ TotalityReport check_totality(const sim::Trace& trace, InstanceId instance) {
   return report;
 }
 
-TotalityReport check_totality_all(const sim::Trace& trace) {
-  TotalityReport report;
-  for (const auto& d : trace.decisions()) {
-    audit_decision(trace, d, report);
-  }
-  return report;
-}
-
 }  // namespace rfd::red

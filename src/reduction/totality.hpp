@@ -33,7 +33,4 @@ struct TotalityReport {
 /// process counts as consulted trivially.
 TotalityReport check_totality(const sim::Trace& trace, InstanceId instance);
 
-/// Audits every decision event regardless of instance.
-TotalityReport check_totality_all(const sim::Trace& trace);
-
 }  // namespace rfd::red

@@ -38,17 +38,13 @@ std::uint32_t EventQueue::allocate(double at, Action action) {
   e.seq = next_seq_++;
   e.task = std::move(action);
   e.next = kNullIndex;
-  e.armed = true;
   ++size_;
-  peak_size_ = std::max(peak_size_, size_);
   return idx;
 }
 
 void EventQueue::release(std::uint32_t idx) {
   Event& e = slab_[idx];
   e.task.reset();
-  e.armed = false;
-  ++e.gen;  // invalidates outstanding TimerIds and stale heap refs
   e.next = free_head_;
   free_head_ = idx;
 }
@@ -59,7 +55,7 @@ void EventQueue::place(std::uint32_t idx) {
   const std::int64_t delta = tick - collected_tick_;
   if (delta < 0) {
     // Already inside the collected horizon: straight to the ready heap.
-    ready_.push({e.at, e.seq, idx, e.gen});
+    ready_.push({e.at, e.seq, idx});
     return;
   }
   std::int64_t span = kWheelSlots;
@@ -76,7 +72,7 @@ void EventQueue::place(std::uint32_t idx) {
   // Beyond the wheel range (> ~77 hours at the default granularity):
   // far-future fallback to the heap. The horizon guard in run_until keeps
   // it from running before uncollected wheel events.
-  ready_.push({e.at, e.seq, idx, e.gen});
+  ready_.push({e.at, e.seq, idx});
 }
 
 void EventQueue::cascade(int level) {
@@ -92,11 +88,7 @@ void EventQueue::cascade(int level) {
   while (idx != kNullIndex) {
     const std::uint32_t next = slab_[idx].next;
     --wheel_count_;
-    if (slab_[idx].armed) {
-      place(idx);  // re-files into a finer level (or the ready heap)
-    } else {
-      release(idx);  // canceled while waiting: reclaim lazily
-    }
+    place(idx);  // re-files into a finer level (or the ready heap)
     idx = next;
   }
 }
@@ -110,12 +102,8 @@ void EventQueue::collect_slot() {
     const std::uint32_t next = slab_[idx].next;
     --wheel_count_;
     Event& e = slab_[idx];
-    if (e.armed) {
-      e.next = kNullIndex;
-      ready_.push({e.at, e.seq, idx, e.gen});
-    } else {
-      release(idx);
-    }
+    e.next = kNullIndex;
+    ready_.push({e.at, e.seq, idx});
     idx = next;
   }
   ++collected_tick_;
@@ -125,38 +113,6 @@ void EventQueue::schedule(double at, Action action) {
   RFD_REQUIRE_MSG(std::isfinite(at), "event time must be finite");
   if (at < now_) at = now_;  // clamp: runs at the current clock, in order
   place(allocate(at, std::move(action)));
-}
-
-EventQueue::TimerId EventQueue::schedule_cancelable(double at, Action action) {
-  RFD_REQUIRE_MSG(std::isfinite(at), "event time must be finite");
-  if (at < now_) at = now_;
-  const std::uint32_t idx = allocate(at, std::move(action));
-  const TimerId id{idx, slab_[idx].gen};
-  place(idx);
-  return id;
-}
-
-bool EventQueue::pending(TimerId id) const {
-  return id.slot != kNullIndex && id.slot < slab_.size() &&
-         slab_[id.slot].gen == id.gen && slab_[id.slot].armed;
-}
-
-bool EventQueue::cancel(TimerId id) {
-  if (!pending(id)) return false;
-  Event& e = slab_[id.slot];
-  e.armed = false;   // carrier (wheel chain or heap ref) reclaims lazily
-  e.task.reset();
-  --size_;
-  return true;
-}
-
-EventQueue::TimerId EventQueue::reschedule(TimerId id, double at) {
-  if (!pending(id)) return TimerId{};
-  Event& e = slab_[id.slot];
-  Action task = std::move(e.task);
-  e.armed = false;
-  --size_;
-  return schedule_cancelable(at, std::move(task));
 }
 
 void EventQueue::run_until(double t_end) { run(t_end, /*exclusive=*/false); }
@@ -176,13 +132,7 @@ void EventQueue::run(double t_end, bool exclusive) {
       const Ref top = ready_.top();
       if (!runnable(top.at) || top.at >= horizon) break;
       ready_.pop();
-      Event& e = slab_[top.idx];
-      if (e.gen != top.gen) continue;  // slot already reused: stale ref
-      if (!e.armed) {
-        release(top.idx);  // canceled while queued
-        continue;
-      }
-      InlineTask task = std::move(e.task);
+      InlineTask task = std::move(slab_[top.idx].task);
       release(top.idx);
       --size_;
       now_ = top.at;

@@ -24,13 +24,11 @@
 //     never the order in which events run, so runs are bit-for-bit
 //     reproducible across both representations.
 //
-// Cancelable timers: schedule_cancelable() returns a TimerId that can be
-// canceled or rescheduled (deadline pushed forward or pulled back) in
-// O(1); stale wheel/heap entries are skipped lazily via a per-slot
-// generation counter. (The cluster engine quantizes detector deadlines
-// onto its check grid with its own per-tick buckets - see
-// cluster/engine.cpp - so this API is for timers that need exact,
-// un-quantized deadlines.)
+// Events cannot be canceled: every slab slot has exactly one carrier (a
+// wheel chain or a ready-heap entry) from schedule to dispatch, so no
+// reference into the slab ever goes stale. (The cluster engine keeps
+// detector deadlines in its own per-tick buckets - see
+// cluster/engine.cpp.)
 #pragma once
 
 #include <cstdint>
@@ -45,14 +43,6 @@ namespace rfd::rt {
 class EventQueue {
  public:
   using Action = InlineTask;
-
-  /// Handle to a cancelable event. Value-semantic; becomes stale (and all
-  /// operations on it no-ops) once the event fires or is canceled.
-  struct TimerId {
-    std::uint32_t slot = kNullIndex;
-    std::uint32_t gen = 0;
-    bool valid() const { return slot != kNullIndex; }
-  };
 
   /// `tick_ms` is the wheel granularity: events less than
   /// kWheelSlots * tick_ms ahead of the collected horizon schedule into
@@ -70,22 +60,6 @@ class EventQueue {
   void schedule_in(double delay, Action action) {
     schedule(now_ + delay, std::move(action));
   }
-
-  /// Like schedule(), but returns a handle for cancel()/reschedule().
-  TimerId schedule_cancelable(double at, Action action);
-
-  /// Cancels a pending event. Returns false if the handle is stale (the
-  /// event already fired, was canceled, or was superseded by reschedule).
-  bool cancel(TimerId id);
-
-  /// Moves a pending event to a new absolute time (clamped to now() like
-  /// schedule), keeping its callback but assigning a fresh tiebreak
-  /// sequence number. Returns the new handle, or an invalid TimerId if
-  /// `id` is stale.
-  TimerId reschedule(TimerId id, double at);
-
-  /// Whether the handle still refers to a pending event.
-  bool pending(TimerId id) const;
 
   double now() const { return now_; }
 
@@ -109,10 +83,8 @@ class EventQueue {
 
   std::int64_t executed() const { return executed_; }
 
-  /// Events currently pending (canceled-but-uncollected entries excluded).
+  /// Events currently pending.
   std::size_t size() const { return size_; }
-  /// High-water mark of pending events over the queue's lifetime.
-  std::size_t peak_size() const { return peak_size_; }
 
  private:
   static constexpr std::uint32_t kNullIndex = 0xffffffffu;
@@ -124,9 +96,7 @@ class EventQueue {
     double at = 0.0;
     std::int64_t seq = 0;
     InlineTask task;
-    std::uint32_t gen = 0;    // bumped on release; detects stale TimerIds
     std::uint32_t next = kNullIndex;  // wheel chain / free list link
-    bool armed = false;       // false once canceled or released
   };
 
   /// Lightweight heap entry; the task stays in the slab.
@@ -134,7 +104,6 @@ class EventQueue {
     double at;
     std::int64_t seq;
     std::uint32_t idx;
-    std::uint32_t gen;
     bool operator>(const Ref& other) const {
       if (at != other.at) return at > other.at;
       return seq > other.seq;
@@ -171,7 +140,6 @@ class EventQueue {
   std::int64_t next_seq_ = 0;
   std::int64_t executed_ = 0;
   std::size_t size_ = 0;
-  std::size_t peak_size_ = 0;
 };
 
 }  // namespace rfd::rt

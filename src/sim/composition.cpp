@@ -1,7 +1,5 @@
 #include "sim/composition.hpp"
 
-#include "common/assert.hpp"
-
 namespace rfd::sim {
 
 Bytes frame(InstanceId instance, const Bytes& inner) {
@@ -16,52 +14,6 @@ std::pair<InstanceId, Bytes> unframe(const Bytes& outer) {
   const auto instance = static_cast<InstanceId>(r.varint());
   Bytes inner = r.bytes();
   return {instance, std::move(inner)};
-}
-
-InstanceRouter::InstanceRouter(ChildFactory factory)
-    : factory_(std::move(factory)) {
-  RFD_REQUIRE(factory_ != nullptr);
-}
-
-SubInstanceContext InstanceRouter::child_context(Context& parent,
-                                                 InstanceId tag) {
-  auto decide_hook = [this, tag](Value v) {
-    if (on_decide_) on_decide_(tag, v);
-  };
-  auto deliver_hook = [this, tag](Value v) {
-    if (on_deliver_) on_deliver_(tag, v);
-  };
-  return SubInstanceContext(parent, tag, decide_hook, deliver_hook, record_);
-}
-
-void InstanceRouter::start(InstanceId tag, Context& parent) {
-  if (children_.count(tag) > 0) return;
-  auto child = factory_(tag);
-  RFD_REQUIRE(child != nullptr);
-  Automaton* raw = child.get();
-  children_.emplace(tag, std::move(child));
-  SubInstanceContext ctx = child_context(parent, tag);
-  raw->on_start(ctx);
-}
-
-void InstanceRouter::route(Context& parent, const Incoming& m,
-                           InstanceId min_tag) {
-  auto [tag, inner] = unframe(m.payload);
-  if (tag < min_tag) return;  // retired instance
-  start(tag, parent);
-  SubInstanceContext ctx = child_context(parent, tag);
-  const Incoming inner_msg{m.src, inner, m.alive_tags, m.id};
-  children_.at(tag)->on_step(ctx, &inner_msg);
-}
-
-void InstanceRouter::retire_below(InstanceId min_tag) {
-  for (auto it = children_.begin(); it != children_.end();) {
-    if (it->first < min_tag) {
-      it = children_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 }  // namespace rfd::sim

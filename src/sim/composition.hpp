@@ -11,8 +11,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
-#include <memory>
 
 #include "sim/automaton.hpp"
 
@@ -85,51 +83,6 @@ class SubInstanceContext final : public ForwardingContext {
   ValueHook on_decide_;
   ValueHook on_deliver_;
   bool record_;
-};
-
-/// Owns child automata keyed by instance tag, creating them on demand and
-/// routing framed messages. The parent remains in charge of *when*
-/// children start and which hooks observe their decisions.
-class InstanceRouter {
- public:
-  using ChildFactory = std::function<std::unique_ptr<Automaton>(InstanceId)>;
-  using ValueHook = std::function<void(InstanceId, Value)>;
-
-  explicit InstanceRouter(ChildFactory factory);
-
-  /// Hook invoked whenever any child decides / delivers.
-  void set_decision_hook(ValueHook hook) { on_decide_ = std::move(hook); }
-  void set_delivery_hook(ValueHook hook) { on_deliver_ = std::move(hook); }
-
-  /// Whether child decisions are recorded in the trace under their tag.
-  void set_record(bool record) { record_ = record; }
-
-  /// Creates (if needed) and starts the child for `tag`.
-  void start(InstanceId tag, Context& parent);
-
-  bool started(InstanceId tag) const { return children_.count(tag) > 0; }
-
-  /// Routes a framed incoming message to its child; starts the child first
-  /// if the tag is new. Messages for tags below `min_tag` are dropped
-  /// (instances already garbage-collected).
-  void route(Context& parent, const Incoming& m, InstanceId min_tag = 0);
-
-  /// Number of live children.
-  std::int64_t size() const {
-    return static_cast<std::int64_t>(children_.size());
-  }
-
-  /// Drops children with tags strictly below `min_tag`.
-  void retire_below(InstanceId min_tag);
-
- private:
-  SubInstanceContext child_context(Context& parent, InstanceId tag);
-
-  ChildFactory factory_;
-  ValueHook on_decide_;
-  ValueHook on_deliver_;
-  bool record_ = true;
-  std::map<InstanceId, std::unique_ptr<Automaton>> children_;
 };
 
 }  // namespace rfd::sim

@@ -1,5 +1,7 @@
 #include "transport/flaky.hpp"
 
+#include <cmath>
+
 #include "common/bytes.hpp"
 
 namespace rfd::transport {
@@ -154,7 +156,13 @@ bool FlakyTransport::restore_state(const std::uint8_t* data,
     h.from = r.i32();
     h.to = r.i32();
     const std::uint32_t payload_size = r.u32();
-    if (!r.ok() || payload_size > (1u << 24)) return false;
+    // The ids reach the inner send: a verdict network there grows one
+    // RNG stream per sender id, so an id off the id space is refused.
+    if (!r.ok() || !std::isfinite(h.release_at_ms) || h.from < 0 ||
+        h.from >= max_nodes_ || h.to < 0 || h.to >= max_nodes_ ||
+        payload_size > (1u << 24)) {
+      return false;
+    }
     h.payload.resize(payload_size);
     if (payload_size != 0 && !r.bytes(h.payload.data(), payload_size)) {
       return false;

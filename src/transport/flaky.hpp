@@ -1,16 +1,20 @@
 // FlakyTransport: socket-boundary fault injection over any Transport.
 //
-// Wraps an inner transport (typically UdpTransport - SimTransport
-// already has a verdict network of its own) and subjects every datagram
-// to the simulated network's fate machinery *before* it reaches the
-// inner send: random loss, partitions, directed link blocks, slow
-// factors and delay storms all apply, driven by the same scenario DSL
-// fault timeline the simulator runs - so a .scn file written against
-// the sim backend injects the identical fault schedule into real
-// sockets. On top of the Network verdicts it adds duplication (a second
-// copy with an independently drawn delay) - and because held copies are
-// released in delay order rather than send order, jittered delays
-// reorder datagrams exactly the way a congested real path does.
+// Every datagram meets the simulated network's fate machinery before it
+// reaches the inner send: random loss, partitions, directed link blocks,
+// slow factors and delay storms all apply, driven by the same scenario
+// DSL fault timeline the simulator runs. Survivors wait in a hold buffer
+// and go to the inner transport at their release time; because held
+// copies leave in delay order rather than send order, jittered delays
+// reorder datagrams exactly the way a congested real path does. On top
+// of the Network verdicts it adds duplication (a second copy with an
+// independently drawn delay).
+//
+// Over UdpTransport this injects a .scn fault schedule into real
+// sockets. Over LoopbackTransport (transport/loopback.hpp) it is the
+// soak's sim backend: the verdict network is the whole simulated
+// network, and since the hold buffer, the send sequence and every RNG
+// stream serialize, that stack checkpoints and resumes draw for draw.
 #pragma once
 
 #include <memory>
@@ -35,7 +39,6 @@ class FlakyTransport final : public Transport {
   FlakyTransport(std::unique_ptr<Transport> inner, int max_nodes,
                  std::uint64_t seed, FlakyParams params);
 
-  const char* name() const override { return "flaky"; }
   void send(NodeId from, NodeId to, const std::uint8_t* data,
             std::size_t size, double now_ms) override;
   void poll(double now_ms, std::vector<Delivery>& out) override;
@@ -44,8 +47,6 @@ class FlakyTransport final : public Transport {
 
   bool save_state(std::vector<std::uint8_t>& out) const override;
   bool restore_state(const std::uint8_t* data, std::size_t size) override;
-
-  Transport* inner() { return inner_.get(); }
 
   /// Forward the trace sink to the injection network (drop records).
   void set_trace(obs::RecordSink* trace) { net_->set_trace(trace); }

@@ -17,7 +17,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
 #include "transport/checkpoint.hpp"
-#include "transport/sim.hpp"
+#include "transport/loopback.hpp"
 
 namespace rfd::transport {
 
@@ -145,9 +145,13 @@ class SoakRunner {
   void build_transport() {
     std::unique_ptr<Transport> base;
     if (config_.backend == SoakBackend::kSim) {
-      auto sim = std::make_unique<SimTransport>(
-          max_nodes_, mix_seed(config_.seed, 0x7e7a115ull),
-          config_.network);
+      // The simulated network is a verdict network over an in-process
+      // wire; it never duplicates, so it never draws from its dup stream.
+      FlakyParams sim_params;
+      sim_params.network = config_.network;
+      auto sim = std::make_unique<FlakyTransport>(
+          std::make_unique<LoopbackTransport>(), max_nodes_,
+          mix_seed(config_.seed, 0x7e7a115ull), sim_params);
       sim_ = sim.get();
       base = std::move(sim);
     } else {
@@ -191,7 +195,8 @@ class SoakRunner {
     obs::JsonLine header;
     header.str("type", "run")
         .str("mode", "soak")
-        .str("backend", transport_->name())
+        .str("backend",
+             config_.flaky ? "flaky" : soak_backend_name(config_.backend))
         .integer("n", config_.n)
         .integer("max_nodes", max_nodes_)
         .num("tick_ms", config_.tick_ms)
@@ -556,7 +561,7 @@ class SoakRunner {
   std::size_t fault_cursor_ = 0;
 
   std::unique_ptr<Transport> transport_;
-  SimTransport* sim_ = nullptr;
+  FlakyTransport* sim_ = nullptr;  // the sim backend's verdict network
   UdpTransport* udp_ = nullptr;
   FlakyTransport* flaky_ = nullptr;
 

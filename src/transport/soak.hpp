@@ -5,10 +5,12 @@
 // owns time and runs as fast as the CPU allows. The soak runner is the
 // robustness instrument: one single-threaded driver loop that advances
 // a unified tick grid (heartbeat and suspicion checks share the grid),
-// pushes digests through a Transport - SimTransport for deterministic
-// runs, UdpTransport for real kernel sockets, FlakyTransport layered on
-// either for socket-boundary fault injection - and replays the same
-// scenario DSL fault timelines the simulator uses.
+// pushes digests through a Transport and replays the same scenario DSL
+// fault timelines the simulator uses. The sim backend is a
+// FlakyTransport over a LoopbackTransport (its verdict network is the
+// simulated network); the udp backend is UdpTransport on real kernel
+// sockets; `flaky` layers one more FlakyTransport on either for
+// socket-boundary fault injection.
 //
 // What makes it a *soak* runner:
 //   - periodic versioned, CRC-checked checkpoints of the full mutable

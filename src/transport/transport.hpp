@@ -4,17 +4,19 @@
 // DES - see cluster/engine.cpp); the soak driver instead pushes opaque
 // datagrams through this interface, which has three implementations:
 //
-//   SimTransport   (transport/sim.hpp)   - the simulated partially
-//     synchronous network behind a datagram API: deterministic, owns a
-//     logical clock, fully checkpointable (in-flight buffer + RNG
-//     streams round-trip byte-exactly).
-//   UdpTransport   (transport/udp.hpp)   - real non-blocking UDP sockets
-//     on epoll, batched recvmmsg/sendmmsg, bounded send queue with drop
-//     accounting and EAGAIN/ENOBUFS retry-with-backoff.
-//   FlakyTransport (transport/flaky.hpp) - composable wrapper injecting
-//     loss / duplication / reordering / extra delay at the socket
-//     boundary, driven by the same scenario fault surface the simulator
-//     uses - so one .scn file exercises both backends.
+//   LoopbackTransport (transport/loopback.hpp) - an in-process wire:
+//     send() queues, poll() hands the queue over; no verdicts, no delay.
+//   UdpTransport      (transport/udp.hpp)      - real non-blocking UDP
+//     sockets on epoll, batched recvmmsg/sendmmsg, bounded send queue
+//     with drop accounting and EAGAIN/ENOBUFS retry-with-backoff.
+//   FlakyTransport    (transport/flaky.hpp)    - composable wrapper that
+//     runs every datagram through a simulated verdict network (loss,
+//     delay, partitions, duplication) before the inner send, driven by
+//     the same scenario fault surface the simulator uses. Over the
+//     loopback wire it is the deterministic, fully checkpointable sim
+//     backend; over UDP it injects the same .scn faults into real
+//     sockets - so one .scn file exercises both backends through one
+//     injection implementation.
 //
 // The driver owns the clock: `now_ms` on send()/poll() is driver time
 // (simulation ms for the sim backend, wall-clock ms since run start for
@@ -58,8 +60,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  virtual const char* name() const = 0;
-
   /// Hands one datagram to the transport at driver time `now_ms`.
   /// Delivery (or loss) is decided by the backend; send() never blocks.
   virtual void send(NodeId from, NodeId to, const std::uint8_t* data,
@@ -71,15 +71,16 @@ class Transport {
 
   virtual TransportCounters counters() const = 0;
 
-  /// The scenario fault surface: backends carrying a simulated verdict
-  /// network (sim, flaky) expose it so partitions / loss / slow factors /
-  /// storms from a .scn timeline apply at this boundary. Raw transports
-  /// (udp) return nullptr - wrap them in FlakyTransport for faults.
+  /// The scenario fault surface: a transport carrying a simulated
+  /// verdict network (flaky) exposes it so partitions / loss / slow
+  /// factors / storms from a .scn timeline apply at this boundary. Raw
+  /// transports (loopback, udp) return nullptr - wrap them in
+  /// FlakyTransport for faults.
   virtual rt::Network* fault_network() { return nullptr; }
 
-  /// Checkpoint hooks. Sim-backed transports serialize their in-flight
-  /// buffer, send sequence and RNG streams and return true; wall-clock
-  /// transports return false (in-flight UDP datagrams die with the
+  /// Checkpoint hooks. Flaky serializes its hold buffer, send sequence
+  /// and RNG streams (then its inner transport's state), loopback its
+  /// counters, and both return true; wall-clock transports return false (in-flight UDP datagrams die with the
   /// process - a resumed run simply re-heartbeats, which the protocol
   /// tolerates by design). restore_state() returns false on a payload
   /// that is truncated or from a different configuration.

@@ -57,7 +57,6 @@ class UdpTransport final : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  const char* name() const override { return "udp"; }
   void send(NodeId from, NodeId to, const std::uint8_t* data,
             std::size_t size, double now_ms) override;
   void poll(double now_ms, std::vector<Delivery>& out) override;

@@ -1,18 +1,24 @@
 // Checkpoint format and soak crash-resume tests: files round-trip,
 // corruption in any byte is caught by the CRC trailer, foreign configs
 // are refused, and a killed-and-resumed sim-backend soak produces the
-// exact outcome an uninterrupted run does. The soak's outcome is also
+// exact outcome an uninterrupted run does. A payload that lies (crafted
+// or fuzzed, then re-sealed under a valid CRC) is refused or resumes;
+// it never aborts the run. The soak's outcome and trace bytes are also
 // pinned in absolute terms, per scenario file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cluster/node.hpp"
 #include "cluster/scenario.hpp"
+#include "common/rng.hpp"
 #include "common/shutdown.hpp"
 #include "scenario_test_util.hpp"
 #include "transport/checkpoint.hpp"
@@ -151,44 +157,59 @@ SoakConfig base_soak_config() {
   return config;
 }
 
+/// base_soak_config() behind a duplicating injection layer, with Phi
+/// detectors: its checkpoints carry detector windows and a
+/// FlakyTransport's state nested around the sim backend's.
+SoakConfig flaky_soak_config() {
+  SoakConfig config = base_soak_config();
+  config.detector.kind = rt::DetectorKind::kPhi;
+  config.flaky = true;
+  config.flaky_params.network.loss_prob = 0.02;
+  config.flaky_params.dup_prob = 0.05;
+  return config;
+}
+
 TEST(SoakResume, MatchesUninterruptedRun) {
-  reset_shutdown();
-  SoakConfig full = base_soak_config();
-  SoakReport uninterrupted;
-  std::string error;
-  ASSERT_TRUE(run_soak(full, uninterrupted, error)) << error;
-  // The timeline must actually exercise detection for this test to
-  // mean anything.
-  ASSERT_GT(uninterrupted.raises, 0);
-  ASSERT_GT(uninterrupted.detection.count(), 0);
+  for (const SoakConfig& base : {base_soak_config(), flaky_soak_config()}) {
+    SCOPED_TRACE(base.flaky ? "flaky" : "sim");
+    reset_shutdown();
+    SoakConfig full = base;
+    SoakReport uninterrupted;
+    std::string error;
+    ASSERT_TRUE(run_soak(full, uninterrupted, error)) << error;
+    // The timeline must actually exercise detection for this test to
+    // mean anything.
+    ASSERT_GT(uninterrupted.raises, 0);
+    ASSERT_GT(uninterrupted.detection.count(), 0);
 
-  const std::string ckpt = temp_path("resume");
-  SoakConfig first_leg = base_soak_config();
-  first_leg.duration_ms = 11'000.0;  // killed mid-partition
-  first_leg.checkpoint_path = ckpt;
-  first_leg.checkpoint_every_ms = 3'000.0;
-  SoakReport half;
-  ASSERT_TRUE(run_soak(first_leg, half, error)) << error;
-  ASSERT_GT(half.checkpoints_written, 0);
+    const std::string ckpt = temp_path("resume");
+    SoakConfig first_leg = base;
+    first_leg.duration_ms = 11'000.0;  // killed mid-partition
+    first_leg.checkpoint_path = ckpt;
+    first_leg.checkpoint_every_ms = 3'000.0;
+    SoakReport half;
+    ASSERT_TRUE(run_soak(first_leg, half, error)) << error;
+    ASSERT_GT(half.checkpoints_written, 0);
 
-  SoakConfig second_leg = base_soak_config();
-  second_leg.checkpoint_path = ckpt;
-  second_leg.resume = true;
-  SoakReport resumed;
-  ASSERT_TRUE(run_soak(second_leg, resumed, error)) << error;
-  EXPECT_TRUE(resumed.resumed);
+    SoakConfig second_leg = base;
+    second_leg.checkpoint_path = ckpt;
+    second_leg.resume = true;
+    SoakReport resumed;
+    ASSERT_TRUE(run_soak(second_leg, resumed, error)) << error;
+    EXPECT_TRUE(resumed.resumed);
 
-  EXPECT_EQ(resumed.outcome_fingerprint, uninterrupted.outcome_fingerprint);
-  EXPECT_EQ(resumed.raises, uninterrupted.raises);
-  EXPECT_EQ(resumed.clears, uninterrupted.clears);
-  EXPECT_EQ(resumed.false_suspicions, uninterrupted.false_suspicions);
-  EXPECT_EQ(resumed.missed, uninterrupted.missed);
-  EXPECT_EQ(resumed.transport.sent, uninterrupted.transport.sent);
-  EXPECT_EQ(resumed.transport.delivered, uninterrupted.transport.delivered);
-  EXPECT_EQ(resumed.transport.dropped, uninterrupted.transport.dropped);
-  EXPECT_EQ(resumed.detection.count(), uninterrupted.detection.count());
-  EXPECT_EQ(resumed.final_agreement, uninterrupted.final_agreement);
-  std::remove(ckpt.c_str());
+    EXPECT_EQ(resumed.outcome_fingerprint, uninterrupted.outcome_fingerprint);
+    EXPECT_EQ(resumed.raises, uninterrupted.raises);
+    EXPECT_EQ(resumed.clears, uninterrupted.clears);
+    EXPECT_EQ(resumed.false_suspicions, uninterrupted.false_suspicions);
+    EXPECT_EQ(resumed.missed, uninterrupted.missed);
+    EXPECT_EQ(resumed.transport.sent, uninterrupted.transport.sent);
+    EXPECT_EQ(resumed.transport.delivered, uninterrupted.transport.delivered);
+    EXPECT_EQ(resumed.transport.dropped, uninterrupted.transport.dropped);
+    EXPECT_EQ(resumed.detection.count(), uninterrupted.detection.count());
+    EXPECT_EQ(resumed.final_agreement, uninterrupted.final_agreement);
+    std::remove(ckpt.c_str());
+  }
 }
 
 TEST(SoakResume, RefusesForeignConfig) {
@@ -256,6 +277,165 @@ TEST(SoakShutdown, StopsAtNextTickAndStillCheckpoints) {
   std::remove(ckpt.c_str());
 }
 
+// --- payloads that lie ----------------------------------------------
+
+/// Payload fields are little-endian (common/bytes.hpp).
+std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes,
+                       std::size_t offset) {
+  std::uint64_t value = 0;
+  for (int i = 7; i >= 0; --i) value = value << 8 | bytes[offset + i];
+  return value;
+}
+
+void patch(std::vector<std::uint8_t>& bytes, std::size_t offset,
+           std::uint64_t value, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+TEST(SoakResume, RefusesAnOwnCounterPast32Bits) {
+  reset_shutdown();
+  const std::string ckpt = temp_path("own_counter");
+  SoakConfig config = base_soak_config();
+  config.duration_ms = 3'000.0;
+  config.checkpoint_path = ckpt;
+  config.checkpoint_every_ms = 100'000.0;  // only the exit snapshot
+  SoakReport report;
+  std::string error;
+  ASSERT_TRUE(run_soak(config, report, error)) << error;
+  CheckpointData data;
+  ASSERT_TRUE(read_checkpoint(ckpt, soak_config_fingerprint(config), data,
+                              error))
+      << error;
+  // Node 0's own counter follows the magic, n, max_nodes, node 0's
+  // length, id, max_nodes, membership version and active flag; it has
+  // advanced once per tick. Heartbeats never take it past INT32_MAX.
+  constexpr std::size_t kOwnCounter = 33;
+  ASSERT_EQ(read_u64(data.payload, kOwnCounter), 30u);
+  patch(data.payload, kOwnCounter, std::uint64_t{1} << 32, 8);
+  ASSERT_TRUE(write_checkpoint(ckpt, data, error)) << error;
+
+  SoakConfig resume = base_soak_config();
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  SoakReport resumed;
+  EXPECT_FALSE(run_soak(resume, resumed, error));
+  EXPECT_EQ(error, "checkpoint node state is inconsistent");
+  std::remove(ckpt.c_str());
+}
+
+TEST(NodeCheckpoint, OwnCounterRestoresUpToInt32Max) {
+  const cluster::NodeParams params;
+  cluster::ClusterNode node(0, 4, params);
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  // The own counter follows the id, max_nodes, membership version and
+  // active flag.
+  constexpr std::size_t kOwnCounter = 17;
+  const std::int64_t int32_max = std::numeric_limits<std::int32_t>::max();
+  const struct {
+    std::int64_t counter;
+    bool restores;
+  } kCases[] = {
+      {0, true}, {int32_max, true}, {int32_max + 1, false}, {-1, false}};
+  for (const auto& c : kCases) {
+    patch(bytes, kOwnCounter, static_cast<std::uint64_t>(c.counter), 8);
+    cluster::ClusterNode restored(0, 4, params);
+    std::size_t consumed = 0;
+    EXPECT_EQ(restored.restore_state(bytes.data(), bytes.size(), consumed),
+              c.restores)
+        << c.counter;
+    if (c.restores) {
+      EXPECT_EQ(restored.own_counter(), c.counter);
+    }
+  }
+}
+
+/// One seeded mutation of a soak payload: byte flips, truncation, or a
+/// 4- or 8-byte field overwritten with a length, counter or time that
+/// lies.
+void mutate(std::vector<std::uint8_t>& payload, Rng& rng) {
+  auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.below(static_cast<std::int64_t>(n)));
+  };
+  switch (rng.below(4)) {
+    case 0: {  // flip one to four bytes
+      const std::int64_t flips = 1 + rng.below(4);
+      for (std::int64_t i = 0; i < flips; ++i) {
+        payload[pick(payload.size())] ^=
+            static_cast<std::uint8_t>(1 + rng.below(255));
+      }
+      break;
+    }
+    case 1:  // truncate at a random offset
+      payload.resize(pick(payload.size()));
+      break;
+    case 2: {  // a 4-byte field
+      static const std::uint32_t kValues[] = {0, 1u << 24, 1u << 28,
+                                              0xffffffffu};
+      patch(payload, pick(payload.size() - 3), kValues[pick(4)], 4);
+      break;
+    }
+    default: {  // an 8-byte field
+      const std::uint64_t kValues[] = {
+          std::bit_cast<std::uint64_t>(1e308),
+          std::bit_cast<std::uint64_t>(-1e308),
+          std::bit_cast<std::uint64_t>(
+              std::numeric_limits<double>::quiet_NaN()),
+          std::uint64_t{1} << 32};
+      patch(payload, pick(payload.size() - 7), kValues[pick(4)], 8);
+      break;
+    }
+  }
+}
+
+TEST(CheckpointFuzz, MutatedPayloadsAreRefusedOrResume) {
+  reset_shutdown();
+  const std::string source = temp_path("fuzz_source");
+  SoakConfig first = flaky_soak_config();
+  first.duration_ms = 3'000.0;
+  first.checkpoint_path = source;
+  first.checkpoint_every_ms = 100'000.0;  // only the exit snapshot
+  SoakReport report;
+  std::string error;
+  ASSERT_TRUE(run_soak(first, report, error)) << error;
+  CheckpointData original;
+  ASSERT_TRUE(read_checkpoint(source, soak_config_fingerprint(first),
+                              original, error))
+      << error;
+  std::remove(source.c_str());
+
+  SoakConfig resume = flaky_soak_config();
+  resume.duration_ms = 4'000.0;
+  resume.checkpoint_path = temp_path("fuzz_mutant");
+  resume.resume = true;
+  constexpr int kMutants = 1200;
+  Rng rng(0xc0ffee11);
+  int resumed = 0;
+  int refused = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    CheckpointData data = original;
+    mutate(data.payload, rng);
+    ASSERT_TRUE(write_checkpoint(resume.checkpoint_path, data, error))
+        << error;
+    SoakReport out;
+    std::string why;
+    if (run_soak(resume, out, why)) {
+      ++resumed;
+      EXPECT_EQ(out.sim_ms, resume.duration_ms) << "mutant " << i;
+    } else {
+      ++refused;
+      EXPECT_FALSE(why.empty()) << "mutant " << i;
+    }
+  }
+  std::remove(resume.checkpoint_path.c_str());
+  // Both outcomes occur, so the mutations are neither all fatal nor all
+  // harmless.
+  EXPECT_GT(resumed, 0);
+  EXPECT_GT(refused, 0);
+}
+
 // --- pinned soak outcomes --------------------------------------------
 
 /// The configuration `soak_main 7 --backend sim --n <n>` builds: gossip
@@ -279,21 +459,48 @@ TEST(SoakOutcome, FingerprintsArePinned) {
   // over the scenario library. The resume tests compare a soak with
   // itself; these constants pin what the soak computes, so a change to
   // the digest codec, the topology or the fault interpreter that shifts
-  // any verdict, counter or detection sample fails here.
+  // any verdict, counter or detection sample fails here. Next to each
+  // sits the digest of the same run's JSONL trace (`--trace`, snapshots
+  // every 50 ticks): the fingerprint hashes counters and samples, the
+  // trace digest every record the run emits, header and drops included.
   const struct {
     const char* file;
     std::uint64_t fingerprint;
+    const char* trace;
   } kPinned[] = {
-      {"asymmetric_partition.scn", 0xf2f1900c312f04a8ull},
-      {"byzantine_counters.scn", 0x525bc62063a46728ull},
-      {"cascading_overload.scn", 0xba7a8dd3b3828aedull},
-      {"churn_storm.scn", 0x2540ec17b7c6184full},
-      {"crash_recovery_wave.scn", 0x8989c7c5891e70e0ull},
-      {"flapping_links.scn", 0x80fc15fd1bd23e21ull},
-      {"gray_failure.scn", 0x5d42a861c8bc27f8ull},
-      {"partition_cascade.scn", 0xe3474ebffee12fc8ull},
-      {"rack_failure.scn", 0x4d6bd2357f443d31ull},
-      {"slow_nodes.scn", 0x98c2085d38d850e3ull},
+      {"asymmetric_partition.scn", 0xf2f1900c312f04a8ull,
+       "819901b622424959"},
+      {"byzantine_counters.scn", 0x525bc62063a46728ull,
+       "997b8e193c6dd289"},
+      {"cascading_overload.scn", 0xba7a8dd3b3828aedull,
+       "920d61f0a01bc2a4"},
+      {"churn_storm.scn", 0x2540ec17b7c6184full,
+       "db197c512e9f39cc"},
+      {"crash_recovery_wave.scn", 0x8989c7c5891e70e0ull,
+       "e96e2b5a4f487644"},
+      {"flapping_links.scn", 0x80fc15fd1bd23e21ull,
+       "0824c8b05a1cfacf"},
+      {"gray_failure.scn", 0x5d42a861c8bc27f8ull,
+       "5e9c208dc0de77fc"},
+      {"partition_cascade.scn", 0xe3474ebffee12fc8ull,
+       "6d45caeb3d1ae2e4"},
+      {"rack_failure.scn", 0x4d6bd2357f443d31ull,
+       "8df8092c47fdddf9"},
+      {"slow_nodes.scn", 0x98c2085d38d850e3ull,
+       "8c90035eca0711b5"},
+  };
+  const std::string trace_path = temp_path("pinned_trace");
+  const auto run_traced = [&trace_path](SoakConfig config,
+                                        SoakReport& report,
+                                        std::string& trace_digest) {
+    config.obs.trace_path = trace_path;
+    config.obs.snapshot_every_ticks = 50;
+    std::string error;
+    const bool ok = run_soak(config, report, error);
+    trace_digest = cluster::testutil::fnv1a_hex(
+        cluster::testutil::read_file(trace_path));
+    std::remove(trace_path.c_str());
+    return ok ? std::string() : error.empty() ? "failed" : error;
   };
   reset_shutdown();
   for (const auto& pin : kPinned) {
@@ -303,10 +510,12 @@ TEST(SoakOutcome, FingerprintsArePinned) {
     if (doc.duration_ms > 0.0) config.duration_ms = doc.duration_ms;
     config.scenario = doc.scenario;
     SoakReport report;
-    std::string error;
-    ASSERT_TRUE(run_soak(config, report, error)) << pin.file << ": " << error;
+    std::string trace;
+    const std::string error = run_traced(config, report, trace);
+    ASSERT_TRUE(error.empty()) << pin.file << ": " << error;
     EXPECT_EQ(report.outcome_fingerprint, pin.fingerprint)
         << pin.file << ": got " << std::hex << report.outcome_fingerprint;
+    EXPECT_EQ(trace, pin.trace) << pin.file << " trace";
   }
 
   // `soak_main 7 --backend sim --n 64 --flaky --flaky-loss 0.05`: the
@@ -315,10 +524,12 @@ TEST(SoakOutcome, FingerprintsArePinned) {
   flaky.flaky = true;
   flaky.flaky_params.network.loss_prob = 0.05;
   SoakReport report;
-  std::string error;
-  ASSERT_TRUE(run_soak(flaky, report, error)) << error;
+  std::string trace;
+  const std::string error = run_traced(flaky, report, trace);
+  ASSERT_TRUE(error.empty()) << error;
   EXPECT_EQ(report.outcome_fingerprint, 0xe3c990f0d7b8072eull)
       << "flaky: got " << std::hex << report.outcome_fingerprint;
+  EXPECT_EQ(trace, "3362729c7e8f027c") << "flaky trace";
 }
 
 }  // namespace

@@ -249,19 +249,6 @@ TEST(Summary, Merge) {
   EXPECT_DOUBLE_EQ(a.mean(), 2.0);
 }
 
-TEST(Histogram, Buckets) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.5);
-  h.add(9.9);
-  h.add(10.0);
-  EXPECT_EQ(h.underflow(), 1);
-  EXPECT_EQ(h.overflow(), 1);
-  EXPECT_EQ(h.bucket_count(0), 1);
-  EXPECT_EQ(h.bucket_count(9), 1);
-  EXPECT_EQ(h.total(), 4);
-}
-
 TEST(Serialization, RoundTripScalars) {
   Writer w;
   w.u8(200);

@@ -1,6 +1,7 @@
-// Transport backend tests: SimTransport determinism and checkpointing,
-// FlakyTransport injection accounting, and a real-socket UdpTransport
-// loopback smoke (frames cross the kernel, garbage is rejected).
+// Transport backend tests: the sim backend's determinism and
+// checkpointing (FlakyTransport over LoopbackTransport), FlakyTransport
+// injection accounting, and a real-socket UdpTransport loopback smoke
+// (frames cross the kernel, garbage is rejected).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,7 +17,7 @@
 
 #include "cluster/digest_codec.hpp"
 #include "transport/flaky.hpp"
-#include "transport/sim.hpp"
+#include "transport/loopback.hpp"
 #include "transport/soak.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
@@ -39,6 +40,16 @@ rt::NetworkParams lossless() {
   return params;
 }
 
+/// The soak's sim backend: a verdict network over an in-process wire.
+std::unique_ptr<FlakyTransport> sim_transport(int max_nodes,
+                                              std::uint64_t seed,
+                                              rt::NetworkParams params) {
+  FlakyParams sim;
+  sim.network = params;
+  return std::make_unique<FlakyTransport>(
+      std::make_unique<LoopbackTransport>(), max_nodes, seed, sim);
+}
+
 std::vector<Delivery> drain(Transport& t, double now_ms) {
   std::vector<Delivery> out;
   t.poll(now_ms, out);
@@ -46,37 +57,37 @@ std::vector<Delivery> drain(Transport& t, double now_ms) {
 }
 
 TEST(SimTransport, DeliversAfterModelDelay) {
-  SimTransport sim(4, 99, lossless());
+  auto sim = sim_transport(4, 99, lossless());
   const auto payload = bytes({1, 2, 3, 250});
-  sim.send(0, 2, payload.data(), payload.size(), 0.0);
+  sim->send(0, 2, payload.data(), payload.size(), 0.0);
 
   // Nothing surfaces before the minimum network delay has elapsed.
-  EXPECT_TRUE(drain(sim, 0.0).empty());
+  EXPECT_TRUE(drain(*sim, 0.0).empty());
 
-  const auto got = drain(sim, 10'000.0);
+  const auto got = drain(*sim, 10'000.0);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].from, 0);
   EXPECT_EQ(got[0].to, 2);
   EXPECT_EQ(got[0].payload, payload);
   EXPECT_GT(got[0].at_ms, 0.0);
-  EXPECT_EQ(sim.counters().sent, 1);
-  EXPECT_EQ(sim.counters().delivered, 1);
-  EXPECT_EQ(sim.counters().dropped, 0);
+  EXPECT_EQ(sim->counters().sent, 1);
+  EXPECT_EQ(sim->counters().delivered, 1);
+  EXPECT_EQ(sim->counters().dropped, 0);
 }
 
 TEST(SimTransport, IdenticalSeedsProduceIdenticalStreams) {
-  SimTransport a(8, 1234, lossless());
-  SimTransport b(8, 1234, lossless());
+  auto a = sim_transport(8, 1234, lossless());
+  auto b = sim_transport(8, 1234, lossless());
   const auto payload = bytes({7});
   for (int k = 0; k < 200; ++k) {
     const NodeId from = k % 8;
     const NodeId to = (k + 3) % 8;
     const double t = k * 10.0;
-    a.send(from, to, payload.data(), payload.size(), t);
-    b.send(from, to, payload.data(), payload.size(), t);
+    a->send(from, to, payload.data(), payload.size(), t);
+    b->send(from, to, payload.data(), payload.size(), t);
   }
-  const auto ga = drain(a, 1e9);
-  const auto gb = drain(b, 1e9);
+  const auto ga = drain(*a, 1e9);
+  const auto gb = drain(*b, 1e9);
   ASSERT_EQ(ga.size(), gb.size());
   for (std::size_t i = 0; i < ga.size(); ++i) {
     EXPECT_DOUBLE_EQ(ga[i].at_ms, gb[i].at_ms);
@@ -92,29 +103,29 @@ TEST(SimTransport, IdenticalSeedsProduceIdenticalStreams) {
 TEST(SimTransport, SaveRestoreContinuesDrawForDraw) {
   rt::NetworkParams params = lossless();
   params.loss_prob = 0.2;  // make the RNG stream position matter
-  SimTransport live(6, 777, params);
+  auto live = sim_transport(6, 777, params);
   const auto payload = bytes({42, 43});
   for (int k = 0; k < 50; ++k) {
-    live.send(k % 6, (k + 1) % 6, payload.data(), payload.size(), k * 5.0);
+    live->send(k % 6, (k + 1) % 6, payload.data(), payload.size(), k * 5.0);
   }
-  (void)drain(live, 120.0);  // consume a prefix, leave some in flight
+  (void)drain(*live, 120.0);  // consume a prefix, leave some in flight
 
   std::vector<std::uint8_t> snapshot;
-  ASSERT_TRUE(live.save_state(snapshot));
+  ASSERT_TRUE(live->save_state(snapshot));
   // Same params (config travels via the constructor, guarded by the
   // soak config fingerprint), wrong seed on purpose: restore overwrites
   // every RNG stream position.
-  SimTransport restored(6, 1, params);
-  ASSERT_TRUE(restored.restore_state(snapshot.data(), snapshot.size()));
+  auto restored = sim_transport(6, 1, params);
+  ASSERT_TRUE(restored->restore_state(snapshot.data(), snapshot.size()));
 
   // From here both must behave identically: same verdicts, same delays.
   for (int k = 0; k < 50; ++k) {
     const double t = 200.0 + k * 5.0;
-    live.send(k % 6, (k + 2) % 6, payload.data(), payload.size(), t);
-    restored.send(k % 6, (k + 2) % 6, payload.data(), payload.size(), t);
+    live->send(k % 6, (k + 2) % 6, payload.data(), payload.size(), t);
+    restored->send(k % 6, (k + 2) % 6, payload.data(), payload.size(), t);
   }
-  const auto ga = drain(live, 1e9);
-  const auto gb = drain(restored, 1e9);
+  const auto ga = drain(*live, 1e9);
+  const auto gb = drain(*restored, 1e9);
   ASSERT_EQ(ga.size(), gb.size());
   for (std::size_t i = 0; i < ga.size(); ++i) {
     EXPECT_DOUBLE_EQ(ga[i].at_ms, gb[i].at_ms);
@@ -122,25 +133,25 @@ TEST(SimTransport, SaveRestoreContinuesDrawForDraw) {
     EXPECT_EQ(ga[i].to, gb[i].to);
     EXPECT_EQ(ga[i].payload, gb[i].payload);
   }
-  EXPECT_EQ(live.counters().sent, restored.counters().sent);
-  EXPECT_EQ(live.counters().dropped, restored.counters().dropped);
+  EXPECT_EQ(live->counters().sent, restored->counters().sent);
+  EXPECT_EQ(live->counters().dropped, restored->counters().dropped);
 
   // A truncated snapshot must be refused, not half-applied.
-  SimTransport victim(6, 777, params);
-  EXPECT_FALSE(victim.restore_state(snapshot.data(), snapshot.size() / 2));
+  auto victim = sim_transport(6, 777, params);
+  EXPECT_FALSE(victim->restore_state(snapshot.data(), snapshot.size() / 2));
 }
 
 TEST(SimTransport, LossIsAccounted) {
   rt::NetworkParams params = lossless();
   params.loss_prob = 0.4;
-  SimTransport sim(4, 5, params);
+  auto sim = sim_transport(4, 5, params);
   const auto payload = bytes({9});
   const int total = 500;
   for (int k = 0; k < total; ++k) {
-    sim.send(0, 1, payload.data(), payload.size(), k * 1.0);
+    sim->send(0, 1, payload.data(), payload.size(), k * 1.0);
   }
-  const auto got = drain(sim, 1e9);
-  const TransportCounters c = sim.counters();
+  const auto got = drain(*sim, 1e9);
+  const TransportCounters c = sim->counters();
   EXPECT_EQ(c.sent, total);
   EXPECT_GT(c.dropped, 0);
   EXPECT_GT(c.delivered, 0);
@@ -153,8 +164,7 @@ TEST(FlakyTransport, InjectsLossDuplicationAndPartitions) {
   flaky.network = lossless();
   flaky.network.loss_prob = 0.2;
   flaky.dup_prob = 0.3;
-  FlakyTransport t(std::make_unique<SimTransport>(4, 11, lossless()), 4, 12,
-                   flaky);
+  FlakyTransport t(sim_transport(4, 11, lossless()), 4, 12, flaky);
   const auto payload = bytes({5, 6});
   const int total = 400;
   for (int k = 0; k < total; ++k) {
