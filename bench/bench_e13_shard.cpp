@@ -14,7 +14,9 @@
 // gates each shards=s row against the shards=1 run at a floor set by
 // p = min(s, env.usable_cpus): 1.5x for p >= 4, 1.15x for p = 2 or 3, no
 // gate for p = 1. Rows land in BENCH_e13_shard.json, with an `env` block
-// recording the host's CPU budget so the speedups can be read in context.
+// recording the host's CPU budget so the speedups can be read in context,
+// and the process's peak RSS, which CI divides by the smoke's 4096^2
+// (observer, peer) pairs to gate the engine's bytes per pair.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -142,6 +144,9 @@ int main(int argc, char** argv) {
       "asserted identical across shard counts before any rate is "
       "reported.\n\n");
 
+  const double peak_mb = bench::peak_rss_mb();
+  std::printf("peak RSS %.1f MB\n\n", peak_mb);
+  json.env_num("peak_rss_mb", peak_mb);
   json.write();
 
   benchmark::Initialize(&argc, argv);

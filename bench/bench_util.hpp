@@ -65,6 +65,20 @@ inline int usable_cpus() {
   return static_cast<int>(std::thread::hardware_concurrency());
 }
 
+/// This process's peak resident set so far in MB (VmHWM from
+/// /proc/self/status); NaN where that file does not exist.
+inline double peak_rss_mb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return std::nan("");
+  double kb = std::nan("");
+  char line[256];
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %lf kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb / 1024.0;
+}
+
 /// Accumulates flat records and writes them as `BENCH_<name>.json` in the
 /// working directory, next to the human-readable tables. Usage:
 ///

@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <thread>
@@ -110,11 +111,13 @@ struct BufferSink final : obs::RecordSink {
 /// Suspicion-deadline wheel over check ticks: a ring for the near future
 /// (detector timeouts span a handful of ticks) with a far-map fallback,
 /// replacing the old per-tick unordered_map buckets. push() is an
-/// amortized O(1) vector append into the tick's slot.
+/// amortized O(1) vector append into the tick's slot. Keys are 32-bit
+/// pair keys (observer * max_nodes + peer), which is why the engine
+/// refuses max_nodes > kMaxNodes = 65536.
 class EvalWheel {
  public:
   void push(std::int64_t current_tick, std::int64_t tick,
-            std::uint64_t key) {
+            std::uint32_t key) {
     // Slot reuse is safe up to a full revolution: tick <= current + kSlots
     // lands in a slot that cannot be drained again before `tick`.
     if (tick - current_tick <= kSlots) {
@@ -124,7 +127,7 @@ class EvalWheel {
     }
   }
 
-  void drain(std::int64_t tick, std::vector<std::uint64_t>& out) {
+  void drain(std::int64_t tick, std::vector<std::uint32_t>& out) {
     out.swap(ring_[static_cast<std::size_t>(tick & (kSlots - 1))]);
     const auto it = far_.find(tick);
     if (it != far_.end()) {
@@ -135,9 +138,13 @@ class EvalWheel {
 
  private:
   static constexpr std::int64_t kSlots = 512;  // power of two
-  std::array<std::vector<std::uint64_t>, kSlots> ring_;
-  std::map<std::int64_t, std::vector<std::uint64_t>> far_;
+  std::array<std::vector<std::uint32_t>, kSlots> ring_;
+  std::map<std::int64_t, std::vector<std::uint32_t>> far_;
 };
+
+/// Largest id space the 32-bit wheel keys cover: max_nodes^2 <= 2^32.
+/// Its n^2 per-pair state alone would be about 150 GB.
+constexpr int kMaxNodes = 65536;
 
 /// Coordinator-side record of one fault a shard found effective; shard 0
 /// stages these so the coordinator can do the cluster-global bookkeeping
@@ -190,7 +197,7 @@ struct ShardState {
 
   std::vector<NodeId> targets_scratch;
   std::vector<NodeId> digest_scratch;
-  std::vector<std::uint64_t> wheel_scratch;
+  std::vector<std::uint32_t> wheel_scratch;
   /// Orders and encodes this shard's outgoing digests.
   DigestEncoder encoder;
 
@@ -255,6 +262,10 @@ class ClusterEngine {
         faults_(config.scenario.sorted()) {
     RFD_REQUIRE(config_.n >= 2);
     RFD_REQUIRE(max_nodes_ >= config_.n);
+    // Refused before anything n-sized exists.
+    RFD_REQUIRE_MSG(max_nodes_ <= kMaxNodes,
+                    "max_nodes exceeds 65536, the bound of the 32-bit "
+                    "suspicion-wheel keys");
     {
       // Reject malformed timelines before any state exists: an unmatched
       // storm_off or link_up would silently corrupt the per-shard network
@@ -264,6 +275,12 @@ class ClusterEngine {
     }
     RFD_REQUIRE(config_.heartbeat_interval_ms > 0.0);
     RFD_REQUIRE(config_.check_interval_ms > 0.0);
+    // Eval ticks are stored as 32 bits, up to the last tick + 1 (see
+    // arm_pair); the exact count comes from run()'s round-count loop.
+    RFD_REQUIRE_MSG(config_.duration_ms / check_ms_ < kMaxTicks,
+                    "run has more check ticks than 32-bit eval ticks hold "
+                    "(duration_ms / check_interval_ms must stay below "
+                    "2^31 - 1)");
     RFD_REQUIRE(config_.shards >= 1);
     seed_ = seed;
     shard_count_ = std::min(config_.shards, max_nodes_);
@@ -358,6 +375,25 @@ class ClusterEngine {
   }
 
   ClusterReport run() {
+    // Fix the round count of the check grid up front, replicating the
+    // exact additive accumulation (T += check) the shard loop performs,
+    // so the round count and the workers' clocks agree bit-for-bit with
+    // the old self-rescheduling check timer. Seeding below arms pairs,
+    // so it needs tick_limit_ first.
+    rounds_total_ = 0;
+    {
+      double t = 0.0;
+      for (;;) {
+        const double next = t + check_ms_;
+        if (next > config_.duration_ms) break;
+        t = next;
+        ++rounds_total_;
+        RFD_REQUIRE_MSG(rounds_total_ < kMaxTicks,
+                        "run has more check ticks than 32-bit eval ticks "
+                        "hold");
+      }
+    }
+    tick_limit_ = rounds_total_ + 1;
     // The initial membership list is configuration, not discovery. It is
     // seeded here rather than in the constructor because GCC's growth
     // limit for large functions would stop inlining suspect_deadline
@@ -400,20 +436,6 @@ class ClusterEngine {
       shard->queue.schedule(phase, [this, shard, i] { pump(*shard, i); });
     }
 
-    // Fix the round count of the check grid up front, replicating the
-    // exact additive accumulation (T += check) the loop below performs,
-    // so the round count and the workers' clocks agree bit-for-bit with
-    // the old self-rescheduling check timer.
-    rounds_total_ = 0;
-    {
-      double t = 0.0;
-      for (;;) {
-        const double next = t + check_ms_;
-        if (next > config_.duration_ms) break;
-        t = next;
-        ++rounds_total_;
-      }
-    }
     // One dispatch per run: the workers own the whole window loop and
     // synchronize among themselves at the executor's spin barrier.
     executor_->run([this](int s) { shard_loop(s); });
@@ -424,6 +446,9 @@ class ClusterEngine {
 
  private:
   static constexpr std::int64_t kBucketSlots = 256;  // power of two
+  /// Ticks run to at most kMaxTicks - 1, so last + 1 fits an int32.
+  static constexpr std::int64_t kMaxTicks =
+      std::numeric_limits<std::int32_t>::max();
 
   /// The worker-resident window loop; every shard runs this once per
   /// simulation (shard 0 on the calling thread). Each pass advances one
@@ -515,10 +540,11 @@ class ClusterEngine {
     return j >= shard.lo && j < shard.hi;
   }
 
-  std::uint64_t pair_key(NodeId i, NodeId j) const {
-    return static_cast<std::uint64_t>(i) *
-               static_cast<std::uint64_t>(max_nodes_) +
-           static_cast<std::uint64_t>(j);
+  /// At most kMaxNodes^2 - 1 = 2^32 - 1.
+  std::uint32_t pair_key(NodeId i, NodeId j) const {
+    return static_cast<std::uint32_t>(i) *
+               static_cast<std::uint32_t>(max_nodes_) +
+           static_cast<std::uint32_t>(j);
   }
 
   /// First barrier at which a message arriving at `at` may be applied:
@@ -531,24 +557,32 @@ class ClusterEngine {
     return b;
   }
 
-  /// Arms pair (i, j) for evaluation at check tick `tick` (clamped to the
-  /// next tick). Earliest arming wins; superseded wheel entries are
-  /// skipped via the eval_tick mismatch when their tick comes up.
+  /// Arms pair (i, j) for evaluation at check tick `tick`, clamped to the
+  /// next tick below and to tick_limit_ above: any tick past the run's
+  /// last is stored as last + 1, which no window drains, so a far
+  /// deadline (a huge grace, an adaptive detector's fallback) still never
+  /// fires and every stored tick fits 32 bits. Earliest arming wins;
+  /// superseded wheel entries are skipped via the eval_tick mismatch when
+  /// their tick comes up.
   void arm_pair(ShardState& shard, NodeId i, NodeId j, std::int64_t tick) {
-    tick = std::max(tick, shard.check_tick + 1);
+    tick = std::clamp(tick, shard.check_tick + 1, tick_limit_);
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     const std::int64_t current = node.eval_tick(j);
     if (current >= 0 && current <= tick) return;
-    node.set_eval_tick(j, tick);
+    node.set_eval_tick(j, static_cast<std::int32_t>(tick));
     shard.wheel.push(shard.check_tick, tick, pair_key(i, j));
   }
 
   /// Check tick at which deadline `at` could first flip a verdict. One
   /// tick early on purpose: arming early costs one extra suspects()
   /// query, arming late would miss the tick the full scan would have
-  /// caught.
+  /// caught. Saturated at tick_limit_ before the cast, which arm_pair
+  /// clamps to anyway.
   std::int64_t deadline_tick(double at) const {
-    return static_cast<std::int64_t>(std::floor(at / check_ms_)) - 1;
+    const double tick = std::floor(at / check_ms_) - 1.0;
+    return tick < static_cast<double>(tick_limit_)
+               ? static_cast<std::int64_t>(tick)
+               : tick_limit_;
   }
 
   void arm_deadline(ShardState& shard, NodeId i, NodeId j) {
@@ -730,7 +764,7 @@ class ClusterEngine {
     shard.check_tick = k;
     shard.wheel_scratch.clear();
     shard.wheel.drain(k, shard.wheel_scratch);
-    for (const std::uint64_t key : shard.wheel_scratch) {
+    for (const std::uint32_t key : shard.wheel_scratch) {
       evaluate_pair(shard, key, now);
     }
   }
@@ -804,11 +838,11 @@ class ClusterEngine {
     }
   }
 
-  void evaluate_pair(ShardState& shard, std::uint64_t key, double now) {
+  void evaluate_pair(ShardState& shard, std::uint32_t key, double now) {
     const NodeId i = static_cast<NodeId>(
-        key / static_cast<std::uint64_t>(max_nodes_));
+        key / static_cast<std::uint32_t>(max_nodes_));
     const NodeId j = static_cast<NodeId>(
-        key % static_cast<std::uint64_t>(max_nodes_));
+        key % static_cast<std::uint32_t>(max_nodes_));
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     if (node.eval_tick(j) != shard.check_tick) return;  // superseded
     node.set_eval_tick(j, -1);
@@ -1143,6 +1177,9 @@ class ClusterEngine {
   // shard 0 writes both between the reduction tree and the release
   // barrier, and the peers read them only after that barrier.
   std::int64_t rounds_total_ = 0;
+  /// The run's last check tick + 1, where arm_pair parks far deadlines;
+  /// fixed before seeding and never lowered by a stop.
+  std::int64_t tick_limit_ = 0;
   /// Set by the coordinator when config_.stop ended the run early; the
   /// tail window reads it.
   bool stopped_early_ = false;

@@ -27,7 +27,7 @@ struct ClusterConfig {
   /// Initially active nodes, ids 0..n-1.
   int n = 64;
   /// Id space; ids n..max_nodes-1 start inactive and may join via the
-  /// scenario. 0 = n.
+  /// scenario. 0 = n. At most 65536: the engine refuses more.
   int max_nodes = 0;
   TopologyParams topology;
   rt::DetectorParams detector;
@@ -40,6 +40,8 @@ struct ClusterConfig {
   double bootstrap_grace_ms = 1500.0;
   /// Piggyback retransmissions per counter advance (see node.hpp).
   int hot_transmissions = 4;
+  /// Simulated horizon; the engine refuses a run of 2^31 - 1 or more
+  /// check intervals.
   double duration_ms = 30'000.0;
   Scenario scenario;
   /// Worker shards the node set is partitioned across (1 = run entirely

@@ -11,9 +11,9 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
     : id_(id), max_nodes_(max_nodes), params_(params),
       counters_(static_cast<std::size_t>(max_nodes), 0),
       hot_(static_cast<std::size_t>(max_nodes)),
-      eval_tick_(static_cast<std::size_t>(max_nodes), -1),
       records_(static_cast<std::size_t>(max_nodes)),
-      digest_cursor_(static_cast<int>(id) % max_nodes) {
+      digest_cursor_(static_cast<int>(id) % max_nodes),
+      hot_ring_(static_cast<std::size_t>(max_nodes)) {
   RFD_REQUIRE(id >= 0 && id < max_nodes);
   RFD_REQUIRE(params_.bootstrap_grace_ms > 0.0);
   // 0 would re-queue a peer on every observe() without any topology ever
@@ -24,6 +24,8 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
   if (params_.detector.kind == rt::DetectorKind::kFixed) {
     fixed_timeout_ms_ = params_.detector.fixed.timeout_ms;
     RFD_REQUIRE(fixed_timeout_ms_ > 0.0);
+  } else {
+    detectors_.resize(static_cast<std::size_t>(max_nodes));
   }
 }
 
@@ -31,12 +33,12 @@ void ClusterNode::reset_peers(double now,
                               const std::vector<NodeId>& contacts) {
   std::fill(counters_.begin(), counters_.end(), 0);
   std::fill(hot_.begin(), hot_.end(), PeerHot{});
-  std::fill(eval_tick_.begin(), eval_tick_.end(), std::int64_t{-1});
-  for (PeerRecord& r : records_) {
-    r = PeerRecord{};
+  std::fill(records_.begin(), records_.end(), PeerRecord{});
+  for (std::unique_ptr<rt::PeerDetector>& detector : detectors_) {
+    detector.reset();
   }
-  hot_queue_.clear();
   hot_head_ = 0;
+  hot_count_ = 0;
   known_count_ = 0;
   ++membership_version_;
   for (NodeId contact : contacts) {
@@ -59,24 +61,28 @@ void ClusterNode::save_state(std::vector<std::uint8_t>& out) const {
     w.u8(h.flags);
     w.u8(static_cast<std::uint8_t>(h.hot_remaining));
   }
-  for (std::int64_t t : eval_tick_) w.i64(t);
+  // Eval ticks travel as i64, so checkpoints written before the field
+  // narrowed to 32 bits stay readable.
+  for (const PeerHot& h : hot_) w.i64(h.eval_tick);
   std::vector<double> detector_state;
-  for (const PeerRecord& r : records_) {
-    w.f64(r.known_since);
-    w.f64(r.suspect_since);
-    w.u8(r.detector != nullptr ? 1 : 0);
-    if (r.detector != nullptr) {
+  for (std::size_t p = 0; p < records_.size(); ++p) {
+    w.f64(records_[p].known_since);
+    w.f64(records_[p].suspect_since);
+    const rt::PeerDetector* detector =
+        detectors_.empty() ? nullptr : detectors_[p].get();
+    w.u8(detector != nullptr ? 1 : 0);
+    if (detector != nullptr) {
       detector_state.clear();
-      r.detector->save_state(detector_state);
+      detector->save_state(detector_state);
       w.u32(static_cast<std::uint32_t>(detector_state.size()));
       for (double x : detector_state) w.f64(x);
     }
   }
-  // Only the live [hot_head_, size()) region of the hot queue matters;
-  // the restored queue starts compacted at head 0.
-  w.u32(static_cast<std::uint32_t>(hot_queue_.size() - hot_head_));
-  for (std::size_t i = hot_head_; i < hot_queue_.size(); ++i) {
-    w.i32(hot_queue_[i]);
+  // The live ring region, in FIFO order; the restored ring starts at
+  // slot 0.
+  w.u32(static_cast<std::uint32_t>(hot_count_));
+  for (std::size_t i = 0; i < hot_count_; ++i) {
+    w.i32(hot_ring_[(hot_head_ + i) % hot_ring_.size()]);
   }
 }
 
@@ -97,25 +103,34 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
     h.flags = r.u8();
     h.hot_remaining = static_cast<std::int8_t>(r.u8());
   }
-  for (std::int64_t& t : eval_tick_) t = r.i64();
+  for (PeerHot& h : hot_) {
+    // The engine arms ticks in [1, INT32_MAX] (see eval_tick()).
+    const std::int64_t tick = r.i64();
+    if (tick < -1 || tick > std::numeric_limits<std::int32_t>::max()) {
+      return false;
+    }
+    h.eval_tick = static_cast<std::int32_t>(tick);
+  }
   std::vector<double> detector_state;
-  for (PeerRecord& rec : records_) {
-    rec.known_since = r.f64();
-    rec.suspect_since = r.f64();
+  for (std::size_t p = 0; p < records_.size(); ++p) {
+    records_[p].known_since = r.f64();
+    records_[p].suspect_since = r.f64();
     const bool has_detector = r.u8() != 0;
     if (!has_detector) {
-      rec.detector.reset();
+      if (!detectors_.empty()) detectors_[p].reset();
       continue;
     }
+    // A kFixed node keeps no detector instances.
+    if (detectors_.empty()) return false;
     const std::uint32_t count = r.u32();
     if (!r.ok() || count > (1u << 20)) return false;
     detector_state.resize(count);
     for (double& x : detector_state) x = r.f64();
     if (!r.ok()) return false;
-    rec.detector = rt::make_detector(params_.detector);
+    detectors_[p] = rt::make_detector(params_.detector);
     const double* cursor = detector_state.data();
     const double* end = cursor + detector_state.size();
-    if (!rec.detector->restore_state(cursor, end) || cursor != end) {
+    if (!detectors_[p]->restore_state(cursor, end) || cursor != end) {
       return false;
     }
   }
@@ -123,12 +138,23 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   if (!r.ok() || queued > static_cast<std::uint32_t>(max_nodes_)) {
     return false;
   }
-  hot_queue_.resize(queued);
-  for (NodeId& peer : hot_queue_) {
-    peer = r.i32();
-    if (peer < 0 || peer >= max_nodes_) return false;
+  // The ring holds the queue only while "queued <=> budget > 0" does:
+  // every id at most once, each with budget left, none with budget
+  // missing from the queue.
+  std::vector<bool> queued_ids(static_cast<std::size_t>(max_nodes_));
+  for (std::uint32_t i = 0; i < queued; ++i) {
+    const NodeId peer = r.i32();
+    if (!r.ok() || peer < 0 || peer >= max_nodes_) return false;
+    const std::size_t p = static_cast<std::size_t>(peer);
+    if (queued_ids[p] || hot_[p].hot_remaining <= 0) return false;
+    queued_ids[p] = true;
+    hot_ring_[i] = peer;
+  }
+  for (std::size_t p = 0; p < hot_.size(); ++p) {
+    if (hot_[p].hot_remaining > 0 && !queued_ids[p]) return false;
   }
   hot_head_ = 0;
+  hot_count_ = queued;
   if (!r.ok()) return false;
   // advance_own_counter() keeps the own counter in [0, INT32_MAX].
   if (own_counter_ < 0 ||

@@ -20,23 +20,31 @@
 // Layout is dictated by the two hot loops - the engine's receive loop
 // (one observe() per digest entry, tens of millions per run at n=1024)
 // and the topologies' per-round scans (target selection, digest
-// rotation). Per-peer state is struct-of-arrays:
+// rotation) - and by the n^2 (observer, peer) pairs a full cluster
+// holds: 16.7M at n=4096, where each byte per peer costs 16 MB. Per-peer
+// state is struct-of-arrays, 36 bytes per peer in the three dense arrays:
 //   - counters_ (4 bytes/peer): the freshest heartbeat counter. A seen
 //     counter > 0 implies the peer is known, so a stale entry - the
 //     majority - is decided by this one load in a 4KB-per-node array
 //     that stays cache-resident, touching nothing else;
 //   - hot_ (one 16-byte PeerHot per peer): the known / suspected /
-//     fresh / armed flag bits, the remaining piggyback budget, and the
-//     last-heartbeat timestamp that is the inlined fixed-timeout
-//     detector's entire state. The kFixed detector - the cluster
-//     default and the only per-(observer, victim)-pair allocation at
-//     scale - thus needs no heap object, no virtual dispatch, and no
-//     extra cache line on an advance. The scan loops and digest
-//     keep()-filters read only the flags byte of it. kChen/kPhi keep
-//     their heap detector in the cold record;
-//   - eval_tick_ (8 bytes/peer): the engine's suspicion-wheel slot;
-//   - records_ (cold): known_since, suspect bookkeeping and the adaptive
-//     detector instance - touched on state transitions, not per entry.
+//     fresh / armed flag bits, the remaining piggyback budget, the
+//     engine's 32-bit suspicion-wheel tick, and the last-heartbeat
+//     timestamp that is the inlined fixed-timeout detector's entire
+//     state. The kFixed detector - the cluster default - thus needs no
+//     heap object, no virtual dispatch, and no extra cache line on an
+//     advance. The scan loops and digest keep()-filters read only the
+//     flags byte of it;
+//   - records_ (16 bytes/peer, cold): known_since and suspect_since -
+//     touched on state transitions, not per entry.
+// Two side structures complete the node:
+//   - detectors_: the kChen/kPhi instance per peer, created on the
+//     first evidence-bearing advance. The vector exists only when the
+//     node's detector is adaptive, so kFixed nodes pay nothing for it;
+//   - hot_ring_: the FIFO of peers with undrained piggyback budget. An
+//     id is queued at most once and never for the node itself, so a
+//     ring of exactly max_nodes slots (4 bytes/peer), allocated with
+//     the node, always holds it.
 // The hot-path queries and observe() are defined inline here so the
 // receive loop and the topology scans compile into flat array walks.
 // Detector state is created lazily on the first counter advance (a node
@@ -62,22 +70,22 @@ namespace rfd::cluster {
 
 using rt::NodeId;
 
-/// Cold per-peer state: touched on membership / suspicion transitions and
-/// by the engine's suspicion wheel, never per digest entry.
+/// Cold per-peer state: touched on membership / suspicion transitions,
+/// never per digest entry.
 struct PeerRecord {
   double known_since = -1.0;
-  /// Adaptive (kChen / kPhi) detector instance, created on the first
-  /// evidence-bearing advance. Always null for kFixed - that detector
-  /// lives in the peer's PeerHot::last_heartbeat slot.
-  std::unique_ptr<rt::PeerDetector> detector;
   /// When the current suspicion started (engine bookkeeping; -1 = not
   /// suspected). Written through ClusterNode::set_suspected.
   double suspect_since = -1.0;
 };
+static_assert(sizeof(PeerRecord) == 16, "PeerRecord must stay 16 bytes");
 
 /// Dense per-peer hot state; see the file header.
 struct PeerHot {
   double last_heartbeat = -1.0;  // inlined kFixed detector state
+  /// Check tick at which the engine's suspicion wheel next evaluates
+  /// this pair (-1 = unarmed; see ClusterNode::eval_tick).
+  std::int32_t eval_tick = -1;
   std::uint8_t flags = 0;        // kKnown / kSuspected / kFresh / kArmed
   std::int8_t hot_remaining = 0; // piggyback budget (> 0 <=> queued)
 };
@@ -152,12 +160,12 @@ class ClusterNode {
         result.started_detector = h.last_heartbeat < 0.0;
         h.last_heartbeat = now;
       } else {
-        PeerRecord& r = records_[p];
-        if (r.detector == nullptr) {
-          r.detector = rt::make_detector(params_.detector);
+        std::unique_ptr<rt::PeerDetector>& detector = detectors_[p];
+        if (detector == nullptr) {
+          detector = rt::make_detector(params_.detector);
           result.started_detector = true;
         }
-        r.detector->on_heartbeat(now);
+        detector->on_heartbeat(now);
       }
       enqueue_hot(h, p);
       result.advanced = true;
@@ -196,9 +204,9 @@ class ClusterNode {
       if (last < 0.0) return grace_expired(p, now);
       return now - last > fixed_timeout_ms_;
     }
-    const PeerRecord& r = records_[p];
-    if (r.detector == nullptr) return grace_expired(p, now);
-    return r.detector->suspects(now);
+    const rt::PeerDetector* detector = detectors_[p].get();
+    if (detector == nullptr) return grace_expired(p, now);
+    return detector->suspects(now);
   }
 
   /// Expiry deadline for `peer`: absent further counter advances,
@@ -218,9 +226,9 @@ class ClusterNode {
       if (last < 0.0) return grace_deadline(p);
       return last + fixed_timeout_ms_;
     }
-    const PeerRecord& r = records_[p];
-    if (r.detector == nullptr) return grace_deadline(p);
-    return r.detector->suspect_deadline();
+    const rt::PeerDetector* detector = detectors_[p].get();
+    if (detector == nullptr) return grace_deadline(p);
+    return detector->suspect_deadline();
   }
 
   /// Whether the detector's expiry deadline can only move forward on a
@@ -243,20 +251,22 @@ class ClusterNode {
   }
 
   /// Check-tick index at which the engine's suspicion wheel will next
-  /// evaluate this pair (-1 = unarmed). Owned by the engine; lives here
-  /// (dense, with the >= 0 state mirrored as the armed flag bit) so the
-  /// wheel needs no side table of its own and the receive loop's skip
-  /// test stays on the flags byte it already holds. See engine.cpp.
-  std::int64_t eval_tick(NodeId peer) const {
-    return eval_tick_[static_cast<std::size_t>(peer)];
+  /// evaluate this pair (-1 = unarmed). Owned by the engine; lives in the
+  /// pair's PeerHot (with the >= 0 state mirrored as the armed flag bit)
+  /// so the wheel needs no side table of its own and the receive loop's
+  /// skip test stays on the flags byte it already holds. 32 bits suffice:
+  /// the engine refuses runs whose tick count does not fit. See
+  /// engine.cpp.
+  std::int32_t eval_tick(NodeId peer) const {
+    return hot_[static_cast<std::size_t>(peer)].eval_tick;
   }
-  void set_eval_tick(NodeId peer, std::int64_t tick) {
-    const std::size_t p = static_cast<std::size_t>(peer);
-    eval_tick_[p] = tick;
+  void set_eval_tick(NodeId peer, std::int32_t tick) {
+    PeerHot& h = hot_[static_cast<std::size_t>(peer)];
+    h.eval_tick = tick;
     if (tick >= 0) {
-      hot_[p].flags |= kArmedFlag;
+      h.flags |= kArmedFlag;
     } else {
-      hot_[p].flags &= static_cast<std::uint8_t>(~kArmedFlag);
+      h.flags &= static_cast<std::uint8_t>(~kArmedFlag);
     }
   }
 
@@ -314,40 +324,40 @@ class ClusterNode {
     int appended = 0;
     // Hot pass: drain queued advances front-to-back. Entries that must
     // stay queued (kept with leftover budget, or filtered out by `keep`)
-    // are collected in the reusable survivor scratch and written back
-    // just below the scan point, which becomes the new queue head - the
-    // scanned prefix is compacted in place without ever copying the
-    // untouched tail down, so a send costs O(entries scanned), not
-    // O(queue length). The emitted sequence and the resulting queue
-    // content are identical to the old full-compaction pass.
-    const std::size_t queued = hot_queue_.size();
+    // are written back, in order, just below the scan point, which
+    // becomes the new queue head - the scanned prefix is compacted in
+    // place without ever moving the untouched tail, so a send costs
+    // O(entries scanned), not O(queue length).
+    const std::size_t slots = hot_ring_.size();
     std::size_t read = hot_head_;
-    hot_scratch_.clear();
-    for (; read < queued && appended < budget; ++read) {
-      const NodeId candidate = hot_queue_[read];
+    std::size_t visited = 0;
+    for (; visited < hot_count_ && appended < budget; ++visited) {
+      const NodeId candidate = hot_ring_[read];
+      if (++read == slots) read = 0;
       PeerHot& h = hot_[static_cast<std::size_t>(candidate)];
       if (h.hot_remaining <= 0) continue;  // expired while queued
       if (keep(candidate)) {
         out.push_back(candidate);
         ++appended;
-        --h.hot_remaining;
-        if (h.hot_remaining <= 0) continue;  // drained: drop from queue
+        --h.hot_remaining;  // drained at 0: dropped from the queue below
       }
-      hot_scratch_.push_back(candidate);
     }
-    hot_head_ = read - hot_scratch_.size();
-    std::copy(hot_scratch_.begin(), hot_scratch_.end(),
-              hot_queue_.begin() + static_cast<std::ptrdiff_t>(hot_head_));
-    if (hot_head_ == hot_queue_.size()) {
-      hot_queue_.clear();
-      hot_head_ = 0;
-    } else if (hot_head_ >= 1024 && hot_head_ * 2 >= hot_queue_.size()) {
-      // Amortized: reclaim the dead prefix once it dominates the vector.
-      hot_queue_.erase(hot_queue_.begin(),
-                       hot_queue_.begin() +
-                           static_cast<std::ptrdiff_t>(hot_head_));
-      hot_head_ = 0;
+    // Survivors are exactly the scanned ids with budget left (an id is
+    // queued at most once), so a backward pass moves them up against
+    // the unscanned tail without scratch space.
+    std::size_t from = read;
+    std::size_t to = read;
+    for (std::size_t i = 0; i < visited; ++i) {
+      from = (from == 0 ? slots : from) - 1;
+      const NodeId candidate = hot_ring_[from];
+      if (hot_[static_cast<std::size_t>(candidate)].hot_remaining <= 0) {
+        --hot_count_;
+        continue;
+      }
+      to = (to == 0 ? slots : to) - 1;
+      hot_ring_[to] = candidate;
     }
+    hot_head_ = to;
     // Rotation pass over the dense flags array (an id just taken from
     // the hot queue may repeat; the receiver treats the duplicate as a
     // no-op).
@@ -390,9 +400,7 @@ class ClusterNode {
   /// Current hot-queue occupancy (ids with undrained piggyback budget);
   /// snapshotted by the observability layer as a dissemination-backlog
   /// gauge.
-  std::size_t hot_queue_depth() const {
-    return hot_queue_.size() - hot_head_;
-  }
+  std::size_t hot_queue_depth() const { return hot_count_; }
 
  private:
   static constexpr std::uint8_t kKnownFlag = 1;
@@ -409,7 +417,14 @@ class ClusterNode {
     return records_[p].known_since + params_.bootstrap_grace_ms;
   }
   void enqueue_hot(PeerHot& h, std::size_t p) {
-    if (h.hot_remaining <= 0) hot_queue_.push_back(static_cast<NodeId>(p));
+    if (h.hot_remaining <= 0) {
+      // Holds while "queued <=> budget > 0" does (restore_state checks).
+      RFD_REQUIRE(hot_count_ < hot_ring_.size());
+      std::size_t tail = hot_head_ + hot_count_;
+      if (tail >= hot_ring_.size()) tail -= hot_ring_.size();
+      hot_ring_[tail] = static_cast<NodeId>(p);
+      ++hot_count_;
+    }
     h.hot_remaining = static_cast<std::int8_t>(params_.hot_transmissions);
   }
 
@@ -423,23 +438,22 @@ class ClusterNode {
   /// Dense per-peer hot state (see file header).
   std::vector<std::int32_t> counters_;
   std::vector<PeerHot> hot_;
-  std::vector<std::int64_t> eval_tick_;
   std::vector<PeerRecord> records_;
+  /// Adaptive detector per peer; empty for kFixed (see file header).
+  std::vector<std::unique_ptr<rt::PeerDetector>> detectors_;
   std::int64_t membership_version_ = 0;
   bool active_ = true;
   std::int64_t own_counter_ = 0;
   int digest_cursor_ = 0;
   int known_count_ = 0;
-  /// Ids with recent counter advances, FIFO; deduplicated via
-  /// PeerHot::hot_remaining (> 0 <=> queued), so its occupancy never
-  /// exceeds max_nodes_. Live entries occupy [hot_head_, size());
-  /// select_digest consumes from hot_head_ and writes bounded survivor
-  /// runs back in place of the scanned prefix (see there).
-  std::vector<NodeId> hot_queue_;
+  /// Ids with recent counter advances, FIFO, in a ring of max_nodes
+  /// slots: live entries are the hot_count_ slots from hot_head_ on,
+  /// wrapping. Deduplicated via PeerHot::hot_remaining (> 0 <=> queued).
+  /// select_digest consumes from the head and writes survivors back in
+  /// place of the scanned prefix (see there).
+  std::vector<NodeId> hot_ring_;
   std::size_t hot_head_ = 0;
-  /// Reusable survivor scratch for select_digest (bounded by the entries
-  /// scanned per call).
-  std::vector<NodeId> hot_scratch_;
+  std::size_t hot_count_ = 0;
 };
 
 }  // namespace rfd::cluster

@@ -352,6 +352,104 @@ TEST(NodeCheckpoint, OwnCounterRestoresUpToInt32Max) {
   }
 }
 
+TEST(NodeCheckpoint, RefusesStatesTheHotRingCannotHold) {
+  // Node 0 of 4 has heard first counters from peers 1 and 2, so its hot
+  // queue is [1, 2], each with the full piggyback budget.
+  cluster::NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  cluster::ClusterNode node(0, 4, params);
+  node.observe(1, 5, 10.0);
+  node.observe(2, 3, 10.0);
+  ASSERT_EQ(node.hot_queue_depth(), 2u);
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  // A kFixed node's layout: the 33-byte header, then per peer a 4-byte
+  // counter, a 10-byte hot entry (timestamp, flags, budget), an 8-byte
+  // eval tick and a 17-byte record (two times, no-detector flag), then
+  // the queue length and its ids.
+  constexpr std::size_t kPeers = 4;
+  constexpr std::size_t kHot = 33 + 4 * kPeers;
+  constexpr std::size_t kEvalTicks = kHot + 10 * kPeers;
+  constexpr std::size_t kQueue = kEvalTicks + (8 + 17) * kPeers;
+  const auto budget = [](std::size_t peer) { return kHot + 10 * peer + 9; };
+  ASSERT_EQ(bytes.size(), kQueue + 4 + 2 * 4);
+  ASSERT_EQ(bytes[budget(1)], params.hot_transmissions);
+  ASSERT_EQ(bytes[kQueue + 4], 1);
+  ASSERT_EQ(bytes[kQueue + 8], 2);
+
+  const auto restores = [&params](const std::vector<std::uint8_t>& b) {
+    cluster::ClusterNode restored(0, 4, params);
+    std::size_t consumed = 0;
+    return restored.restore_state(b.data(), b.size(), consumed);
+  };
+  EXPECT_TRUE(restores(bytes));
+
+  std::vector<std::uint8_t> repeated = bytes;  // queue [1, 1]
+  patch(repeated, kQueue + 8, 1, 4);
+  repeated[budget(2)] = 0;
+  EXPECT_FALSE(restores(repeated)) << "an id queued twice";
+
+  std::vector<std::uint8_t> spent = bytes;
+  spent[budget(2)] = 0;
+  EXPECT_FALSE(restores(spent)) << "a queued id without budget";
+
+  std::vector<std::uint8_t> unqueued = bytes;
+  unqueued[budget(3)] = 1;
+  EXPECT_FALSE(restores(unqueued)) << "budget left but not queued";
+
+  const std::int64_t int32_max = std::numeric_limits<std::int32_t>::max();
+  const struct {
+    std::int64_t tick;
+    bool restores;
+  } kTicks[] = {
+      {-1, true}, {int32_max, true}, {int32_max + 1, false}, {-2, false}};
+  for (const auto& c : kTicks) {
+    std::vector<std::uint8_t> ticked = bytes;
+    patch(ticked, kEvalTicks + 8 * 1, static_cast<std::uint64_t>(c.tick), 8);
+    EXPECT_EQ(restores(ticked), c.restores) << "eval tick " << c.tick;
+  }
+}
+
+TEST(NodeCheckpoint, RestoredRingResavesIdentically) {
+  // With one transmission per advance, a digest drains what it takes,
+  // so re-queued peers wrap round the 4-slot ring: queue [3, 1, 2] in
+  // slots 2, 3, 0. It saves in FIFO order, and the restored node (ring
+  // rebased at slot 0) writes the same bytes and digests the same ids.
+  cluster::NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  params.hot_transmissions = 1;
+  cluster::ClusterNode node(0, 4, params);
+  const auto keep_all = [](cluster::NodeId) { return true; };
+  std::vector<cluster::NodeId> digest;
+  for (cluster::NodeId peer = 1; peer <= 3; ++peer) node.observe(peer, 1, 0.0);
+  node.select_digest(2, keep_all, digest);
+  ASSERT_EQ(digest, (std::vector<cluster::NodeId>{1, 2}));
+  node.observe(1, 2, 10.0);
+  node.observe(2, 2, 10.0);
+  ASSERT_EQ(node.hot_queue_depth(), 3u);
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  constexpr std::size_t kQueue = 189;  // as in the test above
+  ASSERT_EQ(bytes.size(), kQueue + 4 + 3 * 4);
+  EXPECT_EQ(bytes[kQueue + 4], 3);
+  EXPECT_EQ(bytes[kQueue + 8], 1);
+  EXPECT_EQ(bytes[kQueue + 12], 2);
+
+  cluster::ClusterNode restored(0, 4, params);
+  std::size_t consumed = 0;
+  ASSERT_TRUE(restored.restore_state(bytes.data(), bytes.size(), consumed));
+  EXPECT_EQ(consumed, bytes.size());
+  std::vector<std::uint8_t> resaved;
+  restored.save_state(resaved);
+  EXPECT_EQ(resaved, bytes);
+  std::vector<cluster::NodeId> a;
+  std::vector<cluster::NodeId> b;
+  node.select_digest(2, keep_all, a);
+  restored.select_digest(2, keep_all, b);
+  EXPECT_EQ(a, (std::vector<cluster::NodeId>{3, 1}));
+  EXPECT_EQ(a, b);
+}
+
 /// One seeded mutation of a soak payload: byte flips, truncation, or a
 /// 4- or 8-byte field overwritten with a length, counter or time that
 /// lies.

@@ -430,5 +430,23 @@ TEST(Cluster, HierarchicalLoadSitsBetweenGossipAndAllToAll) {
   EXPECT_LT(rh.messages_per_node_per_s, ra.messages_per_node_per_s);
 }
 
+TEST(ClusterLimitsDeathTest, MaxNodesPast65536IsRefused) {
+  // The suspicion wheel's pair keys are 32 bits; the engine refuses a
+  // larger id space before allocating its n^2 state.
+  ClusterConfig config = base_config(TopologyKind::kGossip, 2);
+  config.max_nodes = 65537;
+  EXPECT_DEATH(run_cluster(config, 7), "65536");
+}
+
+TEST(ClusterLimitsDeathTest, MoreCheckTicksThan32BitsHoldIsRefused) {
+  // 3e9 ticks of 1 ms: refused up front by the duration / interval
+  // check, not after run() has counted 2^31 of them.
+  ClusterConfig config = base_config(TopologyKind::kGossip, 2);
+  config.check_interval_ms = 1.0;
+  config.duration_ms = 3e9;
+  EXPECT_DEATH(run_cluster(config, 7),
+               "duration_ms / check_interval_ms must stay below");
+}
+
 }  // namespace
 }  // namespace rfd::cluster

@@ -160,6 +160,44 @@ TEST(ShardDeterminism, StopFlagEndsEveryShardCountAfterTheFirstWindow) {
       << run.trace.substr(last_line);
 }
 
+TEST(ShardDeterminism, DeadlinesPastTwoToThe31TicksNeverFire) {
+  // A 3e9 ms grace on a 1 ms grid puts every seeded pair's deadline
+  // past tick 2^31, and the detectors' own deadlines (the fixed 500 ms
+  // timeout, Phi's 1 s fallback) fall past the run's 200 ticks too. The
+  // engine parks them all at the last tick + 1, where none fires: node
+  // 1's crash goes undetected at every shard count, with the pinned
+  // report and trace.
+  const struct {
+    rt::DetectorKind kind;
+    const char* report;
+    const char* trace;
+  } kPinned[] = {
+      {rt::DetectorKind::kFixed,
+       "2|2|gossip(f=3)|fixed|200|3|0|0|4|14|7.5|10|35|208|4|0|nan|nan|1|0|"
+       "0|0|nan|1|1|0|0|0|28|0",
+       "42cc31ce1fc86788"},
+      {rt::DetectorKind::kPhi,
+       "2|2|gossip(f=3)|phi|200|3|0|0|4|14|7.5|10|35|208|4|0|nan|nan|1|0|0|"
+       "0|nan|1|1|0|0|0|28|0",
+       "8e36a7e6de479d5b"},
+  };
+  for (const auto& pin : kPinned) {
+    ClusterConfig config;
+    config.n = 2;
+    config.detector.kind = pin.kind;
+    config.check_interval_ms = 1.0;
+    config.bootstrap_grace_ms = 3e9;
+    config.duration_ms = 200.0;
+    config.scenario.crash(100.0, 1);
+    const ShardRun run = expect_shard_invariant(
+        config, 7, rt::detector_kind_name(pin.kind).c_str());
+    EXPECT_EQ(run.report.missed_detections, 1);
+    EXPECT_EQ(run.report.suspicion_raises, 0);
+    EXPECT_EQ(report_fingerprint(run.report), pin.report);
+    EXPECT_EQ(testutil::fnv1a_hex(run.trace), pin.trace);
+  }
+}
+
 TEST(ShardDeterminism, ShardCountBeyondNodesClamps) {
   ClusterConfig config = shard_config(4);
   config.duration_ms = 3'000.0;
