@@ -7,7 +7,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "obs/record.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
-#include "runtime/event_queue.hpp"
 #include "runtime/shard_executor.hpp"
 
 namespace rfd::cluster {
@@ -30,18 +28,26 @@ namespace {
 // Sharded conservative core.
 //
 // The node id space is partitioned into contiguous blocks, one per shard.
-// Each shard owns an EventQueue (heartbeat pump timers for its nodes), a
-// Network instance, a Topology instance, and per-shard replicas of the
-// scenario ground truth. Time advances one check window at a time: every
-// worker runs the whole loop itself (the engine dispatches each shard
-// exactly once per run), advancing its local events to the window's
-// check tick, then meeting the other shards at a spin barrier to exchange
-// the messages produced in the window, apply them, and evaluate the
-// tick. The per-shard coordinator inputs (disagreeing pairs,
-// pending-event counts) flow up a binomial tree and shard 0 runs the
-// serial coordinator step - agreement, convergence, the trace merge,
-// snapshots, the stop flag - before a second barrier releases the next
-// window.
+// Each shard owns the heartbeat pumps of its nodes, a Network instance, a
+// Topology instance, and per-shard replicas of the scenario ground truth.
+// Time advances one check window at a time: every worker runs the whole
+// loop itself (the engine dispatches each shard exactly once per run),
+// running its pumps up to the window's check tick, then meeting the
+// other shards at a spin barrier to exchange the messages produced in
+// the window, apply them, and evaluate the tick. The shards meet again
+// at the fold barrier, after which shard 0 sums the per-shard
+// coordinator inputs (disagreeing pairs, pending counts) in shard order
+// and runs the serial coordinator step - agreement, convergence, the
+// trace merge, snapshots, the stop flag - before the release barrier
+// starts the next window.
+//
+// Pumps are the only events a shard schedules, and every node has
+// exactly one pending pump, so a shard keeps its pumps as a rotation
+// rather than an event queue: a ring in (time, arming) order whose head
+// is always the next pump to run (run_pumps says why re-arming keeps it
+// sorted). Scenario faults are spliced in by time: a fault at t runs
+// after the pumps before t and before the pumps at t. The schedule is
+// therefore one next-pump time per node - plain data, no closures.
 //
 // Messages are never delivered inside the window they were sent in:
 // every message - same-shard or cross-shard alike - is buffered and
@@ -74,12 +80,13 @@ namespace {
 //      under a total order on (t, type rank, a, b) - any remaining tie is
 //      between records of one shard, whose relative order is itself
 //      shard-invariant - then formatted by the single TraceWriter in
-//      merged order. Shard 0 reads its peers' staging buffers after the
-//      reduction tree: each shard's last write to its buffer precedes its
-//      release store into the tree, and the tree's acquire loads chain
-//      every shard to shard 0. Floating-point reductions (detection
-//      latency, convergence) happen only on the coordinator in a fixed
-//      global order, never as a shard-order-dependent sum.
+//      merged order. Shard 0 reads its peers' staging buffers and counts
+//      after the fold barrier: each shard's last write to them precedes
+//      its arrival there, and the barrier orders every arrival before
+//      every read after it. Integer counts are summed in shard order;
+//      floating-point reductions (detection latency, convergence) happen
+//      only on the coordinator in a fixed global order, never as a
+//      shard-order-dependent sum.
 //
 // Relative to the pre-sharding engine the *semantics* changed in exactly
 // one way: a message is now observed at the barrier after its arrival
@@ -146,6 +153,12 @@ class EvalWheel {
 /// Its n^2 per-pair state alone would be about 150 GB.
 constexpr int kMaxNodes = 65536;
 
+/// One node's pending heartbeat pump.
+struct Pump {
+  double at = 0.0;
+  NodeId node = -1;
+};
+
 /// Coordinator-side record of one fault a shard found effective; shard 0
 /// stages these so the coordinator can do the cluster-global bookkeeping
 /// (disruption counting, convergence timing) at the next barrier.
@@ -161,7 +174,13 @@ struct ShardState {
   NodeId lo = 0;  // owned node range [lo, hi)
   NodeId hi = 0;
 
-  rt::EventQueue queue;
+  // Heartbeat pumps, one per owned node: a full ring that holds them in
+  // (time, arming) order starting at pump_head (see run_pumps).
+  std::vector<Pump> pumps;
+  std::size_t pump_head = 0;
+  std::int64_t pumps_run = 0;
+  double now = 0.0;  // the shard's simulated clock
+
   std::unique_ptr<rt::Network> network;
   std::unique_ptr<Topology> topology;
   BufferSink sink;
@@ -203,20 +222,6 @@ struct ShardState {
 
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
-};
-
-/// Per-shard tree-reduction slot: the shard writes its tick's
-/// coordinator inputs after its exchange, folds in its children's, and
-/// publishes by storing the tick (release); its parent in the binomial
-/// tree folds it in after an acquire load. Padded so two shards' slots
-/// never share a cache line.
-struct alignas(64) SyncSlot {
-  std::atomic<std::int64_t> tick{0};
-  /// Disagreeing-pair count and local pending-event count (queue +
-  /// buffered messages) after the tick's evaluation, summed over the
-  /// shard's subtree once its children are folded in.
-  std::int64_t disagree = 0;
-  std::int64_t pending = 0;
 };
 
 /// Total order for the per-window trace merge: records sort by time, then
@@ -273,7 +278,8 @@ class ClusterEngine {
       const std::string scenario_error = config_.scenario.validate();
       RFD_REQUIRE_MSG(scenario_error.empty(), scenario_error.c_str());
     }
-    RFD_REQUIRE(config_.heartbeat_interval_ms > 0.0);
+    RFD_REQUIRE(config_.heartbeat_interval_ms > 0.0 &&
+                std::isfinite(config_.heartbeat_interval_ms));
     RFD_REQUIRE(config_.check_interval_ms > 0.0);
     // Eval ticks are stored as 32 bits, up to the last tick + 1 (see
     // arm_pair); the exact count comes from run()'s round-count loop.
@@ -323,19 +329,18 @@ class ClusterEngine {
       shard->lo = lo;
       shard->hi = lo + base + (s < extra ? 1 : 0);
       lo = shard->hi;
-      shard->network = std::make_unique<rt::Network>(
-          shard->queue, mix_seed(seed, 0xc1e5), config_.network);
+      shard->network = std::make_unique<rt::Network>(mix_seed(seed, 0xc1e5),
+                                                     config_.network);
       shard->topology = make_topology(config_.topology, max_nodes_);
       if (trace_ != nullptr) {
         shard->trace = &shard->sink;
         shard->network->set_trace(shard->trace);
       }
-      shard->topology->set_trace(shard->trace, &shard->queue);
+      shard->topology->set_trace(shard->trace);
       shard->qos.set_trace(shard->trace);
       if (profile) {
         shard->profiler =
             std::make_unique<obs::Profiler>(config_.obs.profile_sample_shift);
-        shard->queue.set_profiler(shard->profiler.get());
         shard->network->set_profiler(shard->profiler.get());
       }
       shard->truth = FaultState(max_nodes_, config_.n);
@@ -349,8 +354,6 @@ class ClusterEngine {
     }
     RFD_REQUIRE(lo == max_nodes_);
     executor_ = std::make_unique<rt::ShardExecutor>(shard_count_);
-    sync_ = std::make_unique<SyncSlot[]>(
-        static_cast<std::size_t>(shard_count_));
 
     NodeParams node_params;
     node_params.detector = config_.detector;
@@ -430,10 +433,16 @@ class ClusterEngine {
       const double phase =
           rngs_[static_cast<std::size_t>(i)].uniform01() *
           config_.heartbeat_interval_ms;
-      ShardState* shard = shards_[static_cast<std::size_t>(
-                                      owner_[static_cast<std::size_t>(i)])]
-                              .get();
-      shard->queue.schedule(phase, [this, shard, i] { pump(*shard, i); });
+      shards_[static_cast<std::size_t>(owner_[static_cast<std::size_t>(i)])]
+          ->pumps.push_back({phase, i});
+    }
+    // The first pumps run in (phase, id) order.
+    for (auto& shard : shards_) {
+      std::sort(shard->pumps.begin(), shard->pumps.end(),
+                [](const Pump& lhs, const Pump& rhs) {
+                  if (lhs.at != rhs.at) return lhs.at < rhs.at;
+                  return lhs.node < rhs.node;
+                });
     }
 
     // One dispatch per run: the workers own the whole window loop and
@@ -453,20 +462,24 @@ class ClusterEngine {
   /// The worker-resident window loop; every shard runs this once per
   /// simulation (shard 0 on the calling thread). Each pass advances one
   /// check window, meets the other shards at the window barrier,
-  /// delivers and evaluates the tick, folds the reduction tree, and
-  /// - on shard 0 - runs the coordinator step before the release
+  /// delivers and evaluates the tick, meets them at the fold barrier,
+  /// and - on shard 0 - runs the coordinator step before the release
   /// barrier. rounds_total_ is read only after that barrier, so a stop
   /// the coordinator recorded reaches every peer through the barrier's
-  /// release/acquire pairing. Any `return` on a false arrive_and_wait()
-  /// is the abort path: a peer threw, the executor rethrows after the
-  /// join.
+  /// release/acquire pairing. Any `return` on a false meeting is the
+  /// abort path: a peer threw, the executor rethrows after the join.
   void shard_loop(int s) {
     ShardState& shard = *shards_[static_cast<std::size_t>(s)];
     const ScopedThreadLogBuffer log_scope(&shard.log_buf);
     rt::SpinBarrier& barrier = executor_->barrier();
     const bool multi = shard_count_ > 1;
     obs::Profiler* const prof = shard.profiler.get();
-    SyncSlot& slot = sync_[static_cast<std::size_t>(s)];
+    // One timed barrier meeting; a single shard never meets.
+    const auto meet = [&] {
+      if (!multi) return true;
+      const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
+      return barrier.arrive_and_wait();
+    };
 
     double T = 0.0;
     std::int64_t k = 0;
@@ -474,25 +487,11 @@ class ClusterEngine {
       ++k;
       T += check_ms_;
       run_window(shard, T, k);
-      if (multi) {
-        const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-        if (!barrier.arrive_and_wait()) return;
-      }
+      if (!meet()) return;  // window barrier
       deliver_and_evaluate(shard, k, T);
-      slot.disagree = shard.disagreeing;
-      slot.pending =
-          static_cast<std::int64_t>(shard.queue.size()) + shard.pending_msgs;
-      if (multi) {
-        {
-          const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-          if (!reduce_combine(s, k, barrier)) return;
-        }
-        if (s == 0) coordinator_step(k, T);
-        const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-        if (!barrier.arrive_and_wait()) return;
-      } else {
-        coordinator_step(k, T);
-      }
+      if (!meet()) return;  // fold barrier
+      if (s == 0) coordinator_step(k, T);
+      if (!meet()) return;  // release barrier
     }
     if (!stopped_early_ && T < config_.duration_ms) {
       // Grid-misaligned tail: run the remaining pumps (and any faults)
@@ -502,38 +501,11 @@ class ClusterEngine {
       // run skips the tail: simulating up to the full horizon is
       // exactly what the stop flag asked to avoid.
       run_window(shard, config_.duration_ms, k + 1);
-      if (multi) {
-        const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-        if (!barrier.arrive_and_wait()) return;
-      }
+      if (!meet()) return;
     }
     // Peers do nothing after their final barrier, so shard 0 may merge
     // what the tail window staged without further handshaking.
     if (s == 0) merge_inline();
-  }
-
-  /// Binomial-tree fold of the sync slots: shard s folds child s + d for
-  /// d = 1, 2, 4, ... while (s & d) == 0, then publishes its own slot.
-  /// The child waits are bounded spin/yield - never a park - so a peer's
-  /// abort() can always drain us out (a thrown shard never publishes).
-  bool reduce_combine(int s, std::int64_t k, rt::SpinBarrier& barrier) {
-    SyncSlot& slot = sync_[static_cast<std::size_t>(s)];
-    for (int d = 1; d < shard_count_; d <<= 1) {
-      if ((s & d) != 0) break;
-      const int child = s + d;
-      if (child >= shard_count_) continue;
-      const SyncSlot& cs = sync_[static_cast<std::size_t>(child)];
-      std::uint32_t spins = 0;
-      while (cs.tick.load(std::memory_order_acquire) < k) {
-        if (barrier.aborted()) return false;
-        rt::cpu_relax();
-        if ((++spins & 1023u) == 0) std::this_thread::yield();
-      }
-      slot.disagree += cs.disagree;
-      slot.pending += cs.pending;
-    }
-    if (s != 0) slot.tick.store(k, std::memory_order_release);
-    return true;
   }
 
   bool owns(const ShardState& shard, NodeId j) const {
@@ -652,6 +624,9 @@ class ClusterEngine {
     }
   }
 
+  /// One heartbeat round of node `i` at shard.now. An inactive node
+  /// sends nothing; its pump still re-arms, so every node keeps exactly
+  /// one pending pump.
   void pump(ShardState& shard, NodeId i) {
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     if (node.active()) {
@@ -662,7 +637,7 @@ class ClusterEngine {
           shard.truth.advertise(i, node.own_counter());
       shard.targets_scratch.clear();
       shard.topology->targets(node, rngs_[static_cast<std::size_t>(i)],
-                              shard.targets_scratch);
+                              shard.now, shard.targets_scratch);
       const std::int64_t window_round = shard.check_tick + 1;
       for (NodeId target : shard.targets_scratch) {
         shard.digest_scratch.clear();
@@ -675,7 +650,7 @@ class ClusterEngine {
         if (shard.trace != nullptr) {
           obs::Record r;
           r.type = obs::RecordType::kHbSend;
-          r.t = shard.queue.now();
+          r.t = shard.now;
           r.a = i;
           r.b = target;
           r.c = static_cast<std::int64_t>(shard.digest_scratch.size()) + 1;
@@ -686,10 +661,11 @@ class ClusterEngine {
         // bucket entry. The digest above still runs unconditionally -
         // selection rotates hot-queue state, and a real sender pays that
         // work (and the bandwidth) whether or not the packet survives.
-        const std::optional<double> delay = shard.network->route(i, target);
+        const std::optional<double> delay =
+            shard.network->route(i, target, shard.now);
         if (!delay) continue;
         Message m;
-        m.at = shard.queue.now() + *delay;
+        m.at = shard.now + *delay;
         m.from = i;
         m.to = target;
         m.seq = shard.send_seq[static_cast<std::size_t>(i)]++;
@@ -712,22 +688,48 @@ class ClusterEngine {
         }
       }
     }
-    ShardState* self = &shard;
-    shard.queue.schedule_in(config_.heartbeat_interval_ms,
-                            [this, self, i] { pump(*self, i); });
   }
 
-  /// Phase A of a round: advance the shard's local events (pumps, with
-  /// scenario faults spliced in at their exact times) to the barrier.
+  /// Runs the shard's pumps due before `t` (with `inclusive`, at or
+  /// before it) in (time, arming) order, each timed as a dispatch. A
+  /// pump at `at` re-arms at fl(at + heartbeat interval), which keeps
+  /// the ring sorted with no heap: the ring is full (one pump per owned
+  /// node), so the re-armed pump takes the slot just run and the head
+  /// steps past it; pumps run in time order and the rounded sum is
+  /// monotone in `at`, so the new time is no earlier than any pending
+  /// pump's, and a tie runs after the pumps armed before it - the
+  /// (at, seq) order of an event queue.
+  void run_pumps(ShardState& shard, double t, bool inclusive) {
+    for (;;) {
+      Pump& next = shard.pumps[shard.pump_head];
+      if (inclusive ? next.at > t : next.at >= t) return;
+      shard.now = next.at;
+      ++shard.pumps_run;
+      {
+        const obs::ScopedPhase phase(shard.profiler.get(),
+                                     obs::Phase::kDispatch);
+        pump(shard, next.node);
+      }
+      next.at = shard.now + config_.heartbeat_interval_ms;
+      if (++shard.pump_head == shard.pumps.size()) shard.pump_head = 0;
+    }
+  }
+
+  /// Phase A of a round: run the shard's pumps up to the barrier, with
+  /// scenario faults spliced in at their exact times - after the pumps
+  /// before a fault's time, before the pumps at it.
   void run_window(ShardState& shard, double t_end, std::int64_t round) {
     shard.check_tick = round - 1;
     while (shard.fault_cursor < faults_.size() &&
            faults_[shard.fault_cursor].at_ms <= t_end) {
-      shard.queue.run_before(faults_[shard.fault_cursor].at_ms);
+      const double at = faults_[shard.fault_cursor].at_ms;
+      run_pumps(shard, at, /*inclusive=*/false);
+      shard.now = at;
       apply_fault(shard, shard.fault_cursor);
       ++shard.fault_cursor;
     }
-    shard.queue.run_until(t_end);
+    run_pumps(shard, t_end, /*inclusive=*/true);
+    shard.now = t_end;
   }
 
   /// Phase B of a round, entered with every shard parked behind the
@@ -872,7 +874,7 @@ class ClusterEngine {
   /// sequence - the invariant the offline replay relies on.
   void apply_fault(ShardState& shard, std::size_t index) {
     const FaultEvent& event = faults_[index];
-    const double now = shard.queue.now();
+    const double now = shard.now;
     const NodeId j = event.node;
     const bool owned = j >= 0 && owns(shard, j);
     ClusterNode* node = owned ? &nodes_[static_cast<std::size_t>(j)] : nullptr;
@@ -924,33 +926,29 @@ class ClusterEngine {
   }
 
   /// The serial coordinator step (shard 0 only, peers quiesced between
-  /// the reduction tree and the release barrier) for check tick k at
-  /// time `now`: scenario bookkeeping, cluster agreement, convergence
-  /// and the pending peak from the reduced sums, then the window's trace
-  /// merge, a snapshot if due, and the stop flag.
+  /// the fold and release barriers) for check tick k at time `now`:
+  /// scenario bookkeeping, cluster agreement, convergence and the
+  /// pending peak from the shards' counts summed in shard order, then
+  /// the window's trace merge, a snapshot if due, and the stop flag.
   void coordinator_step(std::int64_t k, double now) {
     ShardState& shard0 = *shards_.front();
-    const SyncSlot& global = sync_[0];
     for (const FaultNote& note : shard0.fault_notes) apply_fault_note(note);
     shard0.fault_notes.clear();
-    const bool all_agree = global.disagree == 0;
+    std::int64_t disagreeing = 0;
+    for (const auto& shard : shards_) disagreeing += shard->disagreeing;
+    const bool all_agree = disagreeing == 0;
     if (all_agree && agreed_version_ < truth_version_) {
       h_convergence_->add(now - truth_change_time_);
       agreed_version_ = truth_version_;
     }
     last_agreement_ = all_agree;
-    // Shard 0's fault cursor has consumed exactly the faults at or
-    // before `now`, like every shard's.
-    const std::int64_t pending =
-        global.pending +
-        static_cast<std::int64_t>(faults_.size() - shard0.fault_cursor);
-    peak_logical_queue_ = std::max(peak_logical_queue_, pending);
+    peak_logical_queue_ = std::max(peak_logical_queue_, logical_pending());
     merge_inline();
     // Snapshots piggyback on the exchange instead of scheduling their own
     // events, so enabling them cannot perturb the simulation.
     if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
         k % config_.obs.snapshot_every_ticks == 0) {
-      snapshot(k, now, global.disagree);
+      snapshot(k, now, disagreeing);
     }
     if (config_.stop != nullptr && k < rounds_total_ &&
         config_.stop->load(std::memory_order_relaxed)) {
@@ -965,15 +963,15 @@ class ClusterEngine {
     }
   }
 
-  /// Logical pending-event count at an exchange barrier: local timers
-  /// plus buffered messages and unapplied faults - the same population
-  /// the old single queue held at snapshot time (the check chain itself
-  /// is mid-execution there and uncounted). Shard-count-invariant by
-  /// construction (each term is).
+  /// Logical pending-event count at an exchange barrier: one pump per
+  /// node plus buffered messages and unapplied faults - the same
+  /// population the old single queue held at snapshot time (the check
+  /// chain itself is mid-execution there and uncounted).
+  /// Shard-count-invariant by construction (each term is).
   std::int64_t logical_pending() const {
     std::int64_t pending = 0;
     for (const auto& shard : shards_) {
-      pending += static_cast<std::int64_t>(shard->queue.size());
+      pending += static_cast<std::int64_t>(shard->pumps.size());
       pending += shard->pending_msgs;
     }
     pending += static_cast<std::int64_t>(faults_.size() -
@@ -981,13 +979,13 @@ class ClusterEngine {
     return pending;
   }
 
-  /// Logical executed-event count: local events (pumps), applied
-  /// messages, applied faults, and check rounds - the same population
-  /// the old single-queue engine counted.
+  /// Logical executed-event count: pumps run, applied messages, applied
+  /// faults, and check rounds - the same population the old single-queue
+  /// engine counted.
   std::int64_t logical_executed(std::int64_t rounds) const {
     std::int64_t executed = rounds;
     for (const auto& shard : shards_) {
-      executed += shard->queue.executed();
+      executed += shard->pumps_run;
       executed += shard->delivered_msgs;
     }
     executed += static_cast<std::int64_t>(shards_.front()->fault_cursor);
@@ -1174,8 +1172,8 @@ class ClusterEngine {
   std::int64_t peak_logical_queue_ = 0;
 
   // Worker-resident loop state, plain because the barriers order it:
-  // shard 0 writes both between the reduction tree and the release
-  // barrier, and the peers read them only after that barrier.
+  // shard 0 writes both between the fold and release barriers, and the
+  // peers read them only after the release barrier.
   std::int64_t rounds_total_ = 0;
   /// The run's last check tick + 1, where arm_pair parks far deadlines;
   /// fixed before seeding and never lowered by a stop.
@@ -1183,7 +1181,6 @@ class ClusterEngine {
   /// Set by the coordinator when config_.stop ended the run early; the
   /// tail window reads it.
   bool stopped_early_ = false;
-  std::unique_ptr<SyncSlot[]> sync_;
 
   // Observability. The registry always exists (it is the aggregation
   // store); trace exists only when configured. Handles are cached once.

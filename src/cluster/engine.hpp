@@ -1,6 +1,6 @@
-// The cluster monitoring engine: N nodes over the rfd::rt event queue and
-// network, each composing per-peer timeout detectors under a pluggable
-// dissemination topology, driven by a scripted fault scenario.
+// The cluster monitoring engine: N nodes over the rfd::rt network, each
+// pumping heartbeats and composing per-peer timeout detectors under a
+// pluggable dissemination topology, driven by a scripted fault scenario.
 //
 // This is the paper's thesis at production scale: every node runs
 // <>P-grade detectors that are always allowed to be wrong, and the

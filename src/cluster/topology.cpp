@@ -19,7 +19,7 @@ class AllToAllTopology final : public Topology {
  public:
   std::string name() const override { return "all-to-all"; }
 
-  void targets(ClusterNode& node, Rng& /*rng*/,
+  void targets(ClusterNode& node, Rng& /*rng*/, double /*now*/,
                std::vector<NodeId>& out) override {
     for (NodeId j = 0; j < node.max_nodes(); ++j) {
       if (j != node.id() && node.knows(j)) out.push_back(j);
@@ -40,7 +40,7 @@ class RingTopology final : public Topology {
     return "ring(k=" + std::to_string(params_.ring_successors) + ")";
   }
 
-  void targets(ClusterNode& node, Rng& /*rng*/,
+  void targets(ClusterNode& node, Rng& /*rng*/, double /*now*/,
                std::vector<NodeId>& out) override {
     // The k nearest live-believed successors in cyclic id order, so the
     // ring routes around members it considers dead. Falls back to known
@@ -96,7 +96,7 @@ class GossipTopology final : public Topology {
     return "gossip(f=" + std::to_string(params_.gossip_fanout) + ")";
   }
 
-  void targets(ClusterNode& node, Rng& rng,
+  void targets(ClusterNode& node, Rng& rng, double /*now*/,
                std::vector<NodeId>& out) override {
     // The alive/doubtful candidate lists only change when the node's
     // membership view does (a learn, a suspicion flip, a reset), which is
@@ -220,7 +220,7 @@ class HierarchicalTopology final : public Topology {
     return "hierarchical(c=" + std::to_string(cluster_size_) + ")";
   }
 
-  void targets(ClusterNode& node, Rng& /*rng*/,
+  void targets(ClusterNode& node, Rng& /*rng*/, double now,
                std::vector<NodeId>& out) override {
     const int own = cluster_of(node.id());
     // Intra-cluster: all-to-all with known cluster-mates.
@@ -233,7 +233,7 @@ class HierarchicalTopology final : public Topology {
     // whenever the primary crashes), each contacting its best guess of
     // every other cluster's two leaders.
     const bool leads = acts_as_leader(node, own);
-    note_leader(node.id(), own, leads);
+    note_leader(node.id(), own, leads, now);
     if (!leads) return;
     const int clusters = (max_nodes_ + cluster_size_ - 1) / cluster_size_;
     for (int g = 0; g < clusters; ++g) {
@@ -282,7 +282,7 @@ class HierarchicalTopology final : public Topology {
   /// flips (leader changes are exactly the events a two-level fabric's
   /// operator wants on a timeline). The initial "not a leader" state is
   /// not newsworthy.
-  void note_leader(NodeId id, int cluster, bool acting) {
+  void note_leader(NodeId id, int cluster, bool acting, double now) {
     if (trace_ == nullptr) return;
     std::int8_t& prev = acting_[static_cast<std::size_t>(id)];
     const std::int8_t current = acting ? 1 : 0;
@@ -292,7 +292,7 @@ class HierarchicalTopology final : public Topology {
     if (!newsworthy) return;
     obs::Record r;
     r.type = obs::RecordType::kLeader;
-    r.t = clock_ != nullptr ? clock_->now() : 0.0;
+    r.t = now;
     r.a = id;
     r.b = cluster;
     r.c = current;

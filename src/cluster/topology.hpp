@@ -1,7 +1,8 @@
 // Pluggable heartbeat dissemination topologies for the cluster engine.
 //
 // A topology answers two questions each heartbeat round, per node:
-//   1. targets(): which peers receive a message from this node now;
+//   1. targets(): which peers receive a message from this node at the
+//      caller's `now` (topologies keep no clock of their own);
 //   2. digest(): which peers' counters get piggybacked on that message
 //      (bounded by digest_size - piggyback bandwidth is the budget the
 //      architectures below spend differently).
@@ -64,8 +65,9 @@ class Topology {
 
   virtual std::string name() const = 0;
 
-  /// Fills `out` with the peers `node` heartbeats this round.
-  virtual void targets(ClusterNode& node, Rng& rng,
+  /// Fills `out` with the peers `node` heartbeats in its round at
+  /// simulated time `now`.
+  virtual void targets(ClusterNode& node, Rng& rng, double now,
                        std::vector<NodeId>& out) = 0;
 
   /// Fills `out` with peer ids whose counters ride along on the message
@@ -73,18 +75,14 @@ class Topology {
   virtual void digest(ClusterNode& node, NodeId target,
                       std::vector<NodeId>& out) = 0;
 
-  /// Attaches the trace sink (and the sim clock that timestamps its
-  /// records). Topologies with internal role state - the hierarchical
-  /// fabric's acting leaders - emit "leader" records on role flips;
-  /// stateless topologies ignore it.
-  void set_trace(obs::RecordSink* trace, const rt::EventQueue* clock) {
-    trace_ = trace;
-    clock_ = clock;
-  }
+  /// Attaches the trace sink. Topologies with internal role state - the
+  /// hierarchical fabric's acting leaders - emit "leader" records on
+  /// role flips, stamped with the `now` of the targets() call that saw
+  /// the flip; stateless topologies ignore it.
+  void set_trace(obs::RecordSink* trace) { trace_ = trace; }
 
  protected:
   obs::RecordSink* trace_ = nullptr;
-  const rt::EventQueue* clock_ = nullptr;
 };
 
 std::unique_ptr<Topology> make_topology(const TopologyParams& params,

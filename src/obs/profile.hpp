@@ -7,8 +7,8 @@
 // estimates (sampled time * calls / sampled), counts are exact. The
 // phases are the known hot spots from the PR-5 profiling work:
 // ClusterNode::observe (the engine's receive loop), GossipTopology::digest
-// (per-message digest selection), EventQueue dispatch, and
-// Network::route.
+// (per-message digest selection), the engine's heartbeat-pump dispatch,
+// and Network::route.
 #pragma once
 
 #include <chrono>
@@ -21,9 +21,9 @@ namespace rfd::obs {
 enum class Phase : std::uint8_t {
   kObserve = 0,  // engine receive loop (ClusterNode::observe per entry)
   kDigest,       // topology digest selection per outgoing message
-  kDispatch,     // EventQueue task dispatch
+  kDispatch,     // one heartbeat pump of the engine (digests + routes)
   kRoute,        // Network::route verdict + delay draw
-  kSync,         // sharded-core barrier/reduction waits (per-shard idle time)
+  kSync,         // sharded-core barrier waits (per-shard idle time)
 };
 inline constexpr int kNumPhases = 5;
 

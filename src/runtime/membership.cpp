@@ -8,6 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "runtime/event_queue.hpp"
 
 namespace rfd::rt {
 namespace {
@@ -54,7 +55,7 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
                                            std::uint64_t seed) {
   RFD_REQUIRE(config.n >= 2);
   EventQueue queue;
-  Network network(queue, mix_seed(seed, 0x3e3b), config.network);
+  Network network(mix_seed(seed, 0x3e3b), config.network);
 
   std::vector<Node> nodes(static_cast<std::size_t>(config.n));
   std::set<NodeId> everyone;
@@ -114,7 +115,9 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
       if (!node.active(now)) return;
       for (NodeId peer : node.view.members) {
         if (peer == i) continue;
-        network.send(i, peer, [&, i, peer] {
+        const std::optional<double> delay = network.route(i, peer, now);
+        if (!delay) continue;
+        queue.schedule_in(*delay, [&, i, peer] {
           Node& dst = nodes[static_cast<std::size_t>(peer)];
           if (!dst.active(queue.now())) return;
           detector_for(dst, i).on_heartbeat(queue.now());
@@ -173,7 +176,9 @@ MembershipResult run_membership_experiment(const MembershipConfig& config,
         install_view(node, installed);
         for (NodeId peer = 0; peer < config.n; ++peer) {
           if (peer == i) continue;
-          network.send(i, peer, [&, peer, installed] {
+          const std::optional<double> delay = network.route(i, peer, now);
+          if (!delay) continue;
+          queue.schedule_in(*delay, [&, peer, installed] {
             Node& dst = nodes[static_cast<std::size_t>(peer)];
             if (!dst.os_alive(queue.now()) || dst.halted) return;
             install_view(dst, installed);

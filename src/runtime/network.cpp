@@ -6,8 +6,8 @@
 
 namespace rfd::rt {
 
-Network::Network(EventQueue& queue, std::uint64_t seed, NetworkParams params)
-    : queue_(&queue), seed_(seed), rng_(seed), params_(params) {
+Network::Network(std::uint64_t seed, NetworkParams params)
+    : seed_(seed), rng_(seed), params_(params) {
   RFD_REQUIRE(params.min_delay_ms >= 0.0);
   RFD_REQUIRE(params.loss_prob >= 0.0 && params.loss_prob < 1.0);
 }
@@ -63,11 +63,11 @@ void Network::restore_accounting(std::int64_t sent, std::int64_t dropped,
   link_dropped_ = link_dropped;
 }
 
-double Network::sample_delay(Rng& rng) {
+double Network::sample_delay(Rng& rng, double now) {
   double delay =
       params_.min_delay_ms + rng.lognormal(params_.jitter_mu,
                                            params_.jitter_sigma);
-  if (queue_->now() < params_.gst_ms &&
+  if (now < params_.gst_ms &&
       rng.chance(params_.pre_gst_chaos_prob)) {
     delay += params_.pre_gst_extra_ms;
   }
@@ -77,7 +77,7 @@ double Network::sample_delay(Rng& rng) {
   return delay;
 }
 
-double Network::sample_delay() { return sample_delay(rng_); }
+double Network::sample_delay(double now) { return sample_delay(rng_, now); }
 
 int Network::component_of(NodeId node) const {
   if (node < 0 || static_cast<std::size_t>(node) >= component_.size()) {
@@ -200,23 +200,24 @@ void Network::clear_storm() {
   storm_prob_ = 0.0;
 }
 
-void Network::trace_drop(NodeId from, NodeId to, const char* why) {
+void Network::trace_drop(NodeId from, NodeId to, const char* why,
+                         double now) {
   obs::Record r;
   r.type = obs::RecordType::kDrop;
-  r.t = queue_->now();
+  r.t = now;
   r.a = from;
   r.b = to;
   r.s = why;
   trace_->emit(r);
 }
 
-std::optional<double> Network::route(NodeId from, NodeId to) {
+std::optional<double> Network::route(NodeId from, NodeId to, double now) {
   obs::ScopedPhase phase(profiler_, obs::Phase::kRoute);
   ++sent_;
   if (partitioned(from, to)) {
     ++dropped_;
     ++partition_dropped_;
-    if (trace_ != nullptr) trace_drop(from, to, "partition");
+    if (trace_ != nullptr) trace_drop(from, to, "partition", now);
     return std::nullopt;
   }
   // Directed blocks are checked before any RNG draw, so installing or
@@ -224,24 +225,18 @@ std::optional<double> Network::route(NodeId from, NodeId to) {
   if (!link_rules_.empty() && link_blocked(from, to)) {
     ++dropped_;
     ++link_dropped_;
-    if (trace_ != nullptr) trace_drop(from, to, "link");
+    if (trace_ != nullptr) trace_drop(from, to, "link", now);
     return std::nullopt;
   }
   Rng& rng = src_rng(from);
   if (rng.chance(params_.loss_prob)) {
     ++dropped_;
-    if (trace_ != nullptr) trace_drop(from, to, "loss");
+    if (trace_ != nullptr) trace_drop(from, to, "loss", now);
     return std::nullopt;
   }
-  const double delay = sample_delay(rng);
+  const double delay = sample_delay(rng, now);
   const double factor = delay_factor(from);
   return factor == 1.0 ? delay : delay * factor;
-}
-
-void Network::send(NodeId from, NodeId to, EventQueue::Action deliver) {
-  if (const std::optional<double> delay = route(from, to)) {
-    queue_->schedule_in(*delay, std::move(deliver));
-  }
 }
 
 }  // namespace rfd::rt

@@ -6,15 +6,21 @@
 // probability chaos_prob, modelling the unstable period during which even
 // well-tuned timeouts misfire - precisely the regime that produces the
 // false suspicions the paper's group-membership discussion is about.
+//
+// The network owns no clock: every call that depends on simulated time
+// (the GST test, the timestamp of a drop record) takes the caller's
+// `now`, so one network serves an event queue, the engine's pump
+// rotation or a transport's driver time alike.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace_writer.hpp"
-#include "runtime/event_queue.hpp"
 
 namespace rfd::rt {
 
@@ -32,15 +38,17 @@ struct NetworkParams {
 
 class Network {
  public:
-  Network(EventQueue& queue, std::uint64_t seed, NetworkParams params);
+  Network(std::uint64_t seed, NetworkParams params);
 
-  /// Draws the fate of one message from `from` to `to`: the delivery
-  /// delay in ms, or nullopt when the message is dropped (partition cut,
-  /// random loss). Updates sent/dropped accounting either way. Callers on
-  /// hot paths use this *before* materializing any delivery record, so a
-  /// dropped message costs no allocation; the partition/loss/storm
-  /// verdicts and the delay are drawn in a fixed RNG order, so runs are
-  /// reproducible regardless of which entry point is used.
+  /// Draws the fate of one message from `from` to `to` sent at `now`:
+  /// the delivery delay in ms, or nullopt when the message is dropped
+  /// (partition cut, random loss). Updates sent/dropped accounting either
+  /// way. Callers on hot paths use this *before* materializing any
+  /// delivery record, so a dropped message costs no allocation; the
+  /// partition/loss/storm verdicts and the delay are drawn in a fixed RNG
+  /// order, so runs are reproducible. Each message draws its own delay,
+  /// so there is no FIFO guarantee (like UDP heartbeats). A caller with
+  /// an event queue schedules the delivery `delay` after `now` itself.
   ///
   /// Randomness is drawn from a per-source stream (derived from the
   /// network seed and `from`), so the verdict/delay sequence each sender
@@ -48,18 +56,11 @@ class Network {
   /// the sharded cluster engine replicate one logical network across
   /// shard-local instances and stay bit-for-bit identical for any shard
   /// count. A negative `from` falls back to the shared legacy stream.
-  std::optional<double> route(NodeId from, NodeId to);
+  std::optional<double> route(NodeId from, NodeId to, double now);
 
-  /// Sends a message; `deliver` runs at the arrival time unless the
-  /// message is dropped. Delivery respects per-message independent delay
-  /// (no FIFO guarantee, like UDP heartbeats). While a partition is
-  /// installed, messages crossing component boundaries are dropped.
-  /// Convenience wrapper over route() for callers whose closures are
-  /// cheap to build.
-  void send(NodeId from, NodeId to, EventQueue::Action deliver);
-
-  /// One sample of the current delay distribution (for analysis).
-  double sample_delay();
+  /// One sample of the delay distribution in force at `now` (for
+  /// analysis), drawn from the shared legacy stream.
+  double sample_delay(double now);
 
   /// Installs a partition: nodes in different `groups` entries cannot
   /// exchange messages until heal. Nodes absent from every group behave
@@ -128,21 +129,20 @@ class Network {
                           std::int64_t link_dropped);
 
   /// Attaches the trace sink: when non-null, every drop verdict emits a
-  /// "drop" record naming the reason (partition vs loss). Null (the
-  /// default) costs one predictable branch per drop.
+  /// "drop" record at the send time, naming the reason (partition, link
+  /// or loss). Null (the default) costs one predictable branch per drop.
   void set_trace(obs::RecordSink* trace) { trace_ = trace; }
   /// Attaches the profiler: route() is timed as obs::Phase::kRoute.
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
  private:
   int component_of(NodeId node) const;
-  void trace_drop(NodeId from, NodeId to, const char* why);
+  void trace_drop(NodeId from, NodeId to, const char* why, double now);
   /// Per-source RNG stream (lazily created, deterministically seeded from
   /// the network seed and `from`); the shared legacy stream for from < 0.
   Rng& src_rng(NodeId from);
-  double sample_delay(Rng& rng);
+  double sample_delay(Rng& rng, double now);
 
-  EventQueue* queue_;
   std::uint64_t seed_;
   Rng rng_;
   std::vector<Rng> src_rngs_;

@@ -4,12 +4,13 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "runtime/event_queue.hpp"
 
 namespace rfd::rt {
 
 QosResult run_qos_experiment(const QosConfig& config, std::uint64_t seed) {
   EventQueue queue;
-  Network network(queue, mix_seed(seed, 0x9051), config.network);
+  Network network(mix_seed(seed, 0x9051), config.network);
   auto detector = make_detector(config.detector);
 
   const bool peer_crashes =
@@ -24,19 +25,21 @@ QosResult run_qos_experiment(const QosConfig& config, std::uint64_t seed) {
   std::function<void()> pump = [&] {
     const double now = queue.now();
     if (peer_crashes && now >= config.crash_at_ms) return;
-    network.send(1, 0, [&] {
-      const double at = queue.now();
-      detector->on_heartbeat(at);
-      if (config.trace != nullptr) {
-        obs::Record r;
-        r.type = obs::RecordType::kArrival;
-        r.t = at;
-        r.a = static_cast<std::int32_t>(config.trace_run_id);
-        r.x = last_arrival >= 0.0 ? at - last_arrival : 0.0;
-        config.trace->emit(r);
-      }
-      last_arrival = at;
-    });
+    if (const std::optional<double> delay = network.route(1, 0, now)) {
+      queue.schedule_in(*delay, [&] {
+        const double at = queue.now();
+        detector->on_heartbeat(at);
+        if (config.trace != nullptr) {
+          obs::Record r;
+          r.type = obs::RecordType::kArrival;
+          r.t = at;
+          r.a = static_cast<std::int32_t>(config.trace_run_id);
+          r.x = last_arrival >= 0.0 ? at - last_arrival : 0.0;
+          config.trace->emit(r);
+        }
+        last_arrival = at;
+      });
+    }
     queue.schedule_in(config.heartbeat_interval_ms, pump);
   };
   queue.schedule(0.0, pump);

@@ -15,7 +15,7 @@ FlakyTransport::FlakyTransport(std::unique_ptr<Transport> inner,
                                FlakyParams params)
     : inner_(std::move(inner)),
       max_nodes_(max_nodes),
-      net_(std::make_unique<rt::Network>(clock_, seed, params.network)),
+      net_(std::make_unique<rt::Network>(seed, params.network)),
       dup_rng_(mix_seed(seed, 0xd0bb1edull)),
       params_(params) {
   RFD_REQUIRE(inner_ != nullptr);
@@ -24,7 +24,7 @@ FlakyTransport::FlakyTransport(std::unique_ptr<Transport> inner,
 }
 
 void FlakyTransport::advance_clock(double now_ms) {
-  if (now_ms > clock_.now()) clock_.run_until(now_ms);
+  if (now_ms > now_ms_) now_ms_ = now_ms;
 }
 
 void FlakyTransport::hold(NodeId from, NodeId to, const std::uint8_t* data,
@@ -42,14 +42,15 @@ void FlakyTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
                           std::size_t size, double now_ms) {
   advance_clock(now_ms);
   ++offered_;
-  const std::optional<double> delay = net_->route(from, to);
+  const std::optional<double> delay = net_->route(from, to, now_ms_);
   if (delay.has_value()) {
     hold(from, to, data, size, now_ms + *delay);
     if (params_.dup_prob > 0.0 && dup_rng_.chance(params_.dup_prob)) {
       // The duplicate runs the full gauntlet again: its own loss
       // verdict, its own delay - so a dup can die, or overtake the
       // original (reordering).
-      const std::optional<double> dup_delay = net_->route(from, to);
+      const std::optional<double> dup_delay =
+          net_->route(from, to, now_ms_);
       if (dup_delay.has_value()) {
         hold(from, to, data, size, now_ms + *dup_delay);
         ++duplicated_;
@@ -86,7 +87,7 @@ bool FlakyTransport::save_state(std::vector<std::uint8_t>& out) const {
   ByteWriter w(out);
   w.u32(kFlakyStateMagic);
   w.i32(max_nodes_);
-  w.f64(clock_.now());
+  w.f64(now_ms_);
   w.u64(seq_);
   w.i64(duplicated_);
   w.i64(offered_);
@@ -181,7 +182,7 @@ bool FlakyTransport::restore_state(const std::uint8_t* data,
       !inner_->restore_state(inner_state.data(), inner_state.size())) {
     return false;
   }
-  if (clock_now > clock_.now()) clock_.run_until(clock_now);
+  advance_clock(clock_now);
   seq_ = seq;
   duplicated_ = duplicated;
   offered_ = offered;

@@ -15,12 +15,16 @@
 // soak's sim backend: the verdict network is the whole simulated
 // network, and since the hold buffer, the send sequence and every RNG
 // stream serialize, that stack checkpoints and resumes draw for draw.
+//
+// The verdict network has no clock of its own: the transport keeps the
+// latest time its driver passed to send() or poll() and hands it to
+// every verdict (the GST test, drop-record timestamps). That time is
+// part of the checkpoint.
 #pragma once
 
 #include <memory>
 #include <set>
 
-#include "runtime/event_queue.hpp"
 #include "transport/transport.hpp"
 
 namespace rfd::transport {
@@ -66,13 +70,14 @@ class FlakyTransport final : public Transport {
     }
   };
 
+  /// Moves now_ms_ forward to `now_ms`; it never moves back.
   void advance_clock(double now_ms);
   void hold(NodeId from, NodeId to, const std::uint8_t* data,
             std::size_t size, double release_at_ms);
 
   std::unique_ptr<Transport> inner_;
   int max_nodes_;
-  rt::EventQueue clock_;  // pure clock for the verdict network
+  double now_ms_ = 0.0;  // latest driver time; the verdicts' clock
   std::unique_ptr<rt::Network> net_;
   Rng dup_rng_;
   FlakyParams params_;

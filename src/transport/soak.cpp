@@ -190,7 +190,7 @@ class SoakRunner {
     if (sim_ != nullptr) sim_->set_trace(trace_.get());
     if (udp_ != nullptr) udp_->set_trace(trace_.get());
     if (flaky_ != nullptr) flaky_->set_trace(trace_.get());
-    topology_->set_trace(trace_.get(), nullptr);
+    topology_->set_trace(trace_.get());
     qos_.set_trace(trace_.get());
     obs::JsonLine header;
     header.str("type", "run")
@@ -259,7 +259,7 @@ class SoakRunner {
       const std::uint32_t advertised =
           truth_.advertise(i, node.own_counter());
       targets_scratch_.clear();
-      topology_->targets(node, rngs_[static_cast<std::size_t>(i)],
+      topology_->targets(node, rngs_[static_cast<std::size_t>(i)], now,
                          targets_scratch_);
       for (rt::NodeId target : targets_scratch_) {
         digest_scratch_.clear();
@@ -292,9 +292,10 @@ class SoakRunner {
       if (d.to < 0 || d.to >= max_nodes_) continue;
       cluster::ClusterNode& node = nodes_[static_cast<std::size_t>(d.to)];
       if (!node.active()) continue;  // crashed sockets still receive; drop
-      // Bytes off a real socket: a payload the reader rejects is
-      // dropped, never fatal. Entries decoded before the bad byte have
-      // been observed; the hb_recv record is skipped.
+      // Bytes off a real socket: a payload the reader rejects, or one
+      // with bytes after its last entry, is dropped, never fatal. The
+      // entries read before the reader stopped have been observed; the
+      // hb_recv record is skipped.
       cluster::DigestReader reader(d.payload.data(), d.payload.size(),
                                    max_nodes_);
       std::uint32_t own = 0;
@@ -309,7 +310,7 @@ class SoakRunner {
         ok = reader.entry(id, counter);
         if (ok && node.observe(id, counter, d.at_ms).advanced) ++advances;
       }
-      if (!ok) continue;
+      if (!ok || !reader.done()) continue;
       if (trace_ != nullptr) {
         obs::Record r;
         r.type = obs::RecordType::kHbRecv;

@@ -238,14 +238,17 @@ void UdpTransport::drain_socket(int index, double now_ms,
       return;
     }
     for (int i = 0; i < n; ++i) {
-      const std::size_t len = msgs[static_cast<std::size_t>(i)].msg_len;
+      const mmsghdr& msg = msgs[static_cast<std::size_t>(i)];
+      const std::size_t len = msg.msg_len;
       const std::uint8_t* frame = recv_bufs_[static_cast<std::size_t>(i)]
                                       .data();
       NodeId from = -1;
       NodeId to = -1;
-      if (!read_header(frame, len, from, to) || from < 0 ||
+      if ((msg.msg_hdr.msg_flags & MSG_TRUNC) != 0 ||
+          !read_header(frame, len, from, to) || from < 0 ||
           from >= max_nodes_ || to != static_cast<NodeId>(index)) {
-        // Stray or corrupt datagram on our port range; count and drop.
+        // Stray, corrupt or oversized datagram on our port range (one
+        // longer than kMaxDatagram arrives cut short); count and drop.
         note_sock_error(static_cast<NodeId>(index), "frame", EBADMSG,
                         now_ms);
         continue;

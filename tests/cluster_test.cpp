@@ -46,30 +46,34 @@ ClusterConfig base_config(TopologyKind kind, int n) {
 
 TEST(Network, PartitionBlocksCrossTraffic) {
   rt::EventQueue queue;
-  rt::Network net(queue, 1, rt::NetworkParams{});
+  rt::Network net(1, rt::NetworkParams{});
   net.set_partition({{0, 1}, {2, 3}});
   EXPECT_FALSE(net.partitioned(0, 1));
   EXPECT_FALSE(net.partitioned(2, 3));
   EXPECT_TRUE(net.partitioned(0, 2));
   EXPECT_TRUE(net.partitioned(3, 1));
   int delivered = 0;
-  net.send(0, 2, [&] { ++delivered; });
-  net.send(0, 1, [&] { ++delivered; });
+  const auto send = [&](rt::NodeId from, rt::NodeId to) {
+    if (const auto delay = net.route(from, to, queue.now())) {
+      queue.schedule_in(*delay, [&] { ++delivered; });
+    }
+  };
+  send(0, 2);
+  send(0, 1);
   queue.run_until(1e6);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net.partition_dropped(), 1);
 
   net.clear_partition();
   EXPECT_FALSE(net.partitioned(0, 2));
-  net.send(0, 2, [&] { ++delivered; });
+  send(0, 2);
   queue.run_until(2e6);
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.partition_dropped(), 1);
 }
 
 TEST(Network, UnlistedNodesJoinFirstGroup) {
-  rt::EventQueue queue;
-  rt::Network net(queue, 1, rt::NetworkParams{});
+  rt::Network net(1, rt::NetworkParams{});
   net.set_partition({{0, 1}, {2}});
   // Node 7 is listed nowhere: it behaves as a member of groups[0].
   EXPECT_FALSE(net.partitioned(7, 0));
@@ -77,17 +81,16 @@ TEST(Network, UnlistedNodesJoinFirstGroup) {
 }
 
 TEST(Network, DelayStormRaisesDelays) {
-  rt::EventQueue queue;
   rt::NetworkParams params;
-  rt::Network net(queue, 4, params);
+  rt::Network net(4, params);
   double calm_sum = 0.0;
-  for (int i = 0; i < 300; ++i) calm_sum += net.sample_delay();
+  for (int i = 0; i < 300; ++i) calm_sum += net.sample_delay(0.0);
   net.set_storm(500.0, 1.0);
   double storm_sum = 0.0;
-  for (int i = 0; i < 300; ++i) storm_sum += net.sample_delay();
+  for (int i = 0; i < 300; ++i) storm_sum += net.sample_delay(0.0);
   net.clear_storm();
   double after_sum = 0.0;
-  for (int i = 0; i < 300; ++i) after_sum += net.sample_delay();
+  for (int i = 0; i < 300; ++i) after_sum += net.sample_delay(0.0);
   EXPECT_GT(storm_sum / 300.0, calm_sum / 300.0 + 400.0);
   EXPECT_LT(after_sum / 300.0, calm_sum / 300.0 + 50.0);
 }

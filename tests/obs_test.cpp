@@ -314,6 +314,52 @@ TEST(Trace, SoakTraceReplaysToTheSoakReport) {
   std::remove(path.c_str());
 }
 
+/// The number after `"key":` in one JSONL line.
+double json_number(const std::string& line, const std::string& key) {
+  const std::string field = "\"" + key + "\":";
+  const std::size_t at = line.find(field);
+  EXPECT_NE(at, std::string::npos) << key << " in " << line;
+  return at == std::string::npos ? std::nan("")
+                                 : std::stod(line.substr(at + field.size()));
+}
+
+TEST(Trace, SoakLeaderRecordsCarryTheirTickTime) {
+  // A hierarchical soak stamps each "leader" record with the tick whose
+  // heartbeat round saw the flip. Node 0 leads cluster 0 until it
+  // crashes at 2000 ms; node 2 takes over after that.
+  transport::SoakConfig config;
+  config.n = 16;
+  config.topology.kind = cluster::TopologyKind::kHierarchical;
+  config.seed = 7;
+  config.duration_ms = 6'000.0;
+  config.scenario.crash(2'000.0, 0);
+  const std::string path = "obs_test_soak_leader.jsonl";
+  config.obs.trace_path = path;
+  transport::SoakReport report;
+  std::string error;
+  ASSERT_TRUE(transport::run_soak(config, report, error)) << error;
+
+  std::istringstream in(read_file(path));
+  std::string line;
+  int leaders = 0;
+  bool takeover = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"type\":\"leader\",", 0) != 0) continue;
+    ++leaders;
+    const double t = json_number(line, "t");
+    EXPECT_GT(t, 0.0) << line;
+    EXPECT_EQ(std::fmod(t, config.tick_ms), 0.0) << line;
+    if (json_number(line, "node") == 2.0 &&
+        json_number(line, "acting") == 1.0) {
+      takeover = true;
+      EXPECT_GE(t, 2'000.0) << line;
+    }
+  }
+  EXPECT_GT(leaders, 0);
+  EXPECT_TRUE(takeover);
+  std::remove(path.c_str());
+}
+
 TEST(Trace, DisabledTraceLeavesReportEmpty) {
   cluster::ClusterConfig config = traced_config("");
   config.obs.trace_path.clear();

@@ -118,7 +118,7 @@ TEST(EventQueue, WheelCascadeAtBucketBoundaries) {
   // 65536; events straddling those boundaries (and one beyond the whole
   // wheel range, taking the far-future heap fallback) must still fire in
   // exact (at, seq) order regardless of insertion order.
-  EventQueue q(1.0);
+  EventQueue q;
   std::vector<double> fired;
   const std::vector<double> times = {
       255.0, 256.0, 257.0,             // level-0 -> level-1 boundary
@@ -143,7 +143,7 @@ TEST(EventQueue, CascadeRefilesIntoFinerLevels) {
   // An event deep in level 2 must survive two cascades (level 2 -> 1 -> 0)
   // and interleave correctly with events scheduled later but due sooner,
   // including ones created while the run is in flight.
-  EventQueue q(1.0);
+  EventQueue q;
   std::vector<int> order;
   q.schedule(70'000.0, [&] { order.push_back(2); });
   q.schedule(100'000.0, [&] { order.push_back(3); });
@@ -231,12 +231,11 @@ TEST(EventQueue, StopsAtBoundary) {
 }
 
 TEST(Network, DelaysAreAtLeastMinimum) {
-  EventQueue q;
   NetworkParams params;
   params.min_delay_ms = 2.0;
-  Network net(q, 1, params);
+  Network net(1, params);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_GE(net.sample_delay(), 2.0);
+    EXPECT_GE(net.sample_delay(0.0), 2.0);
   }
 }
 
@@ -244,10 +243,12 @@ TEST(Network, LossRateApproximates) {
   EventQueue q;
   NetworkParams params;
   params.loss_prob = 0.25;
-  Network net(q, 2, params);
+  Network net(2, params);
   int delivered = 0;
   for (int i = 0; i < 4000; ++i) {
-    net.send(0, 1, [&] { ++delivered; });
+    if (const auto delay = net.route(0, 1, q.now())) {
+      q.schedule_in(*delay, [&] { ++delivered; });
+    }
   }
   q.run_until(1e9);
   EXPECT_NEAR(static_cast<double>(net.dropped()) / net.sent(), 0.25, 0.03);
@@ -255,18 +256,17 @@ TEST(Network, LossRateApproximates) {
 }
 
 TEST(Network, PreGstPenaltyRaisesDelays) {
-  EventQueue q;
   NetworkParams params;
   params.gst_ms = 1e9;  // permanently pre-GST
   params.pre_gst_extra_ms = 100.0;
   params.pre_gst_chaos_prob = 1.0;
-  Network chaotic(q, 3, params);
+  Network chaotic(3, params);
   params.pre_gst_chaos_prob = 0.0;
-  Network calm(q, 3, params);
+  Network calm(3, params);
   double chaotic_sum = 0, calm_sum = 0;
   for (int i = 0; i < 200; ++i) {
-    chaotic_sum += chaotic.sample_delay();
-    calm_sum += calm.sample_delay();
+    chaotic_sum += chaotic.sample_delay(0.0);
+    calm_sum += calm.sample_delay(0.0);
   }
   EXPECT_GT(chaotic_sum / 200.0, calm_sum / 200.0 + 90.0);
 }

@@ -198,6 +198,32 @@ TEST(ShardDeterminism, DeadlinesPastTwoToThe31TicksNeverFire) {
   }
 }
 
+TEST(ShardDeterminism, HierarchicalLeaderFailoverIsShardCountInvariant) {
+  // "leader" records come from the topology inside each shard's pumps
+  // and are merged like every other record. Node 0, a cluster-0 leader,
+  // crashes; then a partition splits the clusters and heals. Some acting
+  // leader must flip at or after the crash.
+  ClusterConfig config = shard_config(40);
+  config.topology.kind = TopologyKind::kHierarchical;
+  constexpr double kCrashAt = 3'000.0;
+  std::vector<NodeId> left;
+  std::vector<NodeId> right;
+  for (NodeId i = 0; i < 40; ++i) (i < 20 ? left : right).push_back(i);
+  config.scenario.crash(kCrashAt, 0)
+      .partition(5'000.0, {left, right})
+      .heal(8'000.0);
+  const ShardRun run = expect_shard_invariant(config, 7, "leader");
+  int after_crash = 0;
+  std::istringstream lines(run.trace);
+  std::string line;
+  const std::string prefix = "{\"type\":\"leader\",\"t\":";
+  while (std::getline(lines, line)) {
+    if (line.compare(0, prefix.size(), prefix) != 0) continue;
+    if (std::stod(line.substr(prefix.size())) >= kCrashAt) ++after_crash;
+  }
+  EXPECT_GT(after_crash, 0);
+}
+
 TEST(ShardDeterminism, ShardCountBeyondNodesClamps) {
   ClusterConfig config = shard_config(4);
   config.duration_ms = 3'000.0;

@@ -9,13 +9,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cluster/digest_codec.hpp"
+#include "common/rng.hpp"
 #include "transport/flaky.hpp"
 #include "transport/loopback.hpp"
 #include "transport/soak.hpp"
@@ -316,6 +320,178 @@ TEST(UdpTransport, LargestSoakDigestFitsOneDatagram) {
     EXPECT_EQ(counter, kMax);
   }
   EXPECT_TRUE(reader.done());
+}
+
+/// UdpTransport's wire frame: magic, from and to as 32-bit words, then
+/// the payload, in one datagram of at most kMaxDatagram bytes.
+constexpr std::uint32_t kFrameMagic = 0x52464448u;  // "RFDH"
+constexpr std::size_t kFrameHeader = 12;
+constexpr std::size_t kMaxDatagram = 2'048;
+
+/// One seeded mutation of a wire frame: bit flips, a truncation,
+/// appended bytes, a datagram past kMaxDatagram (or exactly at it), or
+/// a rewritten magic, from or to word.
+void mutate_frame(std::vector<std::uint8_t>& frame, Rng& rng, int nodes) {
+  const auto word = [&frame](std::size_t at, std::uint32_t value) {
+    std::memcpy(frame.data() + at, &value, sizeof value);
+  };
+  const auto id = [&rng, nodes]() {
+    return static_cast<std::uint32_t>(rng.range(-2, nodes + 1));
+  };
+  switch (rng.below(7)) {
+    case 0:
+      for (std::int64_t k = rng.range(1, 4); k > 0; --k) {
+        frame[static_cast<std::size_t>(
+            rng.below(static_cast<std::int64_t>(frame.size())))] ^=
+            static_cast<std::uint8_t>(1u << rng.below(8));
+      }
+      break;
+    case 1:
+      frame.resize(static_cast<std::size_t>(
+          rng.below(static_cast<std::int64_t>(frame.size()))));
+      break;
+    case 2:
+      for (std::int64_t k = rng.range(1, 16); k > 0; --k) {
+        frame.push_back(static_cast<std::uint8_t>(rng.below(256)));
+      }
+      break;
+    case 3:
+      frame.resize(static_cast<std::size_t>(rng.range(
+                       static_cast<std::int64_t>(kMaxDatagram), 3'000)),
+                   static_cast<std::uint8_t>(rng.below(256)));
+      break;
+    case 4:
+      word(0, rng.chance(0.5) ? static_cast<std::uint32_t>(rng())
+                              : kFrameMagic ^ (1u << rng.below(32)));
+      break;
+    case 5:
+      word(4, rng.chance(0.5) ? id() : static_cast<std::uint32_t>(rng()));
+      break;
+    default:
+      word(8, id());
+      break;
+  }
+}
+
+TEST(UdpTransport, FuzzedFramesAreRefusedOrDecoded) {
+  // About 2,000 seeded mutants of real frames - the 12-byte header
+  // (magic, from, to) plus a DigestEncoder payload - arrive from a
+  // plain socket, in batches of at most 32 with a poll after each. A
+  // datagram with a valid header that fits 2048 bytes is delivered
+  // byte-exact; every other one is refused as a frame error. Each
+  // delivered payload is either rejected by DigestReader or decodes to
+  // exactly its entry count with no bytes left over.
+  constexpr int kNodes = 8;
+  constexpr int kMutants = 2'000;
+  constexpr int kBatch = 32;
+  UdpParams params;
+  params.base_port = 41500;  // clear of the other tests and udp-soak
+  UdpTransport udp(kNodes, params);
+  const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+
+  using Key = std::tuple<NodeId, NodeId, std::vector<std::uint8_t>>;
+  std::vector<Key> want;
+  std::int64_t want_refused = 0;
+  std::vector<Delivery> got;
+  Rng rng(0x0dfa11);
+  cluster::DigestEncoder encoder(kNodes);
+  std::vector<std::int32_t> ids;
+  std::int64_t sent = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const auto from = static_cast<NodeId>(rng.below(kNodes));
+    const auto to = static_cast<NodeId>(rng.below(kNodes));
+    ids.clear();
+    for (std::int64_t e = rng.below(kNodes); e > 0; --e) {
+      ids.push_back(static_cast<std::int32_t>(rng.below(kNodes)));
+    }
+    std::vector<std::uint8_t> frame(kFrameHeader);
+    const std::uint32_t header[3] = {kFrameMagic,
+                                     static_cast<std::uint32_t>(from),
+                                     static_cast<std::uint32_t>(to)};
+    std::memcpy(frame.data(), header, kFrameHeader);
+    encoder.encode(
+        static_cast<std::uint32_t>(rng()), ids,
+        [&rng](std::int32_t) { return static_cast<std::uint32_t>(rng()); },
+        frame);
+    mutate_frame(frame, rng, kNodes);
+
+    std::uint32_t fields[3] = {0, 0, 0};
+    std::memcpy(fields, frame.data(), std::min(frame.size(), kFrameHeader));
+    const auto header_from = static_cast<NodeId>(fields[1]);
+    const auto header_to = static_cast<NodeId>(fields[2]);
+    if (frame.size() >= kFrameHeader && frame.size() <= kMaxDatagram &&
+        fields[0] == kFrameMagic && header_from >= 0 && header_from < kNodes &&
+        header_to == to) {
+      want.emplace_back(header_from, header_to,
+                        std::vector<std::uint8_t>(frame.begin() + kFrameHeader,
+                                                  frame.end()));
+    } else {
+      ++want_refused;
+    }
+
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(params.base_port + to));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::sendto(raw, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+              static_cast<ssize_t>(frame.size()));
+    ++sent;
+    if (sent % kBatch != 0 && m + 1 < kMutants) continue;
+    for (int spins = 0; spins < 200; ++spins) {
+      udp.poll(0.0, got);
+      const TransportCounters c = udp.counters();
+      if (c.delivered + c.sock_errors >= sent) break;
+      udp.wait_readable(10.0);
+    }
+  }
+  ::close(raw);
+
+  const TransportCounters c = udp.counters();
+  EXPECT_EQ(c.delivered + c.sock_errors, sent);
+  EXPECT_EQ(c.sock_errors, want_refused);
+  ASSERT_EQ(c.delivered, static_cast<std::int64_t>(want.size()));
+  ASSERT_EQ(got.size(), want.size());
+
+  std::vector<Key> delivered;
+  int decoded = 0;
+  int rejected = 0;
+  for (const Delivery& d : got) {
+    EXPECT_GE(d.from, 0);
+    EXPECT_LT(d.from, kNodes);
+    EXPECT_GE(d.to, 0);
+    EXPECT_LT(d.to, kNodes);
+    cluster::DigestReader reader(d.payload.data(), d.payload.size(), kNodes);
+    std::uint32_t own = 0;
+    std::uint32_t count = 0;
+    std::uint32_t entries = 0;
+    bool ok = reader.header(own, count);
+    for (; ok && entries < count; ++entries) {
+      std::int32_t peer = -1;
+      std::uint32_t counter = 0;
+      ok = reader.entry(peer, counter);
+      if (ok) {
+        EXPECT_GE(peer, 0);
+        EXPECT_LT(peer, kNodes);
+      }
+    }
+    if (ok && reader.done()) {
+      EXPECT_EQ(entries, count);
+      ++decoded;
+    } else {
+      ++rejected;
+    }
+    delivered.emplace_back(d.from, d.to, d.payload);
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(delivered.begin(), delivered.end());
+  EXPECT_TRUE(delivered == want);
+  // Every outcome occurs, so the mutants are neither all refused nor
+  // all clean.
+  EXPECT_GT(want_refused, 0);
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace
