@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <barrier>
 #include <cmath>
+#include <exception>
 #include <limits>
 #include <map>
 #include <memory>
@@ -13,13 +15,12 @@
 #include "cluster/digest_codec.hpp"
 #include "cluster/fault_state.hpp"
 #include "common/assert.hpp"
-#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "obs/profile.hpp"
 #include "obs/record.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
-#include "runtime/shard_executor.hpp"
+#include "runtime/shards.hpp"
 
 namespace rfd::cluster {
 namespace {
@@ -30,16 +31,24 @@ namespace {
 // The node id space is partitioned into contiguous blocks, one per shard.
 // Each shard owns the heartbeat pumps of its nodes, a Network instance, a
 // Topology instance, and per-shard replicas of the scenario ground truth.
-// Time advances one check window at a time: every worker runs the whole
-// loop itself (the engine dispatches each shard exactly once per run),
+// Time advances one check window at a time: every shard runs the whole
+// loop itself (rt::run_shards starts each shard exactly once per run),
 // running its pumps up to the window's check tick, then meeting the
-// other shards at a spin barrier to exchange the messages produced in
-// the window, apply them, and evaluate the tick. The shards meet again
-// at the fold barrier, after which shard 0 sums the per-shard
-// coordinator inputs (disagreeing pairs, pending counts) in shard order
-// and runs the serial coordinator step - agreement, convergence, the
-// trace merge, snapshots, the stop flag - before the release barrier
-// starts the next window.
+// other shards at the window barrier (a std::barrier) to exchange the
+// messages produced in the window, apply them, and evaluate the tick.
+// The shards meet again at the fold barrier, whose completion step is
+// the serial coordinator: it sums the per-shard inputs (disagreeing
+// pairs, pending counts) in shard order and runs agreement,
+// convergence, the trace merge, snapshots and the stop flag while every
+// shard waits, so the next window starts as the fold barrier releases.
+// A grid-misaligned tail window after the last tick meets no one:
+// finalize() merges what it staged after the join.
+//
+// Failure protocol: a shard that throws sets failed_ and leaves, and a
+// shard that finds failed_ set after a meeting leaves too. Leaving drops
+// the shard from both barriers (arrive_and_drop), so every phase a
+// peer waits in still completes; the coordinator skips a fold once
+// failed_ is set, and run() rethrows after the join.
 //
 // Pumps are the only events a shard schedules, and every node has
 // exactly one pending pump, so a shard keeps its pumps as a rotation
@@ -76,16 +85,18 @@ namespace {
 //      shard's subsequence of the shards=1 sequence, so every per-pair
 //      outcome matches.
 //   4. Trace bytes: records are staged per shard and merged once per
-//      window by shard 0, while its peers wait at the release barrier,
-//      under a total order on (t, type rank, a, b) - any remaining tie is
-//      between records of one shard, whose relative order is itself
-//      shard-invariant - then formatted by the single TraceWriter in
-//      merged order. Shard 0 reads its peers' staging buffers and counts
-//      after the fold barrier: each shard's last write to them precedes
-//      its arrival there, and the barrier orders every arrival before
-//      every read after it. Integer counts are summed in shard order;
-//      floating-point reductions (detection latency, convergence) happen
-//      only on the coordinator in a fixed global order, never as a
+//      window by the fold barrier's completion step, while every shard
+//      waits in that barrier, under a total order on (t, type rank, a, b)
+//      - any remaining tie is between records of one shard, whose
+//      relative order is itself shard-invariant - then formatted by the
+//      single TraceWriter in merged order. std::barrier orders the
+//      accesses: every arrival happens-before the phase's completion
+//      step, and the completion happens-before every return from the
+//      phase, so the coordinator sees each shard's staging buffer and
+//      counts whole, and no shard writes them again until it has run.
+//      Integer counts are summed in shard order; floating-point
+//      reductions (detection latency, convergence) happen only on the
+//      coordinator in a fixed global order, never as a
 //      shard-order-dependent sum.
 //
 // Relative to the pre-sharding engine the *semantics* changed in exactly
@@ -186,7 +197,6 @@ struct ShardState {
   BufferSink sink;
   obs::RecordSink* trace = nullptr;  // &sink when tracing, else null
   std::unique_ptr<obs::Profiler> profiler;
-  std::vector<BufferedLogLine> log_buf;
 
   // Ground-truth replica (every shard applies every fault to its own
   // copy, so window-time reads never cross shards). Its lie state is
@@ -353,7 +363,6 @@ class ClusterEngine {
       shards_.push_back(std::move(shard));
     }
     RFD_REQUIRE(lo == max_nodes_);
-    executor_ = std::make_unique<rt::ShardExecutor>(shard_count_);
 
     NodeParams node_params;
     node_params.detector = config_.detector;
@@ -445,10 +454,18 @@ class ClusterEngine {
                 });
     }
 
-    // One dispatch per run: the workers own the whole window loop and
-    // synchronize among themselves at the executor's spin barrier.
-    executor_->run([this](int s) { shard_loop(s); });
-    rounds_done_ = rounds_total_;
+    // One start per run: the shards own the whole window loop and meet
+    // at two barriers per window. With one shard each barrier has one
+    // party, so every meeting completes at once and the coordinator runs
+    // inline.
+    std::barrier<> window(shard_count_);
+    std::barrier fold(shard_count_, FoldStep{this});
+    rt::run_shards(shard_count_, [&](int s) {
+      shard_loop(*shards_[static_cast<std::size_t>(s)], window, fold);
+    });
+    if (coordinator_error_ != nullptr) {
+      std::rethrow_exception(coordinator_error_);
+    }
     finalize();
     return std::move(report_);
   }
@@ -459,26 +476,47 @@ class ClusterEngine {
   static constexpr std::int64_t kMaxTicks =
       std::numeric_limits<std::int32_t>::max();
 
-  /// The worker-resident window loop; every shard runs this once per
-  /// simulation (shard 0 on the calling thread). Each pass advances one
-  /// check window, meets the other shards at the window barrier,
-  /// delivers and evaluates the tick, meets them at the fold barrier,
-  /// and - on shard 0 - runs the coordinator step before the release
-  /// barrier. rounds_total_ is read only after that barrier, so a stop
-  /// the coordinator recorded reaches every peer through the barrier's
-  /// release/acquire pairing. Any `return` on a false meeting is the
-  /// abort path: a peer threw, the executor rethrows after the join.
-  void shard_loop(int s) {
-    ShardState& shard = *shards_[static_cast<std::size_t>(s)];
-    const ScopedThreadLogBuffer log_scope(&shard.log_buf);
-    rt::SpinBarrier& barrier = executor_->barrier();
-    const bool multi = shard_count_ > 1;
-    obs::Profiler* const prof = shard.profiler.get();
-    // One timed barrier meeting; a single shard never meets.
-    const auto meet = [&] {
-      if (!multi) return true;
-      const obs::ScopedPhase sync(prof, obs::Phase::kSync, true);
-      return barrier.arrive_and_wait();
+  /// The fold barrier's completion step: the coordinator, run once per
+  /// window by the last shard to arrive while every other shard waits.
+  struct FoldStep {
+    ClusterEngine* engine;
+    void operator()() noexcept { engine->fold_step(); }
+  };
+
+  /// Runs one shard's window loop under the failure protocol (see the
+  /// design comment at the top of this file).
+  void shard_loop(ShardState& shard, std::barrier<>& window,
+                  std::barrier<FoldStep>& fold) {
+    const auto leave = [&] {
+      window.arrive_and_drop();
+      fold.arrive_and_drop();
+    };
+    try {
+      if (run_windows(shard, window, fold)) return;
+    } catch (...) {
+      failed_.store(true, std::memory_order_relaxed);
+      leave();
+      throw;
+    }
+    leave();
+  }
+
+  /// The window loop every shard runs once per simulation. Each pass
+  /// advances one check window, meets the other shards at the window
+  /// barrier, delivers and evaluates the tick, and meets them at the
+  /// fold barrier, whose completion runs the coordinator step.
+  /// rounds_total_ and stopped_early_ are read only after that barrier,
+  /// so a stop the coordinator recorded reaches every shard. Returns
+  /// false when a meeting found failed_ set.
+  bool run_windows(ShardState& shard, std::barrier<>& window,
+                   std::barrier<FoldStep>& fold) {
+    // Only a meeting with more than one shard is timed as sync.
+    obs::Profiler* const sync_prof =
+        shard_count_ > 1 ? shard.profiler.get() : nullptr;
+    const auto meet = [&](auto& barrier) {
+      const obs::ScopedPhase sync(sync_prof, obs::Phase::kSync, true);
+      barrier.arrive_and_wait();
+      return !failed_.load(std::memory_order_relaxed);
     };
 
     double T = 0.0;
@@ -487,11 +525,9 @@ class ClusterEngine {
       ++k;
       T += check_ms_;
       run_window(shard, T, k);
-      if (!meet()) return;  // window barrier
+      if (!meet(window)) return false;
       deliver_and_evaluate(shard, k, T);
-      if (!meet()) return;  // fold barrier
-      if (s == 0) coordinator_step(k, T);
-      if (!meet()) return;  // release barrier
+      if (!meet(fold)) return false;
     }
     if (!stopped_early_ && T < config_.duration_ms) {
       // Grid-misaligned tail: run the remaining pumps (and any faults)
@@ -501,11 +537,21 @@ class ClusterEngine {
       // run skips the tail: simulating up to the full horizon is
       // exactly what the stop flag asked to avoid.
       run_window(shard, config_.duration_ms, k + 1);
-      if (!meet()) return;
     }
-    // Peers do nothing after their final barrier, so shard 0 may merge
-    // what the tail window staged without further handshaking.
-    if (s == 0) merge_inline();
+    return true;
+  }
+
+  /// The coordinator step as a barrier completion, which must not
+  /// throw: it is skipped once a shard failed, and an exception it
+  /// raises is kept for run() to rethrow after the join.
+  void fold_step() noexcept {
+    if (failed_.load(std::memory_order_relaxed)) return;
+    try {
+      coordinator_step();
+    } catch (...) {
+      coordinator_error_ = std::current_exception();
+      failed_.store(true, std::memory_order_relaxed);
+    }
   }
 
   bool owns(const ShardState& shard, NodeId j) const {
@@ -925,13 +971,16 @@ class ClusterEngine {
     c_disruptions_->add(1);
   }
 
-  /// The serial coordinator step (shard 0 only, peers quiesced between
-  /// the fold and release barriers) for check tick k at time `now`:
-  /// scenario bookkeeping, cluster agreement, convergence and the
-  /// pending peak from the shards' counts summed in shard order, then
-  /// the window's trace merge, a snapshot if due, and the stop flag.
-  void coordinator_step(std::int64_t k, double now) {
+  /// The serial coordinator step (the fold barrier's completion, every
+  /// shard waiting) for the window just evaluated: scenario bookkeeping,
+  /// cluster agreement, convergence and the pending peak from the
+  /// shards' counts summed in shard order, then the window's trace
+  /// merge, a snapshot if due, and the stop flag.
+  void coordinator_step() {
     ShardState& shard0 = *shards_.front();
+    // Every shard's clock stands at the window's check tick k and time.
+    const std::int64_t k = shard0.check_tick;
+    const double now = shard0.now;
     for (const FaultNote& note : shard0.fault_notes) apply_fault_note(note);
     shard0.fault_notes.clear();
     std::int64_t disagreeing = 0;
@@ -943,7 +992,7 @@ class ClusterEngine {
     }
     last_agreement_ = all_agree;
     peak_logical_queue_ = std::max(peak_logical_queue_, logical_pending());
-    merge_inline();
+    merge_trace();
     // Snapshots piggyback on the exchange instead of scheduling their own
     // events, so enabling them cannot perturb the simulation.
     if (trace_ != nullptr && config_.obs.snapshot_every_ticks > 0 &&
@@ -953,7 +1002,7 @@ class ClusterEngine {
     if (config_.stop != nullptr && k < rounds_total_ &&
         config_.stop->load(std::memory_order_relaxed)) {
       // Graceful stop: end the loop at this tick on every shard (the
-      // release barrier publishes the new round count) and normalize the
+      // fold barrier publishes the new round count) and normalize the
       // report's rates over the time actually simulated. finalize()
       // still executes: counters merge, the trace drains and the footer
       // is written.
@@ -1039,34 +1088,27 @@ class ClusterEngine {
   }
 
   /// Merges every shard's staging buffer into the writer under the
-  /// deterministic total order, then forwards buffered worker log lines
-  /// (whole lines, shard order) to the process-wide sink. Shard 0 calls
-  /// it while its peers are quiesced: in each coordinator step, and once
-  /// more after the final barrier for the tail window.
-  void merge_inline() {
-    if (trace_ != nullptr) {
-      merge_scratch_.clear();
-      for (const auto& shard : shards_) {
-        merge_scratch_.insert(merge_scratch_.end(),
-                              shard->sink.records.begin(),
-                              shard->sink.records.end());
-        shard->sink.records.clear();
-      }
-      std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
-                       record_before);
-      for (const obs::Record& r : merge_scratch_) trace_->emit(r);
-    }
+  /// deterministic total order. Runs while no shard runs: in each
+  /// coordinator step, and once more in finalize() for the tail window.
+  void merge_trace() {
+    if (trace_ == nullptr) return;
+    merge_scratch_.clear();
     for (const auto& shard : shards_) {
-      for (const BufferedLogLine& line : shard->log_buf) {
-        detail::log_line(line.level, line.line);
-      }
-      shard->log_buf.clear();
+      merge_scratch_.insert(merge_scratch_.end(),
+                            shard->sink.records.begin(),
+                            shard->sink.records.end());
+      shard->sink.records.clear();
     }
+    std::stable_sort(merge_scratch_.begin(), merge_scratch_.end(),
+                     record_before);
+    for (const obs::Record& r : merge_scratch_) trace_->emit(r);
   }
 
   void finalize() {
-    // Faults from a grid-misaligned tail window: no tick follows them,
-    // so they replay here, in staged order.
+    // A grid-misaligned tail window staged its records after the last
+    // coordinator step, and no tick follows its faults, so both land
+    // here, after the join.
+    merge_trace();
     for (const FaultNote& note : shards_.front()->fault_notes) {
       apply_fault_note(note);
     }
@@ -1081,7 +1123,7 @@ class ClusterEngine {
     c_missed_->add(tally.missed);
     sync_counters();
     fill_report_from_registry(report_, registry_);
-    report_.events_executed = logical_executed(rounds_done_);
+    report_.events_executed = logical_executed(rounds_total_);
     report_.peak_event_queue = peak_logical_queue_;
     std::int64_t sent = 0;
     std::int64_t dropped = 0;
@@ -1158,7 +1200,6 @@ class ClusterEngine {
   std::vector<FaultEvent> faults_;
   std::vector<int> owner_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::unique_ptr<rt::ShardExecutor> executor_;
   std::vector<ClusterNode> nodes_;
   std::vector<Rng> rngs_;
 
@@ -1168,12 +1209,12 @@ class ClusterEngine {
   std::int64_t agreed_version_ = 0;
   double truth_change_time_ = 0.0;
   bool last_agreement_ = true;
-  std::int64_t rounds_done_ = 0;
   std::int64_t peak_logical_queue_ = 0;
 
-  // Worker-resident loop state, plain because the barriers order it:
-  // shard 0 writes both between the fold and release barriers, and the
-  // peers read them only after the release barrier.
+  // Loop state, plain because the fold barrier orders it: the
+  // coordinator writes it in the barrier's completion step, and the
+  // shards read it only after the barrier releases them. After the run,
+  // rounds_total_ is the number of check windows run.
   std::int64_t rounds_total_ = 0;
   /// The run's last check tick + 1, where arm_pair parks far deadlines;
   /// fixed before seeding and never lowered by a stop.
@@ -1181,6 +1222,11 @@ class ClusterEngine {
   /// Set by the coordinator when config_.stop ended the run early; the
   /// tail window reads it.
   bool stopped_early_ = false;
+  /// Set by a shard that threw or a coordinator step that threw; every
+  /// shard reads it after each meeting (the failure protocol).
+  std::atomic<bool> failed_{false};
+  /// A coordinator step's exception, rethrown by run() after the join.
+  std::exception_ptr coordinator_error_;
 
   // Observability. The registry always exists (it is the aggregation
   // store); trace exists only when configured. Handles are cached once.

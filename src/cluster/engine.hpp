@@ -44,11 +44,12 @@ struct ClusterConfig {
   /// check intervals.
   double duration_ms = 30'000.0;
   Scenario scenario;
-  /// Worker shards the node set is partitioned across (1 = run entirely
-  /// on the calling thread). Runs are bit-for-bit identical - metrics
-  /// and traces - for every shard count; shards only changes wall-clock.
-  /// Values beyond the node count are clamped. See engine.cpp for the
-  /// barrier protocol and the determinism argument.
+  /// Shards the node set is partitioned across, each on its own thread
+  /// for the run (shard 0 on the calling thread, so 1 = run entirely on
+  /// it). Runs are bit-for-bit identical - metrics and traces - for
+  /// every shard count; shards only changes wall-clock. Values beyond
+  /// the node count are clamped. See engine.cpp for the two barriers per
+  /// check window, the failure protocol and the determinism argument.
   int shards = 1;
   /// Observability: trace sink, snapshot cadence, phase profiling. The
   /// defaults keep everything off; a disabled trace costs the hot path

@@ -220,10 +220,7 @@ TraceWriter::TraceWriter(const Config& config)
   }
 }
 
-TraceWriter::~TraceWriter() {
-  close();
-  release_logs();
-}
+TraceWriter::~TraceWriter() { close(); }
 
 // Memoized "t" formatting: the engine emits hot records in bursts that
 // share one sim-time stamp, so the common case is a memcpy of the digits
@@ -409,32 +406,6 @@ void TraceWriter::write_line(const std::string& line) {
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fputc('\n', file_);
   ++written_records_;
-}
-
-void TraceWriter::log_line(LogLevel level, const std::string& message) {
-  write_line(JsonLine{}
-                 .str("type", "log")
-                 .str("level", log_level_name(level))
-                 .str("msg", message)
-                 .finish());
-}
-
-namespace {
-void log_trampoline(void* ctx, LogLevel level, const std::string& line) {
-  static_cast<TraceWriter*>(ctx)->log_line(level, line);
-}
-}  // namespace
-
-void TraceWriter::capture_logs() {
-  set_log_sink(&log_trampoline, this);
-  logs_captured_ = true;
-}
-
-void TraceWriter::release_logs() {
-  if (logs_captured_) {
-    clear_log_sink(this);
-    logs_captured_ = false;
-  }
 }
 
 void TraceWriter::close() {

@@ -4,9 +4,9 @@
 // it. The simulation hot path calls emit() - a POD store into the ring -
 // and all formatting and I/O happens on the writer side: flush() drains
 // the ring into JSONL lines, write-side records (run headers, metric
-// snapshots, log lines) drain the ring first and then append their own
-// complete line, so the stream is totally ordered and no line ever
-// interleaves with another.
+// snapshots) drain the ring first and then append their own complete
+// line, so the stream is totally ordered and no line ever interleaves
+// with another.
 //
 // Records are formatted with a fixed field order per type and fixed
 // number formatting ("t" as fixed-point ms with ns resolution, other
@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "obs/config.hpp"
 #include "obs/record.hpp"
 #include "obs/ring.hpp"
@@ -80,14 +79,6 @@ class TraceWriter final : public RecordSink {
   /// Writer-side: drains the ring, then appends one complete line.
   void write_line(const std::string& line);
 
-  /// Writer-side: emits a structured log record (shares the stream with
-  /// the event records; a whole line at a time, never interleaved).
-  void log_line(LogLevel level, const std::string& message);
-
-  /// Installs this writer as the process-wide log sink / removes it.
-  void capture_logs();
-  void release_logs();
-
   /// Finalizes the stream: drains, emits the exact drop-accounting record
   /// when any record was lost, and closes the file. Idempotent; the
   /// destructor calls it.
@@ -109,7 +100,6 @@ class TraceWriter final : public RecordSink {
   std::FILE* file_ = nullptr;
   bool owns_file_ = false;
   bool drop_on_full_ = false;
-  bool logs_captured_ = false;
   std::int64_t emitted_ = 0;
   std::int64_t dropped_ = 0;
   std::int64_t written_records_ = 0;

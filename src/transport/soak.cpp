@@ -228,19 +228,10 @@ class SoakRunner {
   }
 
   // The .scn semantics are the shared interpreter's; network-shaped
-  // faults go to the transport's verdict network when it has one.
+  // faults go to the transport's verdict network (run_soak refuses a
+  // scenario with network faults on a transport that has none).
   void apply_fault(const cluster::FaultEvent& event, double now) {
     rt::Network* net = transport_->fault_network();
-    if (net == nullptr && cluster::is_network_fault(event.kind)) {
-      if (!warned_no_fault_network_ && trace_ != nullptr) {
-        trace_->log_line(LogLevel::kWarn,
-                         "scenario has network faults but the transport "
-                         "has no injection layer (run with --flaky); "
-                         "skipping them");
-      }
-      warned_no_fault_network_ = true;
-      return;
-    }
     cluster::ClusterNode* node =
         event.node >= 0 ? &nodes_[static_cast<std::size_t>(event.node)]
                         : nullptr;
@@ -579,7 +570,6 @@ class SoakRunner {
   int checkpoints_written_ = 0;
   bool resumed_ = false;
   bool stopped_ = false;
-  bool warned_no_fault_network_ = false;
 
   std::unique_ptr<obs::TraceWriter> trace_;
   obs::Registry registry_;
@@ -655,6 +645,18 @@ std::uint64_t soak_config_fingerprint(const SoakConfig& config) {
 
 bool run_soak(const SoakConfig& config, SoakReport& report,
               std::string& error) {
+  // Refused before any socket is bound: a bare UdpTransport has no
+  // verdict network, so it would run without the scenario's network
+  // faults.
+  if (config.backend == SoakBackend::kUdp && !config.flaky) {
+    for (const cluster::FaultEvent& event : config.scenario.events) {
+      if (cluster::is_network_fault(event.kind)) {
+        error = "the scenario has network faults, which the udp backend "
+                "applies only through an injection layer: run with --flaky";
+        return false;
+      }
+    }
+  }
   SoakRunner runner(config);
   return runner.run(report, error);
 }

@@ -80,7 +80,8 @@ struct SoakConfig {
   rt::NetworkParams network;
   /// Wrap the backend in FlakyTransport (socket-boundary injection).
   /// This is how scenario network faults reach the UDP backend, which
-  /// has no verdict network of its own.
+  /// has no verdict network of its own: run_soak refuses a UDP run
+  /// whose scenario has network faults without it.
   bool flaky = false;
   FlakyParams flaky_params;
   UdpParams udp;
@@ -142,7 +143,9 @@ struct SoakReport {
 std::uint64_t soak_config_fingerprint(const SoakConfig& config);
 
 /// Executes the soak run. On resume failure (missing/corrupt/foreign
-/// checkpoint) returns false and fills `error` without running.
+/// checkpoint), or for a UDP run whose scenario has network faults but
+/// no `flaky` injection layer, returns false and fills `error` without
+/// running.
 bool run_soak(const SoakConfig& config, SoakReport& report,
               std::string& error);
 

@@ -1,5 +1,5 @@
 // Observability-layer tests: JSON escaping, staging-ring wraparound and
-// exact overflow accounting, log-sink capture, registry snapshots,
+// exact overflow accounting, registry snapshots,
 // byte-identical traces across fixed-seed runs, and the offline QoS
 // re-derivation check - detection percentiles recomputed from the trace
 // must match the engine's live ClusterReport exactly, and a soak trace
@@ -15,7 +15,6 @@
 
 #include "cluster/engine.hpp"
 #include "cluster/scenario.hpp"
-#include "common/logging.hpp"
 #include "obs/config.hpp"
 #include "obs/record.hpp"
 #include "obs/registry.hpp"
@@ -141,29 +140,6 @@ TEST(TraceWriter, LosslessModeDrainsInsteadOfDropping) {
   const std::string text = read_file(path);
   EXPECT_EQ(count_lines_containing(text, "\"type\":\"hb_send\""), 1000);
   EXPECT_EQ(count_lines_containing(text, "\"type\":\"lost\""), 0);
-  std::remove(path.c_str());
-}
-
-TEST(TraceWriter, CapturesLogLinesIntoTheStream) {
-  const std::string path = "obs_test_log.jsonl";
-  Config config;
-  config.trace_path = path;
-  const LogLevel old_level = log_level();
-  {
-    TraceWriter writer(config);
-    ASSERT_TRUE(writer.ok());
-    writer.capture_logs();
-    set_log_level(LogLevel::kInfo);
-    RFD_LOG(kInfo) << "hello \"trace\"";
-    set_log_level(old_level);
-    writer.release_logs();
-    writer.close();
-  }
-  const std::string text = read_file(path);
-  EXPECT_EQ(count_lines_containing(
-                text, "{\"type\":\"log\",\"level\":\"INFO\",\"msg\":"),
-            1);
-  EXPECT_EQ(count_lines_containing(text, "hello \\\"trace\\\""), 1);
   std::remove(path.c_str());
 }
 

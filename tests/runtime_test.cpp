@@ -19,9 +19,9 @@
 namespace rfd::rt {
 namespace {
 
-/// Reference implementation of the pre-refactor core's semantics: a plain
-/// binary heap ordered by (at, seq). The slab/wheel EventQueue must
-/// produce exactly this firing order on any workload.
+/// Reference implementation of the queue's semantics: a plain binary
+/// heap of (at, seq) entries with none of EventQueue's own code.
+/// EventQueue must produce exactly this firing order on any workload.
 class ReferenceQueue {
  public:
   void schedule(double at, std::function<void()> action) {
@@ -91,10 +91,9 @@ std::vector<std::pair<int, double>> trace_workload(Queue& q,
 }
 
 TEST(EventQueue, DeterministicAgainstReferenceHeap) {
-  // Same seed => identical event sequence and executed() count on the
-  // slab/wheel core and on a plain (at, seq) binary heap (the
-  // pre-refactor representation). This is the bit-for-bit guarantee the
-  // cluster metrics rely on.
+  // Same seed => identical event sequence and executed() count on
+  // EventQueue and on the reference heap above. This is the bit-for-bit
+  // guarantee the E8, E9 and E12b tables rely on.
   EventQueue current;
   ReferenceQueue reference;
   const auto got = trace_workload(current, 0xd5, 64, 3'000.0);

@@ -224,6 +224,22 @@ TEST(ShardDeterminism, HierarchicalLeaderFailoverIsShardCountInvariant) {
   EXPECT_GT(after_crash, 0);
 }
 
+TEST(ShardDeterminism, OffGridTailIsShardCountInvariant) {
+  // 12,050 ms is off the 100 ms check grid, so the run ends with a tail
+  // window that no check tick closes. Its pumps, a crash and a recover
+  // run there, and what they stage is merged after the shards joined.
+  ClusterConfig config = shard_config(40);
+  config.detector.kind = rt::DetectorKind::kPhi;
+  config.heartbeat_interval_ms = 73.0;
+  config.duration_ms = 12'050.0;
+  config.scenario.crash(12'020.0, 5).recover(12'030.0, 5);
+  const ShardRun run = expect_shard_invariant(config, 7, "tail");
+  for (const char* fault : {"{\"type\":\"fault\",\"t\":12020,",
+                            "{\"type\":\"fault\",\"t\":12030,"}) {
+    EXPECT_NE(run.trace.find(fault), std::string::npos) << fault;
+  }
+}
+
 TEST(ShardDeterminism, ShardCountBeyondNodesClamps) {
   ClusterConfig config = shard_config(4);
   config.duration_ms = 3'000.0;

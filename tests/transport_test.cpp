@@ -494,5 +494,23 @@ TEST(UdpTransport, FuzzedFramesAreRefusedOrDecoded) {
   EXPECT_GT(rejected, 0);
 }
 
+TEST(Soak, UdpWithoutInjectionRefusesNetworkFaults) {
+  // Bare UDP sockets have no verdict network, so the partition could
+  // not be applied: the run is refused before a socket is bound, and
+  // the error names the option that adds the injection layer.
+  SoakConfig config;
+  config.n = 4;
+  config.duration_ms = 1'000.0;
+  config.backend = SoakBackend::kUdp;
+  config.flaky = false;
+  config.time_scale = 0.0;
+  config.udp.base_port = 41600;  // clear of the UDP tests, udp-soak, fuzzer
+  config.scenario.partition(500.0, {{0, 1}, {2, 3}});
+  SoakReport report;
+  std::string error;
+  EXPECT_FALSE(run_soak(config, report, error));
+  EXPECT_NE(error.find("--flaky"), std::string::npos) << error;
+}
+
 }  // namespace
 }  // namespace rfd::transport
