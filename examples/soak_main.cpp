@@ -1,4 +1,4 @@
-// Soak runner: the cluster protocol on a real or simulated transport,
+// Soak runner: the cluster engine over a real or simulated transport,
 // with checkpointed crash-resume and graceful signal shutdown.
 //
 //   ./soak [seed]
@@ -24,9 +24,10 @@
 // The same .scn files the simulator runs drive this binary on both
 // backends; on udp, network-shaped faults require --flaky (the
 // injection layer is where partitions/storms/loss live - real sockets
-// have no verdict network). SIGINT/SIGTERM stop the run at the next
-// tick, flush the trace and write a final checkpoint; a second signal
-// kills the process the default way.
+// have no verdict network). SIGINT/SIGTERM end the run after the
+// current check window (the first always runs), flush the trace and
+// write a final checkpoint; a second signal kills the process the
+// default way.
 //
 // The last stdout line is machine-readable: "SOAK {json}".
 #include <algorithm>
@@ -83,8 +84,13 @@ int main(int argc, char** argv) {
   config.flaky = cli.get_bool("flaky", false);
   config.flaky_params.network.loss_prob = cli.get_double("flaky-loss", 0.0);
   config.flaky_params.dup_prob = cli.get_double("flaky-dup", 0.0);
-  config.udp.base_port =
-      static_cast<std::uint16_t>(cli.get_int("base-port", 39000));
+  const std::int64_t base_port = cli.get_int("base-port", 39000);
+  if (base_port < 1 || base_port > 65535) {
+    std::fprintf(stderr, "soak: --base-port %lld is not a port (1..65535)\n",
+                 static_cast<long long>(base_port));
+    return 1;
+  }
+  config.udp.base_port = static_cast<std::uint16_t>(base_port);
   config.time_scale = cli.get_double("time-scale", 1.0);
 
   config.checkpoint_path = cli.get("checkpoint", "");

@@ -18,21 +18,20 @@
 // gaps, so the decoded entry count and multiset match the selection
 // exactly.
 //
-// The codec owns that order. The engine and the soak runner pass a
-// selection as ClusterNode::select_digest produced it, and
-// DigestEncoder orders it with two bitmaps instead of a comparison
-// sort. select_digest emits each id at most twice - the hot queue
-// holds an id at most once and the rotation pass visits each id at
-// most once - so one bitmap holds the first copies and a second the
-// repeats. A third copy, which only a hand-built selection can
-// contain, falls back to std::sort + encode_digest; either path writes
-// the same bytes.
+// The codec owns that order. The engine passes a selection as
+// ClusterNode::select_digest produced it, and DigestEncoder orders it
+// with two bitmaps instead of a comparison sort. select_digest emits
+// each id at most twice - the hot queue holds an id at most once and
+// the rotation pass visits each id at most once - so one bitmap holds
+// the first copies and a second the repeats. A third copy, which only a
+// hand-built selection can contain, falls back to std::sort +
+// encode_digest; either path writes the same bytes.
 //
 // DigestReader is the one decoder. It is bounds-checked and returns
-// false instead of asserting, because the soak runner decodes bytes
-// that crossed a real socket: the soak drops a payload the reader
-// rejects, and the engine, whose payloads are its own memory, wraps
-// every read in RFD_REQUIRE.
+// false instead of asserting, because on its transport path the engine
+// decodes bytes that crossed a real socket and drops a payload the
+// reader rejects; on the native path, whose payloads are the engine's
+// own memory, a rejected read fails an RFD_REQUIRE.
 #pragma once
 
 #include <algorithm>

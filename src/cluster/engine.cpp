@@ -15,12 +15,14 @@
 #include "cluster/digest_codec.hpp"
 #include "cluster/fault_state.hpp"
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "obs/profile.hpp"
 #include "obs/record.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
 #include "runtime/shards.hpp"
+#include "transport/transport.hpp"
 
 namespace rfd::cluster {
 namespace {
@@ -60,12 +62,21 @@ namespace {
 //
 // Messages are never delivered inside the window they were sent in:
 // every message - same-shard or cross-shard alike - is buffered and
-// applied at the first barrier T_b > arrival time, with the receiver
-// observing it at its true arrival timestamp. Applying them in one
-// sorted drain (by receiver, then arrival time, then sender, then the
-// sender's send sequence) is also what fixes the PR-5 observe() hot
-// spot: each receiver's per-peer arrays are walked once per round
-// instead of being re-fetched per message in arrival order.
+// applied at the first barrier T_b >= arrival time, so barrier k applies
+// what arrived in (T_{k-1}, T_k], with the receiver observing it at its
+// true arrival timestamp. Applying them in one sorted drain (by
+// receiver, then arrival time, then sender, then the sender's send
+// sequence) walks each receiver's per-peer arrays once per round
+// instead of re-fetching them per message in arrival order.
+//
+// The transport path (ClusterConfig::transport) swaps only the network:
+// a pump hands its encoded digest to Transport::send, and barrier k first
+// files what poll(T_k) returns into bucket k - the same rule, as poll(T_k)
+// returns what fell due since the last poll (UDP stamps it T_k, hence the
+// inclusive bound). It runs on one shard with no tail window, drops the
+// bytes the checked DigestReader rejects, and checkpoints at a window
+// boundary (WindowBoundary): the wheel is rebuilt from the eval ticks,
+// the network's fault state by replaying the applied faults.
 //
 // Determinism argument - why every shard count produces bit-identical
 // metrics and traces on a fixed seed:
@@ -146,7 +157,13 @@ class EvalWheel {
   }
 
   void drain(std::int64_t tick, std::vector<std::uint32_t>& out) {
-    out.swap(ring_[static_cast<std::size_t>(tick & (kSlots - 1))]);
+    // `out` takes the slot's buffer and its own old one is freed: a
+    // drained slot is next pushed to a full revolution later, so it
+    // holding a buffer until then only grows the resident set.
+    std::vector<std::uint32_t>& slot =
+        ring_[static_cast<std::size_t>(tick & (kSlots - 1))];
+    out.swap(slot);
+    std::vector<std::uint32_t>().swap(slot);
     const auto it = far_.find(tick);
     if (it != far_.end()) {
       out.insert(out.end(), it->second.begin(), it->second.end());
@@ -163,6 +180,8 @@ class EvalWheel {
 /// Largest id space the 32-bit wheel keys cover: max_nodes^2 <= 2^32.
 /// Its n^2 per-pair state alone would be about 150 GB.
 constexpr int kMaxNodes = 65536;
+/// Ticks run to at most kMaxTicks - 1, so last + 1 fits an int32.
+constexpr std::int64_t kMaxTicks = std::numeric_limits<std::int32_t>::max();
 
 /// One node's pending heartbeat pump.
 struct Pump {
@@ -192,7 +211,7 @@ struct ShardState {
   std::int64_t pumps_run = 0;
   double now = 0.0;  // the shard's simulated clock
 
-  std::unique_ptr<rt::Network> network;
+  std::unique_ptr<rt::Network> network;  // null on the transport path
   std::unique_ptr<Topology> topology;
   BufferSink sink;
   obs::RecordSink* trace = nullptr;  // &sink when tracing, else null
@@ -223,12 +242,21 @@ struct ShardState {
   std::int64_t c_digest_entries = 0;
   std::int64_t c_payload_bytes = 0;
   QosLedger qos;
+  /// Crash -> raise latency of each raise against a down victim.
+  std::vector<double> raise_samples;
 
   std::vector<NodeId> targets_scratch;
   std::vector<NodeId> digest_scratch;
   std::vector<std::uint32_t> wheel_scratch;
   /// Orders and encodes this shard's outgoing digests.
   DigestEncoder encoder;
+  // Transport path: the encoded digest handed to send(), poll()'s
+  // output, and the one bucket its deliveries need (each applies at the
+  // barrier that polled it).
+  std::vector<std::uint8_t> send_scratch;
+  std::vector<transport::Delivery> polled;
+  std::vector<Message> inbox;
+  double polled_until = 0.0;  // T of the last poll
 
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
@@ -268,36 +296,17 @@ bool record_before(const obs::Record& lhs, const obs::Record& rhs) {
   return lhs.b < rhs.b;
 }
 
-class ClusterEngine {
+class ClusterEngine final : public WindowBoundary {
  public:
   ClusterEngine(const ClusterConfig& config, std::uint64_t seed)
       : config_(config),
         max_nodes_(config.max_nodes > 0 ? config.max_nodes : config.n),
         check_ms_(config.check_interval_ms),
-        faults_(config.scenario.sorted()) {
-    RFD_REQUIRE(config_.n >= 2);
-    RFD_REQUIRE(max_nodes_ >= config_.n);
+        faults_(config.scenario.sorted()),
+        transport_(config.transport) {
     // Refused before anything n-sized exists.
-    RFD_REQUIRE_MSG(max_nodes_ <= kMaxNodes,
-                    "max_nodes exceeds 65536, the bound of the 32-bit "
-                    "suspicion-wheel keys");
-    {
-      // Reject malformed timelines before any state exists: an unmatched
-      // storm_off or link_up would silently corrupt the per-shard network
-      // replicas mid-run (the builders sort, this rejects).
-      const std::string scenario_error = config_.scenario.validate();
-      RFD_REQUIRE_MSG(scenario_error.empty(), scenario_error.c_str());
-    }
-    RFD_REQUIRE(config_.heartbeat_interval_ms > 0.0 &&
-                std::isfinite(config_.heartbeat_interval_ms));
-    RFD_REQUIRE(config_.check_interval_ms > 0.0);
-    // Eval ticks are stored as 32 bits, up to the last tick + 1 (see
-    // arm_pair); the exact count comes from run()'s round-count loop.
-    RFD_REQUIRE_MSG(config_.duration_ms / check_ms_ < kMaxTicks,
-                    "run has more check ticks than 32-bit eval ticks hold "
-                    "(duration_ms / check_interval_ms must stay below "
-                    "2^31 - 1)");
-    RFD_REQUIRE(config_.shards >= 1);
+    const std::string error = config_error(config_);
+    RFD_REQUIRE_MSG(error.empty(), error.c_str());
     seed_ = seed;
     shard_count_ = std::min(config_.shards, max_nodes_);
 
@@ -339,19 +348,25 @@ class ClusterEngine {
       shard->lo = lo;
       shard->hi = lo + base + (s < extra ? 1 : 0);
       lo = shard->hi;
-      shard->network = std::make_unique<rt::Network>(mix_seed(seed, 0xc1e5),
-                                                     config_.network);
+      if (transport_ == nullptr) {
+        shard->network = std::make_unique<rt::Network>(
+            mix_seed(seed, 0xc1e5), config_.network);
+      }
       shard->topology = make_topology(config_.topology, max_nodes_);
-      if (trace_ != nullptr) {
-        shard->trace = &shard->sink;
+      if (trace_ != nullptr) shard->trace = &shard->sink;
+      if (shard->network != nullptr) {
         shard->network->set_trace(shard->trace);
+      } else {
+        transport_->set_trace(shard->trace);
       }
       shard->topology->set_trace(shard->trace);
       shard->qos.set_trace(shard->trace);
       if (profile) {
         shard->profiler =
             std::make_unique<obs::Profiler>(config_.obs.profile_sample_shift);
-        shard->network->set_profiler(shard->profiler.get());
+        if (shard->network != nullptr) {
+          shard->network->set_profiler(shard->profiler.get());
+        }
       }
       shard->truth = FaultState(max_nodes_, config_.n);
       shard->send_seq.assign(static_cast<std::size_t>(max_nodes_), 0);
@@ -406,25 +421,16 @@ class ClusterEngine {
       }
     }
     tick_limit_ = rounds_total_ + 1;
-    // The initial membership list is configuration, not discovery. It is
-    // seeded here rather than in the constructor because GCC's growth
-    // limit for large functions would stop inlining suspect_deadline
-    // into this n^2 loop there.
-    for (NodeId i = 0; i < config_.n; ++i) {
-      ShardState& shard = *shards_[static_cast<std::size_t>(
-          owner_[static_cast<std::size_t>(i)])];
-      for (NodeId j = 0; j < config_.n; ++j) {
-        if (i == j) continue;
-        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
-        on_learned(shard, i, j);
-      }
-    }
+    // The boundary before the first window: a checkpoint restored here
+    // replaces the fresh state seeded below.
+    if (config_.on_window && !config_.on_window(*this)) return report_;
+    if (shards_.front()->pumps.empty()) seed();
     if (trace_ != nullptr) {
       trace_->write_line(
           obs::JsonLine{}
               .str("type", "run")
               .integer("v", 1)
-              .num("t", 0.0)
+              .num("t", start_time_)
               .integer("n", config_.n)
               .integer("max_nodes", max_nodes_)
               .str("topology", report_.topology)
@@ -434,6 +440,191 @@ class ClusterEngine {
               .num("heartbeat_ms", config_.heartbeat_interval_ms)
               .num("check_ms", config_.check_interval_ms)
               .finish());
+    }
+
+    // One start per run: the shards own the whole window loop and meet
+    // at two barriers per window. With one shard each barrier has one
+    // party, so every meeting completes at once and the coordinator runs
+    // inline.
+    std::barrier<> window(shard_count_);
+    std::barrier fold(shard_count_, FoldStep{this});
+    rt::run_shards(shard_count_, [&](int s) {
+      shard_loop(*shards_[static_cast<std::size_t>(s)], window, fold);
+    });
+    if (coordinator_error_ != nullptr) {
+      std::rethrow_exception(coordinator_error_);
+    }
+    finalize();
+    return std::move(report_);
+  }
+
+  std::int64_t tick() const override { return boundary_tick_; }
+  double now_ms() const override { return boundary_time_; }
+
+  void save_state(std::vector<std::uint8_t>& out) const override {
+    const ShardState& shard = *shards_.front();
+    ByteWriter w(out);
+    w.u32(kStateMagic);
+    w.i32(config_.n);
+    w.i32(max_nodes_);
+    w.i64(boundary_tick_);
+    std::vector<std::uint8_t> bytes;
+    for (const ClusterNode& node : nodes_) {
+      bytes.clear();
+      node.save_state(bytes);
+      w.u32(static_cast<std::uint32_t>(bytes.size()));
+      w.bytes(bytes.data(), bytes.size());
+    }
+    for (const Rng& rng : rngs_) {
+      for (std::uint64_t word : rng.save_state()) w.u64(word);
+    }
+    // The rotation from its head: restored, the ring starts at slot 0.
+    for (std::size_t p = 0; p < shard.pumps.size(); ++p) {
+      const Pump& pump = shard.pumps[(shard.pump_head + p) %
+                                     shard.pumps.size()];
+      w.f64(pump.at);
+      w.i32(pump.node);
+    }
+    shard.truth.save(w);
+    shard.qos.save(w);
+    w.u32(static_cast<std::uint32_t>(shard.raise_samples.size()));
+    for (double sample : shard.raise_samples) w.f64(sample);
+    bytes.clear();
+    const bool saved = transport_->save_state(bytes);
+    w.u8(saved ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(bytes.size()));
+    w.bytes(bytes.data(), bytes.size());
+  }
+
+  bool restore_state(const std::uint8_t* data, std::size_t size,
+                     std::string& error) override {
+    // Pumps are armed by seed() or here, so none means a fresh engine.
+    ShardState& shard = *shards_.front();
+    RFD_REQUIRE_MSG(shard.pumps.empty(),
+                    "restore_state is valid only before the first window");
+    const auto fail = [&error](const char* why) {
+      error = std::string("checkpoint ") + why;
+      return false;
+    };
+    ByteReader r(data, size);
+    if (r.u32() != kStateMagic) {
+      return fail("payload is not an engine state (an older build's?)");
+    }
+    if (r.i32() != config_.n || r.i32() != max_nodes_) {
+      return fail("node counts do not match this configuration");
+    }
+    const std::int64_t k = r.i64();
+    if (!r.ok() || k < 0 || k > rounds_total_) {
+      return fail("tick lies outside this run's horizon");
+    }
+    std::vector<std::uint8_t> bytes;
+    for (ClusterNode& node : nodes_) {
+      const std::uint32_t len = r.u32();
+      bytes.resize(r.ok() && len <= r.remaining() ? len : 0);
+      std::size_t used = 0;
+      if (bytes.size() != len || (len != 0 && !r.bytes(bytes.data(), len)) ||
+          !node.restore_state(bytes.data(), len, used) || used != len) {
+        return fail("node state is inconsistent");
+      }
+    }
+    for (Rng& rng : rngs_) {
+      std::array<std::uint64_t, 5> state{};
+      for (std::uint64_t& word : state) word = r.u64();
+      rng.restore_state(state);
+    }
+    // The clock the window loop reaches, by the same sums. Every pump
+    // due by it has run, and the rotation is sorted.
+    double now = 0.0;
+    for (std::int64_t t = 0; t < k; ++t) now += check_ms_;
+    std::vector<char> seen(static_cast<std::size_t>(max_nodes_), 0);
+    double last = now;
+    shard.pumps.resize(static_cast<std::size_t>(max_nodes_));
+    for (Pump& pump : shard.pumps) {
+      pump.at = r.f64();
+      pump.node = r.i32();
+      if (!r.ok() || !std::isfinite(pump.at) || pump.at <= now ||
+          pump.at < last || pump.node < 0 || pump.node >= max_nodes_ ||
+          seen[static_cast<std::size_t>(pump.node)]++ != 0) {
+        return fail("pump schedule is inconsistent");
+      }
+      last = pump.at;
+    }
+    if (!shard.truth.restore(r) || !shard.qos.restore(r)) {
+      return fail("ground truth or ledger is inconsistent");
+    }
+    const std::uint32_t samples = r.u32();
+    if (samples > r.remaining() / 8) return fail("raise latencies truncated");
+    shard.raise_samples.resize(samples);
+    for (double& sample : shard.raise_samples) {
+      sample = r.f64();
+      if (!(sample >= 0.0 && std::isfinite(sample))) {
+        return fail("raise latencies are inconsistent");
+      }
+    }
+    const bool saved = r.u8() != 0;
+    const std::uint32_t len = r.u32();
+    bytes.resize(r.ok() && len <= r.remaining() ? len : 0);
+    std::vector<std::uint8_t> probe;
+    if (bytes.size() != len || (len != 0 && !r.bytes(bytes.data(), len)) ||
+        !r.ok() || r.remaining() != 0 ||
+        saved != transport_->save_state(probe) ||
+        (saved && !transport_->restore_state(bytes.data(), len))) {
+      return fail("transport state is inconsistent");
+    }
+
+    // Cross-checks - a node runs iff the truth says it is up, and a pair
+    // is armed iff it waits for a tick after k - while the suspicion
+    // wheel and the disagreement count are rebuilt.
+    for (NodeId i = 0; i < max_nodes_; ++i) {
+      const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
+      if (node.active() != shard.truth.truly_active(i)) {
+        return fail("node liveness disagrees with the ground truth");
+      }
+      for (NodeId j = 0; j < max_nodes_; ++j) {
+        const std::int64_t tick = node.eval_tick(j);
+        if (node.armed(j) != (tick >= 0) || (tick >= 0 && tick <= k)) {
+          return fail("suspicion schedule is inconsistent");
+        }
+        if (tick >= 0) shard.wheel.push(k, tick, pair_key(i, j));
+      }
+      if (node.active()) count_row(shard, i, +1);
+    }
+    last_agreement_ = shard.disagreeing == 0;
+    // The window loop resumes at tick k. The faults due by then have been
+    // applied; the network ones are replayed into the fresh fault network.
+    start_tick_ = boundary_tick_ = shard.check_tick = k;
+    start_time_ = boundary_time_ = shard.now = shard.polled_until = now;
+    for (; shard.fault_cursor < faults_.size() &&
+           faults_[shard.fault_cursor].at_ms <= now;
+         ++shard.fault_cursor) {
+      if (rt::Network* net = transport_->fault_network()) {
+        apply_network_fault(faults_[shard.fault_cursor], *net);
+      }
+    }
+    return true;
+  }
+
+ private:
+  static constexpr std::int64_t kBucketSlots = 256;  // power of two
+  /// Leads save_state's bytes ("ENG1"); the soak payload of older builds
+  /// began with "SOAK", so restore refuses it instead of misreading it.
+  static constexpr std::uint32_t kStateMagic = 0x31474e45u;
+
+  /// The fresh state: the initial membership and the pumps' phases.
+  void seed() {
+    // The initial membership list is configuration, not discovery. No
+    // peer is down yet, and every pair's deadline is the end of the
+    // grace window counted from 0, so every pair arms one tick.
+    const double grace = config_.bootstrap_grace_ms;
+    const std::int64_t tick = deadline_tick(grace);
+    for (NodeId i = 0; i < config_.n; ++i) {
+      ShardState& shard = *shards_[static_cast<std::size_t>(
+          owner_[static_cast<std::size_t>(i)])];
+      for (NodeId j = 0; j < config_.n; ++j) {
+        if (i == j) continue;
+        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
+        if (std::isfinite(grace)) arm_pair(shard, i, j, tick);
+      }
     }
     for (NodeId i = 0; i < max_nodes_; ++i) {
       // Desynchronized heartbeat phases, as in any real deployment. The
@@ -453,28 +644,7 @@ class ClusterEngine {
                   return lhs.node < rhs.node;
                 });
     }
-
-    // One start per run: the shards own the whole window loop and meet
-    // at two barriers per window. With one shard each barrier has one
-    // party, so every meeting completes at once and the coordinator runs
-    // inline.
-    std::barrier<> window(shard_count_);
-    std::barrier fold(shard_count_, FoldStep{this});
-    rt::run_shards(shard_count_, [&](int s) {
-      shard_loop(*shards_[static_cast<std::size_t>(s)], window, fold);
-    });
-    if (coordinator_error_ != nullptr) {
-      std::rethrow_exception(coordinator_error_);
-    }
-    finalize();
-    return std::move(report_);
   }
-
- private:
-  static constexpr std::int64_t kBucketSlots = 256;  // power of two
-  /// Ticks run to at most kMaxTicks - 1, so last + 1 fits an int32.
-  static constexpr std::int64_t kMaxTicks =
-      std::numeric_limits<std::int32_t>::max();
 
   /// The fold barrier's completion step: the coordinator, run once per
   /// window by the last shard to arrive while every other shard waits.
@@ -519,8 +689,8 @@ class ClusterEngine {
       return !failed_.load(std::memory_order_relaxed);
     };
 
-    double T = 0.0;
-    std::int64_t k = 0;
+    double T = start_time_;
+    std::int64_t k = start_tick_;
     while (k < rounds_total_) {
       ++k;
       T += check_ms_;
@@ -529,13 +699,15 @@ class ClusterEngine {
       deliver_and_evaluate(shard, k, T);
       if (!meet(fold)) return false;
     }
-    if (!stopped_early_ && T < config_.duration_ms) {
+    if (!stopped_early_ && transport_ == nullptr &&
+        T < config_.duration_ms) {
       // Grid-misaligned tail: run the remaining pumps (and any faults)
       // up to the duration. No check tick lands here - same as the old
       // engine - and deliveries arriving past the last tick can no
       // longer influence any metric, so they stay buffered. A stopped
       // run skips the tail: simulating up to the full horizon is
-      // exactly what the stop flag asked to avoid.
+      // exactly what the stop flag asked to avoid. So does the
+      // transport path, whose runs end, and checkpoint, on a tick.
       run_window(shard, config_.duration_ms, k + 1);
     }
     return true;
@@ -566,12 +738,12 @@ class ClusterEngine {
   }
 
   /// First barrier at which a message arriving at `at` may be applied:
-  /// the smallest b with T_b strictly after `at`. Strict, because at an
-  /// exact grid time the old engine ran the check (lowest sequence
-  /// number) before same-instant deliveries.
+  /// the smallest b with T_b >= `at`, so barrier k applies the arrivals
+  /// in (T_{k-1}, T_k] - the rule the transport path's poll at T_k
+  /// follows too.
   std::int64_t barrier_index(double at) const {
-    std::int64_t b = static_cast<std::int64_t>(at / check_ms_) + 1;
-    while (static_cast<double>(b) * check_ms_ <= at) ++b;
+    std::int64_t b = static_cast<std::int64_t>(at / check_ms_);
+    while (static_cast<double>(b) * check_ms_ < at) ++b;
     return b;
   }
 
@@ -670,6 +842,18 @@ class ClusterEngine {
     }
   }
 
+  /// Encodes node's digest selection (shard.digest_scratch) into `out`.
+  void encode(ShardState& shard, const ClusterNode& node,
+              std::uint32_t advertised, std::vector<std::uint8_t>& out) {
+    shard.encoder.encode(
+        advertised, shard.digest_scratch,
+        [&node](NodeId j) {
+          return static_cast<std::uint32_t>(node.counter(j));
+        },
+        out);
+    shard.c_payload_bytes += static_cast<std::int64_t>(out.size());
+  }
+
   /// One heartbeat round of node `i` at shard.now. An inactive node
   /// sends nothing; its pump still re-arms, so every node keeps exactly
   /// one pending pump.
@@ -702,6 +886,15 @@ class ClusterEngine {
           r.c = static_cast<std::int64_t>(shard.digest_scratch.size()) + 1;
           shard.trace->emit(r);
         }
+        if (transport_ != nullptr) {
+          // The transport draws the verdict itself, so every digest is
+          // encoded and counted.
+          shard.send_scratch.clear();
+          encode(shard, node, advertised, shard.send_scratch);
+          transport_->send(i, target, shard.send_scratch.data(),
+                           shard.send_scratch.size(), shard.now);
+          continue;
+        }
         // Draw the drop verdict before materializing anything: a lost or
         // partitioned message must cost neither a payload buffer nor a
         // bucket entry. The digest above still runs unconditionally -
@@ -716,15 +909,7 @@ class ClusterEngine {
         m.to = target;
         m.seq = shard.send_seq[static_cast<std::size_t>(i)]++;
         m.payload = take_payload(shard);
-        shard.encoder.encode(
-            advertised,
-            shard.digest_scratch,
-            [&node](NodeId j) {
-              return static_cast<std::uint32_t>(node.counter(j));
-            },
-            m.payload);
-        shard.c_payload_bytes +=
-            static_cast<std::int64_t>(m.payload.size());
+        encode(shard, node, advertised, m.payload);
         const int dst = owner_[static_cast<std::size_t>(target)];
         if (dst == shard.index) {
           file_message(shard, window_round, std::move(m));
@@ -788,7 +973,10 @@ class ClusterEngine {
       box.clear();
     }
     auto& bucket =
-        shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))];
+        transport_ != nullptr
+            ? shard.inbox
+            : shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))];
+    if (transport_ != nullptr) poll_transport(shard, now, bucket);
     if (const auto it = shard.far_buckets.find(k);
         it != shard.far_buckets.end()) {
       for (Message& m : it->second) bucket.push_back(std::move(m));
@@ -817,11 +1005,39 @@ class ClusterEngine {
     }
   }
 
+  /// Files what the transport has due by T_k = `now` into bucket k. The
+  /// poll index is the tiebreak a send sequence is on the native path. A
+  /// delivery off the id space, or outside (T_{k-1}, T_k], breaks the
+  /// transport's contract and is dropped.
+  void poll_transport(ShardState& shard, double now,
+                      std::vector<Message>& bucket) {
+    const double since = shard.polled_until;
+    shard.polled_until = now;
+    shard.polled.clear();
+    transport_->poll(now, shard.polled);
+    std::uint32_t seq = 0;
+    for (transport::Delivery& d : shard.polled) {
+      if (d.from < 0 || d.from >= max_nodes_ || d.to < 0 ||
+          d.to >= max_nodes_ || !(d.at_ms > since && d.at_ms <= now)) {
+        continue;
+      }
+      bucket.push_back({d.at_ms, d.from, d.to, seq++, std::move(d.payload)});
+      ++shard.pending_msgs;
+    }
+  }
+
+  /// Hands a delivered payload back to the pool the native path's sends
+  /// draw from; the transport path's payloads come from poll().
+  void recycle(ShardState& shard, std::vector<std::uint8_t>& payload) {
+    if (transport_ != nullptr) return;
+    payload.clear();
+    shard.payload_pool.push_back(std::move(payload));
+  }
+
   void deliver(ShardState& shard, Message& m) {
     ClusterNode& node = nodes_[static_cast<std::size_t>(m.to)];
     if (!node.active()) {
-      m.payload.clear();
-      shard.payload_pool.push_back(std::move(m.payload));
+      recycle(shard, m.payload);
       return;
     }
     const double now = m.at;
@@ -829,22 +1045,25 @@ class ClusterEngine {
     const NodeId to = m.to;
     std::int64_t advanced = 0;
     std::int64_t entry_count = 0;
+    bool ok = true;
     {
       // The varint stream is decoded straight into the observe walk - no
       // materialized entry list. After the leading sender entry, ids
       // arrive sorted ascending (the codec's delta stream), so the walk
       // touches the per-peer arrays in ascending order - the
-      // cache-friendly drain of the observe hot spot. The payload is
-      // this engine's own encoding, so a rejected read is a bug.
+      // cache-friendly drain of the observe hot spot. A payload the
+      // reader rejects, or one with bytes after its last entry, is
+      // dropped: the entries read before the reader stopped stay
+      // observed, and no hb_recv record is written.
       obs::ScopedPhase phase(shard.profiler.get(), obs::Phase::kObserve);
       DigestReader reader(m.payload.data(), m.payload.size(), max_nodes_);
       std::uint32_t own = 0;
       std::uint32_t count = 0;
-      RFD_REQUIRE(reader.header(own, count));
+      ok = reader.header(own, count);
       entry_count = static_cast<std::int64_t>(count) + 1;
       NodeId peer = m.from;
       std::int32_t value = static_cast<std::int32_t>(own);
-      for (std::uint32_t e = 0;; ++e) {
+      for (std::uint32_t e = 0; ok; ++e) {
         const ObserveResult result = node.observe(peer, value, now);
         if (result.newly_known) on_learned(shard, to, peer);
         if (result.advanced) {
@@ -868,13 +1087,15 @@ class ClusterEngine {
         }
         if (e == count) break;
         std::uint32_t counter = 0;
-        RFD_REQUIRE(reader.entry(peer, counter));
+        ok = reader.entry(peer, counter);
         value = static_cast<std::int32_t>(counter);
       }
+      ok = ok && reader.done();
     }
-    m.payload.clear();
-    shard.payload_pool.push_back(std::move(m.payload));
-    if (shard.trace != nullptr) {
+    // Only transport bytes can fail: the engine's own never do.
+    RFD_REQUIRE(ok || transport_ != nullptr);
+    recycle(shard, m.payload);
+    if (ok && shard.trace != nullptr) {
       obs::Record r;
       r.type = obs::RecordType::kHbRecv;
       r.t = now;
@@ -904,7 +1125,9 @@ class ClusterEngine {
       shard.disagreeing += (suspected != down) ? 1 : 0;
       shard.disagreeing -= (was_suspected != down) ? 1 : 0;
       node.set_suspected(j, suspected, suspected ? now : -1.0);
-      shard.qos.flip(i, j, suspected, down, now);
+      if (shard.qos.flip(i, j, suspected, down, now)) {
+        shard.raise_samples.push_back(now - shard.truth.down_since(j));
+      }
     }
     // Unsuspected pairs always hold a future deadline; suspected pairs
     // sleep until a counter advance refutes them.
@@ -930,7 +1153,12 @@ class ClusterEngine {
       if (shard.trace != nullptr) shard.trace->emit(fault_record(event, now));
       shard.fault_notes.push_back({effect, now});
     }
-    apply_network_fault(event, *shard.network);
+    // The shard's network, or the transport's (none on bare sockets).
+    if (rt::Network* net = transport_ != nullptr
+                               ? transport_->fault_network()
+                               : shard.network.get()) {
+      apply_network_fault(event, *net);
+    }
     if (effect == FaultEffect::kDown) {
       if (owned) count_row(shard, j, -1);  // the dead row leaves the set
       rescore_column(shard, j);
@@ -1001,15 +1229,24 @@ class ClusterEngine {
     }
     if (config_.stop != nullptr && k < rounds_total_ &&
         config_.stop->load(std::memory_order_relaxed)) {
-      // Graceful stop: end the loop at this tick on every shard (the
-      // fold barrier publishes the new round count) and normalize the
-      // report's rates over the time actually simulated. finalize()
-      // still executes: counters merge, the trace drains and the footer
-      // is written.
-      rounds_total_ = k;
-      stopped_early_ = true;
-      report_.duration_ms = now;
+      // Graceful stop. finalize() still executes: counters merge, the
+      // trace drains and the footer is written.
+      end_run(k, now);
     }
+    boundary_tick_ = k;
+    boundary_time_ = now;
+    if (config_.on_window && !config_.on_window(*this) && k < rounds_total_) {
+      end_run(k, now);
+    }
+  }
+
+  /// Ends the window loop at tick k on every shard (the fold barrier
+  /// publishes the new round count) and normalizes the report's rates
+  /// over the time actually simulated.
+  void end_run(std::int64_t k, double now) {
+    rounds_total_ = k;
+    stopped_early_ = true;
+    report_.duration_ms = now;
   }
 
   /// Logical pending-event count at an exchange barrier: one pump per
@@ -1063,20 +1300,44 @@ class ClusterEngine {
     c_false_->add(false_s - c_false_->value());
   }
 
+  /// Messages sent, dropped and partition-dropped: the shard networks',
+  /// or the transport's counters.
+  std::array<std::int64_t, 3> net_totals() const {
+    if (transport_ != nullptr) {
+      const rt::Network* net = transport_->fault_network();
+      return {transport_->counters().sent, transport_->counters().dropped,
+              net != nullptr ? net->partition_dropped() : 0};
+    }
+    std::array<std::int64_t, 3> totals{};
+    for (const auto& shard : shards_) {
+      totals[0] += shard->network->sent();
+      totals[1] += shard->network->dropped();
+      totals[2] += shard->network->partition_dropped();
+    }
+    return totals;
+  }
+
   void snapshot(std::int64_t k, double now, std::int64_t disagreeing) {
     sync_counters();
     g_disagreeing_->set(static_cast<double>(disagreeing));
-    std::int64_t sent = 0;
-    std::int64_t dropped = 0;
-    std::int64_t partition_dropped = 0;
-    for (const auto& shard : shards_) {
-      sent += shard->network->sent();
-      dropped += shard->network->dropped();
-      partition_dropped += shard->network->partition_dropped();
-    }
+    const auto [sent, dropped, partition_dropped] = net_totals();
     g_net_sent_->set(static_cast<double>(sent));
     g_net_dropped_->set(static_cast<double>(dropped));
     g_net_partition_->set(static_cast<double>(partition_dropped));
+    if (transport_ != nullptr) {
+      // Registered at the first snapshot, after every engine metric, so
+      // a native run's snapshot records never carry them.
+      const transport::TransportCounters c = transport_->counters();
+      for (const auto& [name, value] : {std::pair{"transport.sent", c.sent},
+               {"transport.delivered", c.delivered},
+               {"transport.dropped", c.dropped},
+               {"transport.duplicated", c.duplicated},
+               {"transport.queue_drops", c.queue_drops},
+               {"transport.retries", c.retries},
+               {"transport.sock_errors", c.sock_errors}}) {
+        registry_.gauge(name).set(static_cast<double>(value));
+      }
+    }
     g_queue_size_->set(static_cast<double>(logical_pending()));
     g_queue_executed_->set(static_cast<double>(logical_executed(k)));
     std::size_t max_hot = 0;
@@ -1115,7 +1376,7 @@ class ClusterEngine {
     shards_.front()->fault_notes.clear();
     // A victim an observer never met is not a miss here.
     const StandingTally tally = standing_suspicions(
-        shards_.front()->truth, false,
+        shards_.front()->truth,
         [this](NodeId i, NodeId j) {
           return standing_of(nodes_[static_cast<std::size_t>(i)], j);
         },
@@ -1123,16 +1384,21 @@ class ClusterEngine {
     c_missed_->add(tally.missed);
     sync_counters();
     fill_report_from_registry(report_, registry_);
+    report_.unmet_victims = tally.unmet;
+    for (const auto& shard : shards_) {
+      report_.raise_latency_ms.insert(report_.raise_latency_ms.end(),
+                                      shard->raise_samples.begin(),
+                                      shard->raise_samples.end());
+    }
+    // Ascending, so the list is independent of the order raises were
+    // evaluated in within a tick - which a restored wheel does not keep.
+    std::sort(report_.raise_latency_ms.begin(),
+              report_.raise_latency_ms.end());
+    // A transport-path run ends on its last tick.
+    if (transport_ != nullptr) report_.duration_ms = shards_.front()->now;
     report_.events_executed = logical_executed(rounds_total_);
     report_.peak_event_queue = peak_logical_queue_;
-    std::int64_t sent = 0;
-    std::int64_t dropped = 0;
-    std::int64_t partition_dropped = 0;
-    for (const auto& shard : shards_) {
-      sent += shard->network->sent();
-      dropped += shard->network->dropped();
-      partition_dropped += shard->network->partition_dropped();
-    }
+    const auto [sent, dropped, partition_dropped] = net_totals();
     report_.messages_sent = sent;
     report_.messages_dropped = dropped;
     report_.partition_dropped = partition_dropped;
@@ -1198,6 +1464,7 @@ class ClusterEngine {
   double check_ms_;
   int shard_count_ = 1;
   std::vector<FaultEvent> faults_;
+  transport::Transport* transport_;
   std::vector<int> owner_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<ClusterNode> nodes_;
@@ -1228,6 +1495,13 @@ class ClusterEngine {
   /// A coordinator step's exception, rethrown by run() after the join.
   std::exception_ptr coordinator_error_;
 
+  // Window boundaries: where the loop starts (0, or a restored tick) and
+  // the boundary on_window sees.
+  std::int64_t start_tick_ = 0;
+  double start_time_ = 0.0;
+  std::int64_t boundary_tick_ = 0;
+  double boundary_time_ = 0.0;
+
   // Observability. The registry always exists (it is the aggregation
   // store); trace exists only when configured. Handles are cached once.
   std::uint64_t seed_ = 0;
@@ -1256,6 +1530,40 @@ class ClusterEngine {
 };
 
 }  // namespace
+
+std::string config_error(const ClusterConfig& config) {
+  const int max_nodes = config.max_nodes > 0 ? config.max_nodes : config.n;
+  if (config.n < 2) return "n must be at least 2";
+  if (max_nodes < config.n) return "max_nodes must be at least n";
+  if (max_nodes > kMaxNodes) {
+    return "max_nodes exceeds 65536, the bound of the 32-bit "
+           "suspicion-wheel keys";
+  }
+  // An unmatched storm_off or link_up would silently corrupt the
+  // per-shard network replicas mid-run (the builders sort, this rejects).
+  std::string scenario_error = config.scenario.validate();
+  if (!scenario_error.empty()) return scenario_error;
+  if (!(config.heartbeat_interval_ms > 0.0) ||
+      !std::isfinite(config.heartbeat_interval_ms) ||
+      !(config.check_interval_ms > 0.0)) {
+    return "heartbeat and check intervals must be positive numbers";
+  }
+  // Eval ticks are stored as 32 bits, up to the last tick + 1 (see
+  // arm_pair); the exact count comes from run()'s round-count loop.
+  if (!(config.duration_ms / config.check_interval_ms <
+        static_cast<double>(kMaxTicks))) {
+    return "run has more check ticks than 32-bit eval ticks hold "
+           "(duration_ms / check_interval_ms must stay below 2^31 - 1)";
+  }
+  if (config.shards < 1) return "shards must be at least 1";
+  if (config.transport != nullptr && config.shards != 1) {
+    return "the transport path runs on one shard";
+  }
+  if (config.transport == nullptr && config.on_window) {
+    return "on_window needs the transport path";
+  }
+  return {};
+}
 
 ClusterReport run_cluster(const ClusterConfig& config, std::uint64_t seed) {
   ClusterEngine engine(config, seed);

@@ -9,10 +9,19 @@
 // suspicions, per-node message load, and how long the live membership
 // takes to converge on the true crashed set after each disruption.
 // Runs are a pure function of (config, seed).
+//
+// Messages take one of two paths, chosen by the input, not by a knob:
+// with no transport, each shard routes them through its own rt::Network
+// replica (the only sharded path); handed a transport::Transport, the
+// engine sends and polls through it on one shard - the only path for
+// real sockets and checkpoints, and the one the soak runs.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "cluster/metrics.hpp"
 #include "cluster/scenario.hpp"
@@ -21,7 +30,33 @@
 #include "runtime/detectors.hpp"
 #include "runtime/network.hpp"
 
+namespace rfd::transport {
+class Transport;
+}
+
 namespace rfd::cluster {
+
+/// The engine between two check windows of a transport-path run, as
+/// ClusterConfig::on_window sees it.
+class WindowBoundary {
+ public:
+  /// Check ticks completed (the start tick before the first window),
+  /// and that tick's simulated time in ms.
+  virtual std::int64_t tick() const = 0;
+  virtual double now_ms() const = 0;
+  /// Appends the state any later protocol record or report field depends
+  /// on - nodes, RNG streams, pump times, ground truth, the QoS ledger,
+  /// the raise latencies - and then the transport's own save_state.
+  virtual void save_state(std::vector<std::uint8_t>& out) const = 0;
+  /// Before the first window only: replaces the fresh state with one
+  /// save_state wrote under the same configuration, validating every
+  /// field. On a refusal, with `error` set, on_window must return false.
+  virtual bool restore_state(const std::uint8_t* data, std::size_t size,
+                             std::string& error) = 0;
+
+ protected:
+  ~WindowBoundary() = default;
+};
 
 struct ClusterConfig {
   /// Initially active nodes, ids 0..n-1.
@@ -61,7 +96,24 @@ struct ClusterConfig {
   /// drains and the end-of-run footer is written, covering exactly the
   /// check windows that executed. nullptr = run to duration_ms.
   const std::atomic<bool>* stop = nullptr;
+  /// Optional message path (see the file header). The engine sends each
+  /// digest at its pump time and, at check tick T_k, polls and applies
+  /// what is due by T_k. The bytes are untrusted: a payload the digest
+  /// reader rejects, or a delivery off the id space or outside
+  /// (T_{k-1}, T_k], is dropped. Network faults go to the transport's
+  /// fault_network(), if it has one. Requires shards == 1; no off-grid
+  /// tail window runs after the last tick. Not owned.
+  transport::Transport* transport = nullptr;
+  /// Transport path only: called once before the first window (the place
+  /// to restore a checkpoint) and after every window's coordinator step,
+  /// where it may checkpoint or wait. Returning false after a window ends
+  /// the run there, as the stop flag does; returning false before the
+  /// first window runs none.
+  std::function<bool(WindowBoundary&)> on_window;
 };
+
+/// Why run_cluster would refuse `config` (it aborts on one), or empty.
+std::string config_error(const ClusterConfig& config);
 
 /// Runs one seeded cluster experiment and aggregates cluster QoS.
 ClusterReport run_cluster(const ClusterConfig& config, std::uint64_t seed);

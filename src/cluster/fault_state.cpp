@@ -1,5 +1,7 @@
 #include "cluster/fault_state.hpp"
 
+#include <cmath>
+
 #include "common/assert.hpp"
 
 namespace rfd::cluster {
@@ -98,15 +100,27 @@ void FaultState::save(ByteWriter& w) const {
   }
 }
 
-void FaultState::restore(ByteReader& r) {
+bool FaultState::restore(ByteReader& r) {
   for (std::size_t p = 0; p < ever_active_.size(); ++p) {
-    ever_active_[p] = static_cast<char>(r.u8());
-    truth_active_[p] = static_cast<char>(r.u8());
+    const std::uint8_t ever = r.u8();
+    const std::uint8_t truth = r.u8();
+    ever_active_[p] = static_cast<char>(ever);
+    truth_active_[p] = static_cast<char>(truth);
     down_since_[p] = r.f64();
-    lying_[p] = static_cast<char>(r.u8());
+    const std::uint8_t lying = r.u8();
+    lying_[p] = static_cast<char>(lying);
     lie_delta_[p] = r.f64();
     lie_value_[p] = r.f64();
+    // Flags are 0 or 1, only an ever-active node is up, exactly the down
+    // ones carry a time, and every number is finite.
+    const double since = down_since_[p];
+    if (!r.ok() || ever > 1 || truth > ever || lying > 1 ||
+        (ever > truth ? !(since >= 0.0) : since != -1.0) ||
+        !std::isfinite(since + lie_delta_[p] + lie_value_[p])) {
+      return false;
+    }
   }
+  return true;
 }
 
 bool is_network_fault(FaultKind kind) {
@@ -173,10 +187,13 @@ void QosLedger::save(ByteWriter& w) const {
   w.i64(false_suspicions_);
 }
 
-void QosLedger::restore(ByteReader& r) {
+bool QosLedger::restore(ByteReader& r) {
   raises_ = r.i64();
   clears_ = r.i64();
   false_suspicions_ = r.i64();
+  // Each clear and each false suspicion follows its own raise.
+  return r.ok() && clears_ >= 0 && clears_ <= raises_ &&
+         false_suspicions_ >= 0 && false_suspicions_ <= raises_;
 }
 
 }  // namespace rfd::cluster

@@ -1,19 +1,20 @@
 // The one interpreter of scenario faults and the one ledger of suspicion
-// verdicts, shared by the sharded engine, the transport soak runner and
-// the offline trace replay. The paper scores a detector against the real
-// failure pattern (strong completeness, strong accuracy); each of them
-// needs the same ground truth and the same accounting of verdict flips
-// against it to keep that score, so a `.scn` timeline means one thing
-// under the engine and the soak, and a replayed trace re-derives the live
-// numbers by construction.
+// verdicts, shared by the cluster engine (and so the soak, which is the
+// engine over a transport) and the offline trace replay. The paper
+// scores a detector against the real failure pattern (strong
+// completeness, strong accuracy); both need the same ground truth and the
+// same accounting of verdict flips against it to keep that score, so a
+// `.scn` timeline means one thing on every backend, and a replayed trace
+// re-derives the live numbers by construction.
 //
-// Detection samples have two definitions, one per run loop. The engine
+// Detection samples have two definitions, one per report. ClusterReport
 // (and the replay) takes, per (live observer, crashed victim) pair, crash
 // -> start of the suspicion still standing at the end of the run: a
-// completeness measure that ignores suspicions a flap withdrew. The soak
-// takes one sample per raise against a down peer, crash -> raise (flip()
-// returns true for exactly those): a soak may be killed and resumed, so
-// it checkpoints samples as they occur, and a re-raise counts again.
+// completeness measure that ignores suspicions a flap withdrew.
+// SoakReport takes one sample per raise against a down peer, crash ->
+// raise (flip() returns true for exactly those): a soak may be killed and
+// resumed, so the engine checkpoints these samples as they occur, and a
+// re-raise counts again.
 #pragma once
 
 #include <algorithm>
@@ -79,8 +80,9 @@ class FaultState {
   }
 
   /// Checkpoint hooks (per node: ever, truth, down-since, lie state).
+  /// restore returns false on a truncated or inconsistent state.
   void save(ByteWriter& w) const;
-  void restore(ByteReader& r);
+  bool restore(ByteReader& r);
 
  private:
   static std::size_t at(NodeId j) { return static_cast<std::size_t>(j); }
@@ -132,7 +134,7 @@ class QosLedger {
   std::int64_t false_suspicions() const { return false_suspicions_; }
 
   void save(ByteWriter& w) const;
-  void restore(ByteReader& r);
+  bool restore(ByteReader& r);
 
  private:
   obs::RecordSink* trace_ = nullptr;
@@ -157,33 +159,26 @@ inline Standing standing_of(const ClusterNode& observer, NodeId j) {
 struct StandingTally {
   /// Down victims a live observer knows of but does not suspect.
   std::int64_t missed = 0;
-  /// Down victims a live observer never learned of. The engine does not
-  /// count these as missed; the soak does.
+  /// Down victims a live observer never learned of. ClusterReport does
+  /// not count these as missed; SoakReport does.
   std::int64_t unmet = 0;
-  /// Live victims a live observer still suspects.
-  std::int64_t wrong = 0;
 };
 
-/// The end-of-run pass over (live observer, victim) pairs, victim outer
-/// and observer inner - the order that fixes the detection samples'
-/// accumulation. Down victims are always visited; live ones, which only
-/// `wrong` needs, only with `score_live`, since that visits every pair.
-/// `standing_of(i, j)` returns a Standing; `sample(ms)` receives crash ->
-/// standing-suspicion latencies.
+/// The end-of-run pass over (live observer, down victim) pairs, victim
+/// outer and observer inner - the order that fixes the detection samples'
+/// accumulation. `standing_of(i, j)` returns a Standing; `sample(ms)`
+/// receives crash -> standing-suspicion latencies.
 template <typename StandingOf, typename Sample>
-StandingTally standing_suspicions(const FaultState& truth, bool score_live,
+StandingTally standing_suspicions(const FaultState& truth,
                                   StandingOf&& standing_of, Sample&& sample) {
   StandingTally tally;
   for (NodeId j = 0; j < truth.max_nodes(); ++j) {
-    const bool down = truth.truly_down(j);
-    if (!down && !(score_live && truth.ever_active(j))) continue;
+    if (!truth.truly_down(j)) continue;
     for (NodeId i = 0; i < truth.max_nodes(); ++i) {
       if (i == j || !truth.truly_active(i)) continue;
       const Standing s = standing_of(i, j);
       if (!s.known) {
-        if (down) ++tally.unmet;
-      } else if (!down) {
-        if (s.suspected) ++tally.wrong;
+        ++tally.unmet;
       } else if (s.suspected) {
         // A suspicion already standing at crash time detects "instantly"
         // from the abstraction's point of view.

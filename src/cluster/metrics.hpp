@@ -71,6 +71,11 @@ struct ClusterReport {
   // stands at the end of the run; quantized to the check interval.
   Summary detection_latency_ms;
   std::int64_t missed_detections = 0;
+  /// Down victims a live observer never learned of (not missed above).
+  std::int64_t unmet_victims = 0;
+  /// Crash -> raise, one per raise against a down victim, ascending: the
+  /// soak's sample definition (see cluster/fault_state.hpp).
+  std::vector<double> raise_latency_ms;
   /// Suspicion transitions against peers that were alive at that moment.
   std::int64_t false_suspicions = 0;
   double false_suspicions_per_node_per_min = 0.0;

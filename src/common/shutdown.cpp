@@ -6,24 +6,18 @@
 namespace rfd {
 namespace {
 
-// sig_atomic_t writes are async-signal-safe; volatile keeps the polling
-// loop honest. The std::atomic mirror exists for code that wants a
-// pointer to poll (ClusterConfig::stop); lock-free atomic stores are
-// also signal-safe, so the handler sets both.
-volatile std::sig_atomic_t g_shutdown = 0;
-volatile std::sig_atomic_t g_signal = 0;
-std::atomic<bool> g_shutdown_atomic{false};
+// Reads and writes of a lock-free atomic are async-signal-safe, so the
+// handler sets the same flag ClusterConfig::stop can point at.
+std::atomic<bool> g_shutdown{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-extern "C" void rfd_shutdown_handler(int signum) {
-  if (g_shutdown != 0) {
+extern "C" void rfd_shutdown_handler(int /*signum*/) {
+  if (g_shutdown.exchange(true, std::memory_order_relaxed)) {
     // Second signal: the wind-down is taking too long for the operator's
     // taste. Restore default dispositions so the next one terminates.
     std::signal(SIGINT, SIG_DFL);
     std::signal(SIGTERM, SIG_DFL);
   }
-  g_shutdown = 1;
-  g_signal = signum;
-  g_shutdown_atomic.store(true, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -33,21 +27,14 @@ void install_shutdown_handlers() {
   std::signal(SIGTERM, &rfd_shutdown_handler);
 }
 
-bool shutdown_requested() { return g_shutdown != 0; }
-
-void request_shutdown() {
-  g_shutdown = 1;
-  g_shutdown_atomic.store(true, std::memory_order_relaxed);
+bool shutdown_requested() {
+  return g_shutdown.load(std::memory_order_relaxed);
 }
 
-void reset_shutdown() {
-  g_shutdown = 0;
-  g_signal = 0;
-  g_shutdown_atomic.store(false, std::memory_order_relaxed);
-}
+void request_shutdown() { g_shutdown.store(true, std::memory_order_relaxed); }
 
-int shutdown_signal() { return static_cast<int>(g_signal); }
+void reset_shutdown() { g_shutdown.store(false, std::memory_order_relaxed); }
 
-const std::atomic<bool>& shutdown_flag() { return g_shutdown_atomic; }
+const std::atomic<bool>& shutdown_flag() { return g_shutdown; }
 
 }  // namespace rfd

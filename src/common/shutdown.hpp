@@ -1,10 +1,10 @@
 // Cooperative SIGINT/SIGTERM shutdown for the long-running binaries.
 //
-// The soak runner and the demos want Ctrl-C to mean "finish the current
-// round, flush the trace ring, write the final checkpoint, emit the run
+// The soak and the demos want Ctrl-C to mean "finish the current
+// window, flush the trace ring, write the final checkpoint, emit the run
 // footer" - not "die mid-write and leave a torn trace". The handler
-// therefore only sets an async-signal-safe flag; every driver loop polls
-// shutdown_requested() at its round boundary and winds down normally.
+// therefore only sets an async-signal-safe flag; a driver polls
+// shutdown_requested() at its window boundary and winds down normally.
 // A second signal while winding down restores the default disposition,
 // so a third Ctrl-C always kills a wedged process.
 #pragma once
@@ -29,11 +29,7 @@ void request_shutdown();
 /// Clears the flag (test isolation; does not reinstall handlers).
 void reset_shutdown();
 
-/// The signal number that triggered the shutdown (0 if none / manual).
-int shutdown_signal();
-
-/// The flag as a std::atomic - what ClusterConfig::stop wants to point
-/// at. Mirrors shutdown_requested() exactly (the handler sets both).
+/// The flag itself - what ClusterConfig::stop wants to point at.
 const std::atomic<bool>& shutdown_flag();
 
 }  // namespace rfd

@@ -23,8 +23,7 @@ enum class RecordType : std::uint8_t {
   kArrival,   // QoS monitor a: heartbeat arrival, x = inter-arrival gap ms
   kVerdict,   // QoS monitor a: suspicion verdict flipped to c at poll time
   kSockErr,   // transport socket error on node a: s = op ("sendmmsg"...),
-              // c = errno, x = consecutive occurrences folded into this
-              // record (error storms are rate-limited at the source)
+              // c = errno; one record per error counted
 };
 
 /// Fixed-size hot-path record. Field meanings depend on `type` (above);

@@ -62,8 +62,7 @@ ReplayQos replay_qos(const std::string& path) {
     return result;
   }
 
-  // The engine's and the soak's own interpreter and ledger, fed from the
-  // records.
+  // The engine's own interpreter and ledger, fed from the records.
   cluster::FaultState truth(0, 0);
   cluster::QosLedger qos;
   // Standing suspicions: (observer, victim) -> raise time, mirroring the
@@ -110,8 +109,8 @@ ReplayQos replay_qos(const std::string& path) {
       }
       truth = cluster::FaultState(result.max_nodes, result.n);
     } else if (type == "fault") {
-      // The engine and the soak emit fault records only when they take
-      // effect; only the node-shaped kinds move the ground truth.
+      // The engine emits fault records only when they take effect;
+      // only the node-shaped kinds move the ground truth.
       double node = -1.0;
       field_num(line, "node", node);
       const std::optional<cluster::FaultKind> fault_kind =
@@ -163,7 +162,7 @@ ReplayQos replay_qos(const std::string& path) {
   result.suspicion_clears = qos.clears();
   result.false_suspicions = qos.false_suspicions();
   cluster::standing_suspicions(
-      truth, false,
+      truth,
       [&](cluster::NodeId i, cluster::NodeId j) {
         const auto it = suspicion.find(pair_key(i, j));
         if (it == suspicion.end()) return cluster::Standing{};

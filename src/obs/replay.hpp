@@ -1,8 +1,8 @@
-// Offline QoS re-derivation from a JSONL trace of the cluster engine or
-// the soak runner.
+// Offline QoS re-derivation from a JSONL trace of the cluster engine,
+// on either message path (the soak is the engine over a transport).
 //
-// Feeds the fault / suspect / clear records through the engine's and the
-// soak runner's own interpreter and ledger (cluster/fault_state.hpp):
+// Feeds the fault / suspect / clear records through the engine's own
+// interpreter and ledger (cluster/fault_state.hpp):
 // FaultState rebuilds the ground truth, QosLedger recounts raises, clears
 // and false suspicions, and standing_suspicions() recomputes the engine's
 // end-of-run detection samples. The live numbers are therefore

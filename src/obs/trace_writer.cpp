@@ -361,7 +361,6 @@ void TraceWriter::format_cold(const Record& r, std::string& out) {
       append_int(out, r.a);
       field_str(out, "op", r.s);
       field_int(out, "errno", r.c);
-      if (r.x > 1.0) field_num(out, "count", r.x);
       break;
     default:
       // Hot types are handled by format(); never reaches here.

@@ -1,4 +1,4 @@
-// Versioned, CRC-checked checkpoint files for the soak runner.
+// Versioned, CRC-checked checkpoint files for the soak.
 //
 // File layout (all little-endian; see common/bytes.hpp):
 //
@@ -10,8 +10,8 @@
 //   i64  tick             driver tick the snapshot was taken at
 //   f64  now_ms           driver clock at the snapshot
 //   u64  payload_size
-//   ...  payload          runner-defined bytes (nodes, RNGs, transport,
-//                         metrics - see transport/soak.cpp)
+//   ...  payload          the engine's WindowBoundary::save_state bytes
+//                         (nodes, RNGs, pumps, truth, ledger, transport)
 //   u32  crc32            over every preceding byte
 //
 // Writes are atomic: the file is written to `<path>.tmp` and renamed

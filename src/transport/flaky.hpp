@@ -52,8 +52,11 @@ class FlakyTransport final : public Transport {
   bool save_state(std::vector<std::uint8_t>& out) const override;
   bool restore_state(const std::uint8_t* data, std::size_t size) override;
 
-  /// Forward the trace sink to the injection network (drop records).
-  void set_trace(obs::RecordSink* trace) { net_->set_trace(trace); }
+  /// The injection network's drop records, and the inner transport's.
+  void set_trace(obs::RecordSink* trace) override {
+    net_->set_trace(trace);
+    inner_->set_trace(trace);
+  }
 
  private:
   struct Held {

@@ -1,31 +1,29 @@
-// Checkpointed soak runner: the cluster protocol driven over a real or
-// simulated Transport for long wall-clock runs.
+// The checkpointed soak: the cluster engine (cluster/engine.hpp) on its
+// transport path, for long wall-clock runs over a real or simulated
+// network. run_soak builds the backend - a FlakyTransport over a
+// LoopbackTransport (sim: its verdict network is the simulated network)
+// or a UdpTransport on real kernel sockets, with `flaky` layering one
+// more FlakyTransport on either for socket-boundary fault injection -
+// maps SoakConfig onto the engine on one shard, with heartbeat = check
+// = tick_ms, and maps the result onto SoakReport. The engine runs the
+// same scenario DSL timelines the simulator uses.
 //
-// The sharded engine (cluster/engine.*) is the scale instrument - it
-// owns time and runs as fast as the CPU allows. The soak runner is the
-// robustness instrument: one single-threaded driver loop that advances
-// a unified tick grid (heartbeat and suspicion checks share the grid),
-// pushes digests through a Transport and replays the same scenario DSL
-// fault timelines the simulator uses. The sim backend is a
-// FlakyTransport over a LoopbackTransport (its verdict network is the
-// simulated network); the udp backend is UdpTransport on real kernel
-// sockets; `flaky` layers one more FlakyTransport on either for
-// socket-boundary fault injection.
-//
-// What makes it a *soak* runner:
-//   - periodic versioned, CRC-checked checkpoints of the full mutable
-//     state (nodes, detectors, RNG streams, fault cursor, metrics, and
-//     the transport when it can serialize itself), written atomically;
-//   - crash-resume: a run started with resume=true picks up from the
-//     last checkpoint and - on the sim backend - produces the exact
-//     counters and detection samples an uninterrupted run would have;
-//   - graceful SIGINT/SIGTERM shutdown: the loop notices the flag at
-//     the next tick, writes a final checkpoint, flushes the trace ring
-//     and emits the end-of-run footer before exiting.
-//
-// All of the real-time machinery (pacing, epoll parking) engages only
-// on the UDP backend; the sim backend runs the grid as fast as it can,
-// which is what the resume-equivalence tests rely on.
+// What the soak adds, in the engine's per-window callback:
+//   - a whole-tick horizon: ceil(duration_ms / tick_ms) windows, so the
+//     run never reaches the engine's off-grid tail and every checkpoint
+//     sits on a check tick;
+//   - periodic versioned, CRC-checked checkpoints of the engine state and
+//     the transport's own, written atomically; a checkpoint written
+//     before the soak ran on the engine is refused with an error;
+//   - crash-resume: a run started with resume=true continues from the
+//     last checkpoint and - on the sim backend - reproduces the protocol
+//     records and the outcome of an uninterrupted run;
+//   - graceful SIGINT/SIGTERM shutdown: the run ends after the current
+//     window (the first always runs), writes a final checkpoint and
+//     flushes the trace;
+//   - UDP pacing: with time_scale > 0, each window waits for its
+//     wall-clock start, in slices of at most 50 ms that notice a
+//     shutdown. The sim backend runs as fast as it can.
 #pragma once
 
 #include <cstdint>
@@ -61,10 +59,8 @@ struct SoakConfig {
 
   cluster::TopologyParams topology;
   rt::DetectorParams detector;
-  /// Unified driver grid: heartbeats advance and suspicion verdicts are
-  /// re-evaluated once per tick. (The sharded engine separates the two
-  /// cadences; the soak driver trades that for a loop whose state is
-  /// trivially checkpointable at tick boundaries.)
+  /// The engine's heartbeat and check interval: each node heartbeats
+  /// once per tick at its own phase, and verdicts are judged per tick.
   double tick_ms = 100.0;
   double bootstrap_grace_ms = 1500.0;
   int hot_transmissions = 4;
@@ -105,7 +101,7 @@ struct SoakReport {
   int n = 0;
   int max_nodes = 0;
   /// Simulated time covered by the end of the run (cumulative across
-  /// resumes) and ticks executed by *this* process.
+  /// resumes) and check windows executed by *this* process.
   double sim_ms = 0.0;
   std::int64_t ticks_run = 0;
   double wall_ms = 0.0;
@@ -117,9 +113,10 @@ struct SoakReport {
   std::int64_t clears = 0;
   std::int64_t false_suspicions = 0;
   /// Crash-to-raise latencies (ms), one per raise against a down peer
-  /// (see cluster/fault_state.hpp), cumulative across resumes.
+  /// (see cluster/fault_state.hpp), cumulative across resumes, ascending.
   Summary detection;
-  /// (live observer, truly down peer) pairs still unsuspected at exit.
+  /// (live observer, truly down peer) pairs still unsuspected at exit,
+  /// counting victims the observer never met.
   std::int64_t missed = 0;
   /// Every live node's suspected set matches the true crashed set.
   bool final_agreement = false;
@@ -142,10 +139,11 @@ struct SoakReport {
 /// checkpoints so a resume under a different config is refused.
 std::uint64_t soak_config_fingerprint(const SoakConfig& config);
 
-/// Executes the soak run. On resume failure (missing/corrupt/foreign
-/// checkpoint), or for a UDP run whose scenario has network faults but
-/// no `flaky` injection layer, returns false and fills `error` without
-/// running.
+/// Executes the soak run. On a config the engine or the socket layer
+/// refuses (n < 2, a UDP port range past 65535, a UDP run whose scenario
+/// has network faults but no `flaky` injection layer, ...) or a resume
+/// failure (missing/corrupt/foreign checkpoint), returns false and fills
+/// `error` without running.
 bool run_soak(const SoakConfig& config, SoakReport& report,
               std::string& error);
 

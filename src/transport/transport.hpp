@@ -1,8 +1,9 @@
 // Transport abstraction for the heartbeat send/receive path.
 //
-// The cluster engine simulates its network inline (conservative parallel
-// DES - see cluster/engine.cpp); the soak driver instead pushes opaque
-// datagrams through this interface, which has three implementations:
+// Without one, the cluster engine simulates its network inline, sharded
+// (see cluster/engine.cpp). Handed one (ClusterConfig::transport), the
+// engine pushes its digests through it as opaque datagrams - that is the
+// soak (transport/soak.hpp). There are three implementations:
 //
 //   LoopbackTransport (transport/loopback.hpp) - an in-process wire:
 //     send() queues, poll() hands the queue over; no verdicts, no delay.
@@ -18,11 +19,10 @@
 //     sockets - so one .scn file exercises both backends through one
 //     injection implementation.
 //
-// The driver owns the clock: `now_ms` on send()/poll() is driver time
-// (simulation ms for the sim backend, wall-clock ms since run start for
-// UDP). A transport never calls back into the driver; deliveries are
-// pulled with poll(), which keeps the soak loop single-threaded and the
-// sim backend deterministic.
+// The engine owns the clock: `now_ms` on send() is a pump time and on
+// poll() a check tick, both simulated ms. A transport never calls back
+// into the engine; deliveries are pulled with poll(), which keeps the
+// sim backend deterministic. UDP stamps each delivery with its poll time.
 #pragma once
 
 #include <cstdint>
@@ -34,8 +34,8 @@ namespace rfd::transport {
 
 using NodeId = rt::NodeId;
 
-/// Uniform counters every backend maintains; the soak runner snapshots
-/// them into its obs::Registry (transport.* metric names) and the final
+/// Uniform counters every backend maintains; the engine snapshots them
+/// into its obs::Registry (transport.* gauges) and the soak into its
 /// report.
 struct TransportCounters {
   std::int64_t sent = 0;         // datagrams accepted by send()
@@ -47,7 +47,7 @@ struct TransportCounters {
   std::int64_t sock_errors = 0;  // socket-level errors observed
 };
 
-/// One received datagram: who sent it, when it surfaced on the driver's
+/// One received datagram: who sent it, when it arrived on the engine's
 /// clock, and the opaque payload bytes.
 struct Delivery {
   double at_ms = 0.0;
@@ -78,12 +78,17 @@ class Transport {
   /// FlakyTransport for faults.
   virtual rt::Network* fault_network() { return nullptr; }
 
+  /// Attaches the sink for the backend's own records (drop verdicts,
+  /// socket errors); a wrapper forwards it to its inner transport.
+  virtual void set_trace(obs::RecordSink* trace) { (void)trace; }
+
   /// Checkpoint hooks. Flaky serializes its hold buffer, send sequence
   /// and RNG streams (then its inner transport's state), loopback its
-  /// counters, and both return true; wall-clock transports return false (in-flight UDP datagrams die with the
-  /// process - a resumed run simply re-heartbeats, which the protocol
-  /// tolerates by design). restore_state() returns false on a payload
-  /// that is truncated or from a different configuration.
+  /// counters, and both return true; wall-clock transports return false
+  /// (in-flight UDP datagrams die with the process - a resumed run simply
+  /// re-heartbeats, which the protocol tolerates by design).
+  /// restore_state() returns false on a payload that is truncated or
+  /// from a different configuration.
   virtual bool save_state(std::vector<std::uint8_t>& out) const {
     (void)out;
     return false;

@@ -51,6 +51,9 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 UdpTransport::UdpTransport(int max_nodes, UdpParams params)
     : params_(params), max_nodes_(max_nodes) {
   RFD_REQUIRE(max_nodes > 0 && max_nodes < 4096);
+  // Node i binds base_port + i: the range must stay a valid port range.
+  RFD_REQUIRE(params.base_port >= 1 &&
+              params.base_port + max_nodes - 1 <= 65535);
   RFD_REQUIRE(params.send_queue_cap > 0);
   RFD_REQUIRE(params.batch > 0 && params.batch <= 1024);
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
@@ -79,8 +82,18 @@ UdpTransport::UdpTransport(int max_nodes, UdpParams params)
                     "epoll_ctl(ADD) failed");
     fds_[static_cast<std::size_t>(i)] = fd;
   }
-  recv_bufs_.resize(static_cast<std::size_t>(params_.batch));
+  const auto batch = static_cast<std::size_t>(params_.batch);
+  recv_bufs_.resize(batch);
   for (auto& buf : recv_bufs_) buf.resize(kMaxDatagram);
+  recv_msgs_.resize(batch);
+  recv_iovs_.resize(batch);
+  for (std::size_t i = 0; i < batch; ++i) {
+    recv_iovs_[i].iov_base = recv_bufs_[i].data();
+    recv_iovs_[i].iov_len = recv_bufs_[i].size();
+    recv_msgs_[i].msg_hdr.msg_iov = &recv_iovs_[i];
+    recv_msgs_[i].msg_hdr.msg_iovlen = 1;
+  }
+
 }
 
 UdpTransport::~UdpTransport() {
@@ -94,35 +107,13 @@ void UdpTransport::note_sock_error(NodeId node, const char* op, int err,
                                    double now_ms) {
   ++counters_.sock_errors;
   if (trace_ == nullptr) return;
-  if (op == last_err_op_ && err == last_err_errno_ &&
-      node == last_err_node_) {
-    // Fold the repeat; it flushes with a count when the error changes.
-    ++folded_errors_;
-    return;
-  }
-  if (folded_errors_ > 0) {
-    obs::Record flush;
-    flush.t = now_ms;
-    flush.type = obs::RecordType::kSockErr;
-    flush.a = last_err_node_;
-    flush.c = last_err_errno_;
-    flush.s = last_err_op_;
-    flush.x = static_cast<double>(folded_errors_);
-    trace_->emit(flush);
-  }
-  last_err_op_ = op;
-  last_err_errno_ = err;
-  last_err_node_ = node;
-  folded_errors_ = 1;
   obs::Record r;
   r.t = now_ms;
   r.type = obs::RecordType::kSockErr;
   r.a = node;
   r.c = err;
   r.s = op;
-  r.x = 1.0;
   trace_->emit(r);
-  folded_errors_ = 0;
 }
 
 void UdpTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
@@ -130,11 +121,13 @@ void UdpTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
   if (from < 0 || from >= max_nodes_ || to < 0 || to >= max_nodes_) return;
   RFD_REQUIRE_MSG(size + kHeaderBytes <= kMaxDatagram,
                   "payload exceeds the transport's datagram bound");
+  (void)now_ms;
   if (static_cast<int>(send_queue_.size()) >= params_.send_queue_cap) {
     // Bounded queue: shed the oldest frame (it is the stalest heartbeat
     // - the protocol tolerates loss, not unbounded queueing delay).
     send_queue_.pop_front();
     ++counters_.queue_drops;
+    if (due_ > 0) --due_;
   }
   PendingFrame f;
   f.from = from;
@@ -144,27 +137,29 @@ void UdpTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
   if (size != 0) std::memcpy(f.frame.data() + kHeaderBytes, data, size);
   send_queue_.push_back(std::move(f));
   ++counters_.sent;
-  flush_sends(now_ms);
 }
 
 void UdpTransport::flush_sends(double now_ms) {
-  if (send_queue_.empty()) return;
+  if (due_ == 0) return;
   if (backoff_until_ms_ >= 0.0 && now_ms < backoff_until_ms_) return;
-  while (!send_queue_.empty()) {
+  // Sized for a whole batch, so the pointers below stay valid.
+  std::vector<mmsghdr> msgs;
+  std::vector<iovec> iovs;
+  std::vector<sockaddr_in> addrs;
+  msgs.reserve(static_cast<std::size_t>(params_.batch));
+  iovs.reserve(static_cast<std::size_t>(params_.batch));
+  addrs.reserve(static_cast<std::size_t>(params_.batch));
+  while (due_ > 0) {
     // Group a sendmmsg batch by source socket: frames from one sender
     // go out in one syscall. The queue is FIFO per sender, preserving
     // the kernel-visible send order.
     const NodeId from = send_queue_.front().from;
     const int fd = fds_[static_cast<std::size_t>(from)];
     const std::size_t batch =
-        std::min<std::size_t>(send_queue_.size(),
-                              static_cast<std::size_t>(params_.batch));
-    std::vector<mmsghdr> msgs;
-    std::vector<iovec> iovs;
-    std::vector<sockaddr_in> addrs;
-    msgs.reserve(batch);
-    iovs.reserve(batch);
-    addrs.reserve(batch);
+        std::min<std::size_t>(due_, static_cast<std::size_t>(params_.batch));
+    msgs.clear();
+    iovs.clear();
+    addrs.clear();
     for (std::size_t i = 0; i < batch; ++i) {
       PendingFrame& f = send_queue_[i];
       if (f.from != from) break;
@@ -202,9 +197,11 @@ void UdpTransport::flush_sends(double now_ms) {
       note_sock_error(from, "sendmmsg", err, now_ms);
       send_queue_.pop_front();
       ++counters_.queue_drops;
+      --due_;
       continue;
     }
     send_queue_.erase(send_queue_.begin(), send_queue_.begin() + n);
+    due_ -= static_cast<std::size_t>(n);
     backoff_until_ms_ = -1.0;
     backoff_cur_ms_ = 0.0;
     if (static_cast<std::size_t>(n) < msgs.size()) {
@@ -219,14 +216,7 @@ void UdpTransport::drain_socket(int index, double now_ms,
                                 std::vector<Delivery>& out) {
   const int fd = fds_[static_cast<std::size_t>(index)];
   const std::size_t batch = recv_bufs_.size();
-  std::vector<mmsghdr> msgs(batch);
-  std::vector<iovec> iovs(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
-    iovs[i].iov_base = recv_bufs_[i].data();
-    iovs[i].iov_len = recv_bufs_[i].size();
-    msgs[i].msg_hdr.msg_iov = &iovs[i];
-    msgs[i].msg_hdr.msg_iovlen = 1;
-  }
+  std::vector<mmsghdr>& msgs = recv_msgs_;
   for (;;) {
     const int n = static_cast<int>(
         recvmmsg(fd, msgs.data(), static_cast<unsigned>(batch), 0, nullptr));
@@ -266,21 +256,20 @@ void UdpTransport::drain_socket(int index, double now_ms,
 }
 
 void UdpTransport::poll(double now_ms, std::vector<Delivery>& out) {
+  // What earlier polls left queued goes on the wire first, then the
+  // sockets are read; frames queued since wait for the next poll.
   flush_sends(now_ms);
   epoll_event events[64];
-  for (;;) {
-    const int n = epoll_wait(epoll_fd_, events, 64, 0);
-    if (n < 0) {
-      if (errno != EINTR) {
-        note_sock_error(-1, "epoll_wait", errno, now_ms);
-      }
-      return;
+  for (int n = 64; n == 64;) {
+    n = epoll_wait(epoll_fd_, events, 64, 0);
+    if (n < 0 && errno != EINTR) {
+      note_sock_error(-1, "epoll_wait", errno, now_ms);
     }
     for (int i = 0; i < n; ++i) {
       drain_socket(static_cast<int>(events[i].data.u32), now_ms, out);
     }
-    if (n < 64) return;
   }
+  due_ = send_queue_.size();
 }
 
 bool UdpTransport::wait_readable(double timeout_ms) {

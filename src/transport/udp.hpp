@@ -6,25 +6,31 @@
 // framed with a 12-byte header (magic, from, to) so a receiver never
 // trusts source ports, and ride a real kernel socket path - real
 // syscalls, real buffer pressure, real drops - which is what the soak
-// runs exercise that the simulator cannot.
+// runs exercise that the simulator cannot. The soak is the cluster
+// engine over this transport: it sends at pump times and polls at each
+// check tick, so every delivery is stamped with its poll time.
 //
 // Mechanics:
 //   - every socket is O_NONBLOCK and registered with one epoll instance;
 //     poll() does a zero-timeout epoll_wait and drains ready sockets
 //     with recvmmsg in batches;
-//   - send() never blocks: frames enter a bounded queue; flushes go out
-//     with sendmmsg grouped by source socket. EAGAIN/ENOBUFS arms an
-//     exponential backoff (retry at a later poll, counted in
-//     counters().retries); a full queue drops the oldest frame and
-//     counts it in queue_drops - bounded memory beats unbounded latency;
-//   - every socket-level error emits a reason-tagged "sock_err" trace
-//     record (rate-limited by folding repeats) and bumps sock_errors.
+//   - send() never blocks: frames enter a bounded queue, and poll()
+//     first puts on the wire, with sendmmsg grouped by source socket,
+//     what the previous poll left queued, then reads. A datagram is
+//     thus read one poll after the one that followed its send, instead
+//     of in the poll that released it (loopback delivers synchronously).
+//     EAGAIN/ENOBUFS arms an exponential backoff (retry at a later
+//     poll, counted in counters().retries); a full queue drops the
+//     oldest frame and counts it in queue_drops;
+//   - every socket-level error emits one reason-tagged "sock_err" trace
+//     record and bumps sock_errors, so the trace and the counter agree.
 //
-// The epoll file descriptor doubles as the wall-clock timer driver: a
-// driver that wants to sleep until the next heartbeat tick calls
+// A caller that polls in a loop until datagrams land calls
 // wait_readable(timeout), which parks in epoll_wait - waking early when
-// datagrams arrive - instead of busy-spinning the poll loop.
+// datagrams arrive - instead of busy-spinning.
 #pragma once
+
+#include <sys/socket.h>
 
 #include <deque>
 
@@ -49,7 +55,8 @@ struct UdpParams {
 
 class UdpTransport final : public Transport {
  public:
-  /// Binds all sockets eagerly; aborts (RFD_REQUIRE) when a bind or the
+  /// Binds all sockets eagerly, node i on base_port + i; aborts
+  /// (RFD_REQUIRE) on a port range past 65535, or when a bind or the
   /// epoll setup fails - a soak run with half its sockets is not a run.
   UdpTransport(int max_nodes, UdpParams params);
   ~UdpTransport() override;
@@ -64,11 +71,11 @@ class UdpTransport final : public Transport {
 
   /// Parks in epoll_wait for up to `timeout_ms` (clamped to >= 0) or
   /// until any socket becomes readable; returns true when it woke for
-  /// readability. The wall-clock pacing loop uses this as its timer.
+  /// readability.
   bool wait_readable(double timeout_ms);
 
   /// Attaches the trace sink for "sock_err" records.
-  void set_trace(obs::RecordSink* trace) { trace_ = trace; }
+  void set_trace(obs::RecordSink* trace) override { trace_ = trace; }
 
  private:
   struct PendingFrame {
@@ -86,19 +93,18 @@ class UdpTransport final : public Transport {
   int epoll_fd_ = -1;
   std::vector<int> fds_;  // fds_[i] = node i's socket
   std::deque<PendingFrame> send_queue_;
+  /// Frames at the queue's front that were queued when the last poll
+  /// returned: what the next poll puts on the wire.
+  std::size_t due_ = 0;
   double backoff_until_ms_ = -1.0;
   double backoff_cur_ms_ = 0.0;
   obs::RecordSink* trace_ = nullptr;
   TransportCounters counters_;
-  // Folding rate limit for sock_err records: repeats of the same
-  // (op, errno) accumulate and flush as one record with a count.
-  const char* last_err_op_ = nullptr;
-  int last_err_errno_ = 0;
-  NodeId last_err_node_ = -1;
-  std::int64_t folded_errors_ = 0;
 
   // recvmmsg scratch (sized once): batch headers, iovecs, buffers.
   std::vector<std::vector<std::uint8_t>> recv_bufs_;
+  std::vector<mmsghdr> recv_msgs_;
+  std::vector<iovec> recv_iovs_;
 };
 
 }  // namespace rfd::transport

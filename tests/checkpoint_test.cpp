@@ -174,6 +174,7 @@ TEST(SoakResume, MatchesUninterruptedRun) {
     SCOPED_TRACE(base.flaky ? "flaky" : "sim");
     reset_shutdown();
     SoakConfig full = base;
+    full.obs.trace_path = temp_path("resume_full_trace");
     SoakReport uninterrupted;
     std::string error;
     ASSERT_TRUE(run_soak(full, uninterrupted, error)) << error;
@@ -191,12 +192,30 @@ TEST(SoakResume, MatchesUninterruptedRun) {
     ASSERT_TRUE(run_soak(first_leg, half, error)) << error;
     ASSERT_GT(half.checkpoints_written, 0);
 
+    CheckpointData checkpoint;
+    ASSERT_TRUE(read_checkpoint(ckpt, soak_config_fingerprint(base),
+                                checkpoint, error))
+        << error;
+
     SoakConfig second_leg = base;
     second_leg.checkpoint_path = ckpt;
     second_leg.resume = true;
+    second_leg.obs.trace_path = temp_path("resume_tail_trace");
     SoakReport resumed;
     ASSERT_TRUE(run_soak(second_leg, resumed, error)) << error;
     EXPECT_TRUE(resumed.resumed);
+
+    // Record for record: what the resumed leg wrote is what the
+    // uninterrupted run wrote after the checkpoint's time.
+    using cluster::testutil::protocol_records;
+    using cluster::testutil::read_file;
+    const std::vector<std::string> tail = protocol_records(
+        read_file(second_leg.obs.trace_path), checkpoint.now_ms);
+    ASSERT_GT(tail.size(), 1000u);
+    EXPECT_EQ(tail, protocol_records(read_file(full.obs.trace_path),
+                                     checkpoint.now_ms));
+    std::remove(full.obs.trace_path.c_str());
+    std::remove(second_leg.obs.trace_path.c_str());
 
     EXPECT_EQ(resumed.outcome_fingerprint, uninterrupted.outcome_fingerprint);
     EXPECT_EQ(resumed.raises, uninterrupted.raises);
@@ -251,14 +270,16 @@ TEST(SoakShutdown, StopsAtNextTickAndStillCheckpoints) {
   SoakConfig config = base_soak_config();
   config.checkpoint_path = ckpt;
   config.checkpoint_every_ms = 5'000.0;
-  request_shutdown();  // flag already set: the loop must exit on tick 1
+  // Flag already set: the engine's first window always runs, and the run
+  // ends - and checkpoints - at its boundary.
+  request_shutdown();
   SoakReport report;
   std::string error;
   ASSERT_TRUE(run_soak(config, report, error)) << error;
   reset_shutdown();
   EXPECT_TRUE(report.stopped_by_signal);
-  EXPECT_EQ(report.ticks_run, 0);
-  EXPECT_EQ(report.checkpoints_written, 0);  // nothing ran, nothing saved
+  EXPECT_EQ(report.ticks_run, 1);
+  EXPECT_EQ(report.checkpoints_written, 1);
 
   // A shutdown arriving mid-run leaves a resumable final checkpoint.
   SoakReport fresh;
@@ -308,10 +329,11 @@ TEST(SoakResume, RefusesAnOwnCounterPast32Bits) {
   ASSERT_TRUE(read_checkpoint(ckpt, soak_config_fingerprint(config), data,
                               error))
       << error;
-  // Node 0's own counter follows the magic, n, max_nodes, node 0's
-  // length, id, max_nodes, membership version and active flag; it has
-  // advanced once per tick. Heartbeats never take it past INT32_MAX.
-  constexpr std::size_t kOwnCounter = 33;
+  // Node 0's own counter follows the engine state's magic, n, max_nodes
+  // and tick, node 0's length, id, max_nodes, membership version and
+  // active flag; it has advanced once per tick. Heartbeats never take it
+  // past INT32_MAX.
+  constexpr std::size_t kOwnCounter = 41;
   ASSERT_EQ(read_u64(data.payload, kOwnCounter), 30u);
   patch(data.payload, kOwnCounter, std::uint64_t{1} << 32, 8);
   ASSERT_TRUE(write_checkpoint(ckpt, data, error)) << error;
@@ -566,26 +588,26 @@ TEST(SoakOutcome, FingerprintsArePinned) {
     std::uint64_t fingerprint;
     const char* trace;
   } kPinned[] = {
-      {"asymmetric_partition.scn", 0xf2f1900c312f04a8ull,
-       "819901b622424959"},
-      {"byzantine_counters.scn", 0x525bc62063a46728ull,
-       "997b8e193c6dd289"},
-      {"cascading_overload.scn", 0xba7a8dd3b3828aedull,
-       "920d61f0a01bc2a4"},
-      {"churn_storm.scn", 0x2540ec17b7c6184full,
-       "db197c512e9f39cc"},
-      {"crash_recovery_wave.scn", 0x8989c7c5891e70e0ull,
-       "e96e2b5a4f487644"},
-      {"flapping_links.scn", 0x80fc15fd1bd23e21ull,
-       "0824c8b05a1cfacf"},
-      {"gray_failure.scn", 0x5d42a861c8bc27f8ull,
-       "5e9c208dc0de77fc"},
-      {"partition_cascade.scn", 0xe3474ebffee12fc8ull,
-       "6d45caeb3d1ae2e4"},
-      {"rack_failure.scn", 0x4d6bd2357f443d31ull,
-       "8df8092c47fdddf9"},
-      {"slow_nodes.scn", 0x98c2085d38d850e3ull,
-       "8c90035eca0711b5"},
+      {"asymmetric_partition.scn", 0x5ec5ecbefe65022bull,
+       "1b402cf156968fff"},
+      {"byzantine_counters.scn", 0xc76a36481273e626ull,
+       "e2526a5cd50aa3e4"},
+      {"cascading_overload.scn", 0x38e46b8b3851ad28ull,
+       "20ecfe0dd41cb5a4"},
+      {"churn_storm.scn", 0x2cb6e7acd3d02b97ull,
+       "046a8b50e9193047"},
+      {"crash_recovery_wave.scn", 0x9f893770b3fbf0ebull,
+       "778450feebac1da6"},
+      {"flapping_links.scn", 0x5b324daef4bfb4d2ull,
+       "fae9e358c2cd5cb7"},
+      {"gray_failure.scn", 0x61dda4278e91e724ull,
+       "6b1c29f422fa48fb"},
+      {"partition_cascade.scn", 0xa757d540b8eef134ull,
+       "7f5e9d54f34a5efb"},
+      {"rack_failure.scn", 0x1a07ee8d70ceeaedull,
+       "fd744eeab60d209e"},
+      {"slow_nodes.scn", 0x8a69edb5c9ed068bull,
+       "e73621a6462b95d1"},
   };
   const std::string trace_path = temp_path("pinned_trace");
   const auto run_traced = [&trace_path](SoakConfig config,
@@ -625,9 +647,9 @@ TEST(SoakOutcome, FingerprintsArePinned) {
   std::string trace;
   const std::string error = run_traced(flaky, report, trace);
   ASSERT_TRUE(error.empty()) << error;
-  EXPECT_EQ(report.outcome_fingerprint, 0xe3c990f0d7b8072eull)
+  EXPECT_EQ(report.outcome_fingerprint, 0x924ee267bb2a2b00ull)
       << "flaky: got " << std::hex << report.outcome_fingerprint;
-  EXPECT_EQ(trace, "3362729c7e8f027c") << "flaky trace";
+  EXPECT_EQ(trace, "3f4445858bfd3fc2") << "flaky trace";
 }
 
 }  // namespace

@@ -8,22 +8,33 @@
 //
 // The digests also gate the scenario corpus itself: a .scn file that is
 // added without a GOLDEN.txt row, or a row whose file is gone, fails.
+//
+// The same files also pin the engine's transport path (the soak's) to
+// its native path: over a FlakyTransport on a LoopbackTransport, seeded
+// like the shard network, a run writes the native run's protocol
+// records.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "scenario_test_util.hpp"
+#include "transport/flaky.hpp"
+#include "transport/loopback.hpp"
 
 namespace rfd::cluster {
 namespace {
 
 using testutil::fnv1a_hex;
 using testutil::load_doc;
+using testutil::protocol_records;
 using testutil::read_file;
 using testutil::scenario_cluster_config;
 using testutil::scenario_dir;
@@ -101,6 +112,41 @@ TEST(ScenarioGolden, EveryScenarioFileMatchesItsPinnedTraceDigest) {
     }
     ADD_FAILURE() << "fresh digest table for scenarios/GOLDEN.txt:\n"
                   << table.str();
+  }
+}
+
+TEST(ScenarioGolden, TransportPathWritesTheNativeProtocolRecords) {
+  for (const auto& entry :
+       std::filesystem::directory_iterator(scenario_dir())) {
+    const std::string file = entry.path().filename().string();
+    if (entry.path().extension() != ".scn") continue;
+    const ScenarioDoc doc = load_doc(file);
+    const auto traced = [&](transport::Transport* wire) {
+      ClusterConfig config = scenario_cluster_config(doc);
+      const std::string path =
+          ::testing::TempDir() + "/rfd_paths_" + file + ".jsonl";
+      config.obs.trace_path = path;
+      config.obs.snapshot_every_ticks = 10;
+      config.transport = wire;
+      run_cluster(config, kGoldenSeed);
+      const std::string trace = read_file(path);
+      std::remove(path.c_str());
+      return protocol_records(trace);
+    };
+    const std::vector<std::string> native = traced(nullptr);
+    // The shard network's seed and model; it never duplicates.
+    transport::FlakyParams params;
+    params.network = scenario_cluster_config(doc).network;
+    transport::FlakyTransport wire(
+        std::make_unique<transport::LoopbackTransport>(),
+        scenario_cluster_config(doc).max_nodes, mix_seed(kGoldenSeed, 0xc1e5),
+        params);
+    const std::vector<std::string> carried = traced(&wire);
+    ASSERT_GT(native.size(), 1000u) << file;
+    ASSERT_EQ(carried.size(), native.size()) << file;
+    for (std::size_t i = 0; i < native.size(); ++i) {
+      ASSERT_EQ(carried[i], native[i]) << file << " record " << i;
+    }
   }
 }
 

@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +87,30 @@ inline std::string read_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return ss.str();
+}
+
+/// The protocol records of a JSONL trace - every line but the run
+/// header, snapshots, profile rollups and the footer - with t after
+/// `after_ms`, in trace order.
+inline std::vector<std::string> protocol_records(
+    const std::string& trace,
+    double after_ms = -std::numeric_limits<double>::infinity()) {
+  std::vector<std::string> lines;
+  std::istringstream in(trace);
+  std::string line;
+  while (std::getline(in, line)) {
+    bool skip = false;
+    for (const char* type : {"run", "snap", "profile", "end"}) {
+      skip = skip || line.rfind(std::string("{\"type\":\"") + type + "\"",
+                                0) == 0;
+    }
+    const std::size_t t = line.find("\"t\":");
+    if (!skip && t != std::string::npos &&
+        std::stod(line.substr(t + 4)) > after_ms) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
 }
 
 /// FNV-1a 64-bit, printed as fixed-width hex.

@@ -1,7 +1,8 @@
 // Transport backend tests: the sim backend's determinism and
 // checkpointing (FlakyTransport over LoopbackTransport), FlakyTransport
-// injection accounting, and a real-socket UdpTransport loopback smoke
-// (frames cross the kernel, garbage is rejected).
+// injection accounting, a real-socket UdpTransport loopback smoke
+// (frames cross the kernel, garbage is rejected), and the cluster
+// engine's transport path dropping crafted payloads.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,15 +12,21 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "cluster/digest_codec.hpp"
+#include "cluster/engine.hpp"
 #include "common/rng.hpp"
+#include "obs/trace_writer.hpp"
 #include "transport/flaky.hpp"
 #include "transport/loopback.hpp"
 #include "transport/soak.hpp"
@@ -226,13 +233,22 @@ TEST(UdpTransport, LoopbackRoundTrip) {
   EXPECT_EQ(udp.counters().queue_drops, 0);
 }
 
+/// Collects every record emitted into it.
+struct RecordLog final : obs::RecordSink {
+  void emit(const obs::Record& r) override { records.push_back(r); }
+  std::vector<obs::Record> records;
+};
+
 TEST(UdpTransport, RejectsGarbageFrames) {
   UdpParams params;
   params.base_port = 41100;
   UdpTransport udp(2, params);
+  RecordLog log;
+  udp.set_trace(&log);
 
-  // A stray datagram with no valid frame header, as any port scanner
-  // would produce, must be dropped and counted - never delivered.
+  // Stray datagrams with no valid frame header, as any port scanner
+  // would produce, must be dropped and counted - never delivered - and
+  // each one counted is one sock_err record.
   const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(raw, 0);
   sockaddr_in addr{};
@@ -240,20 +256,27 @@ TEST(UdpTransport, RejectsGarbageFrames) {
   addr.sin_port = htons(static_cast<std::uint16_t>(params.base_port + 1));
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   const char junk[] = "not a heartbeat";
-  ASSERT_GT(::sendto(raw, junk, sizeof junk, 0,
-                     reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
-            0);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_GT(::sendto(raw, junk, sizeof junk, 0,
+                       reinterpret_cast<const sockaddr*>(&addr), sizeof addr),
+              0);
+  }
   ::close(raw);
 
   std::vector<Delivery> got;
-  for (int spins = 0; spins < 50 && udp.counters().sock_errors == 0;
+  for (int spins = 0; spins < 50 && udp.counters().sock_errors < 5;
        ++spins) {
     udp.wait_readable(10.0);
     udp.poll(spins * 10.0, got);
   }
   EXPECT_TRUE(got.empty());
-  EXPECT_GE(udp.counters().sock_errors, 1);
+  EXPECT_EQ(udp.counters().sock_errors, 5);
   EXPECT_EQ(udp.counters().delivered, 0);
+  ASSERT_EQ(log.records.size(), 5u);
+  for (const obs::Record& r : log.records) {
+    EXPECT_EQ(r.type, obs::RecordType::kSockErr);
+    EXPECT_EQ(r.a, 1);
+  }
 }
 
 TEST(UdpTransport, IgnoresOutOfRangeNodeIds) {
@@ -492,6 +515,112 @@ TEST(UdpTransport, FuzzedFramesAreRefusedOrDecoded) {
   EXPECT_GT(want_refused, 0);
   EXPECT_GT(decoded, 0);
   EXPECT_GT(rejected, 0);
+}
+
+TEST(Soak, UdpPortRangePast65535IsRefused) {
+  // Node i binds base_port + i: eight nodes from 65530 would need ports
+  // up to 65537. The run is refused before a socket is bound, with the
+  // range in the error.
+  SoakConfig config;
+  config.n = 8;
+  config.duration_ms = 1'000.0;
+  config.backend = SoakBackend::kUdp;
+  config.flaky = true;
+  config.time_scale = 0.0;
+  config.udp.base_port = 65530;
+  SoakReport report;
+  std::string error;
+  EXPECT_FALSE(run_soak(config, report, error));
+  EXPECT_NE(error.find("65530-65537"), std::string::npos) << error;
+  EXPECT_EQ(report.ticks_run, 0);
+  EXPECT_EQ(report.transport.sent, 0);
+}
+
+/// The loopback wire, whose poll at `inject_at` also returns `crafted`.
+class CraftedTransport final : public Transport {
+ public:
+  CraftedTransport(double inject_at, std::vector<Delivery> crafted)
+      : inject_at_(inject_at), crafted_(std::move(crafted)) {}
+
+  void send(NodeId from, NodeId to, const std::uint8_t* data,
+            std::size_t size, double now_ms) override {
+    wire_.send(from, to, data, size, now_ms);
+  }
+  void poll(double now_ms, std::vector<Delivery>& out) override {
+    wire_.poll(now_ms, out);
+    if (now_ms == inject_at_) {
+      for (Delivery& d : crafted_) out.push_back(std::move(d));
+    }
+  }
+  TransportCounters counters() const override { return wire_.counters(); }
+
+ private:
+  LoopbackTransport wire_;
+  double inject_at_;
+  std::vector<Delivery> crafted_;
+};
+
+TEST(EngineTransportPath, CraftedPayloadsAreDroppedNeverFatal) {
+  // Five deliveries the engine must drop without an hb_recv record - a
+  // truncated payload, bytes after the last entry, an id gap past
+  // max_nodes, a sender off the id space, an empty payload - and a
+  // well-formed control, each at its own arrival time inside the window
+  // that ends at 1000 ms.
+  constexpr int kNodes = 8;
+  std::vector<std::uint8_t> valid;
+  cluster::encode_digest(
+      5, std::vector<std::int32_t>{2, 3}, [](std::int32_t) { return 4u; },
+      valid);
+  std::vector<std::uint8_t> trailing = valid;
+  trailing.push_back(0);
+  const std::vector<std::uint8_t> gap_past = bytes({5, 1, kNodes, 1});
+  const struct {
+    double at;
+    NodeId from;
+    std::vector<std::uint8_t> payload;
+  } kCrafted[] = {
+      {999.125, 1, {valid.begin(), valid.end() - 1}},
+      {999.25, 1, trailing},
+      {999.375, 1, gap_past},
+      {999.5, kNodes, valid},
+      {999.625, 1, {}},
+      {999.75, 1, valid},  // the control
+  };
+  std::vector<Delivery> crafted;
+  for (const auto& c : kCrafted) {
+    Delivery d;
+    d.at_ms = c.at;
+    d.from = c.from;
+    d.to = 0;
+    d.payload = c.payload;
+    crafted.push_back(std::move(d));
+  }
+  CraftedTransport wire(1'000.0, std::move(crafted));
+  cluster::ClusterConfig config;
+  config.n = kNodes;
+  config.duration_ms = 3'000.0;
+  config.transport = &wire;
+  const std::string path =
+      ::testing::TempDir() + "rfd_crafted_" + std::to_string(::getpid());
+  config.obs.trace_path = path;
+  const cluster::ClusterReport report = cluster::run_cluster(config, 7);
+  EXPECT_EQ(report.duration_ms, 3'000.0);
+
+  std::set<double> received;  // hb_recv times at node 0
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"type\":\"hb_recv\",\"t\":", 0) != 0 ||
+        line.find("\"node\":0,") == std::string::npos) {
+      continue;
+    }
+    received.insert(std::stod(line.substr(line.find(':', 8) + 1)));
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(received.size(), 10u);
+  for (const auto& c : kCrafted) {
+    EXPECT_EQ(received.count(c.at), c.at == 999.75 ? 1u : 0u) << c.at;
+  }
 }
 
 TEST(Soak, UdpWithoutInjectionRefusesNetworkFaults) {
