@@ -28,10 +28,8 @@
 // encode_digest; either path writes the same bytes.
 //
 // DigestReader is the one decoder. It is bounds-checked and returns
-// false instead of asserting, because on its transport path the engine
-// decodes bytes that crossed a real socket and drops a payload the
-// reader rejects; on the native path, whose payloads are the engine's
-// own memory, a rejected read fails an RFD_REQUIRE.
+// false instead of asserting, because the engine decodes bytes that may
+// have crossed a real socket and drops a payload the reader rejects.
 #pragma once
 
 #include <algorithm>

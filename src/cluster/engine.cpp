@@ -9,6 +9,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,7 @@ namespace {
 // Sharded conservative core.
 //
 // The node id space is partitioned into contiguous blocks, one per shard.
-// Each shard owns the heartbeat pumps of its nodes, a Network instance, a
+// Each shard owns the heartbeat pumps of its nodes, one Transport, a
 // Topology instance, and per-shard replicas of the scenario ground truth.
 // Time advances one check window at a time: every shard runs the whole
 // loop itself (rt::run_shards starts each shard exactly once per run),
@@ -60,38 +61,40 @@ namespace {
 // after the pumps before t and before the pumps at t. The schedule is
 // therefore one next-pump time per node - plain data, no closures.
 //
-// Messages are never delivered inside the window they were sent in:
-// every message - same-shard or cross-shard alike - is buffered and
-// applied at the first barrier T_b >= arrival time, so barrier k applies
-// what arrived in (T_{k-1}, T_k], with the receiver observing it at its
-// true arrival timestamp. Applying them in one sorted drain (by
-// receiver, then arrival time, then sender, then the sender's send
-// sequence) walks each receiver's per-peer arrays once per round
-// instead of re-fetching them per message in arrival order.
-//
-// The transport path (ClusterConfig::transport) swaps only the network:
-// a pump hands its encoded digest to Transport::send, and barrier k first
-// files what poll(T_k) returns into bucket k - the same rule, as poll(T_k)
-// returns what fell due since the last poll (UDP stamps it T_k, hence the
-// inclusive bound). It runs on one shard with no tail window, drops the
-// bytes the checked DigestReader rejects, and checkpoints at a window
-// boundary (WindowBoundary): the wheel is rebuilt from the eval ticks,
-// the network's fault state by replaying the applied faults.
+// One message path: a pump hands each digest to its shard's Transport as
+// a payload the backend encodes on demand; after the window barrier the
+// shard polls it at T_k and applies the batch in one stable sorted drain
+// (receiver, arrival, sender, seq), which walks each receiver's per-peer
+// arrays once per round, then hands it back through recycle(). Barrier k
+// thus applies the arrivals in (T_{k-1}, T_k], each observed at its true
+// time; a delivery outside that (on the summed grid) or off the id
+// space breaks the contract and is dropped, as is a payload the
+// DigestReader rejects (with no hb_recv record). The Transport is the
+// caller's (ClusterConfig::transport, one shard: the soak) or the
+// shard's ShardEndpoint of the engine's own network (below), which
+// files by b x check: that grid equals the summed one at every integral
+// check interval, and elsewhere differs only by rounding. Who supplied
+// the transport decides only the transport.* snapshot gauges, the
+// config_error refusals (the endpoints save no in-flight state) and the
+// off-grid tail window (a caller's runs end, and checkpoint, on a tick).
 //
 // Determinism argument - why every shard count produces bit-identical
 // metrics and traces on a fixed seed:
 //   1. All randomness is per-node streams: each node's pump draws
-//      (phase, topology targets) from its own Rng, and the network draws
-//      loss/delay from a per-source stream, so the values a node sees
-//      depend only on its own history, which is fixed by the protocol
-//      below regardless of where the node lives.
+//      (phase, topology targets) from its own Rng, and each endpoint's
+//      replica of the network draws loss/delay from a per-source stream
+//      (a sender only ever sends from its own shard), so the values a
+//      node sees depend only on its own history, which is fixed by the
+//      protocol below regardless of where the node lives.
 //   2. Within a window, nodes interact with nothing but their own state:
 //      deliveries are deferred to the barrier, scenario faults are
 //      applied at identical times by every shard against its own truth
 //      replica (each shard mutating only the nodes it owns), and shared
 //      counters are integer sums accumulated per shard.
 //   3. Barrier exchange is merge-order deterministic: deliveries apply
-//      in (receiver, arrival, sender, send-seq) order and suspicion
+//      in (receiver, arrival, sender, send-seq) order - an endpoint
+//      stamps each delivery with its sender's send sequence, because
+//      bucket order depends on the shard count - and suspicion
 //      evaluations drain a per-tick wheel whose per-shard content is the
 //      shard's subsequence of the shards=1 sequence, so every per-pair
 //      outcome matches.
@@ -117,18 +120,6 @@ namespace {
 // quality is the same to within one check interval (the report's
 // resolution floor); runs remain a pure function of (config, seed).
 // ---------------------------------------------------------------------------
-
-/// In-flight heartbeat message, buffered between barriers.
-struct Message {
-  double at = 0.0;  // arrival time; the receiver observes entries at this t
-  NodeId from = -1;
-  NodeId to = -1;
-  /// Per-source send sequence: the shard-invariant tiebreak for two
-  /// messages from one sender arriving at the same instant.
-  std::uint32_t seq = 0;
-  /// Delta-compressed digest (see cluster/digest_codec.hpp).
-  std::vector<std::uint8_t> payload;
-};
 
 /// Per-shard staging buffer for trace records; the coordinator merges
 /// all shards' buffers into the TraceWriter once per round.
@@ -183,6 +174,108 @@ constexpr int kMaxNodes = 65536;
 /// Ticks run to at most kMaxTicks - 1, so last + 1 fits an int32.
 constexpr std::int64_t kMaxTicks = std::numeric_limits<std::int32_t>::max();
 
+/// One shard's endpoint of the engine's own network: its replica of the
+/// verdict network, its senders' send sequences, a bucket ring keyed by
+/// barrier index (a far map beyond it), a payload pool and one outbox
+/// per endpoint. send() draws the verdict before it writes, so a lost
+/// datagram costs no encode and no buffer, and leaves a survivor in the
+/// outbox for its receiver's endpoint. poll() runs once per window,
+/// after the window barrier: it files what every outbox holds for it,
+/// then swaps the next bucket into `out`, which arrives empty. Its runs
+/// never checkpoint, so it starts at barrier 1.
+class ShardEndpoint final : public transport::Transport {
+ public:
+  using Endpoints = std::vector<std::unique_ptr<ShardEndpoint>>;
+
+  /// `owner` (node -> shard) and `peers` are read after construction.
+  ShardEndpoint(int index, int shards, std::uint64_t seed,
+                const rt::NetworkParams& params, double check_ms,
+                obs::Profiler* profiler, const std::vector<int>& owner,
+                const Endpoints& peers)
+      : index_(index), check_ms_(check_ms), owner_(owner), peers_(peers),
+        network_(seed, params), send_seq_(owner.size(), 0),
+        outbox_(static_cast<std::size_t>(shards)), buckets_(kBucketSlots) {
+    network_.set_profiler(profiler);
+  }
+
+  void send(NodeId from, NodeId to, const transport::Payload& payload,
+            double now_ms) override {
+    const std::optional<double> delay = network_.route(from, to, now_ms);
+    if (!delay) return;
+    transport::Delivery d{now_ms + *delay, from, to,
+                          send_seq_[static_cast<std::size_t>(from)]++, {}};
+    if (!pool_.empty()) {
+      d.payload = std::move(pool_.back());
+      pool_.pop_back();
+    }
+    payload.write(d.payload);
+    outbox_[static_cast<std::size_t>(owner_[static_cast<std::size_t>(to)])]
+        .push_back(std::move(d));
+  }
+
+  void poll(double, std::vector<transport::Delivery>& out) override {
+    for (const auto& peer : peers_) {
+      auto& box = peer->outbox_[static_cast<std::size_t>(index_)];
+      for (auto& d : box) file(std::move(d));
+      box.clear();
+    }
+    out.swap(buckets_[static_cast<std::size_t>(next_ & (kBucketSlots - 1))]);
+    if (const auto it = far_.find(next_); it != far_.end()) {
+      for (auto& d : it->second) out.push_back(std::move(d));
+      far_.erase(it);
+    }
+    in_flight_ -= static_cast<std::int64_t>(out.size());
+    ++next_;
+  }
+
+  /// Keeps the batch's buffers for the sends to come.
+  void recycle(std::vector<transport::Delivery>& batch) override {
+    for (transport::Delivery& d : batch) {
+      d.payload.clear();
+      pool_.push_back(std::move(d.payload));
+    }
+    batch.clear();
+  }
+
+  transport::TransportCounters counters() const override {
+    return {.sent = network_.sent(), .dropped = network_.dropped()};
+  }
+  rt::Network* fault_network() override { return &network_; }
+  void set_trace(obs::RecordSink* trace) override { network_.set_trace(trace); }
+
+  /// Datagrams filed here and not yet handed over.
+  std::int64_t in_flight() const { return in_flight_; }
+
+ private:
+  static constexpr std::int64_t kBucketSlots = 256;  // power of two
+
+  /// Files a datagram for barrier b, the smallest with b x check >= its
+  /// arrival. next_ is the barrier the next poll hands over.
+  void file(transport::Delivery&& d) {
+    std::int64_t b = static_cast<std::int64_t>(d.at_ms / check_ms_);
+    while (static_cast<double>(b) * check_ms_ < d.at_ms) ++b;
+    RFD_REQUIRE(b >= next_);
+    ++in_flight_;
+    (b - next_ < kBucketSlots
+         ? buckets_[static_cast<std::size_t>(b & (kBucketSlots - 1))]
+         : far_[b])
+        .push_back(std::move(d));
+  }
+
+  int index_;
+  double check_ms_;
+  const std::vector<int>& owner_;
+  const Endpoints& peers_;
+  rt::Network network_;
+  std::vector<std::uint32_t> send_seq_;
+  std::vector<std::vector<transport::Delivery>> outbox_;  // per endpoint
+  std::vector<std::vector<transport::Delivery>> buckets_;
+  std::map<std::int64_t, std::vector<transport::Delivery>> far_;
+  std::vector<std::vector<std::uint8_t>> pool_;
+  std::int64_t next_ = 1;
+  std::int64_t in_flight_ = 0;
+};
+
 /// One node's pending heartbeat pump.
 struct Pump {
   double at = 0.0;
@@ -211,7 +304,8 @@ struct ShardState {
   std::int64_t pumps_run = 0;
   double now = 0.0;  // the shard's simulated clock
 
-  std::unique_ptr<rt::Network> network;  // null on the transport path
+  /// The caller's transport, or this shard's ShardEndpoint.
+  transport::Transport* transport = nullptr;
   std::unique_ptr<Topology> topology;
   BufferSink sink;
   obs::RecordSink* trace = nullptr;  // &sink when tracing, else null
@@ -227,15 +321,8 @@ struct ShardState {
   std::size_t fault_cursor = 0;
   EvalWheel wheel;
 
-  // Message plumbing: per-destination-shard outboxes filled during the
-  // window, and delivery buckets keyed by barrier index (ring + far map).
-  std::vector<std::uint32_t> send_seq;
-  std::vector<std::vector<Message>> outbox;
-  std::vector<std::vector<Message>> buckets;
-  std::map<std::int64_t, std::vector<Message>> far_buckets;
-  std::int64_t pending_msgs = 0;
+  std::vector<transport::Delivery> batch;  // empty between windows
   std::int64_t delivered_msgs = 0;
-  std::vector<std::vector<std::uint8_t>> payload_pool;
 
   // Shard-local counter accumulators; summed into the registry by the
   // coordinator (integer sums are order-insensitive).
@@ -250,13 +337,6 @@ struct ShardState {
   std::vector<std::uint32_t> wheel_scratch;
   /// Orders and encodes this shard's outgoing digests.
   DigestEncoder encoder;
-  // Transport path: the encoded digest handed to send(), poll()'s
-  // output, and the one bucket its deliveries need (each applies at the
-  // barrier that polled it).
-  std::vector<std::uint8_t> send_scratch;
-  std::vector<transport::Delivery> polled;
-  std::vector<Message> inbox;
-  double polled_until = 0.0;  // T of the last poll
 
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
@@ -302,8 +382,7 @@ class ClusterEngine final : public WindowBoundary {
       : config_(config),
         max_nodes_(config.max_nodes > 0 ? config.max_nodes : config.n),
         check_ms_(config.check_interval_ms),
-        faults_(config.scenario.sorted()),
-        transport_(config.transport) {
+        faults_(config.scenario.sorted()) {
     // Refused before anything n-sized exists.
     const std::string error = config_error(config_);
     RFD_REQUIRE_MSG(error.empty(), error.c_str());
@@ -348,30 +427,23 @@ class ClusterEngine final : public WindowBoundary {
       shard->lo = lo;
       shard->hi = lo + base + (s < extra ? 1 : 0);
       lo = shard->hi;
-      if (transport_ == nullptr) {
-        shard->network = std::make_unique<rt::Network>(
-            mix_seed(seed, 0xc1e5), config_.network);
-      }
-      shard->topology = make_topology(config_.topology, max_nodes_);
-      if (trace_ != nullptr) shard->trace = &shard->sink;
-      if (shard->network != nullptr) {
-        shard->network->set_trace(shard->trace);
-      } else {
-        transport_->set_trace(shard->trace);
-      }
-      shard->topology->set_trace(shard->trace);
-      shard->qos.set_trace(shard->trace);
       if (profile) {
         shard->profiler =
             std::make_unique<obs::Profiler>(config_.obs.profile_sample_shift);
-        if (shard->network != nullptr) {
-          shard->network->set_profiler(shard->profiler.get());
-        }
       }
+      shard->transport = config_.transport;
+      if (shard->transport == nullptr) {
+        endpoints_.push_back(std::make_unique<ShardEndpoint>(
+            s, shard_count_, mix_seed(seed, 0xc1e5), config_.network,
+            check_ms_, shard->profiler.get(), owner_, endpoints_));
+        shard->transport = endpoints_.back().get();
+      }
+      shard->topology = make_topology(config_.topology, max_nodes_);
+      if (trace_ != nullptr) shard->trace = &shard->sink;
+      shard->transport->set_trace(shard->trace);
+      shard->topology->set_trace(shard->trace);
+      shard->qos.set_trace(shard->trace);
       shard->truth = FaultState(max_nodes_, config_.n);
-      shard->send_seq.assign(static_cast<std::size_t>(max_nodes_), 0);
-      shard->outbox.resize(static_cast<std::size_t>(shard_count_));
-      shard->buckets.resize(kBucketSlots);
       for (NodeId j = shard->lo; j < shard->hi; ++j) {
         owner_[static_cast<std::size_t>(j)] = s;
       }
@@ -398,7 +470,6 @@ class ClusterEngine final : public WindowBoundary {
     report_.max_nodes = max_nodes_;
     report_.topology = shards_.front()->topology->name();
     report_.detector = rt::detector_kind_name(config_.detector.kind);
-    report_.duration_ms = config_.duration_ms;
   }
 
   ClusterReport run() {
@@ -485,12 +556,13 @@ class ClusterEngine final : public WindowBoundary {
       w.f64(pump.at);
       w.i32(pump.node);
     }
+    shard.topology->save_state(w);
     shard.truth.save(w);
     shard.qos.save(w);
     w.u32(static_cast<std::uint32_t>(shard.raise_samples.size()));
     for (double sample : shard.raise_samples) w.f64(sample);
     bytes.clear();
-    const bool saved = transport_->save_state(bytes);
+    const bool saved = shard.transport->save_state(bytes);
     w.u8(saved ? 1 : 0);
     w.u32(static_cast<std::uint32_t>(bytes.size()));
     w.bytes(bytes.data(), bytes.size());
@@ -549,6 +621,9 @@ class ClusterEngine final : public WindowBoundary {
       }
       last = pump.at;
     }
+    if (!shard.topology->restore_state(r)) {
+      return fail("topology state is inconsistent");
+    }
     if (!shard.truth.restore(r) || !shard.qos.restore(r)) {
       return fail("ground truth or ledger is inconsistent");
     }
@@ -567,8 +642,8 @@ class ClusterEngine final : public WindowBoundary {
     std::vector<std::uint8_t> probe;
     if (bytes.size() != len || (len != 0 && !r.bytes(bytes.data(), len)) ||
         !r.ok() || r.remaining() != 0 ||
-        saved != transport_->save_state(probe) ||
-        (saved && !transport_->restore_state(bytes.data(), len))) {
+        saved != shard.transport->save_state(probe) ||
+        (saved && !shard.transport->restore_state(bytes.data(), len))) {
       return fail("transport state is inconsistent");
     }
 
@@ -593,11 +668,11 @@ class ClusterEngine final : public WindowBoundary {
     // The window loop resumes at tick k. The faults due by then have been
     // applied; the network ones are replayed into the fresh fault network.
     start_tick_ = boundary_tick_ = shard.check_tick = k;
-    start_time_ = boundary_time_ = shard.now = shard.polled_until = now;
+    start_time_ = boundary_time_ = shard.now = now;
     for (; shard.fault_cursor < faults_.size() &&
            faults_[shard.fault_cursor].at_ms <= now;
          ++shard.fault_cursor) {
-      if (rt::Network* net = transport_->fault_network()) {
+      if (rt::Network* net = shard.transport->fault_network()) {
         apply_network_fault(faults_[shard.fault_cursor], *net);
       }
     }
@@ -605,10 +680,11 @@ class ClusterEngine final : public WindowBoundary {
   }
 
  private:
-  static constexpr std::int64_t kBucketSlots = 256;  // power of two
-  /// Leads save_state's bytes ("ENG1"); the soak payload of older builds
-  /// began with "SOAK", so restore refuses it instead of misreading it.
-  static constexpr std::uint32_t kStateMagic = 0x31474e45u;
+  /// Leads save_state's bytes ("ENG2"). Restore refuses what older builds
+  /// wrote instead of misreading it: "ENG1" states lack the topology's
+  /// state and the transports' counts, and the soak payload of still
+  /// older builds began with "SOAK".
+  static constexpr std::uint32_t kStateMagic = 0x32474e45u;
 
   /// The fresh state: the initial membership and the pumps' phases.
   void seed() {
@@ -693,21 +769,22 @@ class ClusterEngine final : public WindowBoundary {
     std::int64_t k = start_tick_;
     while (k < rounds_total_) {
       ++k;
+      const double since = T;
       T += check_ms_;
       run_window(shard, T, k);
       if (!meet(window)) return false;
-      deliver_and_evaluate(shard, k, T);
+      deliver_and_evaluate(shard, k, since, T);
       if (!meet(fold)) return false;
     }
-    if (!stopped_early_ && transport_ == nullptr &&
+    if (!stopped_early_ && config_.transport == nullptr &&
         T < config_.duration_ms) {
       // Grid-misaligned tail: run the remaining pumps (and any faults)
       // up to the duration. No check tick lands here - same as the old
       // engine - and deliveries arriving past the last tick can no
       // longer influence any metric, so they stay buffered. A stopped
       // run skips the tail: simulating up to the full horizon is
-      // exactly what the stop flag asked to avoid. So does the
-      // transport path, whose runs end, and checkpoint, on a tick.
+      // exactly what the stop flag asked to avoid. So does a caller's
+      // transport, whose runs end, and checkpoint, on a tick.
       run_window(shard, config_.duration_ms, k + 1);
     }
     return true;
@@ -735,16 +812,6 @@ class ClusterEngine final : public WindowBoundary {
     return static_cast<std::uint32_t>(i) *
                static_cast<std::uint32_t>(max_nodes_) +
            static_cast<std::uint32_t>(j);
-  }
-
-  /// First barrier at which a message arriving at `at` may be applied:
-  /// the smallest b with T_b >= `at`, so barrier k applies the arrivals
-  /// in (T_{k-1}, T_k] - the rule the transport path's poll at T_k
-  /// follows too.
-  std::int64_t barrier_index(double at) const {
-    std::int64_t b = static_cast<std::int64_t>(at / check_ms_);
-    while (static_cast<double>(b) * check_ms_ < at) ++b;
-    return b;
   }
 
   /// Arms pair (i, j) for evaluation at check tick `tick`, clamped to the
@@ -820,40 +887,6 @@ class ClusterEngine final : public WindowBoundary {
     }
   }
 
-  std::vector<std::uint8_t> take_payload(ShardState& shard) {
-    if (shard.payload_pool.empty()) return {};
-    std::vector<std::uint8_t> buffer = std::move(shard.payload_pool.back());
-    shard.payload_pool.pop_back();
-    return buffer;
-  }
-
-  /// Files a message into the owning shard's delivery buckets. `round` is
-  /// the barrier index currently being produced (window k files for
-  /// buckets >= k; barrier-time collection files for >= the barrier's k).
-  void file_message(ShardState& shard, std::int64_t round, Message&& m) {
-    const std::int64_t b = barrier_index(m.at);
-    RFD_REQUIRE(b >= round);
-    ++shard.pending_msgs;
-    if (b - round < kBucketSlots) {
-      shard.buckets[static_cast<std::size_t>(b & (kBucketSlots - 1))]
-          .push_back(std::move(m));
-    } else {
-      shard.far_buckets[b].push_back(std::move(m));
-    }
-  }
-
-  /// Encodes node's digest selection (shard.digest_scratch) into `out`.
-  void encode(ShardState& shard, const ClusterNode& node,
-              std::uint32_t advertised, std::vector<std::uint8_t>& out) {
-    shard.encoder.encode(
-        advertised, shard.digest_scratch,
-        [&node](NodeId j) {
-          return static_cast<std::uint32_t>(node.counter(j));
-        },
-        out);
-    shard.c_payload_bytes += static_cast<std::int64_t>(out.size());
-  }
-
   /// One heartbeat round of node `i` at shard.now. An inactive node
   /// sends nothing; its pump still re-arms, so every node keeps exactly
   /// one pending pump.
@@ -868,7 +901,18 @@ class ClusterEngine final : public WindowBoundary {
       shard.targets_scratch.clear();
       shard.topology->targets(node, rngs_[static_cast<std::size_t>(i)],
                               shard.now, shard.targets_scratch);
-      const std::int64_t window_round = shard.check_tick + 1;
+      // The digest selection, encoded and counted where a backend writes.
+      const transport::PayloadOf payload([&](std::vector<std::uint8_t>& out) {
+        const std::size_t before = out.size();
+        shard.encoder.encode(
+            advertised, shard.digest_scratch,
+            [&node](NodeId j) {
+              return static_cast<std::uint32_t>(node.counter(j));
+            },
+            out);
+        shard.c_payload_bytes +=
+            static_cast<std::int64_t>(out.size() - before);
+      });
       for (NodeId target : shard.targets_scratch) {
         shard.digest_scratch.clear();
         {
@@ -886,37 +930,10 @@ class ClusterEngine final : public WindowBoundary {
           r.c = static_cast<std::int64_t>(shard.digest_scratch.size()) + 1;
           shard.trace->emit(r);
         }
-        if (transport_ != nullptr) {
-          // The transport draws the verdict itself, so every digest is
-          // encoded and counted.
-          shard.send_scratch.clear();
-          encode(shard, node, advertised, shard.send_scratch);
-          transport_->send(i, target, shard.send_scratch.data(),
-                           shard.send_scratch.size(), shard.now);
-          continue;
-        }
-        // Draw the drop verdict before materializing anything: a lost or
-        // partitioned message must cost neither a payload buffer nor a
-        // bucket entry. The digest above still runs unconditionally -
-        // selection rotates hot-queue state, and a real sender pays that
-        // work (and the bandwidth) whether or not the packet survives.
-        const std::optional<double> delay =
-            shard.network->route(i, target, shard.now);
-        if (!delay) continue;
-        Message m;
-        m.at = shard.now + *delay;
-        m.from = i;
-        m.to = target;
-        m.seq = shard.send_seq[static_cast<std::size_t>(i)]++;
-        m.payload = take_payload(shard);
-        encode(shard, node, advertised, m.payload);
-        const int dst = owner_[static_cast<std::size_t>(target)];
-        if (dst == shard.index) {
-          file_message(shard, window_round, std::move(m));
-        } else {
-          shard.outbox[static_cast<std::size_t>(dst)].push_back(
-              std::move(m));
-        }
+        // The digest above runs whatever the verdict: selection rotates
+        // hot-queue state, and a real sender pays that work whether or
+        // not the packet survives.
+        shard.transport->send(i, target, payload, shard.now);
       }
     }
   }
@@ -964,36 +981,26 @@ class ClusterEngine final : public WindowBoundary {
   }
 
   /// Phase B of a round, entered with every shard parked behind the
-  /// window barrier: collect this shard's inbound messages, apply bucket
-  /// k in deterministic merge order, then evaluate check tick k.
-  void deliver_and_evaluate(ShardState& shard, std::int64_t k, double now) {
-    for (auto& src : shards_) {
-      auto& box = src->outbox[static_cast<std::size_t>(shard.index)];
-      for (Message& m : box) file_message(shard, k, std::move(m));
-      box.clear();
-    }
-    auto& bucket =
-        transport_ != nullptr
-            ? shard.inbox
-            : shard.buckets[static_cast<std::size_t>(k & (kBucketSlots - 1))];
-    if (transport_ != nullptr) poll_transport(shard, now, bucket);
-    if (const auto it = shard.far_buckets.find(k);
-        it != shard.far_buckets.end()) {
-      for (Message& m : it->second) bucket.push_back(std::move(m));
-      shard.far_buckets.erase(it);
-    }
-    std::sort(bucket.begin(), bucket.end(),
-              [](const Message& lhs, const Message& rhs) {
-                if (lhs.to != rhs.to) return lhs.to < rhs.to;
-                if (lhs.at != rhs.at) return lhs.at < rhs.at;
-                if (lhs.from != rhs.from) return lhs.from < rhs.from;
-                return lhs.seq < rhs.seq;
-              });
+  /// window barrier: poll this shard's transport at T_k = `now`, drop
+  /// what breaks the contract (see the design comment), apply the rest
+  /// in deterministic merge order, then evaluate check tick k.
+  void deliver_and_evaluate(ShardState& shard, std::int64_t k, double since,
+                            double now) {
+    std::vector<transport::Delivery>& batch = shard.batch;
+    shard.transport->poll(now, batch);
+    std::erase_if(batch, [&](const transport::Delivery& d) {
+      return d.from < 0 || d.from >= max_nodes_ || d.to < 0 ||
+             d.to >= max_nodes_ || !(d.at_ms > since && d.at_ms <= now);
+    });
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const auto& l, const auto& r) {
+                       return std::tie(l.to, l.at_ms, l.from, l.seq) <
+                              std::tie(r.to, r.at_ms, r.from, r.seq);
+                     });
     shard.check_tick = k - 1;  // deliveries run in tick k-1's context
-    for (Message& m : bucket) deliver(shard, m);
-    shard.pending_msgs -= static_cast<std::int64_t>(bucket.size());
-    shard.delivered_msgs += static_cast<std::int64_t>(bucket.size());
-    bucket.clear();
+    for (const transport::Delivery& d : batch) deliver(shard, d);
+    shard.delivered_msgs += static_cast<std::int64_t>(batch.size());
+    shard.transport->recycle(batch);
 
     // Evaluate tick k: drain the suspicion wheel's slot and re-judge
     // every armed pair.
@@ -1005,42 +1012,10 @@ class ClusterEngine final : public WindowBoundary {
     }
   }
 
-  /// Files what the transport has due by T_k = `now` into bucket k. The
-  /// poll index is the tiebreak a send sequence is on the native path. A
-  /// delivery off the id space, or outside (T_{k-1}, T_k], breaks the
-  /// transport's contract and is dropped.
-  void poll_transport(ShardState& shard, double now,
-                      std::vector<Message>& bucket) {
-    const double since = shard.polled_until;
-    shard.polled_until = now;
-    shard.polled.clear();
-    transport_->poll(now, shard.polled);
-    std::uint32_t seq = 0;
-    for (transport::Delivery& d : shard.polled) {
-      if (d.from < 0 || d.from >= max_nodes_ || d.to < 0 ||
-          d.to >= max_nodes_ || !(d.at_ms > since && d.at_ms <= now)) {
-        continue;
-      }
-      bucket.push_back({d.at_ms, d.from, d.to, seq++, std::move(d.payload)});
-      ++shard.pending_msgs;
-    }
-  }
-
-  /// Hands a delivered payload back to the pool the native path's sends
-  /// draw from; the transport path's payloads come from poll().
-  void recycle(ShardState& shard, std::vector<std::uint8_t>& payload) {
-    if (transport_ != nullptr) return;
-    payload.clear();
-    shard.payload_pool.push_back(std::move(payload));
-  }
-
-  void deliver(ShardState& shard, Message& m) {
+  void deliver(ShardState& shard, const transport::Delivery& m) {
     ClusterNode& node = nodes_[static_cast<std::size_t>(m.to)];
-    if (!node.active()) {
-      recycle(shard, m.payload);
-      return;
-    }
-    const double now = m.at;
+    if (!node.active()) return;
+    const double now = m.at_ms;
     const bool monotone = node.deadline_monotone();
     const NodeId to = m.to;
     std::int64_t advanced = 0;
@@ -1092,9 +1067,6 @@ class ClusterEngine final : public WindowBoundary {
       }
       ok = ok && reader.done();
     }
-    // Only transport bytes can fail: the engine's own never do.
-    RFD_REQUIRE(ok || transport_ != nullptr);
-    recycle(shard, m.payload);
     if (ok && shard.trace != nullptr) {
       obs::Record r;
       r.type = obs::RecordType::kHbRecv;
@@ -1135,11 +1107,11 @@ class ClusterEngine final : public WindowBoundary {
   }
 
   /// Applies the shard-local effects of one fault: the truth replica,
-  /// this shard's network instance, owned node state and owned observer
-  /// rows. Only shard 0 stages the coordinator bookkeeping and the trace
-  /// record, so each effective fault is recorded exactly once; every
-  /// shard decides effectiveness identically from its replica, so the
-  /// trace's fault stream is exactly the ground-truth transition
+  /// this shard's transport's fault network, owned node state and owned
+  /// observer rows. Only shard 0 stages the coordinator bookkeeping and
+  /// the trace record, so each effective fault is recorded exactly once;
+  /// every shard decides effectiveness identically from its replica, so
+  /// the trace's fault stream is exactly the ground-truth transition
   /// sequence - the invariant the offline replay relies on.
   void apply_fault(ShardState& shard, std::size_t index) {
     const FaultEvent& event = faults_[index];
@@ -1153,10 +1125,8 @@ class ClusterEngine final : public WindowBoundary {
       if (shard.trace != nullptr) shard.trace->emit(fault_record(event, now));
       shard.fault_notes.push_back({effect, now});
     }
-    // The shard's network, or the transport's (none on bare sockets).
-    if (rt::Network* net = transport_ != nullptr
-                               ? transport_->fault_network()
-                               : shard.network.get()) {
+    // Bare sockets have no fault network.
+    if (rt::Network* net = shard.transport->fault_network()) {
       apply_network_fault(event, *net);
     }
     if (effect == FaultEffect::kDown) {
@@ -1231,22 +1201,21 @@ class ClusterEngine final : public WindowBoundary {
         config_.stop->load(std::memory_order_relaxed)) {
       // Graceful stop. finalize() still executes: counters merge, the
       // trace drains and the footer is written.
-      end_run(k, now);
+      end_run(k);
     }
     boundary_tick_ = k;
     boundary_time_ = now;
     if (config_.on_window && !config_.on_window(*this) && k < rounds_total_) {
-      end_run(k, now);
+      end_run(k);
     }
   }
 
   /// Ends the window loop at tick k on every shard (the fold barrier
-  /// publishes the new round count) and normalizes the report's rates
-  /// over the time actually simulated.
-  void end_run(std::int64_t k, double now) {
+  /// publishes the new round count); the report's rates are normalized
+  /// over the time actually simulated, shard 0's final clock.
+  void end_run(std::int64_t k) {
     rounds_total_ = k;
     stopped_early_ = true;
-    report_.duration_ms = now;
   }
 
   /// Logical pending-event count at an exchange barrier: one pump per
@@ -1258,8 +1227,9 @@ class ClusterEngine final : public WindowBoundary {
     std::int64_t pending = 0;
     for (const auto& shard : shards_) {
       pending += static_cast<std::int64_t>(shard->pumps.size());
-      pending += shard->pending_msgs;
     }
+    // A caller's transport has applied all it handed over by now.
+    for (const auto& endpoint : endpoints_) pending += endpoint->in_flight();
     pending += static_cast<std::int64_t>(faults_.size() -
                                          shards_.front()->fault_cursor);
     return pending;
@@ -1300,19 +1270,17 @@ class ClusterEngine final : public WindowBoundary {
     c_false_->add(false_s - c_false_->value());
   }
 
-  /// Messages sent, dropped and partition-dropped: the shard networks',
-  /// or the transport's counters.
+  /// Messages sent, dropped and partition-dropped, over the shards'
+  /// transports.
   std::array<std::int64_t, 3> net_totals() const {
-    if (transport_ != nullptr) {
-      const rt::Network* net = transport_->fault_network();
-      return {transport_->counters().sent, transport_->counters().dropped,
-              net != nullptr ? net->partition_dropped() : 0};
-    }
     std::array<std::int64_t, 3> totals{};
     for (const auto& shard : shards_) {
-      totals[0] += shard->network->sent();
-      totals[1] += shard->network->dropped();
-      totals[2] += shard->network->partition_dropped();
+      const transport::TransportCounters c = shard->transport->counters();
+      totals[0] += c.sent;
+      totals[1] += c.dropped;
+      if (const rt::Network* net = shard->transport->fault_network()) {
+        totals[2] += net->partition_dropped();
+      }
     }
     return totals;
   }
@@ -1324,10 +1292,10 @@ class ClusterEngine final : public WindowBoundary {
     g_net_sent_->set(static_cast<double>(sent));
     g_net_dropped_->set(static_cast<double>(dropped));
     g_net_partition_->set(static_cast<double>(partition_dropped));
-    if (transport_ != nullptr) {
-      // Registered at the first snapshot, after every engine metric, so
-      // a native run's snapshot records never carry them.
-      const transport::TransportCounters c = transport_->counters();
+    if (config_.transport != nullptr) {
+      // A caller's transport's, registered at the first snapshot after
+      // every engine metric, so no other run's snapshots carry them.
+      const transport::TransportCounters c = config_.transport->counters();
       for (const auto& [name, value] : {std::pair{"transport.sent", c.sent},
                {"transport.delivered", c.delivered},
                {"transport.dropped", c.dropped},
@@ -1394,8 +1362,7 @@ class ClusterEngine final : public WindowBoundary {
     // evaluated in within a tick - which a restored wheel does not keep.
     std::sort(report_.raise_latency_ms.begin(),
               report_.raise_latency_ms.end());
-    // A transport-path run ends on its last tick.
-    if (transport_ != nullptr) report_.duration_ms = shards_.front()->now;
+    report_.duration_ms = shards_.front()->now;
     report_.events_executed = logical_executed(rounds_total_);
     report_.peak_event_queue = peak_logical_queue_;
     const auto [sent, dropped, partition_dropped] = net_totals();
@@ -1464,8 +1431,10 @@ class ClusterEngine final : public WindowBoundary {
   double check_ms_;
   int shard_count_ = 1;
   std::vector<FaultEvent> faults_;
-  transport::Transport* transport_;
   std::vector<int> owner_;
+  /// The engine's own network, one endpoint per shard; empty when the
+  /// configuration brings a transport.
+  ShardEndpoint::Endpoints endpoints_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::vector<ClusterNode> nodes_;
   std::vector<Rng> rngs_;
@@ -1556,11 +1525,13 @@ std::string config_error(const ClusterConfig& config) {
            "(duration_ms / check_interval_ms must stay below 2^31 - 1)";
   }
   if (config.shards < 1) return "shards must be at least 1";
+  // The engine's own endpoints save no in-flight state, and a caller's
+  // transport is one endpoint.
   if (config.transport != nullptr && config.shards != 1) {
-    return "the transport path runs on one shard";
+    return "a caller's transport runs on one shard";
   }
   if (config.transport == nullptr && config.on_window) {
-    return "on_window needs the transport path";
+    return "on_window needs a caller's transport";
   }
   return {};
 }

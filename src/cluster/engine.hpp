@@ -10,11 +10,11 @@
 // takes to converge on the true crashed set after each disruption.
 // Runs are a pure function of (config, seed).
 //
-// Messages take one of two paths, chosen by the input, not by a knob:
-// with no transport, each shard routes them through its own rt::Network
-// replica (the only sharded path); handed a transport::Transport, the
-// engine sends and polls through it on one shard - the only path for
-// real sockets and checkpoints, and the one the soak runs.
+// Messages take one path: each shard sends through one
+// transport::Transport and polls it at every check tick - its own
+// endpoint of the engine's in-process network, or, on one shard, a
+// caller's transport: the way to real sockets and checkpoints, and how
+// the soak runs.
 #pragma once
 
 #include <atomic>
@@ -36,8 +36,8 @@ class Transport;
 
 namespace rfd::cluster {
 
-/// The engine between two check windows of a transport-path run, as
-/// ClusterConfig::on_window sees it.
+/// The engine between two check windows of a run over a caller's
+/// transport, as ClusterConfig::on_window sees it.
 class WindowBoundary {
  public:
   /// Check ticks completed (the start tick before the first window),
@@ -45,8 +45,14 @@ class WindowBoundary {
   virtual std::int64_t tick() const = 0;
   virtual double now_ms() const = 0;
   /// Appends the state any later protocol record or report field depends
-  /// on - nodes, RNG streams, pump times, ground truth, the QoS ledger,
-  /// the raise latencies - and then the transport's own save_state.
+  /// on. Saved: every node's state, the nodes' RNG streams, the pump
+  /// times, the topology's role state (hierarchical acting leaders), the
+  /// ground truth, the QoS ledger, the raise latencies, and then the
+  /// transport's own save_state. Rebuilt on restore: the suspicion wheel
+  /// (from the nodes' eval ticks), the disagreement count, the clock
+  /// (from the tick) and the fault network's state (by replaying the
+  /// faults applied by then). The bytes lead with a format magic, so a
+  /// state an older build wrote is refused, never misread.
   virtual void save_state(std::vector<std::uint8_t>& out) const = 0;
   /// Before the first window only: replaces the fresh state with one
   /// save_state wrote under the same configuration, validating every
@@ -96,19 +102,21 @@ struct ClusterConfig {
   /// drains and the end-of-run footer is written, covering exactly the
   /// check windows that executed. nullptr = run to duration_ms.
   const std::atomic<bool>* stop = nullptr;
-  /// Optional message path (see the file header). The engine sends each
-  /// digest at its pump time and, at check tick T_k, polls and applies
-  /// what is due by T_k. The bytes are untrusted: a payload the digest
-  /// reader rejects, or a delivery off the id space or outside
-  /// (T_{k-1}, T_k], is dropped. Network faults go to the transport's
-  /// fault_network(), if it has one. Requires shards == 1; no off-grid
-  /// tail window runs after the last tick. Not owned.
+  /// Optional caller's transport, used instead of the engine's own
+  /// endpoints (see the file header). The engine sends each digest at
+  /// its pump time and, at check tick T_k, polls and applies what is due
+  /// by T_k. The bytes are untrusted: a payload the digest reader
+  /// rejects, or a delivery off the id space or outside (T_{k-1}, T_k],
+  /// is dropped. Network faults go to the transport's fault_network(),
+  /// if it has one, and its counters appear as transport.* gauges in
+  /// snapshots. Requires shards == 1; no off-grid tail window runs after
+  /// the last tick. Not owned.
   transport::Transport* transport = nullptr;
-  /// Transport path only: called once before the first window (the place
-  /// to restore a checkpoint) and after every window's coordinator step,
-  /// where it may checkpoint or wait. Returning false after a window ends
-  /// the run there, as the stop flag does; returning false before the
-  /// first window runs none.
+  /// With a caller's transport only: called once before the first window
+  /// (the place to restore a checkpoint) and after every window's
+  /// coordinator step, where it may checkpoint or wait. Returning false
+  /// after a window ends the run there, as the stop flag does; returning
+  /// false before the first window runs none.
   std::function<bool(WindowBoundary&)> on_window;
 };
 

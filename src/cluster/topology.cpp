@@ -266,6 +266,24 @@ class HierarchicalTopology final : public Topology {
     }
   }
 
+  /// The acting-leader statuses, one byte each.
+  void save_state(ByteWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(acting_.size()));
+    w.bytes(acting_.data(), acting_.size());
+  }
+
+  bool restore_state(ByteReader& r) override {
+    std::vector<std::int8_t> acting(acting_.size());
+    if (r.u32() != acting.size() ||
+        !r.bytes(acting.data(), acting.size()) ||
+        !std::all_of(acting.begin(), acting.end(),
+                     [](std::int8_t s) { return s >= -1 && s <= 1; })) {
+      return false;
+    }
+    acting_ = std::move(acting);
+    return true;
+  }
+
  private:
   int cluster_of(NodeId j) const { return static_cast<int>(j) / cluster_size_; }
   NodeId cluster_lo(int g) const {
@@ -278,18 +296,18 @@ class HierarchicalTopology final : public Topology {
 
   static constexpr int kLeadersPerCluster = 2;
 
-  /// Emits a "leader" trace record when a node's acting-leader status
-  /// flips (leader changes are exactly the events a two-level fabric's
-  /// operator wants on a timeline). The initial "not a leader" state is
-  /// not newsworthy.
+  /// Tracks a node's acting-leader status and emits a "leader" trace
+  /// record when it flips (leader changes are exactly the events a
+  /// two-level fabric's operator wants on a timeline). The initial "not
+  /// a leader" state is not newsworthy. The status is tracked with no
+  /// trace too, so a checkpoint carries it either way.
   void note_leader(NodeId id, int cluster, bool acting, double now) {
-    if (trace_ == nullptr) return;
     std::int8_t& prev = acting_[static_cast<std::size_t>(id)];
     const std::int8_t current = acting ? 1 : 0;
     if (prev == current) return;
     const bool newsworthy = acting || prev == 1;
     prev = current;
-    if (!newsworthy) return;
+    if (!newsworthy || trace_ == nullptr) return;
     obs::Record r;
     r.type = obs::RecordType::kLeader;
     r.t = now;

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "cluster/node.hpp"
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 
 namespace rfd::cluster {
@@ -80,6 +81,11 @@ class Topology {
   /// role flips, stamped with the `now` of the targets() call that saw
   /// the flip; stateless topologies ignore it.
   void set_trace(obs::RecordSink* trace) { trace_ = trace; }
+
+  /// Checkpoint hooks for that role state; stateless topologies save
+  /// nothing. restore_state() refuses state it could not have written.
+  virtual void save_state(ByteWriter& /*w*/) const {}
+  virtual bool restore_state(ByteReader& /*r*/) { return true; }
 
  protected:
   obs::RecordSink* trace_ = nullptr;

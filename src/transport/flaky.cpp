@@ -18,7 +18,6 @@ FlakyTransport::FlakyTransport(std::unique_ptr<Transport> inner,
       net_(std::make_unique<rt::Network>(seed, params.network)),
       dup_rng_(mix_seed(seed, 0xd0bb1edull)),
       params_(params) {
-  RFD_REQUIRE(inner_ != nullptr);
   RFD_REQUIRE(max_nodes > 0);
   RFD_REQUIRE(params.dup_prob >= 0.0 && params.dup_prob <= 1.0);
 }
@@ -27,57 +26,57 @@ void FlakyTransport::advance_clock(double now_ms) {
   if (now_ms > now_ms_) now_ms_ = now_ms;
 }
 
-void FlakyTransport::hold(NodeId from, NodeId to, const std::uint8_t* data,
-                          std::size_t size, double release_at_ms) {
-  Held h;
-  h.release_at_ms = release_at_ms;
-  h.seq = seq_++;
-  h.from = from;
-  h.to = to;
-  h.payload.assign(data, data + size);
-  held_.insert(std::move(h));
-}
-
-void FlakyTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
-                          std::size_t size, double now_ms) {
+void FlakyTransport::send(NodeId from, NodeId to, const Payload& payload,
+                          double now_ms) {
   advance_clock(now_ms);
   ++offered_;
+  bytes_.clear();
+  payload.write(bytes_);
   const std::optional<double> delay = net_->route(from, to, now_ms_);
-  if (delay.has_value()) {
-    hold(from, to, data, size, now_ms + *delay);
-    if (params_.dup_prob > 0.0 && dup_rng_.chance(params_.dup_prob)) {
-      // The duplicate runs the full gauntlet again: its own loss
-      // verdict, its own delay - so a dup can die, or overtake the
-      // original (reordering).
-      const std::optional<double> dup_delay =
-          net_->route(from, to, now_ms_);
-      if (dup_delay.has_value()) {
-        hold(from, to, data, size, now_ms + *dup_delay);
-        ++duplicated_;
-      }
+  if (!delay.has_value()) return;
+  Held h{now_ms + *delay, seq_++, from, to, bytes_};
+  if (params_.dup_prob > 0.0 && dup_rng_.chance(params_.dup_prob)) {
+    // The duplicate runs the full gauntlet again: its own loss verdict,
+    // its own delay - so a dup can die, or overtake the original
+    // (reordering).
+    if (const std::optional<double> dup = net_->route(from, to, now_ms_)) {
+      held_.insert({now_ms + *dup, seq_++, from, to, bytes_});
+      ++duplicated_;
     }
   }
+  held_.insert(std::move(h));
 }
 
 void FlakyTransport::poll(double now_ms, std::vector<Delivery>& out) {
   advance_clock(now_ms);
   while (!held_.empty() && held_.begin()->release_at_ms <= now_ms) {
     auto node = held_.extract(held_.begin());
-    const Held& h = node.value();
-    inner_->send(h.from, h.to, h.payload.data(), h.payload.size(),
-                 h.release_at_ms);
+    Held& h = node.value();
+    if (inner_ != nullptr) {
+      inner_->send(h.from, h.to, h.payload.data(), h.payload.size(),
+                   h.release_at_ms);
+      continue;
+    }
+    Delivery& d = out.emplace_back();
+    d.at_ms = h.release_at_ms;
+    d.from = h.from;
+    d.to = h.to;
+    d.payload = std::move(h.payload);
+    ++delivered_;
   }
-  inner_->poll(now_ms, out);
+  if (inner_ != nullptr) inner_->poll(now_ms, out);
 }
 
 TransportCounters FlakyTransport::counters() const {
-  TransportCounters c = inner_->counters();
+  TransportCounters c =
+      inner_ != nullptr ? inner_->counters() : TransportCounters{};
   // sent = what the application offered at this boundary (the verdict
   // network's own sent() also counts duplicate copies' verdicts, so it
   // is not usable here); dropped adds what the injector ate, including
   // dup copies that died. delivered + dropped therefore exceeds sent by
   // the number of duplicate verdicts drawn.
   c.sent = offered_;
+  c.delivered += delivered_;
   c.dropped += net_->dropped();
   c.duplicated += duplicated_;
   return c;
@@ -91,6 +90,7 @@ bool FlakyTransport::save_state(std::vector<std::uint8_t>& out) const {
   w.u64(seq_);
   w.i64(duplicated_);
   w.i64(offered_);
+  w.i64(delivered_);
   for (std::uint64_t word : dup_rng_.save_state()) w.u64(word);
   std::int64_t sent = 0, dropped = 0, part = 0, link = 0;
   net_->save_accounting(sent, dropped, part, link);
@@ -113,10 +113,11 @@ bool FlakyTransport::save_state(std::vector<std::uint8_t>& out) const {
     w.u32(static_cast<std::uint32_t>(h.payload.size()));
     w.bytes(h.payload.data(), h.payload.size());
   }
-  // The inner transport's state, length-prefixed; an inner that cannot
-  // checkpoint (udp) contributes an empty slice and restores fresh.
+  // The inner transport's state, length-prefixed; no inner transport
+  // contributes an empty slice.
   std::vector<std::uint8_t> inner_state;
-  const bool inner_saved = inner_->save_state(inner_state);
+  const bool inner_saved =
+      inner_ != nullptr && inner_->save_state(inner_state);
   w.u8(inner_saved ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(inner_state.size()));
   w.bytes(inner_state.data(), inner_state.size());
@@ -132,6 +133,7 @@ bool FlakyTransport::restore_state(const std::uint8_t* data,
   const std::uint64_t seq = r.u64();
   const std::int64_t duplicated = r.i64();
   const std::int64_t offered = r.i64();
+  const std::int64_t delivered = r.i64();
   std::array<std::uint64_t, 5> dup_state{};
   for (std::uint64_t& word : dup_state) word = r.u64();
   const std::int64_t sent = r.i64();
@@ -179,13 +181,15 @@ bool FlakyTransport::restore_state(const std::uint8_t* data,
   }
   if (!r.ok()) return false;
   if (inner_saved &&
-      !inner_->restore_state(inner_state.data(), inner_state.size())) {
+      (inner_ == nullptr ||
+       !inner_->restore_state(inner_state.data(), inner_state.size()))) {
     return false;
   }
   advance_clock(clock_now);
   seq_ = seq;
   duplicated_ = duplicated;
   offered_ = offered;
+  delivered_ = delivered;
   dup_rng_.restore_state(dup_state);
   net_->restore_accounting(sent, dropped, part, link);
   net_->restore_rng_state(streams);

@@ -8,13 +8,16 @@
 // copies leave in delay order rather than send order, jittered delays
 // reorder datagrams exactly the way a congested real path does. On top
 // of the Network verdicts it adds duplication (a second copy with an
-// independently drawn delay).
+// independently drawn delay). The payload is written before the verdict:
+// a datagram the injector drops was still sent.
 //
 // Over UdpTransport this injects a .scn fault schedule into real
-// sockets. Over LoopbackTransport (transport/loopback.hpp) it is the
-// soak's sim backend: the verdict network is the whole simulated
-// network, and since the hold buffer, the send sequence and every RNG
-// stream serialize, that stack checkpoints and resumes draw for draw.
+// sockets. With no inner transport (nullptr) the hold buffer is the
+// wire: poll() hands over each released datagram stamped with its
+// release time, and counts it as delivered. That is the soak's sim
+// backend: the verdict network is the whole simulated network, and
+// since the hold buffer, the send sequence, the counts and every RNG
+// stream serialize, it checkpoints and resumes draw for draw.
 //
 // The verdict network has no clock of its own: the transport keeps the
 // latest time its driver passed to send() or poll() and hands it to
@@ -40,11 +43,13 @@ struct FlakyParams {
 
 class FlakyTransport final : public Transport {
  public:
+  /// `inner` may be null: the transport is then its own wire.
   FlakyTransport(std::unique_ptr<Transport> inner, int max_nodes,
                  std::uint64_t seed, FlakyParams params);
 
-  void send(NodeId from, NodeId to, const std::uint8_t* data,
-            std::size_t size, double now_ms) override;
+  using Transport::send;
+  void send(NodeId from, NodeId to, const Payload& payload,
+            double now_ms) override;
   void poll(double now_ms, std::vector<Delivery>& out) override;
   TransportCounters counters() const override;
   rt::Network* fault_network() override { return net_.get(); }
@@ -55,7 +60,7 @@ class FlakyTransport final : public Transport {
   /// The injection network's drop records, and the inner transport's.
   void set_trace(obs::RecordSink* trace) override {
     net_->set_trace(trace);
-    inner_->set_trace(trace);
+    if (inner_ != nullptr) inner_->set_trace(trace);
   }
 
  private:
@@ -75,8 +80,6 @@ class FlakyTransport final : public Transport {
 
   /// Moves now_ms_ forward to `now_ms`; it never moves back.
   void advance_clock(double now_ms);
-  void hold(NodeId from, NodeId to, const std::uint8_t* data,
-            std::size_t size, double release_at_ms);
 
   std::unique_ptr<Transport> inner_;
   int max_nodes_;
@@ -85,8 +88,11 @@ class FlakyTransport final : public Transport {
   Rng dup_rng_;
   FlakyParams params_;
   std::set<Held> held_;
+  /// The payload being sent; held copies take exactly its size.
+  std::vector<std::uint8_t> bytes_;
   std::uint64_t seq_ = 0;
   std::int64_t duplicated_ = 0;
+  std::int64_t delivered_ = 0;  // released to poll() with no inner wire
   // Datagrams accepted by send() - the injection verdicts (and the dup
   // copies' own verdicts) run through net_, whose sent() therefore
   // overcounts; counters().sent reports this instead.

@@ -14,7 +14,6 @@
 #include "common/bytes.hpp"
 #include "common/shutdown.hpp"
 #include "transport/checkpoint.hpp"
-#include "transport/loopback.hpp"
 
 namespace rfd::transport {
 
@@ -164,8 +163,8 @@ bool run_soak(const SoakConfig& config, SoakReport& report,
 
   // One grid: a heartbeat and a check per tick, over ceil(duration /
   // tick) windows. Half a tick of slack: however the engine's summed grid
-  // rounds, its last tick is that count, and the transport path runs no
-  // tail window.
+  // rounds, its last tick is that count, and a caller's transport runs
+  // no tail window.
   const double ticks =
       std::max(0.0, std::ceil(config.duration_ms / config.tick_ms));
   cluster::ClusterConfig engine;
@@ -188,13 +187,13 @@ bool run_soak(const SoakConfig& config, SoakReport& report,
 
   std::unique_ptr<Transport> transport;
   if (config.backend == SoakBackend::kSim) {
-    // The simulated network is a verdict network over an in-process
-    // wire; it never duplicates, so it never draws from its dup stream.
+    // The simulated network is a verdict network whose hold buffer is
+    // the wire; it never duplicates, so it never draws from its dup
+    // stream.
     FlakyParams sim_params;
     sim_params.network = config.network;
     transport = std::make_unique<FlakyTransport>(
-        std::make_unique<LoopbackTransport>(), max_nodes,
-        mix_seed(config.seed, 0x7e7a115ull), sim_params);
+        nullptr, max_nodes, mix_seed(config.seed, 0x7e7a115ull), sim_params);
   } else {
     transport = std::make_unique<UdpTransport>(max_nodes, config.udp);
   }

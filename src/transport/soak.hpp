@@ -1,23 +1,25 @@
-// The checkpointed soak: the cluster engine (cluster/engine.hpp) on its
-// transport path, for long wall-clock runs over a real or simulated
-// network. run_soak builds the backend - a FlakyTransport over a
-// LoopbackTransport (sim: its verdict network is the simulated network)
-// or a UdpTransport on real kernel sockets, with `flaky` layering one
-// more FlakyTransport on either for socket-boundary fault injection -
-// maps SoakConfig onto the engine on one shard, with heartbeat = check
-// = tick_ms, and maps the result onto SoakReport. The engine runs the
-// same scenario DSL timelines the simulator uses.
+// The checkpointed soak: the cluster engine (cluster/engine.hpp) over a
+// caller's transport, for long wall-clock runs over a real or simulated
+// network. run_soak builds the backend - a FlakyTransport with no inner
+// wire (sim: its verdict network is the simulated network, its hold
+// buffer the wire) or a UdpTransport on real kernel sockets, with
+// `flaky` layering one more FlakyTransport on either for socket-boundary
+// fault injection - maps SoakConfig onto the engine on one shard, with
+// heartbeat = check = tick_ms, and maps the result onto SoakReport. The
+// engine runs the same scenario DSL timelines the simulator uses.
 //
 // What the soak adds, in the engine's per-window callback:
 //   - a whole-tick horizon: ceil(duration_ms / tick_ms) windows, so the
 //     run never reaches the engine's off-grid tail and every checkpoint
 //     sits on a check tick;
 //   - periodic versioned, CRC-checked checkpoints of the engine state and
-//     the transport's own, written atomically; a checkpoint written
-//     before the soak ran on the engine is refused with an error;
+//     the transport's own, written atomically; a checkpoint whose engine
+//     state an older build wrote is refused with an error;
 //   - crash-resume: a run started with resume=true continues from the
 //     last checkpoint and - on the sim backend - reproduces the protocol
-//     records and the outcome of an uninterrupted run;
+//     records and the outcome of an uninterrupted run, for every
+//     topology; on UDP the transport counters carry on, while datagrams
+//     in flight at the checkpoint are lost;
 //   - graceful SIGINT/SIGTERM shutdown: the run ends after the current
 //     window (the first always runs), writes a final checkpoint and
 //     flushes the trace;

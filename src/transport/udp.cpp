@@ -11,6 +11,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 
 namespace rfd::transport {
 
@@ -37,6 +38,13 @@ bool read_header(const std::uint8_t* p, std::size_t size, NodeId& from,
   to = static_cast<NodeId>(fields[2]);
   return true;
 }
+
+/// The counters in checkpoint order.
+constexpr std::int64_t TransportCounters::*kCounts[] = {
+    &TransportCounters::sent,        &TransportCounters::delivered,
+    &TransportCounters::dropped,     &TransportCounters::duplicated,
+    &TransportCounters::queue_drops, &TransportCounters::retries,
+    &TransportCounters::sock_errors};
 
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr{};
@@ -116,12 +124,14 @@ void UdpTransport::note_sock_error(NodeId node, const char* op, int err,
   trace_->emit(r);
 }
 
-void UdpTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
-                        std::size_t size, double now_ms) {
+void UdpTransport::send(NodeId from, NodeId to, const Payload& payload,
+                        double now_ms) {
   if (from < 0 || from >= max_nodes_ || to < 0 || to >= max_nodes_) return;
-  RFD_REQUIRE_MSG(size + kHeaderBytes <= kMaxDatagram,
-                  "payload exceeds the transport's datagram bound");
   (void)now_ms;
+  bytes_.clear();
+  payload.write(bytes_);
+  RFD_REQUIRE_MSG(bytes_.size() + kHeaderBytes <= kMaxDatagram,
+                  "payload exceeds the transport's datagram bound");
   if (static_cast<int>(send_queue_.size()) >= params_.send_queue_cap) {
     // Bounded queue: shed the oldest frame (it is the stalest heartbeat
     // - the protocol tolerates loss, not unbounded queueing delay).
@@ -132,9 +142,9 @@ void UdpTransport::send(NodeId from, NodeId to, const std::uint8_t* data,
   PendingFrame f;
   f.from = from;
   f.to = to;
-  f.frame.resize(kHeaderBytes + size);
+  f.frame.resize(kHeaderBytes + bytes_.size());
   put_header(f.frame.data(), from, to);
-  if (size != 0) std::memcpy(f.frame.data() + kHeaderBytes, data, size);
+  std::copy(bytes_.begin(), bytes_.end(), f.frame.begin() + kHeaderBytes);
   send_queue_.push_back(std::move(f));
   ++counters_.sent;
 }
@@ -272,14 +282,22 @@ void UdpTransport::poll(double now_ms, std::vector<Delivery>& out) {
   due_ = send_queue_.size();
 }
 
-bool UdpTransport::wait_readable(double timeout_ms) {
-  epoll_event ev;
-  const int timeout =
-      timeout_ms <= 0.0 ? 0 : static_cast<int>(timeout_ms + 0.999);
-  const int n = epoll_wait(epoll_fd_, &ev, 1, timeout);
-  return n > 0;
+TransportCounters UdpTransport::counters() const { return counters_; }
+
+bool UdpTransport::save_state(std::vector<std::uint8_t>& out) const {
+  ByteWriter w(out);
+  for (const auto count : kCounts) w.i64(counters_.*count);
+  return true;
 }
 
-TransportCounters UdpTransport::counters() const { return counters_; }
+bool UdpTransport::restore_state(const std::uint8_t* data,
+                                 std::size_t size) {
+  ByteReader r(data, size);
+  TransportCounters restored;
+  for (const auto count : kCounts) restored.*count = r.i64();
+  if (!r.ok() || r.remaining() != 0) return false;
+  counters_ = restored;
+  return true;
+}
 
 }  // namespace rfd::transport

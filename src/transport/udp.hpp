@@ -23,11 +23,9 @@
 //     poll, counted in counters().retries); a full queue drops the
 //     oldest frame and counts it in queue_drops;
 //   - every socket-level error emits one reason-tagged "sock_err" trace
-//     record and bumps sock_errors, so the trace and the counter agree.
-//
-// A caller that polls in a loop until datagrams land calls
-// wait_readable(timeout), which parks in epoll_wait - waking early when
-// datagrams arrive - instead of busy-spinning.
+//     record and bumps sock_errors, so the trace and the counter agree;
+//   - a checkpoint carries the counters, so a resumed soak keeps counting
+//     where it stopped; frames queued or in flight die with the process.
 #pragma once
 
 #include <sys/socket.h>
@@ -64,15 +62,14 @@ class UdpTransport final : public Transport {
   UdpTransport(const UdpTransport&) = delete;
   UdpTransport& operator=(const UdpTransport&) = delete;
 
-  void send(NodeId from, NodeId to, const std::uint8_t* data,
-            std::size_t size, double now_ms) override;
+  using Transport::send;
+  void send(NodeId from, NodeId to, const Payload& payload,
+            double now_ms) override;
   void poll(double now_ms, std::vector<Delivery>& out) override;
   TransportCounters counters() const override;
 
-  /// Parks in epoll_wait for up to `timeout_ms` (clamped to >= 0) or
-  /// until any socket becomes readable; returns true when it woke for
-  /// readability.
-  bool wait_readable(double timeout_ms);
+  bool save_state(std::vector<std::uint8_t>& out) const override;
+  bool restore_state(const std::uint8_t* data, std::size_t size) override;
 
   /// Attaches the trace sink for "sock_err" records.
   void set_trace(obs::RecordSink* trace) override { trace_ = trace; }
@@ -93,6 +90,7 @@ class UdpTransport final : public Transport {
   int epoll_fd_ = -1;
   std::vector<int> fds_;  // fds_[i] = node i's socket
   std::deque<PendingFrame> send_queue_;
+  std::vector<std::uint8_t> bytes_;  // the payload being sent
   /// Frames at the queue's front that were queued when the last poll
   /// returned: what the next poll puts on the wire.
   std::size_t due_ = 0;

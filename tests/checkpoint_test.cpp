@@ -1,10 +1,12 @@
 // Checkpoint format and soak crash-resume tests: files round-trip,
 // corruption in any byte is caught by the CRC trailer, foreign configs
-// are refused, and a killed-and-resumed sim-backend soak produces the
-// exact outcome an uninterrupted run does. A payload that lies (crafted
-// or fuzzed, then re-sealed under a valid CRC) is refused or resumes;
-// it never aborts the run. The soak's outcome and trace bytes are also
-// pinned in absolute terms, per scenario file.
+// and older engine states are refused, and a killed-and-resumed
+// sim-backend soak produces the exact outcome an uninterrupted run does,
+// record for record on every topology; a UDP soak's counters carry on
+// across a resume. A payload that lies (crafted or fuzzed, then
+// re-sealed under a valid CRC) is refused or resumes; it never aborts
+// the run. The soak's outcome and trace bytes are also pinned in
+// absolute terms, per scenario file.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -231,6 +233,122 @@ TEST(SoakResume, MatchesUninterruptedRun) {
   }
 }
 
+/// n=16 for 16 s under 3% loss on one topology and detector: a crash, a
+/// partition, a heal, a recover and a second crash.
+SoakConfig matrix_config(cluster::TopologyKind topology,
+                         rt::DetectorKind detector, bool flaky) {
+  SoakConfig config;
+  config.n = 16;
+  config.seed = 20020623;
+  config.duration_ms = 16'000.0;
+  config.network.loss_prob = 0.03;
+  config.topology.kind = topology;
+  config.detector.kind = detector;
+  config.scenario.crash(2'000.0, 5)
+      .partition(5'000.0, {{0, 1, 2, 3, 4, 5, 6, 7},
+                           {8, 9, 10, 11, 12, 13, 14, 15}})
+      .heal(9'000.0)
+      .recover(10'000.0, 5)
+      .crash(12'500.0, 12);
+  if (flaky) {
+    config.flaky = true;
+    config.flaky_params.network.loss_prob = 0.02;
+    config.flaky_params.dup_prob = 0.05;
+  }
+  return config;
+}
+
+TEST(SoakResume, EveryTopologyResumesRecordForRecord) {
+  // Each cell runs uninterrupted, then as four legs that each resume
+  // from the last one's final checkpoint, at 3000, 7000 and 11000 ms.
+  // Every protocol record a resumed leg writes is the one the
+  // uninterrupted run wrote. The first leg runs untraced, so no state
+  // may depend on tracing. Hierarchical fabrics keep acting-leader
+  // state that their leader records depend on.
+  reset_shutdown();
+  using cluster::TopologyKind;
+  using cluster::testutil::protocol_records;
+  using cluster::testutil::read_file;
+  const std::string ckpt = temp_path("matrix");
+  const std::string trace = temp_path("matrix_trace");
+  for (const bool flaky : {false, true}) {
+    for (const TopologyKind topology :
+         {TopologyKind::kAllToAll, TopologyKind::kRing, TopologyKind::kGossip,
+          TopologyKind::kHierarchical}) {
+      for (const rt::DetectorKind detector :
+           {rt::DetectorKind::kFixed, rt::DetectorKind::kChen,
+            rt::DetectorKind::kPhi}) {
+        const SoakConfig base = matrix_config(topology, detector, flaky);
+        SCOPED_TRACE(cluster::topology_kind_name(topology) + " " +
+                     rt::detector_kind_name(detector) +
+                     (flaky ? " flaky" : " sim"));
+        SoakConfig full = base;
+        full.obs.trace_path = trace;
+        SoakReport report;
+        std::string error;
+        ASSERT_TRUE(run_soak(full, report, error)) << error;
+        const std::string uninterrupted = read_file(trace);
+        double from = 0.0;
+        for (const double until : {3'000.0, 7'000.0, 11'000.0, 16'000.0}) {
+          SoakConfig leg = base;
+          leg.duration_ms = until;
+          leg.checkpoint_path = ckpt;
+          leg.resume = from > 0.0;
+          if (leg.resume) leg.obs.trace_path = trace;
+          ASSERT_TRUE(run_soak(leg, report, error)) << error;
+          if (leg.resume) {
+            // The uninterrupted run's records in (from, until]: the
+            // trace is in time order, so those after `until` are a
+            // suffix of those after `from`.
+            std::vector<std::string> want =
+                protocol_records(uninterrupted, from);
+            want.resize(want.size() -
+                        protocol_records(uninterrupted, until).size());
+            const std::vector<std::string> got =
+                protocol_records(read_file(trace));
+            ASSERT_GT(got.size(), 100u) << "leg from " << from;
+            EXPECT_EQ(got, want) << "leg from " << from;
+          }
+          from = until;
+        }
+      }
+    }
+  }
+  std::remove(ckpt.c_str());
+  std::remove(trace.c_str());
+}
+
+TEST(SoakResume, UdpCountersCarryOn) {
+  // Leg 1 checkpoints at 3000 ms and leg 2 resumes to 6000 ms, over
+  // real loopback sockets behind 5% injected loss: the counters carry
+  // on from the checkpoint instead of restarting at zero.
+  reset_shutdown();
+  SoakConfig config;
+  config.n = 16;
+  config.seed = 7;
+  config.backend = SoakBackend::kUdp;
+  config.flaky = true;
+  config.flaky_params.network.loss_prob = 0.05;
+  config.time_scale = 0.0;
+  config.udp.base_port = 41800;  // 41800-41815: clear of the other UDP users
+  config.duration_ms = 3'000.0;
+  config.checkpoint_path = temp_path("udp_resume");
+  config.checkpoint_every_ms = 1'000.0;
+  SoakReport leg1;
+  std::string error;
+  ASSERT_TRUE(run_soak(config, leg1, error)) << error;
+  config.duration_ms = 6'000.0;
+  config.resume = true;
+  SoakReport leg2;
+  ASSERT_TRUE(run_soak(config, leg2, error)) << error;
+  std::remove(config.checkpoint_path.c_str());
+  EXPECT_TRUE(leg2.resumed);
+  EXPECT_GT(leg2.transport.sent, leg1.transport.sent);
+  EXPECT_GE(leg2.transport.delivered, leg1.transport.delivered);
+  // Counted over both legs, most of what was offered arrived.
+  EXPECT_GT(leg2.transport.delivered, leg2.transport.sent / 2);
+}
+
 TEST(SoakResume, RefusesForeignConfig) {
   reset_shutdown();
   const std::string ckpt = temp_path("foreign_cfg");
@@ -344,6 +462,36 @@ TEST(SoakResume, RefusesAnOwnCounterPast32Bits) {
   SoakReport resumed;
   EXPECT_FALSE(run_soak(resume, resumed, error));
   EXPECT_EQ(error, "checkpoint node state is inconsistent");
+  std::remove(ckpt.c_str());
+}
+
+TEST(SoakResume, RefusesAnOlderEngineState) {
+  // A real checkpoint whose engine state leads with the magic of the
+  // format before this one ("ENG1"), re-sealed under a valid CRC, is
+  // refused rather than misread.
+  reset_shutdown();
+  const std::string ckpt = temp_path("old_magic");
+  SoakConfig config = base_soak_config();
+  config.duration_ms = 3'000.0;
+  config.checkpoint_path = ckpt;
+  config.checkpoint_every_ms = 100'000.0;  // only the exit snapshot
+  SoakReport report;
+  std::string error;
+  ASSERT_TRUE(run_soak(config, report, error)) << error;
+  CheckpointData data;
+  ASSERT_TRUE(read_checkpoint(ckpt, soak_config_fingerprint(config), data,
+                              error))
+      << error;
+  ASSERT_EQ(read_u64(data.payload, 0) & 0xffffffffu, 0x32474e45u);  // ENG2
+  patch(data.payload, 0, 0x31474e45u, 4);
+  ASSERT_TRUE(write_checkpoint(ckpt, data, error)) << error;
+
+  SoakConfig resume = base_soak_config();
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  SoakReport resumed;
+  EXPECT_FALSE(run_soak(resume, resumed, error));
+  EXPECT_NE(error.find("not an engine state"), std::string::npos) << error;
   std::remove(ckpt.c_str());
 }
 

@@ -9,10 +9,10 @@
 // The digests also gate the scenario corpus itself: a .scn file that is
 // added without a GOLDEN.txt row, or a row whose file is gone, fails.
 //
-// The same files also pin the engine's transport path (the soak's) to
-// its native path: over a FlakyTransport on a LoopbackTransport, seeded
-// like the shard network, a run writes the native run's protocol
-// records.
+// The same files also pin a caller's transport (the soak's) to the
+// engine's own endpoints: over a FlakyTransport with no inner wire,
+// seeded like the endpoints' network, a run writes the protocol records
+// of a run on the engine's own network.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -27,7 +27,6 @@
 #include "common/rng.hpp"
 #include "scenario_test_util.hpp"
 #include "transport/flaky.hpp"
-#include "transport/loopback.hpp"
 
 namespace rfd::cluster {
 namespace {
@@ -137,10 +136,9 @@ TEST(ScenarioGolden, TransportPathWritesTheNativeProtocolRecords) {
     // The shard network's seed and model; it never duplicates.
     transport::FlakyParams params;
     params.network = scenario_cluster_config(doc).network;
-    transport::FlakyTransport wire(
-        std::make_unique<transport::LoopbackTransport>(),
-        scenario_cluster_config(doc).max_nodes, mix_seed(kGoldenSeed, 0xc1e5),
-        params);
+    transport::FlakyTransport wire(nullptr,
+                                   scenario_cluster_config(doc).max_nodes,
+                                   mix_seed(kGoldenSeed, 0xc1e5), params);
     const std::vector<std::string> carried = traced(&wire);
     ASSERT_GT(native.size(), 1000u) << file;
     ASSERT_EQ(carried.size(), native.size()) << file;

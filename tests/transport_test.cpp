@@ -1,8 +1,8 @@
 // Transport backend tests: the sim backend's determinism and
-// checkpointing (FlakyTransport over LoopbackTransport), FlakyTransport
+// checkpointing (a FlakyTransport with no inner wire), FlakyTransport
 // injection accounting, a real-socket UdpTransport loopback smoke
 // (frames cross the kernel, garbage is rejected), and the cluster
-// engine's transport path dropping crafted payloads.
+// engine dropping crafted payloads from a caller's transport.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -28,7 +30,6 @@
 #include "common/rng.hpp"
 #include "obs/trace_writer.hpp"
 #include "transport/flaky.hpp"
-#include "transport/loopback.hpp"
 #include "transport/soak.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
@@ -51,14 +52,19 @@ rt::NetworkParams lossless() {
   return params;
 }
 
-/// The soak's sim backend: a verdict network over an in-process wire.
+/// The soak's sim backend: a verdict network whose hold buffer is the
+/// wire.
 std::unique_ptr<FlakyTransport> sim_transport(int max_nodes,
                                               std::uint64_t seed,
                                               rt::NetworkParams params) {
   FlakyParams sim;
   sim.network = params;
-  return std::make_unique<FlakyTransport>(
-      std::make_unique<LoopbackTransport>(), max_nodes, seed, sim);
+  return std::make_unique<FlakyTransport>(nullptr, max_nodes, seed, sim);
+}
+
+/// Waits between two polls of a test waiting for datagrams.
+void between_polls() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
 }
 
 std::vector<Delivery> drain(Transport& t, double now_ms) {
@@ -145,6 +151,7 @@ TEST(SimTransport, SaveRestoreContinuesDrawForDraw) {
     EXPECT_EQ(ga[i].payload, gb[i].payload);
   }
   EXPECT_EQ(live->counters().sent, restored->counters().sent);
+  EXPECT_EQ(live->counters().delivered, restored->counters().delivered);
   EXPECT_EQ(live->counters().dropped, restored->counters().dropped);
 
   // A truncated snapshot must be refused, not half-applied.
@@ -217,7 +224,7 @@ TEST(UdpTransport, LoopbackRoundTrip) {
 
   std::vector<Delivery> got;
   for (int spins = 0; spins < 200 && got.size() < 2; ++spins) {
-    udp.wait_readable(10.0);
+    between_polls();
     udp.poll(spins * 10.0, got);
   }
   ASSERT_EQ(got.size(), 2u) << "loopback datagrams lost";
@@ -266,7 +273,7 @@ TEST(UdpTransport, RejectsGarbageFrames) {
   std::vector<Delivery> got;
   for (int spins = 0; spins < 50 && udp.counters().sock_errors < 5;
        ++spins) {
-    udp.wait_readable(10.0);
+    between_polls();
     udp.poll(spins * 10.0, got);
   }
   EXPECT_TRUE(got.empty());
@@ -293,7 +300,7 @@ TEST(UdpTransport, IgnoresOutOfRangeNodeIds) {
   udp.send(1, 0, nullptr, 0, 0.0);
   std::vector<Delivery> got;
   for (int spins = 0; spins < 200 && got.empty(); ++spins) {
-    udp.wait_readable(10.0);
+    between_polls();
     udp.poll(spins * 10.0, got);
   }
   ASSERT_EQ(got.size(), 1u);
@@ -323,7 +330,7 @@ TEST(UdpTransport, LargestSoakDigestFitsOneDatagram) {
   udp.send(0, 1, payload.data(), payload.size(), 0.0);
   std::vector<Delivery> got;
   for (int spins = 0; spins < 200 && got.empty(); ++spins) {
-    udp.wait_readable(10.0);
+    between_polls();
     udp.poll(spins * 10.0, got);
   }
   ASSERT_EQ(got.size(), 1u);
@@ -466,7 +473,7 @@ TEST(UdpTransport, FuzzedFramesAreRefusedOrDecoded) {
       udp.poll(0.0, got);
       const TransportCounters c = udp.counters();
       if (c.delivered + c.sock_errors >= sent) break;
-      udp.wait_readable(10.0);
+      between_polls();
     }
   }
   ::close(raw);
@@ -536,15 +543,18 @@ TEST(Soak, UdpPortRangePast65535IsRefused) {
   EXPECT_EQ(report.transport.sent, 0);
 }
 
-/// The loopback wire, whose poll at `inject_at` also returns `crafted`.
+/// A sim wire whose poll at `inject_at` also returns `crafted`.
 class CraftedTransport final : public Transport {
  public:
-  CraftedTransport(double inject_at, std::vector<Delivery> crafted)
-      : inject_at_(inject_at), crafted_(std::move(crafted)) {}
+  CraftedTransport(int max_nodes, double inject_at,
+                   std::vector<Delivery> crafted)
+      : wire_(nullptr, max_nodes, 1, FlakyParams{}),
+        inject_at_(inject_at),
+        crafted_(std::move(crafted)) {}
 
-  void send(NodeId from, NodeId to, const std::uint8_t* data,
-            std::size_t size, double now_ms) override {
-    wire_.send(from, to, data, size, now_ms);
+  void send(NodeId from, NodeId to, const Payload& payload,
+            double now_ms) override {
+    wire_.send(from, to, payload, now_ms);
   }
   void poll(double now_ms, std::vector<Delivery>& out) override {
     wire_.poll(now_ms, out);
@@ -555,7 +565,7 @@ class CraftedTransport final : public Transport {
   TransportCounters counters() const override { return wire_.counters(); }
 
  private:
-  LoopbackTransport wire_;
+  FlakyTransport wire_;
   double inject_at_;
   std::vector<Delivery> crafted_;
 };
@@ -595,7 +605,7 @@ TEST(EngineTransportPath, CraftedPayloadsAreDroppedNeverFatal) {
     d.payload = c.payload;
     crafted.push_back(std::move(d));
   }
-  CraftedTransport wire(1'000.0, std::move(crafted));
+  CraftedTransport wire(kNodes, 1'000.0, std::move(crafted));
   cluster::ClusterConfig config;
   config.n = kNodes;
   config.duration_ms = 3'000.0;
