@@ -11,9 +11,12 @@
 // byte per entry regardless of n. Counters are plain varints (they are
 // small for most of a run and bounded by one per heartbeat interval).
 //
-// Sorting by id is also what makes the receiver's observe() loop walk
-// its per-peer arrays in ascending index order - the cache-friendly
-// drain of the observe hot spot - and it is lossless: duplicate ids (a
+// Sorting by id also helps the receiver, whose per-peer arrays are cold
+// at every message: each of its passes over a payload (the counter
+// filter, the prefetch of the kept entries' slots, the observe loop; see
+// ClusterEngine::deliver) walks those arrays in ascending index order,
+// so consecutive entries share cache lines and the hardware prefetcher
+// sees a forward stream. It is also lossless: duplicate ids (a
 // hot-queue entry also hit by the rotation cursor) are kept as zero
 // gaps, so the decoded entry count and multiset match the selection
 // exactly.

@@ -64,19 +64,21 @@ namespace {
 // One message path: a pump hands each digest to its shard's Transport as
 // a payload the backend encodes on demand; after the window barrier the
 // shard polls it at T_k and applies the batch in one stable sorted drain
-// (receiver, arrival, sender, seq), which walks each receiver's per-peer
-// arrays once per round, then hands it back through recycle(). Barrier k
-// thus applies the arrivals in (T_{k-1}, T_k], each observed at its true
-// time; a delivery outside that (on the summed grid) or off the id
-// space breaks the contract and is dropped, as is a payload the
-// DigestReader rejects (with no hb_recv record). The Transport is the
-// caller's (ClusterConfig::transport, one shard: the soak) or the
-// shard's ShardEndpoint of the engine's own network (below), which
-// files by b x check: that grid equals the summed one at every integral
-// check interval, and elsewhere differs only by rounding. Who supplied
-// the transport decides only the transport.* snapshot gauges, the
-// config_error refusals (the endpoints save no in-flight state) and the
-// off-grid tail window (a caller's runs end, and checkpoint, on a tick).
+// (receiver, arrival, sender, seq), then hands it back through recycle();
+// deliver() applies each payload in filter, prefetch and observe passes
+// over a per-shard scratch buffer (see there). Barrier k thus applies
+// the arrivals in (T_{k-1}, T_k], each observed at its true time; a
+// delivery outside that (on the summed grid) or off the id space breaks
+// the contract and is dropped. A payload the DigestReader rejects writes
+// no hb_recv record, but the entries read before the rejection still
+// apply. The Transport is the caller's (ClusterConfig::transport, one
+// shard: the soak) or the shard's ShardEndpoint of the engine's own
+// network (below), which files by b x check: that grid equals the
+// summed one at every integral check interval, and elsewhere differs
+// only by rounding. Who supplied the transport decides only the
+// transport.* snapshot gauges, the config_error refusals (the endpoints
+// save no in-flight state) and the off-grid tail window (a caller's runs
+// end, and checkpoint, on a tick).
 //
 // Determinism argument - why every shard count produces bit-identical
 // metrics and traces on a fixed seed:
@@ -290,6 +292,12 @@ struct FaultNote {
   double at = 0.0;
 };
 
+/// One decoded digest entry, as deliver() stages it.
+struct DigestEntry {
+  NodeId peer = 0;
+  std::int32_t counter = 0;
+};
+
 struct ShardState {
   explicit ShardState(int max_nodes) : encoder(max_nodes) {}
 
@@ -334,6 +342,8 @@ struct ShardState {
 
   std::vector<NodeId> targets_scratch;
   std::vector<NodeId> digest_scratch;
+  /// One received payload's entries that may change its receiver.
+  std::vector<DigestEntry> entry_scratch;
   std::vector<std::uint32_t> wheel_scratch;
   /// Orders and encodes this shard's outgoing digests.
   DigestEncoder encoder;
@@ -1022,24 +1032,50 @@ class ClusterEngine final : public WindowBoundary {
     std::int64_t entry_count = 0;
     bool ok = true;
     {
-      // The varint stream is decoded straight into the observe walk - no
-      // materialized entry list. After the leading sender entry, ids
-      // arrive sorted ascending (the codec's delta stream), so the walk
-      // touches the per-peer arrays in ascending order - the
-      // cache-friendly drain of the observe hot spot. A payload the
-      // reader rejects, or one with bytes after its last entry, is
-      // dropped: the entries read before the reader stopped stay
-      // observed, and no hb_recv record is written.
+      // The payload applies in three passes over the shard's entry
+      // scratch, because about half of a digest's entries are stale and
+      // the receiver's per-peer arrays are cold at every message:
+      //   1. decode, keeping - without a branch - only the entries
+      //      node.may_change() passes, so a stale entry costs one
+      //      counters_ load and no mispredict;
+      //   2. prefetch the slots the kept entries will write;
+      //   3. observe the kept entries in payload order, with the wheel
+      //      bookkeeping. After the leading sender entry, ids arrive
+      //      sorted ascending (the codec's delta stream), so passes 2 and
+      //      3 walk the per-peer arrays in ascending order.
+      // A payload the reader rejects, or one with bytes after its last
+      // entry, writes no hb_recv record, but the entries read before the
+      // reader stopped still apply.
       obs::ScopedPhase phase(shard.profiler.get(), obs::Phase::kObserve);
       DigestReader reader(m.payload.data(), m.payload.size(), max_nodes_);
       std::uint32_t own = 0;
       std::uint32_t count = 0;
       ok = reader.header(own, count);
       entry_count = static_cast<std::int64_t>(count) + 1;
-      NodeId peer = m.from;
-      std::int32_t value = static_cast<std::int32_t>(own);
-      for (std::uint32_t e = 0; ok; ++e) {
-        const ObserveResult result = node.observe(peer, value, now);
+      std::vector<DigestEntry>& entries = shard.entry_scratch;
+      std::size_t kept = 0;
+      if (ok) {
+        // header() bounds count by the payload's size.
+        if (entries.size() <= count) entries.resize(count + std::size_t{1});
+        DigestEntry entry{m.from, static_cast<std::int32_t>(own)};
+        for (std::uint32_t e = 0;; ++e) {
+          entries[kept] = entry;
+          kept += node.may_change(entry.peer, entry.counter) ? 1 : 0;
+          if (e == count) break;
+          std::uint32_t counter = 0;
+          if (!reader.entry(entry.peer, counter)) {
+            ok = false;
+            break;
+          }
+          entry.counter = static_cast<std::int32_t>(counter);
+        }
+        ok = ok && reader.done();
+      }
+      for (std::size_t e = 0; e < kept; ++e) node.prefetch(entries[e].peer);
+      for (std::size_t e = 0; e < kept; ++e) {
+        const NodeId peer = entries[e].peer;
+        const ObserveResult result =
+            node.observe(peer, entries[e].counter, now);
         if (result.newly_known) on_learned(shard, to, peer);
         if (result.advanced) {
           ++advanced;
@@ -1060,12 +1096,7 @@ class ClusterEngine final : public WindowBoundary {
             arm_deadline(shard, to, peer);
           }
         }
-        if (e == count) break;
-        std::uint32_t counter = 0;
-        ok = reader.entry(peer, counter);
-        value = static_cast<std::int32_t>(counter);
       }
-      ok = ok && reader.done();
     }
     if (ok && shard.trace != nullptr) {
       obs::Record r;

@@ -11,6 +11,8 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
     : id_(id), max_nodes_(max_nodes), params_(params),
       counters_(static_cast<std::size_t>(max_nodes), 0),
       hot_(static_cast<std::size_t>(max_nodes)),
+      last_heartbeat_(static_cast<std::size_t>(max_nodes), -1.0),
+      eval_tick_(static_cast<std::size_t>(max_nodes), -1),
       records_(static_cast<std::size_t>(max_nodes)),
       digest_cursor_(static_cast<int>(id) % max_nodes),
       hot_ring_(static_cast<std::size_t>(max_nodes)) {
@@ -33,6 +35,8 @@ void ClusterNode::reset_peers(double now,
                               const std::vector<NodeId>& contacts) {
   std::fill(counters_.begin(), counters_.end(), 0);
   std::fill(hot_.begin(), hot_.end(), PeerHot{});
+  std::fill(last_heartbeat_.begin(), last_heartbeat_.end(), -1.0);
+  std::fill(eval_tick_.begin(), eval_tick_.end(), -1);
   std::fill(records_.begin(), records_.end(), PeerRecord{});
   for (std::unique_ptr<rt::PeerDetector>& detector : detectors_) {
     detector.reset();
@@ -56,14 +60,14 @@ void ClusterNode::save_state(std::vector<std::uint8_t>& out) const {
   w.i32(digest_cursor_);
   w.i32(known_count_);
   for (std::int32_t c : counters_) w.i32(c);
-  for (const PeerHot& h : hot_) {
-    w.f64(h.last_heartbeat);
-    w.u8(h.flags);
-    w.u8(static_cast<std::uint8_t>(h.hot_remaining));
+  for (std::size_t p = 0; p < hot_.size(); ++p) {
+    w.f64(last_heartbeat_[p]);
+    w.u8(hot_[p].flags);
+    w.u8(static_cast<std::uint8_t>(hot_[p].hot_remaining));
   }
   // Eval ticks travel as i64, so checkpoints written before the field
   // narrowed to 32 bits stay readable.
-  for (const PeerHot& h : hot_) w.i64(h.eval_tick);
+  for (std::int32_t tick : eval_tick_) w.i64(tick);
   std::vector<double> detector_state;
   for (std::size_t p = 0; p < records_.size(); ++p) {
     w.f64(records_[p].known_since);
@@ -98,18 +102,18 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   digest_cursor_ = r.i32();
   known_count_ = r.i32();
   for (std::int32_t& c : counters_) c = r.i32();
-  for (PeerHot& h : hot_) {
-    h.last_heartbeat = r.f64();
-    h.flags = r.u8();
-    h.hot_remaining = static_cast<std::int8_t>(r.u8());
+  for (std::size_t p = 0; p < hot_.size(); ++p) {
+    last_heartbeat_[p] = r.f64();
+    hot_[p].flags = r.u8();
+    hot_[p].hot_remaining = static_cast<std::int8_t>(r.u8());
   }
-  for (PeerHot& h : hot_) {
+  for (std::int32_t& slot : eval_tick_) {
     // The engine arms ticks in [1, INT32_MAX] (see eval_tick()).
     const std::int64_t tick = r.i64();
     if (tick < -1 || tick > std::numeric_limits<std::int32_t>::max()) {
       return false;
     }
-    h.eval_tick = static_cast<std::int32_t>(tick);
+    slot = static_cast<std::int32_t>(tick);
   }
   std::vector<double> detector_state;
   for (std::size_t p = 0; p < records_.size(); ++p) {

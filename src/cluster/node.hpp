@@ -18,23 +18,28 @@
 //     makes partition/heal scenarios converge.
 //
 // Layout is dictated by the two hot loops - the engine's receive loop
-// (one observe() per digest entry, tens of millions per run at n=1024)
-// and the topologies' per-round scans (target selection, digest
-// rotation) - and by the n^2 (observer, peer) pairs a full cluster
+// (tens of millions of digest entries per run at n=1024) and the
+// topologies' per-round scans (target selection, digest rotation) -
+// and by the n^2 (observer, peer) pairs a full cluster
 // holds: 16.7M at n=4096, where each byte per peer costs 16 MB. Per-peer
-// state is struct-of-arrays, 36 bytes per peer in the three dense arrays:
+// state is struct-of-arrays, one dense array per reader, 34 bytes per
+// peer in all:
 //   - counters_ (4 bytes/peer): the freshest heartbeat counter. A seen
-//     counter > 0 implies the peer is known, so a stale entry - the
-//     majority - is decided by this one load in a 4KB-per-node array
-//     that stays cache-resident, touching nothing else;
-//   - hot_ (one 16-byte PeerHot per peer): the known / suspected /
-//     fresh / armed flag bits, the remaining piggyback budget, the
-//     engine's 32-bit suspicion-wheel tick, and the last-heartbeat
-//     timestamp that is the inlined fixed-timeout detector's entire
-//     state. The kFixed detector - the cluster default - thus needs no
-//     heap object, no virtual dispatch, and no extra cache line on an
-//     advance. The scan loops and digest keep()-filters read only the
-//     flags byte of it;
+//     counter > 0 implies the peer is known, so a stale entry - about
+//     half of all entries - is decided by this one load and touches
+//     nothing else. may_change() is that test, branch-free: the engine
+//     runs it over a whole digest and observes only what it keeps;
+//   - hot_ (one 2-byte PeerHot per peer): the known / suspected / fresh /
+//     armed flag bits and the remaining piggyback budget. select_digest's
+//     hot and rotation passes, the topologies' target refresh and the
+//     engine's skip tests read nothing else, so what they scan is 4 KB
+//     per node at n=2048;
+//   - last_heartbeat_ (8 bytes/peer): the inlined fixed-timeout
+//     detector's entire state. The kFixed detector - the cluster
+//     default - thus needs no heap object and no virtual dispatch;
+//   - eval_tick_ (4 bytes/peer): the check tick at which the engine's
+//     suspicion wheel next evaluates the pair, read when the wheel arms
+//     or drains it;
 //   - records_ (16 bytes/peer, cold): known_since and suspect_since -
 //     touched on state transitions, not per entry.
 // Two side structures complete the node:
@@ -80,16 +85,12 @@ struct PeerRecord {
 };
 static_assert(sizeof(PeerRecord) == 16, "PeerRecord must stay 16 bytes");
 
-/// Dense per-peer hot state; see the file header.
+/// Dense per-peer flag slot; see the file header.
 struct PeerHot {
-  double last_heartbeat = -1.0;  // inlined kFixed detector state
-  /// Check tick at which the engine's suspicion wheel next evaluates
-  /// this pair (-1 = unarmed; see ClusterNode::eval_tick).
-  std::int32_t eval_tick = -1;
-  std::uint8_t flags = 0;        // kKnown / kSuspected / kFresh / kArmed
-  std::int8_t hot_remaining = 0; // piggyback budget (> 0 <=> queued)
+  std::uint8_t flags = 0;         // kKnown / kSuspected / kFresh / kArmed
+  std::int8_t hot_remaining = 0;  // piggyback budget (> 0 <=> queued)
 };
-static_assert(sizeof(PeerHot) == 16, "PeerHot must stay one 16-byte slot");
+static_assert(sizeof(PeerHot) == 2, "PeerHot must stay one 2-byte slot");
 
 /// What one digest entry did to the receiver's state; lets the engine do
 /// its wheel bookkeeping without re-querying the record.
@@ -140,6 +141,36 @@ class ClusterNode {
     return true;
   }
 
+  /// Whether observe(peer, counter, now) can change this node's state.
+  /// False exactly where observe() returns untouched before it looks at
+  /// anything but counters_: for self, an id off [0, max_nodes), and a
+  /// counter no newer than a positive one on file. A zero on file passes,
+  /// since a first mention learns the peer. Branch-free, so the engine
+  /// filters a decoded digest with it before it observes any entry:
+  /// counters only grow while a digest applies, so an entry this drops
+  /// stays a no-op wherever it sits in the digest.
+  bool may_change(NodeId peer, std::int32_t counter) const {
+    const bool in_range = static_cast<std::uint32_t>(peer) <
+                          static_cast<std::uint32_t>(max_nodes_);
+    // An id off the id space reads the own slot; the result ignores it.
+    const std::int32_t seen =
+        counters_[static_cast<std::size_t>(in_range ? peer : id_)];
+    return in_range & (peer != id_) & ((seen <= 0) | (counter > seen));
+  }
+
+  /// Prefetches the slots observe() writes when `peer`'s counter
+  /// advances. `peer` must lie in [0, max_nodes), as it does for every
+  /// entry may_change() keeps.
+  void prefetch(NodeId peer) const {
+    const std::size_t p = static_cast<std::size_t>(peer);
+    __builtin_prefetch(&hot_[p], 1);
+    if (fixed_timeout_ms_ > 0.0) {
+      __builtin_prefetch(&last_heartbeat_[p], 1);
+    } else {
+      __builtin_prefetch(&detectors_[p]);
+    }
+  }
+
   /// Processes one digest entry (peer, counter) received at `now`; feeds
   /// the peer's detector if the counter advanced.
   ObserveResult observe(NodeId peer, std::int64_t counter, double now) {
@@ -149,16 +180,17 @@ class ClusterNode {
     const std::int32_t seen = counters_[p];
     if (seen > 0) {
       // A seen counter implies the peer is already known, so a stale
-      // entry - the receive loop's majority - is decided right here by
-      // the one counters_ load. (A zero or stale counter carries no
+      // entry is decided right here by the one counters_ load, as
+      // may_change() decides it. (A zero or stale counter carries no
       // liveness evidence; see below for zero's membership role.)
       if (counter <= seen) return result;
       counters_[p] = static_cast<std::int32_t>(counter);
       PeerHot& h = hot_[p];
       h.flags |= kFreshFlag;
       if (fixed_timeout_ms_ > 0.0) {
-        result.started_detector = h.last_heartbeat < 0.0;
-        h.last_heartbeat = now;
+        double& last = last_heartbeat_[p];
+        result.started_detector = last < 0.0;
+        last = now;
       } else {
         std::unique_ptr<rt::PeerDetector>& detector = detectors_[p];
         if (detector == nullptr) {
@@ -200,7 +232,7 @@ class ClusterNode {
     const std::size_t p = static_cast<std::size_t>(peer);
     if ((hot_[p].flags & kKnownFlag) == 0) return false;
     if (fixed_timeout_ms_ > 0.0) {
-      const double last = hot_[p].last_heartbeat;
+      const double last = last_heartbeat_[p];
       if (last < 0.0) return grace_expired(p, now);
       return now - last > fixed_timeout_ms_;
     }
@@ -222,7 +254,7 @@ class ClusterNode {
       return std::numeric_limits<double>::infinity();
     }
     if (fixed_timeout_ms_ > 0.0) {
-      const double last = hot_[p].last_heartbeat;
+      const double last = last_heartbeat_[p];
       if (last < 0.0) return grace_deadline(p);
       return last + fixed_timeout_ms_;
     }
@@ -252,17 +284,18 @@ class ClusterNode {
 
   /// Check-tick index at which the engine's suspicion wheel will next
   /// evaluate this pair (-1 = unarmed). Owned by the engine; lives in the
-  /// pair's PeerHot (with the >= 0 state mirrored as the armed flag bit)
-  /// so the wheel needs no side table of its own and the receive loop's
-  /// skip test stays on the flags byte it already holds. 32 bits suffice:
-  /// the engine refuses runs whose tick count does not fit. See
-  /// engine.cpp.
+  /// node's eval_tick_ array (with the >= 0 state mirrored as the armed
+  /// flag bit) so the wheel needs no side table of its own and the
+  /// receive loop's skip test stays on the flag slot it already holds.
+  /// 32 bits suffice: the engine refuses runs whose tick count does not
+  /// fit. See engine.cpp.
   std::int32_t eval_tick(NodeId peer) const {
-    return hot_[static_cast<std::size_t>(peer)].eval_tick;
+    return eval_tick_[static_cast<std::size_t>(peer)];
   }
   void set_eval_tick(NodeId peer, std::int32_t tick) {
-    PeerHot& h = hot_[static_cast<std::size_t>(peer)];
-    h.eval_tick = tick;
+    const std::size_t p = static_cast<std::size_t>(peer);
+    eval_tick_[p] = tick;
+    PeerHot& h = hot_[p];
     if (tick >= 0) {
       h.flags |= kArmedFlag;
     } else {
@@ -432,12 +465,14 @@ class ClusterNode {
   int max_nodes_;
   NodeParams params_;
   /// The fixed-timeout fast path: > 0 iff params_.detector.kind ==
-  /// kFixed, in which case each peer's PeerHot::last_heartbeat is its
-  /// whole detector.
+  /// kFixed, in which case each peer's last_heartbeat_ slot is its whole
+  /// detector.
   double fixed_timeout_ms_ = -1.0;
-  /// Dense per-peer hot state (see file header).
+  /// Dense per-peer state, one array per reader (see file header).
   std::vector<std::int32_t> counters_;
   std::vector<PeerHot> hot_;
+  std::vector<double> last_heartbeat_;  // -1 = no advance yet
+  std::vector<std::int32_t> eval_tick_;  // -1 = unarmed
   std::vector<PeerRecord> records_;
   /// Adaptive detector per peer; empty for kFixed (see file header).
   std::vector<std::unique_ptr<rt::PeerDetector>> detectors_;

@@ -4,13 +4,16 @@
 // set after heal), churn, delay storms, determinism under a fixed seed,
 // and the message-complexity separation (gossip sublinear vs all-to-all
 // quadratic) that the E11 bench measures at scale. The digest codec's
-// encoder and checked reader are tested here too.
+// encoder and checked reader, and the node's digest-entry filter, are
+// tested here too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "cluster/digest_codec.hpp"
@@ -117,6 +120,98 @@ TEST(ClusterNode, GraceThenDetectorTakesOver) {
   EXPECT_FALSE(node.observe(2, 0, 2000.0).advanced);
   EXPECT_TRUE(node.knows(2));  // ...but they do carry membership
   EXPECT_FALSE(node.suspects(0, 5000.0));  // never self-suspects
+}
+
+TEST(ClusterNode, MayChangeDropsOnlyEntriesObserveIgnores) {
+  // Twin nodes take the same randomized digests: one observes every
+  // entry, the other only the entries may_change() keeps, judged
+  // against its state before the digest (as the engine filters a whole
+  // payload before observing it). Their checkpoints and summed observe
+  // results must match after every digest.
+  constexpr int kMaxNodes = 64;
+  constexpr NodeId kSelf = 5;
+  for (const rt::DetectorKind kind :
+       {rt::DetectorKind::kFixed, rt::DetectorKind::kChen}) {
+    NodeParams params;
+    params.detector.kind = kind;
+    ClusterNode all(kSelf, kMaxNodes, params);
+    ClusterNode twin(kSelf, kMaxNodes, params);
+    for (NodeId seed = 0; seed < 8; ++seed) {
+      all.learn_peer(seed, 0.0);
+      twin.learn_peer(seed, 0.0);
+    }
+    Rng rng(kind == rt::DetectorKind::kFixed ? 11 : 12);
+    std::array<int, 3> sum_all{};
+    std::array<int, 3> sum_twin{};
+    const auto add = [](std::array<int, 3>& sum, const ObserveResult& r) {
+      sum[0] += r.advanced;
+      sum[1] += r.newly_known;
+      sum[2] += r.started_detector;
+    };
+    int kept = 0;
+    int dropped = 0;
+    for (int digest = 0; digest < 300; ++digest) {
+      const double now = 10.0 * (digest + 1);
+      std::vector<std::pair<NodeId, std::int32_t>> entries;
+      const int size = static_cast<int>(rng.range(1, 24));
+      for (int e = 0; e < size; ++e) {
+        NodeId peer = static_cast<NodeId>(rng.below(kMaxNodes));
+        switch (rng.below(8)) {
+          case 0: peer = kSelf; break;
+          case 1: peer = -1; break;
+          case 2: peer = kMaxNodes; break;
+          case 3:
+            if (!entries.empty()) peer = entries.back().first;  // duplicate
+            break;
+          default: break;
+        }
+        const bool in_range = peer >= 0 && peer < kMaxNodes;
+        const std::int32_t on_file = in_range ? all.counter(peer) : 0;
+        std::int32_t counter = 0;
+        switch (rng.below(5)) {
+          case 0: break;  // zero
+          case 1:         // stale, or equal to the counter on file
+            counter = on_file - static_cast<std::int32_t>(rng.below(3));
+            break;
+          case 2:  // a varint >= 2^31 reads as a negative int32
+            counter = static_cast<std::int32_t>(static_cast<std::uint32_t>(
+                rng.range(std::int64_t{1} << 31, 0xffffffffLL)));
+            break;
+          default:  // fresh
+            counter = on_file + 1 + static_cast<std::int32_t>(rng.below(3));
+            break;
+        }
+        entries.emplace_back(peer, counter);
+      }
+      std::vector<std::pair<NodeId, std::int32_t>> survivors;
+      for (const auto& [peer, counter] : entries) {
+        if (twin.may_change(peer, counter)) {
+          survivors.emplace_back(peer, counter);
+        }
+      }
+      kept += static_cast<int>(survivors.size());
+      dropped += static_cast<int>(entries.size() - survivors.size());
+      for (const auto& [peer, counter] : entries) {
+        add(sum_all, all.observe(peer, counter, now));
+      }
+      for (const auto& [peer, counter] : survivors) {
+        add(sum_twin, twin.observe(peer, counter, now));
+      }
+      std::vector<std::uint8_t> a;
+      std::vector<std::uint8_t> b;
+      all.save_state(a);
+      twin.save_state(b);
+      ASSERT_EQ(a, b) << "digest " << digest;
+      ASSERT_EQ(sum_all, sum_twin) << "digest " << digest;
+    }
+    // Both sides of the predicate were exercised, and the digests
+    // advanced, introduced and started detectors for real.
+    EXPECT_GT(kept, 500);
+    EXPECT_GT(dropped, 500);
+    EXPECT_GT(sum_all[0], 100);
+    EXPECT_GT(sum_all[1], 20);
+    EXPECT_GT(sum_all[2], 20);
+  }
 }
 
 class EveryTopology : public ::testing::TestWithParam<TopologyKind> {};

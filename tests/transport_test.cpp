@@ -633,6 +633,58 @@ TEST(EngineTransportPath, CraftedPayloadsAreDroppedNeverFatal) {
   }
 }
 
+TEST(EngineTransportPath, RejectedPayloadKeepsItsPrefix) {
+  // A payload from node 1 to node 0 whose first entry names node 9 -
+  // inside the id space but never seeded - with counter 5, and whose
+  // second gap runs past max_nodes. The reader rejects the payload at
+  // that gap, so it writes no hb_recv record, but the entry read before
+  // it still applies: node 0 learns node 9, and with no heartbeat from
+  // it, suspects it once the bootstrap grace runs out.
+  constexpr int kNodes = 8;
+  constexpr int kMaxNodes = 10;
+  constexpr double kAt = 999.5;
+  Delivery d;
+  d.at_ms = kAt;
+  d.from = 1;
+  d.to = 0;
+  d.payload = bytes({3, 2, 9, 5, 1, 1});
+  std::vector<Delivery> crafted;
+  crafted.push_back(std::move(d));
+  CraftedTransport wire(kMaxNodes, 1'000.0, std::move(crafted));
+  cluster::ClusterConfig config;
+  config.n = kNodes;
+  config.max_nodes = kMaxNodes;
+  config.duration_ms = 4'000.0;
+  config.transport = &wire;
+  const std::string path =
+      ::testing::TempDir() + "rfd_prefix_" + std::to_string(::getpid());
+  config.obs.trace_path = path;
+  cluster::run_cluster(config, 7);
+
+  bool received = false;
+  double suspected_at = -1.0;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto field = [&line](const std::string& key) {
+      return std::stod(line.substr(line.find("\"" + key + "\":") +
+                                   key.size() + 3));
+    };
+    if (line.rfind("{\"type\":\"hb_recv\",", 0) == 0 &&
+        line.find("\"node\":0,") != std::string::npos && field("t") == kAt) {
+      received = true;
+    }
+    if (line.rfind("{\"type\":\"suspect\",", 0) == 0 &&
+        line.find("\"observer\":0,\"victim\":9,") != std::string::npos &&
+        suspected_at < 0.0) {
+      suspected_at = field("t");
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_FALSE(received);
+  EXPECT_GE(suspected_at, kAt + config.bootstrap_grace_ms);
+}
+
 TEST(Soak, UdpWithoutInjectionRefusesNetworkFaults) {
   // Bare UDP sockets have no verdict network, so the partition could
   // not be applied: the run is refused before a socket is bound, and
