@@ -11,7 +11,6 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
     : id_(id), max_nodes_(max_nodes), params_(params),
       counters_(static_cast<std::size_t>(max_nodes), 0),
       hot_(static_cast<std::size_t>(max_nodes)),
-      last_heartbeat_(static_cast<std::size_t>(max_nodes), -1.0),
       eval_tick_(static_cast<std::size_t>(max_nodes), -1),
       records_(static_cast<std::size_t>(max_nodes)),
       digest_cursor_(static_cast<int>(id) % max_nodes),
@@ -26,6 +25,7 @@ ClusterNode::ClusterNode(NodeId id, int max_nodes, NodeParams params)
   if (params_.detector.kind == rt::DetectorKind::kFixed) {
     fixed_timeout_ms_ = params_.detector.fixed.timeout_ms;
     RFD_REQUIRE(fixed_timeout_ms_ > 0.0);
+    last_heartbeat_.assign(static_cast<std::size_t>(max_nodes), -1.0);
   } else {
     detectors_.resize(static_cast<std::size_t>(max_nodes));
   }
@@ -61,7 +61,10 @@ void ClusterNode::save_state(std::vector<std::uint8_t>& out) const {
   w.i32(known_count_);
   for (std::int32_t c : counters_) w.i32(c);
   for (std::size_t p = 0; p < hot_.size(); ++p) {
-    w.f64(last_heartbeat_[p]);
+    // An adaptive node has no last_heartbeat_; its slot keeps the -1.0
+    // ("no advance yet") it has always held, so the layout is one for
+    // every detector kind.
+    w.f64(last_heartbeat_.empty() ? -1.0 : last_heartbeat_[p]);
     w.u8(hot_[p].flags);
     w.u8(static_cast<std::uint8_t>(hot_[p].hot_remaining));
   }
@@ -103,7 +106,12 @@ bool ClusterNode::restore_state(const std::uint8_t* data, std::size_t size,
   known_count_ = r.i32();
   for (std::int32_t& c : counters_) c = r.i32();
   for (std::size_t p = 0; p < hot_.size(); ++p) {
-    last_heartbeat_[p] = r.f64();
+    const double last = r.f64();
+    if (!last_heartbeat_.empty()) {
+      last_heartbeat_[p] = last;
+    } else if (last != -1.0) {
+      return false;
+    }
     hot_[p].flags = r.u8();
     hot_[p].hot_remaining = static_cast<std::int8_t>(r.u8());
   }

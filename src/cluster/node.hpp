@@ -23,7 +23,7 @@
 // and by the n^2 (observer, peer) pairs a full cluster
 // holds: 16.7M at n=4096, where each byte per peer costs 16 MB. Per-peer
 // state is struct-of-arrays, one dense array per reader, 34 bytes per
-// peer in all:
+// peer in all on a kFixed node and 26 on an adaptive one:
 //   - counters_ (4 bytes/peer): the freshest heartbeat counter. A seen
 //     counter > 0 implies the peer is known, so a stale entry - about
 //     half of all entries - is decided by this one load and touches
@@ -34,9 +34,10 @@
 //     hot and rotation passes, the topologies' target refresh and the
 //     engine's skip tests read nothing else, so what they scan is 4 KB
 //     per node at n=2048;
-//   - last_heartbeat_ (8 bytes/peer): the inlined fixed-timeout
-//     detector's entire state. The kFixed detector - the cluster
-//     default - thus needs no heap object and no virtual dispatch;
+//   - last_heartbeat_ (8 bytes/peer, kFixed nodes only): the inlined
+//     fixed-timeout detector's entire state. The kFixed detector - the
+//     cluster default - thus needs no heap object and no virtual
+//     dispatch. An adaptive node never reads it, so it allocates none;
 //   - eval_tick_ (4 bytes/peer): the check tick at which the engine's
 //     suspicion wheel next evaluates the pair, read when the wheel arms
 //     or drains it;
@@ -471,7 +472,7 @@ class ClusterNode {
   /// Dense per-peer state, one array per reader (see file header).
   std::vector<std::int32_t> counters_;
   std::vector<PeerHot> hot_;
-  std::vector<double> last_heartbeat_;  // -1 = no advance yet
+  std::vector<double> last_heartbeat_;  // -1 = no advance yet; kFixed only
   std::vector<std::int32_t> eval_tick_;  // -1 = unarmed
   std::vector<PeerRecord> records_;
   /// Adaptive detector per peer; empty for kFixed (see file header).

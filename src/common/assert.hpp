@@ -2,8 +2,10 @@
 //
 // RFD_REQUIRE is for preconditions and invariants that hold regardless of
 // build type: simulators silently producing garbage are worse than aborting.
-// The macro stays active in release builds; the simulator's inner loop is
-// dominated by map lookups, not by these checks.
+// The macro stays active in release builds, also where it sits on the
+// paper-model simulator's per-step path (the inline ProcessSet members, a
+// detection-delay row lookup): there each check is one compare and a
+// branch that is never taken, against values the step already holds.
 #pragma once
 
 #include <cstdio>

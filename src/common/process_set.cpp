@@ -8,12 +8,6 @@
 
 namespace rfd {
 
-ProcessSet::ProcessSet(ProcessId universe_size)
-    : universe_size_(universe_size) {
-  RFD_REQUIRE(universe_size >= 0);
-  if (universe_size > kInlineBits) heap_words_.assign(num_words(), 0);
-}
-
 ProcessSet ProcessSet::full(ProcessId universe_size) {
   ProcessSet s(universe_size);
   std::uint64_t* words = s.data();
@@ -31,44 +25,9 @@ ProcessSet ProcessSet::of(ProcessId universe_size,
   return s;
 }
 
-void ProcessSet::mask_tail() {
-  const auto used = static_cast<unsigned>(universe_size_ % 64);
-  if (used != 0) {
-    data()[num_words() - 1] &= (std::uint64_t{1} << used) - 1;
-  }
-}
-
-bool ProcessSet::contains(ProcessId p) const {
-  if (p < 0 || p >= universe_size_) return false;
-  const auto idx = static_cast<std::size_t>(p);
-  return (data()[idx / 64] >> (idx % 64)) & 1u;
-}
-
-void ProcessSet::insert(ProcessId p) {
-  RFD_REQUIRE_MSG(p >= 0 && p < universe_size_,
-                  "process id outside the universe");
-  const auto idx = static_cast<std::size_t>(p);
-  data()[idx / 64] |= std::uint64_t{1} << (idx % 64);
-}
-
-void ProcessSet::erase(ProcessId p) {
-  if (p < 0 || p >= universe_size_) return;
-  const auto idx = static_cast<std::size_t>(p);
-  data()[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
-}
-
 void ProcessSet::clear() {
   std::uint64_t* words = data();
   for (std::size_t i = 0; i < num_words(); ++i) words[i] = 0;
-}
-
-ProcessId ProcessSet::count() const {
-  const std::uint64_t* words = data();
-  int total = 0;
-  for (std::size_t i = 0; i < num_words(); ++i) {
-    total += std::popcount(words[i]);
-  }
-  return total;
 }
 
 ProcessId ProcessSet::min() const {
@@ -129,14 +88,6 @@ ProcessSet& ProcessSet::operator-=(const ProcessSet& other) {
   const std::uint64_t* theirs = other.data();
   for (std::size_t i = 0; i < num_words(); ++i) words[i] &= ~theirs[i];
   return *this;
-}
-
-ProcessSet ProcessSet::complement() const {
-  ProcessSet out(*this);
-  std::uint64_t* words = out.data();
-  for (std::size_t i = 0; i < num_words(); ++i) words[i] = ~words[i];
-  out.mask_tail();
-  return out;
 }
 
 bool ProcessSet::is_subset_of(const ProcessSet& other) const {

@@ -7,12 +7,19 @@
 // most 64 processes keeps its one word inline, so building, copying and
 // combining such sets never touches the heap; larger universes keep their
 // words in a vector.
+//
+// The simulator queries, builds and combines these sets several times per
+// step, so the single-member operations, count() and complement() are
+// defined inline here: the library is built without LTO, and as calls
+// into process_set.cpp they cost more than the word operations they do.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 
 namespace rfd {
@@ -20,7 +27,11 @@ namespace rfd {
 class ProcessSet {
  public:
   /// Empty set over a universe of `universe_size` processes.
-  explicit ProcessSet(ProcessId universe_size = 0);
+  explicit ProcessSet(ProcessId universe_size = 0)
+      : universe_size_(universe_size) {
+    RFD_REQUIRE(universe_size >= 0);
+    if (universe_size > kInlineBits) heap_words_.assign(num_words(), 0);
+  }
 
   /// Full set {0 .. universe_size-1}.
   static ProcessSet full(ProcessId universe_size);
@@ -31,13 +42,33 @@ class ProcessSet {
 
   ProcessId universe_size() const { return universe_size_; }
 
-  bool contains(ProcessId p) const;
-  void insert(ProcessId p);
-  void erase(ProcessId p);
+  bool contains(ProcessId p) const {
+    if (p < 0 || p >= universe_size_) return false;
+    const auto idx = static_cast<std::size_t>(p);
+    return (data()[idx / 64] >> (idx % 64)) & 1u;
+  }
+  void insert(ProcessId p) {
+    RFD_REQUIRE_MSG(p >= 0 && p < universe_size_,
+                    "process id outside the universe");
+    const auto idx = static_cast<std::size_t>(p);
+    data()[idx / 64] |= std::uint64_t{1} << (idx % 64);
+  }
+  void erase(ProcessId p) {
+    if (p < 0 || p >= universe_size_) return;
+    const auto idx = static_cast<std::size_t>(p);
+    data()[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+  }
   void clear();
 
   /// Number of members.
-  ProcessId count() const;
+  ProcessId count() const {
+    const std::uint64_t* words = data();
+    int total = 0;
+    for (std::size_t i = 0; i < num_words(); ++i) {
+      total += std::popcount(words[i]);
+    }
+    return total;
+  }
   bool empty() const { return count() == 0; }
 
   /// Lowest-id member, or -1 when empty. Used for deterministic choice
@@ -67,7 +98,13 @@ class ProcessSet {
   }
 
   /// Complement within the universe.
-  ProcessSet complement() const;
+  ProcessSet complement() const {
+    ProcessSet out(*this);
+    std::uint64_t* words = out.data();
+    for (std::size_t i = 0; i < num_words(); ++i) words[i] = ~words[i];
+    out.mask_tail();
+    return out;
+  }
 
   bool is_subset_of(const ProcessSet& other) const;
   bool intersects(const ProcessSet& other) const;
@@ -108,7 +145,12 @@ class ProcessSet {
     return universe_size_ <= kInlineBits ? &inline_word_ : heap_words_.data();
   }
   /// Clears the bits of the last word that lie beyond the universe.
-  void mask_tail();
+  void mask_tail() {
+    const auto used = static_cast<unsigned>(universe_size_ % 64);
+    if (used != 0) {
+      data()[num_words() - 1] &= (std::uint64_t{1} << used) - 1;
+    }
+  }
   void check_universe(const ProcessSet& other) const;
 
   ProcessId universe_size_;

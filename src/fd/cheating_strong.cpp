@@ -7,21 +7,14 @@ namespace rfd::fd {
 CheatingStrongOracle::CheatingStrongOracle(const model::FailurePattern& pattern,
                                            std::uint64_t seed,
                                            CheatingStrongParams params)
-    : ClairvoyantOracle(pattern, seed), params_(params) {
+    : ClairvoyantOracle(pattern, seed),
+      params_(params),
+      delays_(*this, /*salt=*/0x5caffu, params.min_detection_delay,
+              params.max_detection_delay),
+      // Future knowledge: the immune process is the smallest-id process
+      // that will never crash in this pattern.
+      immune_(pattern.correct().min()) {
   RFD_REQUIRE(params.churn_period > 0);
-  RFD_REQUIRE(params.min_detection_delay >= 0 &&
-              params.min_detection_delay <= params.max_detection_delay);
-}
-
-Tick CheatingStrongOracle::detection_delay(ProcessId observer,
-                                           ProcessId target) const {
-  const Tick span = params_.max_detection_delay - params_.min_detection_delay;
-  if (span == 0) return params_.min_detection_delay;
-  const auto jitter = static_cast<Tick>(
-      noise(static_cast<std::uint64_t>(observer),
-            static_cast<std::uint64_t>(target), /*c=*/0x5caffu) %
-      static_cast<std::uint64_t>(span + 1));
-  return params_.min_detection_delay + jitter;
 }
 
 bool CheatingStrongOracle::churn_suspects(ProcessId observer, ProcessId target,
@@ -36,19 +29,16 @@ bool CheatingStrongOracle::churn_suspects(ProcessId observer, ProcessId target,
 
 FdValue CheatingStrongOracle::query_full(ProcessId observer, Tick t,
                                          const model::FullView& full) const {
-  // Future knowledge: the immune process is the smallest-id process that
-  // will never crash in this pattern.
-  const ProcessId immune = full.correct().min();
-
   FdValue out;
   out.suspects = ProcessSet(n());
+  const std::span<const Tick> delay = delays_.row(observer);
   for (ProcessId q = 0; q < n(); ++q) {
     const Tick crash = full.pattern().crash_tick(q);
-    if (crash != kNever && crash + detection_delay(observer, q) <= t) {
+    if (crash != kNever && crash + delay[static_cast<std::size_t>(q)] <= t) {
       out.suspects.insert(q);
       continue;
     }
-    if (q == observer || q == immune) continue;
+    if (q == observer || q == immune_) continue;
     if (churn_suspects(observer, q, t)) {
       out.suspects.insert(q);
     }

@@ -33,7 +33,9 @@ class CheatingStrongOracle final : public ClairvoyantOracle {
 
   std::string name() const override { return "S(cheat)"; }
 
-  Tick detection_delay(ProcessId observer, ProcessId target) const;
+  Tick detection_delay(ProcessId observer, ProcessId target) const {
+    return delays_(observer, target);
+  }
 
  protected:
   FdValue query_full(ProcessId observer, Tick t,
@@ -43,6 +45,8 @@ class CheatingStrongOracle final : public ClairvoyantOracle {
   bool churn_suspects(ProcessId observer, ProcessId target, Tick t) const;
 
   CheatingStrongParams params_;
+  DetectionDelays delays_;
+  ProcessId immune_;
 };
 
 OracleFactory make_cheating_strong_factory(CheatingStrongParams params = {});

@@ -7,22 +7,12 @@ namespace rfd::fd {
 EventuallyPerfectOracle::EventuallyPerfectOracle(
     const model::FailurePattern& pattern, std::uint64_t seed,
     EventuallyPerfectParams params)
-    : RealisticOracle(pattern, seed), params_(params) {
+    : RealisticOracle(pattern, seed),
+      params_(params),
+      delays_(*this, /*salt=*/0xd1ffu, params.min_detection_delay,
+              params.max_detection_delay) {
   RFD_REQUIRE(params.convergence_tick >= 0);
   RFD_REQUIRE(params.churn_period > 0);
-  RFD_REQUIRE(params.min_detection_delay >= 0 &&
-              params.min_detection_delay <= params.max_detection_delay);
-}
-
-Tick EventuallyPerfectOracle::detection_delay(ProcessId observer,
-                                              ProcessId target) const {
-  const Tick span = params_.max_detection_delay - params_.min_detection_delay;
-  if (span == 0) return params_.min_detection_delay;
-  const auto jitter = static_cast<Tick>(
-      noise(static_cast<std::uint64_t>(observer),
-            static_cast<std::uint64_t>(target), /*c=*/0xd1ffu) %
-      static_cast<std::uint64_t>(span + 1));
-  return params_.min_detection_delay + jitter;
 }
 
 bool EventuallyPerfectOracle::churn_suspects(ProcessId observer,
@@ -39,9 +29,10 @@ FdValue EventuallyPerfectOracle::query_past(ProcessId observer, Tick t,
                                             const model::PastView& past) const {
   FdValue out;
   out.suspects = ProcessSet(n());
+  const std::span<const Tick> delay = delays_.row(observer);
   for (ProcessId q = 0; q < n(); ++q) {
     const Tick crash = past.crash_tick_if_past(q);
-    if (crash != kNever && crash + detection_delay(observer, q) <= t) {
+    if (crash != kNever && crash + delay[static_cast<std::size_t>(q)] <= t) {
       out.suspects.insert(q);
       continue;
     }

@@ -28,7 +28,9 @@ class EventuallyPerfectOracle final : public RealisticOracle {
 
   std::string name() const override { return "<>P"; }
 
-  Tick detection_delay(ProcessId observer, ProcessId target) const;
+  Tick detection_delay(ProcessId observer, ProcessId target) const {
+    return delays_(observer, target);
+  }
   Tick convergence_tick() const { return params_.convergence_tick; }
 
  protected:
@@ -39,6 +41,7 @@ class EventuallyPerfectOracle final : public RealisticOracle {
   bool churn_suspects(ProcessId observer, ProcessId target, Tick t) const;
 
   EventuallyPerfectParams params_;
+  DetectionDelays delays_;
 };
 
 OracleFactory make_eventually_perfect_factory(

@@ -33,7 +33,9 @@ class EventuallyStrongOracle final : public RealisticOracle {
 
   std::string name() const override { return "<>S"; }
 
-  Tick detection_delay(ProcessId observer, ProcessId target) const;
+  Tick detection_delay(ProcessId observer, ProcessId target) const {
+    return delays_(observer, target);
+  }
   Tick convergence_tick() const { return params_.convergence_tick; }
 
  protected:
@@ -44,6 +46,7 @@ class EventuallyStrongOracle final : public RealisticOracle {
   bool churn_suspects(ProcessId observer, ProcessId target, Tick t) const;
 
   EventuallyStrongParams params_;
+  DetectionDelays delays_;
 };
 
 OracleFactory make_eventually_strong_factory(

@@ -4,12 +4,12 @@ namespace rfd::fd {
 
 MaraboutOracle::MaraboutOracle(const model::FailurePattern& pattern,
                                std::uint64_t seed)
-    : ClairvoyantOracle(pattern, seed) {}
+    : ClairvoyantOracle(pattern, seed), faulty_(pattern.faulty()) {}
 
 FdValue MaraboutOracle::query_full(ProcessId /*observer*/, Tick /*t*/,
-                                   const model::FullView& full) const {
+                                   const model::FullView& /*full*/) const {
   FdValue out;
-  out.suspects = full.faulty();
+  out.suspects = faulty_;
   return out;
 }
 

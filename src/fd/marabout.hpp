@@ -24,6 +24,9 @@ class MaraboutOracle final : public ClairvoyantOracle {
  protected:
   FdValue query_full(ProcessId observer, Tick t,
                      const model::FullView& full) const override;
+
+ private:
+  ProcessSet faulty_;  // the constant output, faulty(F)
 };
 
 OracleFactory make_marabout_factory();

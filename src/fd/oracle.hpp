@@ -11,13 +11,23 @@
 // the query tick, so they *cannot* read the future. Subclasses of
 // ClairvoyantOracle receive the FullView and are thereby declared
 // non-realistic (the Marabout of Section 3.2.2 lives there).
+//
+// What an oracle may compute once, at construction, is what does not
+// depend on the pattern: its DetectionDelays table is a function of the
+// seed and the (observer, target) pair alone, so precomputing it gives a
+// realistic oracle no view of any crash, past or future. A clairvoyant
+// oracle may also precompute facts about the whole pattern (the
+// Marabout's faulty set, S(cheat)'s immune process).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "fd/fd_value.hpp"
 #include "model/failure_pattern.hpp"
@@ -52,8 +62,39 @@ class Oracle {
   }
 
  private:
+  friend class DetectionDelays;
+
   const model::FailurePattern* pattern_;
   std::uint64_t seed_;
+};
+
+/// The per-(observer, target) detection delays of a suspect-list oracle:
+/// d(o, q) = min_delay + noise(o, q, salt) mod (max_delay - min_delay + 1),
+/// drawn once at construction into an n x n table so that a query reads
+/// its observer's row instead of hashing every pair again. The draw reads
+/// the oracle's seed and the pair only, never the pattern (see the file
+/// header). Oracles are built for the paper's small n (at most 70
+/// anywhere in the repo), so the table stays under 40 KB.
+class DetectionDelays {
+ public:
+  DetectionDelays(const Oracle& oracle, std::uint64_t salt, Tick min_delay,
+                  Tick max_delay);
+
+  /// d(observer, q) for every q, indexed by q.
+  std::span<const Tick> row(ProcessId observer) const {
+    RFD_REQUIRE(observer >= 0 && observer < n_);
+    const auto n = static_cast<std::size_t>(n_);
+    return {table_.data() + static_cast<std::size_t>(observer) * n, n};
+  }
+
+  Tick operator()(ProcessId observer, ProcessId target) const {
+    RFD_REQUIRE(target >= 0 && target < n_);
+    return row(observer)[static_cast<std::size_t>(target)];
+  }
+
+ private:
+  ProcessId n_;
+  std::vector<Tick> table_;  // [observer * n + target]
 };
 
 /// Base for oracles that cannot guess the future: the pattern is only ever

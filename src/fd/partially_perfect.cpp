@@ -1,27 +1,13 @@
 #include "fd/partially_perfect.hpp"
 
-#include "common/assert.hpp"
-
 namespace rfd::fd {
 
 PartiallyPerfectOracle::PartiallyPerfectOracle(
     const model::FailurePattern& pattern, std::uint64_t seed,
     PartiallyPerfectParams params)
-    : RealisticOracle(pattern, seed), params_(params) {
-  RFD_REQUIRE(params.min_detection_delay >= 0 &&
-              params.min_detection_delay <= params.max_detection_delay);
-}
-
-Tick PartiallyPerfectOracle::detection_delay(ProcessId observer,
-                                             ProcessId target) const {
-  const Tick span = params_.max_detection_delay - params_.min_detection_delay;
-  if (span == 0) return params_.min_detection_delay;
-  const auto jitter = static_cast<Tick>(
-      noise(static_cast<std::uint64_t>(observer),
-            static_cast<std::uint64_t>(target), /*c=*/0x91eu) %
-      static_cast<std::uint64_t>(span + 1));
-  return params_.min_detection_delay + jitter;
-}
+    : RealisticOracle(pattern, seed),
+      delays_(*this, /*salt=*/0x91eu, params.min_detection_delay,
+              params.max_detection_delay) {}
 
 FdValue PartiallyPerfectOracle::query_past(ProcessId observer, Tick t,
                                            const model::PastView& past) const {
@@ -29,9 +15,10 @@ FdValue PartiallyPerfectOracle::query_past(ProcessId observer, Tick t,
   out.suspects = ProcessSet(n());
   // Only processes with a *smaller* id are ever suspected: p_j gets
   // completeness information about p_i exactly when j > i.
+  const std::span<const Tick> delay = delays_.row(observer);
   for (ProcessId q = 0; q < observer; ++q) {
     const Tick crash = past.crash_tick_if_past(q);
-    if (crash != kNever && crash + detection_delay(observer, q) <= t) {
+    if (crash != kNever && crash + delay[static_cast<std::size_t>(q)] <= t) {
       out.suspects.insert(q);
     }
   }

@@ -28,14 +28,16 @@ class PartiallyPerfectOracle final : public RealisticOracle {
 
   std::string name() const override { return "P<"; }
 
-  Tick detection_delay(ProcessId observer, ProcessId target) const;
+  Tick detection_delay(ProcessId observer, ProcessId target) const {
+    return delays_(observer, target);
+  }
 
  protected:
   FdValue query_past(ProcessId observer, Tick t,
                      const model::PastView& past) const override;
 
  private:
-  PartiallyPerfectParams params_;
+  DetectionDelays delays_;
 };
 
 OracleFactory make_partially_perfect_factory(

@@ -1,34 +1,21 @@
 #include "fd/perfect.hpp"
 
-#include "common/assert.hpp"
-
 namespace rfd::fd {
 
 PerfectOracle::PerfectOracle(const model::FailurePattern& pattern,
                              std::uint64_t seed, PerfectParams params)
-    : RealisticOracle(pattern, seed), params_(params) {
-  RFD_REQUIRE(params.min_detection_delay >= 0 &&
-              params.min_detection_delay <= params.max_detection_delay);
-}
-
-Tick PerfectOracle::detection_delay(ProcessId observer,
-                                    ProcessId target) const {
-  const Tick span = params_.max_detection_delay - params_.min_detection_delay;
-  if (span == 0) return params_.min_detection_delay;
-  const auto jitter = static_cast<Tick>(
-      noise(static_cast<std::uint64_t>(observer),
-            static_cast<std::uint64_t>(target), /*c=*/0x9e1ec7) %
-      static_cast<std::uint64_t>(span + 1));
-  return params_.min_detection_delay + jitter;
-}
+    : RealisticOracle(pattern, seed),
+      delays_(*this, /*salt=*/0x9e1ec7, params.min_detection_delay,
+              params.max_detection_delay) {}
 
 FdValue PerfectOracle::query_past(ProcessId observer, Tick t,
                                   const model::PastView& past) const {
   FdValue out;
   out.suspects = ProcessSet(n());
+  const std::span<const Tick> delay = delays_.row(observer);
   for (ProcessId q = 0; q < n(); ++q) {
     const Tick crash = past.crash_tick_if_past(q);
-    if (crash != kNever && crash + detection_delay(observer, q) <= t) {
+    if (crash != kNever && crash + delay[static_cast<std::size_t>(q)] <= t) {
       out.suspects.insert(q);
     }
   }

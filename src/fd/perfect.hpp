@@ -27,14 +27,16 @@ class PerfectOracle final : public RealisticOracle {
   std::string name() const override { return "P"; }
 
   /// The deterministic detection delay for the (observer, target) pair.
-  Tick detection_delay(ProcessId observer, ProcessId target) const;
+  Tick detection_delay(ProcessId observer, ProcessId target) const {
+    return delays_(observer, target);
+  }
 
  protected:
   FdValue query_past(ProcessId observer, Tick t,
                      const model::PastView& past) const override;
 
  private:
-  PerfectParams params_;
+  DetectionDelays delays_;
 };
 
 OracleFactory make_perfect_factory(PerfectParams params = {});

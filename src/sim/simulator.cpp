@@ -51,6 +51,17 @@ class SimContext final : public Context {
   EventId event_;
 };
 
+/// The first tick after `t` at which some process of `pattern` crashes,
+/// or kNever.
+Tick next_crash_after(const model::FailurePattern& pattern, Tick t) {
+  Tick next = kNever;
+  for (ProcessId p = 0; p < pattern.n(); ++p) {
+    const Tick crash = pattern.crash_tick(p);
+    if (crash > t) next = std::min(next, crash);
+  }
+  return next;
+}
+
 }  // namespace
 
 Simulator::Simulator(const model::FailurePattern& pattern,
@@ -64,6 +75,7 @@ Simulator::Simulator(const model::FailurePattern& pattern,
       config_(std::move(config)),
       trace_(pattern, config_.limits),
       alive_(pattern.alive_at(0)),
+      next_crash_(next_crash_after(pattern, 0)),
       pending_(static_cast<std::size_t>(pattern.n())),
       last_event_of_(static_cast<std::size_t>(pattern.n()), kNoEvent),
       last_step_(static_cast<std::size_t>(pattern.n()), -1),
@@ -106,13 +118,6 @@ void Simulator::enqueue_message(MessageId m, ProcessId dst) {
   pending_[static_cast<std::size_t>(dst)].push_back(m);
 }
 
-bool Simulator::is_paused(ProcessId p, Tick t) const {
-  for (const auto& pause : config_.pauses) {
-    if (pause.p == p && t >= pause.from && t < pause.until) return true;
-  }
-  return false;
-}
-
 Tick Simulator::available_at(const Message& m) const {
   Tick at = m.sent_at + 1;
   for (const auto& block : config_.blocks) {
@@ -126,7 +131,12 @@ Tick Simulator::available_at(const Message& m) const {
 }
 
 void Simulator::step_once() {
-  alive_ = pattern_->alive_at(now_);
+  // F(t) changes only at crash ticks, so alive_ = alive_at(now_) is
+  // recomputed only there.
+  if (now_ >= next_crash_) {
+    alive_ = pattern_->alive_at(now_);
+    next_crash_ = next_crash_after(*pattern_, now_);
+  }
   if (alive_.empty()) {
     ++now_;
     return;
@@ -134,14 +144,13 @@ void Simulator::step_once() {
 
   // Candidate processes: alive and not paused. Paused / dead processes do
   // not accumulate starvation.
-  ProcessSet candidates(n());
-  alive_.for_each([&](ProcessId p) {
-    if (!is_paused(p, now_)) {
-      candidates.insert(p);
-    } else {
-      last_progress_[static_cast<std::size_t>(p)] = now_;
+  ProcessSet candidates = alive_;
+  for (const auto& pause : config_.pauses) {
+    if (now_ >= pause.from && now_ < pause.until && alive_.contains(pause.p)) {
+      candidates.erase(pause.p);
+      last_progress_[static_cast<std::size_t>(pause.p)] = now_;
     }
-  });
+  }
   if (candidates.empty()) {
     ++now_;
     return;
@@ -167,13 +176,13 @@ void Simulator::step_once() {
   RFD_REQUIRE_MSG(candidates.contains(p), "adversary picked a bad process");
 
   // Deliverable messages and delivery forcing (run condition (5)).
-  std::vector<MessageId> deliverable;
+  deliverable_.clear();
   MessageId forced_msg = kNoMessage;
   Tick oldest_avail = kNever;
   for (MessageId m : pending_[static_cast<std::size_t>(p)]) {
     const Tick avail = available_at(trace_.message(m));
     if (avail > now_) continue;
-    deliverable.push_back(m);
+    deliverable_.push_back(m);
     if (avail < oldest_avail) {
       oldest_avail = avail;
       forced_msg = m;
@@ -184,10 +193,10 @@ void Simulator::step_once() {
       now_ - oldest_avail >= config_.limits.delivery_bound) {
     chosen = forced_msg;
   } else {
-    chosen = adversary_->pick_message(*this, p, deliverable);
+    chosen = adversary_->pick_message(*this, p, deliverable_);
     if (chosen != kNoMessage) {
-      RFD_REQUIRE_MSG(std::find(deliverable.begin(), deliverable.end(),
-                                chosen) != deliverable.end(),
+      RFD_REQUIRE_MSG(std::find(deliverable_.begin(), deliverable_.end(),
+                                chosen) != deliverable_.end(),
                       "adversary picked an undeliverable message");
     }
   }
@@ -203,7 +212,6 @@ void Simulator::step_once() {
 
   // Copy the incoming payload before running the automaton: sends during
   // the step may grow the message table and invalidate references.
-  Bytes payload;
   ProcessSet tags(0);
   ProcessId src = -1;
   if (chosen != kNoMessage) {
@@ -213,7 +221,7 @@ void Simulator::step_once() {
     pending_[static_cast<std::size_t>(p)].erase(it);
     trace_.mark_received(chosen, event_id);
     const Message& m = trace_.message(chosen);
-    payload = m.payload;
+    payload_ = m.payload;
     tags = m.alive_tags;
     src = m.src;
   }
@@ -226,11 +234,11 @@ void Simulator::step_once() {
     // A message picked for the very first step is still consumed: treat it
     // as received by the start step, consistent with the one-step model.
     if (chosen != kNoMessage) {
-      const Incoming incoming{src, payload, tags, chosen};
+      const Incoming incoming{src, payload_, tags, chosen};
       automata_[static_cast<std::size_t>(p)]->on_step(ctx, &incoming);
     }
   } else if (chosen != kNoMessage) {
-    const Incoming incoming{src, payload, tags, chosen};
+    const Incoming incoming{src, payload_, tags, chosen};
     automata_[static_cast<std::size_t>(p)]->on_step(ctx, &incoming);
   } else {
     automata_[static_cast<std::size_t>(p)]->on_step(ctx, nullptr);

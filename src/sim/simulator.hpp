@@ -70,7 +70,6 @@ class Simulator final : public SchedView {
 
  private:
   void step_once();
-  bool is_paused(ProcessId p, Tick t) const;
   /// First tick at which m may be received (send tick + 1, pushed back by
   /// matching channel blocks).
   Tick available_at(const Message& m) const;
@@ -83,12 +82,17 @@ class Simulator final : public SchedView {
 
   Trace trace_;
   Tick now_ = 0;
-  ProcessSet alive_;
+  ProcessSet alive_;  // F(now_)'s complement
+  Tick next_crash_;   // the tick at which alive_ next changes, or kNever
   std::vector<std::vector<MessageId>> pending_;  // per destination, FIFO
   std::vector<EventId> last_event_of_;
   std::vector<Tick> last_step_;      // -1 before the first step
   std::vector<Tick> last_progress_;  // for starvation accounting
   std::vector<bool> started_;
+  // Per-step scratch, kept so a step with a waiting message allocates
+  // nothing once they have grown.
+  std::vector<MessageId> deliverable_;
+  Bytes payload_;
 };
 
 }  // namespace rfd::sim

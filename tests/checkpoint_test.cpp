@@ -580,6 +580,47 @@ TEST(NodeCheckpoint, RefusesStatesTheHotRingCannotHold) {
   }
 }
 
+TEST(NodeCheckpoint, AdaptiveNodeWritesTheFixedHeartbeatSlot) {
+  // An adaptive node keeps no last_heartbeat_ array, yet its checkpoint
+  // keeps the kFixed layout: after the 33-byte header and the counters,
+  // each peer's 10-byte hot entry starts with an 8-byte heartbeat time
+  // that holds -1.0 ("no advance yet"), and a restore refuses any other
+  // value there.
+  cluster::NodeParams params;
+  params.detector.kind = rt::DetectorKind::kChen;
+  cluster::ClusterNode node(0, 4, params);
+  node.observe(1, 5, 10.0);
+  node.observe(1, 6, 20.0);  // an advance: peer 1 gets a Chen detector
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  constexpr std::size_t kPeers = 4;
+  constexpr std::size_t kHot = 33 + 4 * kPeers;
+  const auto slot = [](std::size_t peer) { return kHot + 10 * peer; };
+  for (std::size_t p = 0; p < kPeers; ++p) {
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bits |= std::uint64_t{bytes[slot(p) + i]} << (8 * i);
+    }
+    EXPECT_EQ(bits, std::bit_cast<std::uint64_t>(-1.0)) << "peer " << p;
+  }
+
+  const auto restores = [&params](const std::vector<std::uint8_t>& b) {
+    cluster::ClusterNode restored(0, 4, params);
+    std::size_t consumed = 0;
+    if (!restored.restore_state(b.data(), b.size(), consumed)) return false;
+    std::vector<std::uint8_t> resaved;
+    restored.save_state(resaved);
+    return consumed == b.size() && resaved == b;
+  };
+  EXPECT_TRUE(restores(bytes));
+  for (const double last :
+       {20.0, 0.0, -2.0, std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<std::uint8_t> patched = bytes;
+    patch(patched, slot(1), std::bit_cast<std::uint64_t>(last), 8);
+    EXPECT_FALSE(restores(patched)) << "heartbeat slot " << last;
+  }
+}
+
 TEST(NodeCheckpoint, RestoredRingResavesIdentically) {
   // With one transmission per advance, a digest drains what it takes,
   // so re-queued peers wrap round the 4-slot ring: queue [3, 1, 2] in

@@ -103,21 +103,38 @@ class Fnv1a {
   std::uint64_t h_ = 0xcbf29ce484222325ull;
 };
 
+std::unique_ptr<sim::Automaton> automaton(core::AlgoKind algo, ProcessId n,
+                                          ProcessId self,
+                                          ProcessId trb_sender) {
+  const Value proposal = 100 + static_cast<Value>(self);
+  switch (algo) {
+    case core::AlgoKind::kCtStrong:
+      return std::make_unique<algo::CtStrongConsensus>(n, proposal);
+    case core::AlgoKind::kCtRotating:
+      return std::make_unique<algo::CtRotatingConsensus>(n, proposal);
+    case core::AlgoKind::kMarabout:
+      return std::make_unique<algo::MaraboutConsensus>(n, proposal);
+    case core::AlgoKind::kCrChain:
+      return std::make_unique<algo::CrChainConsensus>(n, proposal);
+    case core::AlgoKind::kTrb:
+      return std::make_unique<algo::TrbAutomaton>(n, trb_sender, 7777);
+  }
+  return nullptr;
+}
+
 void digest_run(Fnv1a& h, const std::string& detector,
-                const model::FailurePattern& pattern, bool trb, Tick ticks,
-                std::uint64_t seed) {
+                const model::FailurePattern& pattern, core::AlgoKind algo,
+                Tick ticks, std::uint64_t seed, ProcessId trb_sender = 1,
+                sim::SimConfig config = {}) {
   const ProcessId n = pattern.n();
   const auto oracle = fd::find_detector(detector).factory(pattern, seed);
   std::vector<std::unique_ptr<sim::Automaton>> automata;
   for (ProcessId p = 0; p < n; ++p) {
-    if (trb) {
-      automata.push_back(std::make_unique<algo::TrbAutomaton>(n, 1, 7777));
-    } else {
-      automata.push_back(std::make_unique<algo::CtStrongConsensus>(n, 100 + p));
-    }
+    automata.push_back(automaton(algo, n, p, trb_sender));
   }
   sim::Simulator sim(pattern, *oracle, std::move(automata),
-                     std::make_unique<sim::RandomAdversary>(seed));
+                     std::make_unique<sim::RandomAdversary>(seed),
+                     std::move(config));
   sim.run_for(ticks);
   const sim::Trace& trace = sim.trace();
   h.i64(trace.num_events());
@@ -154,13 +171,67 @@ void digest_run(Fnv1a& h, const std::string& detector,
 TEST(Determinism, PaperModelSchedulesArePinned) {
   const auto pattern = model::cascade(5, 2, 100, 150);
   Fnv1a h;
+  using core::AlgoKind;
   for (const char* detector : {"P", "S(cheat)", "Scribe", "<>P"}) {
-    digest_run(h, detector, pattern, /*trb=*/false, 4000, 9);
+    digest_run(h, detector, pattern, AlgoKind::kCtStrong, 4000, 9);
   }
-  digest_run(h, "P<", pattern, /*trb=*/true, 4000, 9);
+  digest_run(h, "P<", pattern, AlgoKind::kTrb, 4000, 9);
   // n = 70 needs two words per set, so the multi-word path is pinned too.
-  digest_run(h, "P", model::cascade(70, 3, 100, 150), /*trb=*/false, 3000, 9);
+  digest_run(h, "P", model::cascade(70, 3, 100, 150), AlgoKind::kCtStrong,
+             3000, 9);
   EXPECT_EQ(h.value(), 0x2d6c5f49ca2798a4ull);
+}
+
+// Every (detector, algorithm) row of the E1a table, a run that pauses a
+// process and blocks a channel, and the raw history of every registry
+// detector. The pattern crashes p0 before its first step and p3 later,
+// so the alive set changes both at tick 0 and mid-run; n = 65 puts
+// every set in two words.
+TEST(Determinism, EveryE1aRowAndOracleHistoryIsPinned) {
+  using core::AlgoKind;
+  model::FailurePattern pattern(5);
+  pattern.crash_at(0, 0);
+  pattern.crash_at(3, 150);
+  Fnv1a h;
+  // E1a's rows, sender 2 for TRB as in the table. p_lt.chain_uc judges
+  // the same run as p_lt.chain_crc against a stronger spec.
+  const struct {
+    const char* detector;
+    AlgoKind algo;
+  } kRows[] = {
+      {"P", AlgoKind::kCtStrong},         {"P", AlgoKind::kTrb},
+      {"Scribe", AlgoKind::kCtStrong},    {"S(cheat)", AlgoKind::kCtStrong},
+      {"S(cheat)", AlgoKind::kTrb},       {"Marabout", AlgoKind::kMarabout},
+      {"Marabout", AlgoKind::kCtStrong},  {"<>S", AlgoKind::kCtRotating},
+      {"Omega", AlgoKind::kCtRotating},   {"<>P", AlgoKind::kCtRotating},
+      {"<>P", AlgoKind::kCtStrong},       {"P<", AlgoKind::kCrChain},
+      {"P<", AlgoKind::kTrb},
+  };
+  for (const auto& row : kRows) {
+    digest_run(h, row.detector, pattern, row.algo, 3000, 11,
+               /*trb_sender=*/2);
+  }
+  sim::SimConfig crafted;
+  crafted.pauses = {{2, 40, 400}, {3, 100, 300}};
+  crafted.blocks = {{1, -1, 250}, {-1, 4, 120}};
+  digest_run(h, "P", pattern, AlgoKind::kCtStrong, 3000, 11, 2, crafted);
+
+  model::FailurePattern wide(65);
+  wide.crash_at(0, 0);
+  wide.crash_at(64, 30);
+  wide.crash_at(40, 150);
+  for (const model::FailurePattern* f : {&pattern, &wide}) {
+    for (const auto& spec : fd::standard_detectors()) {
+      const auto history = fd::sample_history(*spec.factory(*f, 13), 200);
+      for (ProcessId p = 0; p < history.n(); ++p) {
+        for (Tick t = 0; t < history.horizon(); ++t) {
+          h.set(history.at(p, t).suspects);
+          h.bytes(history.at(p, t).extra);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h.value(), 0xa2771c634efa3ba8ull);
 }
 
 TEST(Determinism, QosResultsReplay) {

@@ -93,17 +93,34 @@ TEST(Simulator, DeterministicReplay) {
 }
 
 TEST(Simulator, CrashedProcessesNeverStep) {
+  // The alive set changes only at crash ticks; these inputs sit on its
+  // boundaries.
   const ProcessId n = 3;
-  const auto pattern = model::single_crash(n, 1, 40);
-  fd::PerfectOracle oracle(pattern, 2);
-  Simulator sim(pattern, oracle, ping_pong_fleet(n),
-                std::make_unique<RandomAdversary>(3));
-  sim.run_for(500);
-  for (EventId e = 0; e < sim.trace().num_events(); ++e) {
-    const Event& ev = sim.trace().event(e);
-    if (ev.process == 1) {
-      EXPECT_LT(ev.time, 40);
+  const struct {
+    const char* name;
+    std::vector<Tick> crashes;
+    std::vector<StepPause> pauses;
+  } kCases[] = {
+      {"one crash", {kNever, 40, kNever}, {}},
+      {"a crash at tick 0", {0, kNever, kNever}, {}},
+      {"two crashes at one tick", {kNever, 40, 40}, {}},
+      {"a crash inside a pause", {kNever, 40, kNever}, {{1, 20, 60}}},
+  };
+  for (const auto& c : kCases) {
+    const model::FailurePattern pattern(n, c.crashes);
+    fd::PerfectOracle oracle(pattern, 2);
+    SimConfig config;
+    config.pauses = c.pauses;
+    Simulator sim(pattern, oracle, ping_pong_fleet(n),
+                  std::make_unique<RandomAdversary>(3), config);
+    sim.run_for(500);
+    for (EventId e = 0; e < sim.trace().num_events(); ++e) {
+      const Event& ev = sim.trace().event(e);
+      EXPECT_LT(ev.time, pattern.crash_tick(ev.process))
+          << c.name << ": p" << ev.process;
     }
+    const auto result = sim.trace().validate(oracle);
+    EXPECT_TRUE(result.ok) << c.name << ": " << result.detail;
   }
 }
 
