@@ -16,10 +16,11 @@
 //
 // RFD_E12_TRACE=1 adds section (c): the observability overhead check.
 // The same gossip workload runs trace-off and trace-on (JSONL event
-// trace + snapshots + phase profiling, best of 2 each) at
+// trace + snapshots, interleaved best of 5 each on process CPU time) at
 // n=RFD_E12_TRACE_N (default 1024), the trace landing at
-// RFD_E12_TRACE_PATH (default e12_trace.jsonl). CI gates on the
-// events/sec ratio staying >= 0.95.
+// RFD_E12_TRACE_PATH (default e12_trace.jsonl). The cost of tracing is
+// the CPU time the trace adds per record written; CI gates on it, so a
+// faster untraced loop does not read as a dearer trace.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -186,14 +187,20 @@ int main(int argc, char** argv) {
     const double off_rate = rate(off_report, off_ms);
     const double on_rate = rate(on_report, on_ms);
     const double ratio = off_rate > 0.0 ? on_rate / off_rate : 0.0;
+    const double ns_per_record =
+        on_report.trace_records > 0
+            ? (on_ms - off_ms) * 1e6 /
+                  static_cast<double>(on_report.trace_records)
+            : 0.0;
 
-    Table table({"mode", "cpu ms", "events/s", "trace records", "ratio"});
+    Table table({"mode", "cpu ms", "events/s", "trace records", "ratio",
+                 "ns/record"});
     table.add_row({"trace-off", Table::fixed(off_ms, 1),
-                   Table::fixed(off_rate, 0), "-", "1.00"});
+                   Table::fixed(off_rate, 0), "-", "1.00", "-"});
     table.add_row({"trace-on", Table::fixed(on_ms, 1),
                    Table::fixed(on_rate, 0),
                    Table::num(on_report.trace_records),
-                   Table::fixed(ratio, 3)});
+                   Table::fixed(ratio, 3), Table::fixed(ns_per_record, 1)});
     table.print("E12c: observability overhead (gossip n=" +
                 std::to_string(n) + ", trace + snapshots)");
     json.row("trace_overhead")
@@ -202,6 +209,8 @@ int main(int argc, char** argv) {
         .num("off_events_per_s", off_rate)
         .num("on_events_per_s", on_rate)
         .num("ratio", ratio)
+        .num("off_cpu_ms", off_ms)
+        .num("on_cpu_ms", on_ms)
         .num("trace_records", static_cast<double>(on_report.trace_records))
         .num("trace_dropped", static_cast<double>(on_report.trace_dropped))
         .str("trace_path", trace_path);
@@ -220,8 +229,9 @@ int main(int argc, char** argv) {
       std::printf("profile: %-8s calls=%lld est=%.2fms\n", stat.phase.c_str(),
                   static_cast<long long>(stat.calls), stat.est_ms);
     }
-    std::printf("\ntrace overhead: %.1f%% (events/s ratio %.3f)\n\n",
-                (1.0 - ratio) * 100.0, ratio);
+    std::printf("\ntrace overhead: %.1f ns per record (events/s ratio "
+                "%.3f)\n\n",
+                ns_per_record, ratio);
   }
 
   {

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
         "heal @24s, delay storm 32-40s, join @44s, silent leave @48s\n\n");
   }
 
-  // Ctrl-C finishes the current window, drains the trace ring and
+  // Ctrl-C finishes the current window, writes out the trace and
   // prints the report over what ran, instead of dying with a torn trace.
   install_shutdown_handlers();
   config.stop = &shutdown_flag();

@@ -2,8 +2,8 @@
 // simulated network and see the Chen-Toueg QoS metrics plus what the same
 // configuration does inside a membership group.
 //
-//   ./fd_playground --detector=chen --alpha=200 \
-//       --jitter=0.9 --loss=0.05 --hb=100 --crash-at=40000 [--seed=1]
+//   ./fd_playground --detector=chen --alpha=200 --jitter=0.9 --loss=0.05
+//       --hb=100 --crash-at=40000 [--seed=1]   (one command line)
 //   ./fd_playground --detector=fixed --timeout=300
 //   ./fd_playground --detector=phi --threshold=8
 #include <cstdio>

@@ -20,7 +20,6 @@
 #include "common/rng.hpp"
 #include "obs/profile.hpp"
 #include "obs/record.hpp"
-#include "obs/registry.hpp"
 #include "obs/trace_writer.hpp"
 #include "runtime/shards.hpp"
 #include "transport/transport.hpp"
@@ -332,7 +331,7 @@ struct ShardState {
   std::vector<transport::Delivery> batch;  // empty between windows
   std::int64_t delivered_msgs = 0;
 
-  // Shard-local counter accumulators; summed into the registry by the
+  // Shard-local counter accumulators; summed into the report by the
   // coordinator (integer sums are order-insensitive).
   std::int64_t c_digest_entries = 0;
   std::int64_t c_payload_bytes = 0;
@@ -399,31 +398,10 @@ class ClusterEngine final : public WindowBoundary {
     seed_ = seed;
     shard_count_ = std::min(config_.shards, max_nodes_);
 
-    // The registry is the backing store for everything the report
-    // aggregates; registration order here fixes the field order of the
-    // snapshot records in the trace.
-    c_digest_entries_ = &registry_.counter(metric::kDigestEntries);
-    c_payload_bytes_ = &registry_.counter(metric::kPayloadBytes);
-    c_raises_ = &registry_.counter(metric::kSuspicionRaises);
-    c_clears_ = &registry_.counter(metric::kSuspicionClears);
-    c_false_ = &registry_.counter(metric::kFalseSuspicions);
-    c_disruptions_ = &registry_.counter(metric::kDisruptions);
-    c_missed_ = &registry_.counter(metric::kMissedDetections);
-    h_detect_ = &registry_.histogram(metric::kDetectionMs);
-    h_convergence_ = &registry_.histogram(metric::kConvergenceMs);
-    g_disagreeing_ = &registry_.gauge(metric::kDisagreeingPairs);
-    g_net_sent_ = &registry_.gauge(metric::kNetSent);
-    g_net_dropped_ = &registry_.gauge(metric::kNetDropped);
-    g_net_partition_ = &registry_.gauge(metric::kNetPartitionDropped);
-    g_queue_size_ = &registry_.gauge(metric::kQueueSize);
-    g_queue_executed_ = &registry_.gauge(metric::kQueueExecuted);
-    g_hot_queue_ = &registry_.gauge(metric::kMaxHotQueue);
-
     if (config_.obs.trace_enabled()) {
-      trace_storage_ = std::make_unique<obs::TraceWriter>(config_.obs);
-      if (trace_storage_->ok()) trace_ = trace_storage_.get();
+      trace_ = std::make_unique<obs::TraceWriter>(config_.obs);
+      if (!trace_->ok()) trace_.reset();
     }
-    const bool profile = obs::kEnabled && config_.obs.profile;
 
     // Shards own contiguous node blocks; sizes differ by at most one.
     owner_.assign(static_cast<std::size_t>(max_nodes_), 0);
@@ -437,9 +415,8 @@ class ClusterEngine final : public WindowBoundary {
       shard->lo = lo;
       shard->hi = lo + base + (s < extra ? 1 : 0);
       lo = shard->hi;
-      if (profile) {
-        shard->profiler =
-            std::make_unique<obs::Profiler>(config_.obs.profile_sample_shift);
+      if (config_.obs.profile) {
+        shard->profiler = std::make_unique<obs::Profiler>();
       }
       shard->transport = config_.transport;
       if (shard->transport == nullptr) {
@@ -1197,7 +1174,7 @@ class ClusterEngine final : public WindowBoundary {
     if (truth_version_ > 0 && truth_change_time_ == now) return;
     ++truth_version_;
     truth_change_time_ = now;
-    c_disruptions_->add(1);
+    ++report_.disruptions;
   }
 
   /// The serial coordinator step (the fold barrier's completion, every
@@ -1216,7 +1193,7 @@ class ClusterEngine final : public WindowBoundary {
     for (const auto& shard : shards_) disagreeing += shard->disagreeing;
     const bool all_agree = disagreeing == 0;
     if (all_agree && agreed_version_ < truth_version_) {
-      h_convergence_->add(now - truth_change_time_);
+      report_.convergence_ms.add(now - truth_change_time_);
       agreed_version_ = truth_version_;
     }
     last_agreement_ = all_agree;
@@ -1279,26 +1256,21 @@ class ClusterEngine final : public WindowBoundary {
     return executed;
   }
 
-  /// Folds the per-shard counter accumulators into the registry (integer
-  /// sums in fixed shard order).
-  void sync_counters() {
-    std::int64_t digest = 0;
-    std::int64_t payload = 0;
-    std::int64_t raises = 0;
-    std::int64_t clears = 0;
-    std::int64_t false_s = 0;
+  /// Sets the report's shard-kept counts to their sums in fixed shard
+  /// order.
+  void sum_shard_counts() {
+    report_.digest_entries_sent = 0;
+    report_.digest_payload_bytes = 0;
+    report_.suspicion_raises = 0;
+    report_.suspicion_clears = 0;
+    report_.false_suspicions = 0;
     for (const auto& shard : shards_) {
-      digest += shard->c_digest_entries;
-      payload += shard->c_payload_bytes;
-      raises += shard->qos.raises();
-      clears += shard->qos.clears();
-      false_s += shard->qos.false_suspicions();
+      report_.digest_entries_sent += shard->c_digest_entries;
+      report_.digest_payload_bytes += shard->c_payload_bytes;
+      report_.suspicion_raises += shard->qos.raises();
+      report_.suspicion_clears += shard->qos.clears();
+      report_.false_suspicions += shard->qos.false_suspicions();
     }
-    c_digest_entries_->add(digest - c_digest_entries_->value());
-    c_payload_bytes_->add(payload - c_payload_bytes_->value());
-    c_raises_->add(raises - c_raises_->value());
-    c_clears_->add(clears - c_clears_->value());
-    c_false_->add(false_s - c_false_->value());
   }
 
   /// Messages sent, dropped and partition-dropped, over the shards'
@@ -1316,16 +1288,44 @@ class ClusterEngine final : public WindowBoundary {
     return totals;
   }
 
+  /// Writes one `snap` record: the report so far, then gauges of the
+  /// fabric at tick k (the transport.* ones only for a caller's
+  /// transport). Counts are integers, gauges %.10g numbers.
   void snapshot(std::int64_t k, double now, std::int64_t disagreeing) {
-    sync_counters();
-    g_disagreeing_->set(static_cast<double>(disagreeing));
+    sum_shard_counts();
+    const auto histogram = [](const Summary& s) {
+      const bool any = s.count() > 0;
+      return obs::JsonLine{}
+          .integer("count", s.count())
+          .num("mean", any ? s.mean() : 0.0)
+          .num("p50", any ? s.percentile(0.5) : 0.0)
+          .num("p99", any ? s.percentile(0.99) : 0.0)
+          .num("max", any ? s.max() : 0.0)
+          .finish();
+    };
     const auto [sent, dropped, partition_dropped] = net_totals();
-    g_net_sent_->set(static_cast<double>(sent));
-    g_net_dropped_->set(static_cast<double>(dropped));
-    g_net_partition_->set(static_cast<double>(partition_dropped));
+    std::size_t max_hot = 0;
+    for (const ClusterNode& node : nodes_) {
+      if (node.active()) max_hot = std::max(max_hot, node.hot_queue_depth());
+    }
+    obs::JsonLine m;
+    m.integer("cluster.digest_entries_sent", report_.digest_entries_sent)
+        .integer("cluster.digest_payload_bytes", report_.digest_payload_bytes)
+        .integer("cluster.suspicion_raises", report_.suspicion_raises)
+        .integer("cluster.suspicion_clears", report_.suspicion_clears)
+        .integer("cluster.false_suspicions", report_.false_suspicions)
+        .integer("cluster.disruptions", report_.disruptions)
+        .integer("cluster.missed_detections", report_.missed_detections)
+        .raw("cluster.detection_ms", histogram(report_.detection_latency_ms))
+        .raw("cluster.convergence_ms", histogram(report_.convergence_ms))
+        .num("cluster.disagreeing_pairs", static_cast<double>(disagreeing))
+        .num("net.sent", static_cast<double>(sent))
+        .num("net.dropped", static_cast<double>(dropped))
+        .num("net.partition_dropped", static_cast<double>(partition_dropped))
+        .num("queue.size", static_cast<double>(logical_pending()))
+        .num("queue.executed", static_cast<double>(logical_executed(k)))
+        .num("node.max_hot_queue", static_cast<double>(max_hot));
     if (config_.transport != nullptr) {
-      // A caller's transport's, registered at the first snapshot after
-      // every engine metric, so no other run's snapshots carry them.
       const transport::TransportCounters c = config_.transport->counters();
       for (const auto& [name, value] : {std::pair{"transport.sent", c.sent},
                {"transport.delivered", c.delivered},
@@ -1334,17 +1334,15 @@ class ClusterEngine final : public WindowBoundary {
                {"transport.queue_drops", c.queue_drops},
                {"transport.retries", c.retries},
                {"transport.sock_errors", c.sock_errors}}) {
-        registry_.gauge(name).set(static_cast<double>(value));
+        m.num(name, static_cast<double>(value));
       }
     }
-    g_queue_size_->set(static_cast<double>(logical_pending()));
-    g_queue_executed_->set(static_cast<double>(logical_executed(k)));
-    std::size_t max_hot = 0;
-    for (const ClusterNode& node : nodes_) {
-      if (node.active()) max_hot = std::max(max_hot, node.hot_queue_depth());
-    }
-    g_hot_queue_->set(static_cast<double>(max_hot));
-    registry_.snapshot(*trace_, now, k);
+    trace_->write_line(obs::JsonLine{}
+                           .str("type", "snap")
+                           .num("t", now)
+                           .integer("tick", k)
+                           .raw("m", m.finish())
+                           .finish());
   }
 
   /// Merges every shard's staging buffer into the writer under the
@@ -1379,11 +1377,10 @@ class ClusterEngine final : public WindowBoundary {
         [this](NodeId i, NodeId j) {
           return standing_of(nodes_[static_cast<std::size_t>(i)], j);
         },
-        [this](double ms) { h_detect_->add(ms); });
-    c_missed_->add(tally.missed);
-    sync_counters();
-    fill_report_from_registry(report_, registry_);
+        [this](double ms) { report_.detection_latency_ms.add(ms); });
+    report_.missed_detections = tally.missed;
     report_.unmet_victims = tally.unmet;
+    sum_shard_counts();
     for (const auto& shard : shards_) {
       report_.raise_latency_ms.insert(report_.raise_latency_ms.end(),
                                       shard->raise_samples.begin(),
@@ -1502,30 +1499,13 @@ class ClusterEngine final : public WindowBoundary {
   std::int64_t boundary_tick_ = 0;
   double boundary_time_ = 0.0;
 
-  // Observability. The registry always exists (it is the aggregation
-  // store); trace exists only when configured. Handles are cached once.
+  // Observability: the trace exists only when configured.
   std::uint64_t seed_ = 0;
-  obs::Registry registry_;
-  std::unique_ptr<obs::TraceWriter> trace_storage_;
-  obs::TraceWriter* trace_ = nullptr;
+  std::unique_ptr<obs::TraceWriter> trace_;
   std::vector<obs::Record> merge_scratch_;
-  obs::Counter* c_digest_entries_ = nullptr;
-  obs::Counter* c_payload_bytes_ = nullptr;
-  obs::Counter* c_raises_ = nullptr;
-  obs::Counter* c_clears_ = nullptr;
-  obs::Counter* c_false_ = nullptr;
-  obs::Counter* c_disruptions_ = nullptr;
-  obs::Counter* c_missed_ = nullptr;
-  obs::Histo* h_detect_ = nullptr;
-  obs::Histo* h_convergence_ = nullptr;
-  obs::Gauge* g_disagreeing_ = nullptr;
-  obs::Gauge* g_net_sent_ = nullptr;
-  obs::Gauge* g_net_dropped_ = nullptr;
-  obs::Gauge* g_net_partition_ = nullptr;
-  obs::Gauge* g_queue_size_ = nullptr;
-  obs::Gauge* g_queue_executed_ = nullptr;
-  obs::Gauge* g_hot_queue_ = nullptr;
 
+  /// The run's only metric store: the coordinator adds to it as the run
+  /// goes, and each snapshot writes it out so far.
   ClusterReport report_;
 };
 

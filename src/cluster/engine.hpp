@@ -98,9 +98,9 @@ struct ClusterConfig {
   obs::Config obs;
   /// Optional graceful-stop flag (e.g. wired to a SIGINT handler). When
   /// it reads true after a check tick, every shard stops at that tick
-  /// and the run finalizes normally: metrics aggregate, the trace ring
-  /// drains and the end-of-run footer is written, covering exactly the
-  /// check windows that executed. nullptr = run to duration_ms.
+  /// and the run finalizes normally: metrics aggregate, the trace is
+  /// written out and the end-of-run footer is written, covering exactly
+  /// the check windows that executed. nullptr = run to duration_ms.
   const std::atomic<bool>* stop = nullptr;
   /// Optional caller's transport, used instead of the engine's own
   /// endpoints (see the file header). The engine sends each digest at

@@ -19,27 +19,6 @@ void finalize_rates(ClusterReport& report) {
       static_cast<double>(report.false_suspicions) / node_seconds * 60.0;
 }
 
-void fill_report_from_registry(ClusterReport& report,
-                               const obs::Registry& registry) {
-  const auto counter = [&registry](const char* name) -> std::int64_t {
-    const obs::Counter* c = registry.find_counter(name);
-    return c != nullptr ? c->value() : 0;
-  };
-  report.digest_entries_sent = counter(metric::kDigestEntries);
-  report.digest_payload_bytes = counter(metric::kPayloadBytes);
-  report.suspicion_raises = counter(metric::kSuspicionRaises);
-  report.suspicion_clears = counter(metric::kSuspicionClears);
-  report.false_suspicions = counter(metric::kFalseSuspicions);
-  report.disruptions = counter(metric::kDisruptions);
-  report.missed_detections = counter(metric::kMissedDetections);
-  if (const obs::Histo* h = registry.find_histogram(metric::kDetectionMs)) {
-    report.detection_latency_ms = h->summary();
-  }
-  if (const obs::Histo* h = registry.find_histogram(metric::kConvergenceMs)) {
-    report.convergence_ms = h->summary();
-  }
-}
-
 std::string ClusterReport::summary() const {
   char buf[512];
   const double p50 = detection_latency_ms.count() > 0

@@ -5,6 +5,10 @@
 // victim) pair, false-suspicion counts, per-node message load, and
 // convergence time - how long after a disruption until every live node
 // agrees on the true crashed set.
+//
+// ClusterReport is the engine's only metric store: its coordinator adds
+// to the report as the run goes, and each `snap` trace record is the
+// report so far (see ClusterEngine::snapshot for the names and order).
 #pragma once
 
 #include <cstdint>
@@ -13,32 +17,8 @@
 
 #include "common/stats.hpp"
 #include "obs/profile.hpp"
-#include "obs/registry.hpp"
 
 namespace rfd::cluster {
-
-/// Metric names the engine registers in its obs::Registry - the
-/// registry is the backing store for the aggregation below, and these
-/// names are what snapshot records carry in the trace stream.
-namespace metric {
-inline constexpr const char* kDigestEntries = "cluster.digest_entries_sent";
-inline constexpr const char* kPayloadBytes = "cluster.digest_payload_bytes";
-inline constexpr const char* kSuspicionRaises = "cluster.suspicion_raises";
-inline constexpr const char* kSuspicionClears = "cluster.suspicion_clears";
-inline constexpr const char* kFalseSuspicions = "cluster.false_suspicions";
-inline constexpr const char* kDisruptions = "cluster.disruptions";
-inline constexpr const char* kMissedDetections = "cluster.missed_detections";
-inline constexpr const char* kDetectionMs = "cluster.detection_ms";
-inline constexpr const char* kConvergenceMs = "cluster.convergence_ms";
-// Gauges refreshed at snapshot time.
-inline constexpr const char* kDisagreeingPairs = "cluster.disagreeing_pairs";
-inline constexpr const char* kNetSent = "net.sent";
-inline constexpr const char* kNetDropped = "net.dropped";
-inline constexpr const char* kNetPartitionDropped = "net.partition_dropped";
-inline constexpr const char* kQueueSize = "queue.size";
-inline constexpr const char* kQueueExecuted = "queue.executed";
-inline constexpr const char* kMaxHotQueue = "node.max_hot_queue";
-}  // namespace metric
 
 struct ClusterReport {
   int n = 0;          // initial active nodes (rates are normalized by this)
@@ -95,7 +75,9 @@ struct ClusterReport {
   std::int64_t suspicion_raises = 0;
   std::int64_t suspicion_clears = 0;
 
-  // Observability (empty when tracing/profiling is off).
+  // Observability (empty when tracing/profiling is off). A record counts
+  // as written once the write that carried it succeeded; the records
+  // and lines a failed write lost count as dropped.
   std::int64_t trace_records = 0;
   std::int64_t trace_dropped = 0;
   /// Phase-timer rollups (observe / digest / dispatch / route) when
@@ -108,11 +90,5 @@ struct ClusterReport {
 
 /// Fills the per-node rate fields from the raw counters.
 void finalize_rates(ClusterReport& report);
-
-/// Copies the engine's registry-backed aggregation into the report.
-/// The registry is the store of record during the run; the report is the
-/// flat snapshot benches and demos serialize.
-void fill_report_from_registry(ClusterReport& report,
-                               const obs::Registry& registry);
 
 }  // namespace rfd::cluster

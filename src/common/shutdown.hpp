@@ -1,7 +1,7 @@
 // Cooperative SIGINT/SIGTERM shutdown for the long-running binaries.
 //
 // The soak and the demos want Ctrl-C to mean "finish the current
-// window, flush the trace ring, write the final checkpoint, emit the run
+// window, flush the trace buffer, write the final checkpoint, emit the run
 // footer" - not "die mid-write and leave a torn trace". The handler
 // therefore only sets an async-signal-safe flag; a driver polls
 // shutdown_requested() at its window boundary and winds down normally.

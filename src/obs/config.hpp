@@ -1,53 +1,28 @@
 // Configuration for the streaming observability layer.
 //
-// Observability is compile-time-defaulted and runtime-toggleable: the
-// library always compiles the instrumentation points (RFD_OBS_ENABLED can
-// strip them entirely for exotic builds), but every hot-path emit site is
-// guarded by a single pointer test against a null sink, so a trace-off run
-// pays one predictable branch per site and nothing else - no formatting,
-// no I/O, no allocation.
+// The instrumentation points are always compiled in; every hot-path emit
+// site is guarded by a single pointer test against a null sink, so a
+// trace-off run pays one predictable branch per site and nothing else -
+// no formatting, no I/O, no allocation.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
-// Compile-time default: 1 = instrumentation compiled in (runtime decides
-// whether it fires), 0 = emit sites compile to nothing.
-#ifndef RFD_OBS_ENABLED
-#define RFD_OBS_ENABLED 1
-#endif
-
 namespace rfd::obs {
-
-inline constexpr bool kEnabled = RFD_OBS_ENABLED != 0;
 
 struct Config {
   /// JSONL trace output path; empty disables the trace sink entirely.
   std::string trace_path;
-  /// Emit a metrics-registry snapshot record every this many check ticks;
-  /// 0 disables snapshots.
+  /// Write a `snap` record of the cluster report so far every this many
+  /// check ticks; 0 disables snapshots.
   int snapshot_every_ticks = 0;
   /// Enable the scoped phase timers around the hot spots. Their rollups
   /// carry wall-clock times, so profile records are the one part of a
   /// trace that is *not* byte-identical across runs; keep this off when
   /// diffing traces.
   bool profile = false;
-  /// Staging ring capacity in records (rounded up to a power of two).
-  /// The default (4096 records, ~200 KiB) keeps the ring cache-resident:
-  /// a much larger ring makes every drain stream megabytes through the
-  /// cache and evicts the simulation's working set, which costs more than
-  /// the extra drains save.
-  int ring_capacity = 1 << 12;
-  /// When the staging ring fills: false (default) drains it synchronously
-  /// to the file - lossless, but the unlucky emit pays the flush; true
-  /// drops the record and counts it in the exact dropped-record counter
-  /// (bounded hot-path cost, lossy trace - the loss is itself recorded).
-  bool drop_on_full = false;
-  /// Sample 1 of every 2^profile_sample_shift timed sections; counts are
-  /// always exact, durations are scaled estimates.
-  int profile_sample_shift = 4;
 
-  bool trace_enabled() const { return kEnabled && !trace_path.empty(); }
+  bool trace_enabled() const { return !trace_path.empty(); }
 };
 
 }  // namespace rfd::obs

@@ -2,7 +2,7 @@
 //
 // A disabled profiler (null pointer) costs one predictable branch per
 // scope. An enabled one counts every entry exactly but reads the clock
-// only on 1 of every 2^sample_shift entries, so the per-call overhead
+// only on 1 of every 16 entries, so the per-call overhead
 // stays far below the sections under measurement; durations are scaled
 // estimates (sampled time * calls / sampled), counts are exact. The
 // phases are the known hot spots from the PR-5 profiling work:
@@ -40,37 +40,32 @@ struct PhaseStat {
 
 class Profiler {
  public:
-  explicit Profiler(int sample_shift = 4)
-      : mask_((std::uint64_t{1} << (sample_shift < 0 ? 0 : sample_shift)) -
-              1) {}
-
   /// Rollups for every phase that was entered at least once.
   std::vector<PhaseStat> stats() const;
 
  private:
   friend class ScopedPhase;
+  /// Times 1 of every 16 entries of a phase.
+  static constexpr std::int64_t kSampleMask = 15;
   struct Acc {
     std::int64_t calls = 0;
     std::int64_t sampled = 0;
     std::int64_t ns = 0;
   };
   Acc acc_[kNumPhases];
-  std::uint64_t mask_;
 };
 
 /// RAII phase scope. `profiler == nullptr` disables it entirely.
 /// `always = true` bypasses sampling and times every entry — used for
 /// rare-but-variable scopes (barrier waits: a handful per check tick,
-/// with durations too skewed for 1-in-2^shift sampling to estimate).
+/// with durations too skewed for 1-in-16 sampling to estimate).
 class ScopedPhase {
  public:
   ScopedPhase(Profiler* profiler, Phase phase, bool always = false) {
     if (profiler == nullptr) return;
     Profiler::Acc& acc =
         profiler->acc_[static_cast<std::size_t>(phase)];
-    const bool sample =
-        always ||
-        (static_cast<std::uint64_t>(acc.calls) & profiler->mask_) == 0;
+    const bool sample = always || (acc.calls & Profiler::kSampleMask) == 0;
     ++acc.calls;
     if (!sample) return;
     acc_ = &acc;

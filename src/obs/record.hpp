@@ -1,11 +1,13 @@
 // Typed trace records for the streaming observability layer.
 //
-// The hot path never formats: it stores one fixed-size POD Record into the
-// staging ring and returns. The writer side formats records into JSONL
-// with a fixed field order per type (see trace_writer.cpp), so a fixed
-// seed produces a byte-identical trace. Variable-length payloads are
-// restricted to pointers to *static* strings (fault kind names, metric
-// names), which stay valid across the deferred formatting.
+// The engine's hot path never formats: it stores one fixed-size POD Record
+// into its shard's staging buffer and returns. The engine merges the
+// shards' buffers once per check window and the writer formats the merged
+// records into JSONL with a fixed field order per type (see
+// trace_writer.cpp), so a fixed seed produces a byte-identical trace.
+// Variable-length payloads are restricted to pointers to *static* strings
+// (fault kind names, socket ops), which stay valid across the deferred
+// formatting.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +43,7 @@ struct Record {
 };
 
 /// Destination for hot-path records. TraceWriter is the terminal sink
-/// (stages into its ring and writes JSONL); the sharded cluster engine
+/// (formats each record into its drain buffer); the cluster engine
 /// interposes per-shard staging buffers that are merged into one writer
 /// in a deterministic order at each barrier. Emitters (network, topology,
 /// engine) hold a RecordSink* so they work identically under both.

@@ -12,7 +12,7 @@ namespace {
 /// which is what makes fixed-seed traces byte-identical. std::to_chars
 /// with general/10 is specified to produce printf's %.10g output and is
 /// several times cheaper than snprintf - formatting is the bulk of the
-/// trace-on overhead the E12c bench gates.
+/// per-record trace cost the E12c bench gates.
 void append_num(std::string& out, double value) {
   if (!std::isfinite(value)) {
     out += "null";
@@ -204,20 +204,24 @@ std::string JsonLine::finish() {
 
 // ------------------------------------------------------------ TraceWriter
 
-TraceWriter::TraceWriter(const Config& config)
-    : ring_(config.ring_capacity), drop_on_full_(config.drop_on_full) {
+TraceWriter::TraceWriter(const Config& config) {
   if (config.trace_path.empty()) return;
   if (config.trace_path == "-") {
+    // stdout keeps its buffering: the caller's own output shares it.
     file_ = stdout;
-    owns_file_ = false;
   } else {
     file_ = std::fopen(config.trace_path.c_str(), "w");
     owns_file_ = file_ != nullptr;
     if (file_ == nullptr) {
       std::fprintf(stderr, "warning: cannot open trace %s\n",
                    config.trace_path.c_str());
+      return;
     }
+    // The drain buffer is the only buffer: each drain is one write, and
+    // its result is the write's.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
   }
+  buf_.resize(kDrainFlush + kLineMax);
 }
 
 TraceWriter::~TraceWriter() { close(); }
@@ -242,8 +246,8 @@ char* TraceWriter::put_t(char* p, double value) {
 // ~97% of a cluster trace, plus the suspicion flips) are written with a
 // raw cursor; the rare types keep the simpler string path and are copied
 // in (bounded by construction: record string payloads are short static
-// literals). This is what keeps the E12c trace-on/off throughput ratio
-// inside its 5% budget.
+// literals). This is what keeps E12c's trace cost per record inside its
+// budget.
 char* TraceWriter::format(const Record& r, char* p) {
   switch (r.type) {
     case RecordType::kHbSend:
@@ -369,42 +373,35 @@ void TraceWriter::format_cold(const Record& r, std::string& out) {
   out += "}\n";
 }
 
-void TraceWriter::drain() {
-  if (file_ == nullptr) {
-    // No file: the ring is a null sink; discard so emit() stays bounded.
-    Record r;
-    while (ring_.pop(r)) {
-    }
-    return;
-  }
-  if (drain_buf_.empty()) drain_buf_.resize(kDrainFlush + kLineMax);
-  char* const base = drain_buf_.data();
-  std::size_t len = 0;
-  while (const Record* r = ring_.peek()) {
-    len = static_cast<std::size_t>(format(*r, base + len) - base);
-    ring_.advance();
-    ++written_records_;
-    // Write in bounded chunks so the buffer stays cache-resident instead
-    // of ballooning to the whole ring's formatted size.
-    if (len >= kDrainFlush) {
-      std::fwrite(base, 1, len, file_);
-      len = 0;
-    }
-  }
-  if (len != 0) std::fwrite(base, 1, len, file_);
-}
-
-void TraceWriter::flush() {
-  drain();
-  if (file_ != nullptr) std::fflush(file_);
+void TraceWriter::emit(const Record& r) {
+  if (file_ == nullptr) return;
+  char* const base = buf_.data();
+  buf_len_ = static_cast<std::size_t>(format(r, base + buf_len_) - base);
+  ++buf_records_;
+  // Write in bounded chunks so the buffer stays cache-resident.
+  if (buf_len_ >= kDrainFlush) drain();
 }
 
 void TraceWriter::write_line(const std::string& line) {
   if (file_ == nullptr) return;
-  drain();
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-  ++written_records_;
+  // Keeps kLineMax bytes of room behind the line for the next emit().
+  const std::size_t need = buf_len_ + line.size() + 1 + kLineMax;
+  if (need > buf_.size()) buf_.resize(need);
+  std::memcpy(buf_.data() + buf_len_, line.data(), line.size());
+  buf_len_ += line.size();
+  buf_[buf_len_++] = '\n';
+  ++buf_records_;
+  if (buf_len_ >= kDrainFlush) drain();
+}
+
+void TraceWriter::drain() {
+  if (buf_len_ == 0) return;
+  // The flush surfaces a write error stdout's own buffer would defer.
+  const bool ok = std::fwrite(buf_.data(), 1, buf_len_, file_) == buf_len_ &&
+                  std::fflush(file_) == 0;
+  (ok ? written_records_ : dropped_) += buf_records_;
+  buf_len_ = 0;
+  buf_records_ = 0;
 }
 
 void TraceWriter::close() {
@@ -414,8 +411,8 @@ void TraceWriter::close() {
     // The exact loss accounting: a lossy trace always says how lossy.
     write_line(
         JsonLine{}.str("type", "lost").integer("dropped", dropped_).finish());
+    drain();
   }
-  std::fflush(file_);
   if (owns_file_) std::fclose(file_);
   file_ = nullptr;
 }

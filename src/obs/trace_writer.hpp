@@ -1,12 +1,16 @@
 // Streaming JSONL trace sink.
 //
-// One TraceWriter owns one output file and the staging ring in front of
-// it. The simulation hot path calls emit() - a POD store into the ring -
-// and all formatting and I/O happens on the writer side: flush() drains
-// the ring into JSONL lines, write-side records (run headers, metric
-// snapshots) drain the ring first and then append their own complete
-// line, so the stream is totally ordered and no line ever interleaves
-// with another.
+// One TraceWriter owns one output file and a 64 KB drain buffer in front
+// of it. emit() formats a record straight into that buffer, and
+// write_line() appends a writer-side line (run header, metric snapshot,
+// profile rollup, footer) to the same buffer, so the stream is totally
+// ordered and no line ever interleaves with another. A full buffer is
+// written whole; lines never split across writes.
+//
+// A record counts as written only once the write that carried its bytes
+// succeeded (stdio's buffer included: the writer flushes after every
+// write). Records and lines a failed write lost count in dropped(), and
+// close() ends such a stream with one {"type":"lost"} line.
 //
 // Records are formatted with a fixed field order per type and fixed
 // number formatting ("t" as fixed-point ms with ns resolution, other
@@ -22,7 +26,6 @@
 
 #include "obs/config.hpp"
 #include "obs/record.hpp"
-#include "obs/ring.hpp"
 
 namespace rfd::obs {
 
@@ -59,36 +62,26 @@ class TraceWriter final : public RecordSink {
 
   bool ok() const { return file_ != nullptr; }
 
-  /// Hot path: stages one record. On a full ring, either drains
-  /// synchronously (lossless, default) or drops and counts exactly
-  /// (config.drop_on_full).
-  void emit(const Record& r) override {
-    ++emitted_;
-    if (ring_.push(r)) return;
-    if (drop_on_full_) {
-      ++dropped_;
-      return;
-    }
-    drain();
-    ring_.push(r);
-  }
+  /// Formats one record into the drain buffer, writing the buffer out
+  /// when it fills.
+  void emit(const Record& r) override;
 
-  /// Drains the ring into the file and flushes stdio buffers.
-  void flush();
-
-  /// Writer-side: drains the ring, then appends one complete line.
+  /// Writer-side: appends one complete line after every record emitted
+  /// so far.
   void write_line(const std::string& line);
 
-  /// Finalizes the stream: drains, emits the exact drop-accounting record
-  /// when any record was lost, and closes the file. Idempotent; the
-  /// destructor calls it.
+  /// Finalizes the stream: writes what is buffered, then the
+  /// loss-accounting line when any record was lost, and closes the file.
+  /// Idempotent; the destructor calls it.
   void close();
 
-  std::int64_t emitted() const { return emitted_; }
+  /// Records and lines a failed write lost.
   std::int64_t dropped() const { return dropped_; }
   std::int64_t written_records() const { return written_records_; }
 
  private:
+  /// Writes the buffered lines; they count as written or as dropped by
+  /// the write's outcome.
   void drain();
   /// Formats one record as a complete "{...}\n" line at `p` (the caller
   /// guarantees kLineMax bytes of room) and returns the end cursor.
@@ -96,15 +89,16 @@ class TraceWriter final : public RecordSink {
   void format_cold(const Record& r, std::string& out);
   char* put_t(char* p, double value);
 
-  RecordRing ring_;
   std::FILE* file_ = nullptr;
   bool owns_file_ = false;
-  bool drop_on_full_ = false;
-  std::int64_t emitted_ = 0;
   std::int64_t dropped_ = 0;
   std::int64_t written_records_ = 0;
   std::string scratch_;
-  std::vector<char> drain_buf_;
+  /// Formatted lines awaiting drain(): buf_len_ bytes holding
+  /// buf_records_ records and lines.
+  std::vector<char> buf_;
+  std::size_t buf_len_ = 0;
+  std::int64_t buf_records_ = 0;
   // Memo for the last formatted "t" value: hot records come in bursts that
   // share a sim-time stamp (all sends of one pump tick, drops alongside
   // them), so re-emitting the cached digits skips most double formatting.

@@ -9,8 +9,7 @@ RandomAdversary::RandomAdversary(std::uint64_t seed, double lambda_prob)
   RFD_REQUIRE(lambda_prob >= 0.0 && lambda_prob < 1.0);
 }
 
-ProcessId RandomAdversary::pick_process(const SchedView& /*view*/,
-                                        const ProcessSet& candidates) {
+ProcessId RandomAdversary::pick_process(const ProcessSet& candidates) {
   const ProcessId count = candidates.count();
   RFD_REQUIRE(count > 0);
   // The k-th member in id order, as indexing members() would pick.
@@ -23,8 +22,7 @@ ProcessId RandomAdversary::pick_process(const SchedView& /*view*/,
 }
 
 MessageId RandomAdversary::pick_message(
-    const SchedView& /*view*/, ProcessId /*p*/,
-    const std::vector<MessageId>& deliverable) {
+    ProcessId /*p*/, const std::vector<MessageId>& deliverable) {
   if (deliverable.empty() || rng_.chance(lambda_prob_)) {
     return kNoMessage;
   }
@@ -32,13 +30,13 @@ MessageId RandomAdversary::pick_message(
       rng_.below(static_cast<std::int64_t>(deliverable.size())))];
 }
 
-ProcessId RoundRobinAdversary::pick_process(const SchedView& view,
-                                            const ProcessSet& candidates) {
+ProcessId RoundRobinAdversary::pick_process(const ProcessSet& candidates) {
   RFD_REQUIRE(!candidates.empty());
-  for (ProcessId offset = 0; offset < view.n(); ++offset) {
-    const ProcessId p = static_cast<ProcessId>((next_ + offset) % view.n());
+  const ProcessId n = candidates.universe_size();
+  for (ProcessId offset = 0; offset < n; ++offset) {
+    const ProcessId p = static_cast<ProcessId>((next_ + offset) % n);
     if (candidates.contains(p)) {
-      next_ = static_cast<ProcessId>((p + 1) % view.n());
+      next_ = static_cast<ProcessId>((p + 1) % n);
       return p;
     }
   }
@@ -46,8 +44,7 @@ ProcessId RoundRobinAdversary::pick_process(const SchedView& view,
 }
 
 MessageId RoundRobinAdversary::pick_message(
-    const SchedView& /*view*/, ProcessId /*p*/,
-    const std::vector<MessageId>& deliverable) {
+    ProcessId /*p*/, const std::vector<MessageId>& deliverable) {
   return deliverable.empty() ? kNoMessage : deliverable.front();
 }
 

@@ -49,36 +49,21 @@ struct AdversaryLimits {
   Tick delivery_bound = 64;
 };
 
-/// What the adversary is allowed to observe when making choices.
-class SchedView {
- public:
-  virtual ~SchedView() = default;
-  virtual Tick now() const = 0;
-  virtual ProcessId n() const = 0;
-  /// Processes that have not crashed by now().
-  virtual const ProcessSet& alive() const = 0;
-  virtual Tick last_step_tick(ProcessId p) const = 0;  // -1 if never stepped
-  /// Ids of buffered messages destined to p, oldest first.
-  virtual std::vector<MessageId> pending(ProcessId p) const = 0;
-  virtual Tick message_sent_at(MessageId m) const = 0;
-  virtual ProcessId message_src(MessageId m) const = 0;
-};
-
 class Adversary {
  public:
   virtual ~Adversary() = default;
 
   /// Chooses which of the candidate processes steps at this tick.
   /// `candidates` is never empty; the simulator has already removed crashed
-  /// and paused processes and applied the starvation bound.
-  virtual ProcessId pick_process(const SchedView& view,
-                                 const ProcessSet& candidates) = 0;
+  /// and paused processes and applied the starvation bound. Its universe
+  /// is the run's n.
+  virtual ProcessId pick_process(const ProcessSet& candidates) = 0;
 
   /// Chooses the message `p` receives: one of `deliverable` (ids of
   /// unblocked buffered messages) or kNoMessage for the null message. The
   /// simulator overrides the choice when the delivery bound forces the
   /// oldest message.
-  virtual MessageId pick_message(const SchedView& view, ProcessId p,
+  virtual MessageId pick_message(ProcessId p,
                                  const std::vector<MessageId>& deliverable) = 0;
 };
 
@@ -89,9 +74,8 @@ class RandomAdversary final : public Adversary {
  public:
   explicit RandomAdversary(std::uint64_t seed, double lambda_prob = 0.15);
 
-  ProcessId pick_process(const SchedView& view,
-                         const ProcessSet& candidates) override;
-  MessageId pick_message(const SchedView& view, ProcessId p,
+  ProcessId pick_process(const ProcessSet& candidates) override;
+  MessageId pick_message(ProcessId p,
                          const std::vector<MessageId>& deliverable) override;
 
  private:
@@ -106,9 +90,8 @@ class RoundRobinAdversary final : public Adversary {
  public:
   RoundRobinAdversary() = default;
 
-  ProcessId pick_process(const SchedView& view,
-                         const ProcessSet& candidates) override;
-  MessageId pick_message(const SchedView& view, ProcessId p,
+  ProcessId pick_process(const ProcessSet& candidates) override;
+  MessageId pick_message(ProcessId p,
                          const std::vector<MessageId>& deliverable) override;
 
  private:

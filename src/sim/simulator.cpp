@@ -78,7 +78,6 @@ Simulator::Simulator(const model::FailurePattern& pattern,
       next_crash_(next_crash_after(pattern, 0)),
       pending_(static_cast<std::size_t>(pattern.n())),
       last_event_of_(static_cast<std::size_t>(pattern.n()), kNoEvent),
-      last_step_(static_cast<std::size_t>(pattern.n()), -1),
       last_progress_(static_cast<std::size_t>(pattern.n()), -1),
       started_(static_cast<std::size_t>(pattern.n()), false) {
   RFD_REQUIRE(static_cast<ProcessId>(automata_.size()) == pattern.n());
@@ -92,26 +91,8 @@ Simulator::Simulator(const model::FailurePattern& pattern,
 }
 
 Automaton& Simulator::automaton(ProcessId p) {
-  RFD_REQUIRE(p >= 0 && p < n());
+  RFD_REQUIRE(p >= 0 && p < pattern_->n());
   return *automata_[static_cast<std::size_t>(p)];
-}
-
-Tick Simulator::last_step_tick(ProcessId p) const {
-  RFD_REQUIRE(p >= 0 && p < n());
-  return last_step_[static_cast<std::size_t>(p)];
-}
-
-std::vector<MessageId> Simulator::pending(ProcessId p) const {
-  RFD_REQUIRE(p >= 0 && p < n());
-  return pending_[static_cast<std::size_t>(p)];
-}
-
-Tick Simulator::message_sent_at(MessageId m) const {
-  return trace_.message(m).sent_at;
-}
-
-ProcessId Simulator::message_src(MessageId m) const {
-  return trace_.message(m).src;
 }
 
 void Simulator::enqueue_message(MessageId m, ProcessId dst) {
@@ -172,7 +153,7 @@ void Simulator::step_once() {
   const ProcessId p =
       forced >= 0
           ? forced
-          : adversary_->pick_process(*this, candidates);
+          : adversary_->pick_process(candidates);
   RFD_REQUIRE_MSG(candidates.contains(p), "adversary picked a bad process");
 
   // Deliverable messages and delivery forcing (run condition (5)).
@@ -193,7 +174,7 @@ void Simulator::step_once() {
       now_ - oldest_avail >= config_.limits.delivery_bound) {
     chosen = forced_msg;
   } else {
-    chosen = adversary_->pick_message(*this, p, deliverable_);
+    chosen = adversary_->pick_message(p, deliverable_);
     if (chosen != kNoMessage) {
       RFD_REQUIRE_MSG(std::find(deliverable_.begin(), deliverable_.end(),
                                 chosen) != deliverable_.end(),
@@ -245,7 +226,6 @@ void Simulator::step_once() {
   }
 
   last_event_of_[static_cast<std::size_t>(p)] = event_id;
-  last_step_[static_cast<std::size_t>(p)] = now_;
   last_progress_[static_cast<std::size_t>(p)] = now_;
   ++now_;
 }

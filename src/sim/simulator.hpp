@@ -36,7 +36,7 @@ struct SimConfig {
   std::vector<StepPause> pauses;
 };
 
-class Simulator final : public SchedView {
+class Simulator final {
  public:
   /// `automata` must contain exactly pattern.n() entries (one per process).
   /// The oracle must have been built for the same pattern.
@@ -55,15 +55,6 @@ class Simulator final : public SchedView {
 
   const Trace& trace() const { return trace_; }
   Automaton& automaton(ProcessId p);
-
-  // --- SchedView -----------------------------------------------------------
-  Tick now() const override { return now_; }
-  ProcessId n() const override { return pattern_->n(); }
-  const ProcessSet& alive() const override { return alive_; }
-  Tick last_step_tick(ProcessId p) const override;
-  std::vector<MessageId> pending(ProcessId p) const override;
-  Tick message_sent_at(MessageId m) const override;
-  ProcessId message_src(MessageId m) const override;
 
   // Internal plumbing for SimContext (not part of the public API).
   void enqueue_message(MessageId m, ProcessId dst);
@@ -86,7 +77,6 @@ class Simulator final : public SchedView {
   Tick next_crash_;   // the tick at which alive_ next changes, or kNever
   std::vector<std::vector<MessageId>> pending_;  // per destination, FIFO
   std::vector<EventId> last_event_of_;
-  std::vector<Tick> last_step_;      // -1 before the first step
   std::vector<Tick> last_progress_;  // for starvation accounting
   std::vector<bool> started_;
   // Per-step scratch, kept so a step with a waiting message allocates

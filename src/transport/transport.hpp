@@ -33,8 +33,8 @@ namespace rfd::transport {
 
 using NodeId = rt::NodeId;
 
-/// Uniform counters every backend maintains; the engine snapshots a
-/// caller's transport's into its obs::Registry (transport.* gauges) and
+/// Uniform counters every backend maintains; the engine writes a
+/// caller's transport's into its `snap` records (transport.* gauges) and
 /// the soak into its report.
 struct TransportCounters {
   std::int64_t sent = 0;         // datagrams accepted by send()

@@ -20,6 +20,16 @@ namespace {
 constexpr std::uint32_t kFrameMagic = 0x52464448u;  // "RFDH"
 constexpr std::size_t kHeaderBytes = 12;            // magic + from + to
 constexpr std::size_t kMaxDatagram = 2048;          // digests are small
+/// Bounded send-queue capacity (frames); overflow drops the oldest.
+constexpr std::size_t kSendQueueCap = 4096;
+/// recvmmsg/sendmmsg batch size.
+constexpr std::size_t kBatch = 64;
+/// Exponential backoff after EAGAIN/ENOBUFS: first retry after
+/// kBackoffMs, doubling up to kBackoffMaxMs.
+constexpr double kBackoffMs = 0.5;
+constexpr double kBackoffMaxMs = 32.0;
+/// SO_RCVBUF/SO_SNDBUF request per socket.
+constexpr int kSocketBufferBytes = 1 << 20;
 
 void put_header(std::uint8_t* p, NodeId from, NodeId to) {
   const std::uint32_t fields[3] = {kFrameMagic,
@@ -62,8 +72,6 @@ UdpTransport::UdpTransport(int max_nodes, UdpParams params)
   // Node i binds base_port + i: the range must stay a valid port range.
   RFD_REQUIRE(params.base_port >= 1 &&
               params.base_port + max_nodes - 1 <= 65535);
-  RFD_REQUIRE(params.send_queue_cap > 0);
-  RFD_REQUIRE(params.batch > 0 && params.batch <= 1024);
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   RFD_REQUIRE_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
   fds_.resize(static_cast<std::size_t>(max_nodes), -1);
@@ -71,13 +79,9 @@ UdpTransport::UdpTransport(int max_nodes, UdpParams params)
     const int fd = socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
                           0);
     RFD_REQUIRE_MSG(fd >= 0, "socket() failed");
-    if (params_.socket_buffer_bytes > 0) {
-      // Best effort; the kernel clamps to its limits.
-      setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &params_.socket_buffer_bytes,
-                 sizeof(int));
-      setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &params_.socket_buffer_bytes,
-                 sizeof(int));
-    }
+    // Best effort; the kernel clamps to its limits.
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes, sizeof(int));
+    setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes, sizeof(int));
     sockaddr_in addr = loopback_addr(
         static_cast<std::uint16_t>(params_.base_port + i));
     RFD_REQUIRE_MSG(
@@ -90,12 +94,11 @@ UdpTransport::UdpTransport(int max_nodes, UdpParams params)
                     "epoll_ctl(ADD) failed");
     fds_[static_cast<std::size_t>(i)] = fd;
   }
-  const auto batch = static_cast<std::size_t>(params_.batch);
-  recv_bufs_.resize(batch);
+  recv_bufs_.resize(kBatch);
   for (auto& buf : recv_bufs_) buf.resize(kMaxDatagram);
-  recv_msgs_.resize(batch);
-  recv_iovs_.resize(batch);
-  for (std::size_t i = 0; i < batch; ++i) {
+  recv_msgs_.resize(kBatch);
+  recv_iovs_.resize(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
     recv_iovs_[i].iov_base = recv_bufs_[i].data();
     recv_iovs_[i].iov_len = recv_bufs_[i].size();
     recv_msgs_[i].msg_hdr.msg_iov = &recv_iovs_[i];
@@ -132,7 +135,7 @@ void UdpTransport::send(NodeId from, NodeId to, const Payload& payload,
   payload.write(bytes_);
   RFD_REQUIRE_MSG(bytes_.size() + kHeaderBytes <= kMaxDatagram,
                   "payload exceeds the transport's datagram bound");
-  if (static_cast<int>(send_queue_.size()) >= params_.send_queue_cap) {
+  if (send_queue_.size() >= kSendQueueCap) {
     // Bounded queue: shed the oldest frame (it is the stalest heartbeat
     // - the protocol tolerates loss, not unbounded queueing delay).
     send_queue_.pop_front();
@@ -156,17 +159,16 @@ void UdpTransport::flush_sends(double now_ms) {
   std::vector<mmsghdr> msgs;
   std::vector<iovec> iovs;
   std::vector<sockaddr_in> addrs;
-  msgs.reserve(static_cast<std::size_t>(params_.batch));
-  iovs.reserve(static_cast<std::size_t>(params_.batch));
-  addrs.reserve(static_cast<std::size_t>(params_.batch));
+  msgs.reserve(kBatch);
+  iovs.reserve(kBatch);
+  addrs.reserve(kBatch);
   while (due_ > 0) {
     // Group a sendmmsg batch by source socket: frames from one sender
     // go out in one syscall. The queue is FIFO per sender, preserving
     // the kernel-visible send order.
     const NodeId from = send_queue_.front().from;
     const int fd = fds_[static_cast<std::size_t>(from)];
-    const std::size_t batch =
-        std::min<std::size_t>(due_, static_cast<std::size_t>(params_.batch));
+    const std::size_t batch = std::min(due_, kBatch);
     msgs.clear();
     iovs.clear();
     addrs.clear();
@@ -195,9 +197,8 @@ void UdpTransport::flush_sends(double now_ms) {
         // and retry at a later poll - never busy-loop on a full buffer.
         ++counters_.retries;
         backoff_cur_ms_ = backoff_cur_ms_ <= 0.0
-                              ? params_.backoff_ms
-                              : std::min(backoff_cur_ms_ * 2.0,
-                                         params_.backoff_max_ms);
+                              ? kBackoffMs
+                              : std::min(backoff_cur_ms_ * 2.0, kBackoffMaxMs);
         backoff_until_ms_ = now_ms + backoff_cur_ms_;
         note_sock_error(from, "sendmmsg", err, now_ms);
         return;

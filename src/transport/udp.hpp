@@ -39,16 +39,6 @@ namespace rfd::transport {
 
 struct UdpParams {
   std::uint16_t base_port = 39000;
-  /// Bounded send-queue capacity (frames); overflow drops the oldest.
-  int send_queue_cap = 4096;
-  /// recvmmsg/sendmmsg batch size.
-  int batch = 64;
-  /// Exponential backoff after EAGAIN/ENOBUFS: first retry after
-  /// `backoff_ms`, doubling up to `backoff_max_ms`.
-  double backoff_ms = 0.5;
-  double backoff_max_ms = 32.0;
-  /// SO_RCVBUF/SO_SNDBUF request per socket (0 = kernel default).
-  int socket_buffer_bytes = 1 << 20;
 };
 
 class UdpTransport final : public Transport {

@@ -1,9 +1,9 @@
-// Observability-layer tests: JSON escaping, staging-ring wraparound and
-// exact overflow accounting, registry snapshots,
-// byte-identical traces across fixed-seed runs, and the offline QoS
-// re-derivation check - detection percentiles recomputed from the trace
-// must match the engine's live ClusterReport exactly, and a soak trace
-// must replay to the soak's own verdict counts.
+// Observability-layer tests: JSON escaping, the writer's drain buffer and
+// its accounting of failed writes, byte-identical traces across
+// fixed-seed runs, and the offline QoS re-derivation check - detection
+// percentiles recomputed from the trace must match the engine's live
+// ClusterReport exactly, and a soak trace must replay to the soak's own
+// verdict counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,9 +19,7 @@
 #include "cluster/scenario.hpp"
 #include "obs/config.hpp"
 #include "obs/record.hpp"
-#include "obs/registry.hpp"
 #include "obs/replay.hpp"
-#include "obs/ring.hpp"
 #include "obs/trace_writer.hpp"
 #include "scenario_test_util.hpp"
 #include "transport/soak.hpp"
@@ -69,66 +67,10 @@ TEST(JsonLine, FixedFieldOrderAndNullForNonFinite) {
                   "\"on\":true}");
 }
 
-TEST(RecordRing, RoundsCapacityUpToPowerOfTwo) {
-  RecordRing ring(10);
-  EXPECT_EQ(ring.capacity(), 16u);
-}
-
-TEST(RecordRing, PreservesOrderAcrossWraparound) {
-  RecordRing ring(4);  // capacity 4 exactly
-  Record r;
-  r.type = RecordType::kHbSend;
-  std::int64_t next_value = 0;
-  std::int64_t next_expected = 0;
-  // Fill and drain repeatedly so head/tail cross the wrap boundary.
-  for (int round = 0; round < 5; ++round) {
-    while (!ring.full()) {
-      r.c = next_value++;
-      ASSERT_TRUE(ring.push(r));
-    }
-    EXPECT_FALSE(ring.push(r));  // full ring refuses
-    Record out;
-    while (!ring.empty()) {
-      ASSERT_TRUE(ring.pop(out));
-      EXPECT_EQ(out.c, next_expected++);
-    }
-  }
-  EXPECT_EQ(next_value, next_expected);
-}
-
-TEST(TraceWriter, DropOnFullCountsExactlyAndRecordsLoss) {
-  const std::string path = "obs_test_drop.jsonl";
-  Config config;
-  config.trace_path = path;
-  config.ring_capacity = 8;
-  config.drop_on_full = true;
-  {
-    TraceWriter writer(config);
-    ASSERT_TRUE(writer.ok());
-    Record r;
-    r.type = RecordType::kHbSend;
-    for (int i = 0; i < 20; ++i) {
-      r.c = i;
-      writer.emit(r);
-    }
-    EXPECT_EQ(writer.emitted(), 20);
-    EXPECT_EQ(writer.dropped(), 12);  // ring holds 8, 12 overflowed
-    writer.close();
-    // 8 staged records survived, plus the terminal loss-accounting line.
-    EXPECT_EQ(writer.written_records(), 9);
-  }
-  const std::string text = read_file(path);
-  EXPECT_EQ(count_lines_containing(text, "\"type\":\"hb_send\""), 8);
-  EXPECT_EQ(count_lines_containing(text, "{\"type\":\"lost\",\"dropped\":12}"),
-            1);
-  std::remove(path.c_str());
-}
-
 TEST(TraceWriter, LosslessModeDrainsInsteadOfDropping) {
   const std::string path = "obs_test_lossless.jsonl";
   Config config;
   config.trace_path = path;
-  config.ring_capacity = 8;
   {
     TraceWriter writer(config);
     ASSERT_TRUE(writer.ok());
@@ -145,42 +87,29 @@ TEST(TraceWriter, LosslessModeDrainsInsteadOfDropping) {
   std::remove(path.c_str());
 }
 
-TEST(Registry, HandlesAreStableAndSnapshotKeepsRegistrationOrder) {
-  const std::string path = "obs_test_snap.jsonl";
+TEST(TraceWriter, LineLongerThanTheBufferStaysWholeAndInOrder) {
+  const std::string path = "obs_test_long_line.jsonl";
   Config config;
   config.trace_path = path;
+  const std::string long_line = JsonLine{}
+                                    .str("type", "x")
+                                    .str("pad", std::string(200'000, 'a'))
+                                    .finish();
   {
     TraceWriter writer(config);
     ASSERT_TRUE(writer.ok());
-    Registry registry;
-    Counter& c = registry.counter("c.total");
-    Gauge& g = registry.gauge("g.level");
-    Histo& h = registry.histogram("h.latency");
-    c.add(2);
-    g.set(1.5);
-    h.add(10.0);
-    h.add(20.0);
-    // A second lookup returns the same metric.
-    registry.counter("c.total").add(1);
-    EXPECT_EQ(c.value(), 3);
-    EXPECT_EQ(registry.find_counter("c.total"), &c);
-    EXPECT_EQ(registry.find_counter("g.level"), nullptr);  // wrong kind
-    EXPECT_EQ(registry.find_gauge("missing"), nullptr);
-    registry.snapshot(writer, 123.0, 7);
+    Record r;
+    r.type = RecordType::kHbSend;
+    writer.emit(r);
+    writer.write_line(long_line);
+    writer.emit(r);
     writer.close();
+    EXPECT_EQ(writer.written_records(), 3);
+    EXPECT_EQ(writer.dropped(), 0);
   }
-  const std::string text = read_file(path);
-  const std::string::size_type c_at = text.find("\"c.total\":3");
-  const std::string::size_type g_at = text.find("\"g.level\":1.5");
-  const std::string::size_type h_at = text.find("\"h.latency\":{\"count\":2");
-  EXPECT_EQ(count_lines_containing(text, "{\"type\":\"snap\",\"t\":123,"
-                                         "\"tick\":7,"),
-            1);
-  ASSERT_NE(c_at, std::string::npos);
-  ASSERT_NE(g_at, std::string::npos);
-  ASSERT_NE(h_at, std::string::npos);
-  EXPECT_LT(c_at, g_at);
-  EXPECT_LT(g_at, h_at);
+  const std::string send =
+      "{\"type\":\"hb_send\",\"t\":0,\"node\":-1,\"peer\":-1,\"entries\":0}\n";
+  EXPECT_EQ(read_file(path), send + long_line + "\n" + send);
   std::remove(path.c_str());
 }
 
@@ -232,6 +161,30 @@ TEST(Trace, FixedSeedRunsProduceByteIdenticalTraces) {
   EXPECT_GT(count_lines_containing(a, "{\"type\":\"suspect\","), 0);
   std::remove(path_a.c_str());
   std::remove(path_b.c_str());
+}
+
+TEST(Trace, FailedWritesCountAsDroppedNotWritten) {
+  // A device that refuses every write: each record and line of the run
+  // is lost, and the report says so instead of calling them written.
+  std::FILE* probe = std::fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full cannot be opened";
+  std::fclose(probe);
+  const std::string path = "obs_test_full_reference.jsonl";
+  const cluster::ClusterReport regular =
+      cluster::run_cluster(traced_config(path), 0x0b5);
+  std::remove(path.c_str());
+  ASSERT_GT(regular.trace_records, 0);
+  ASSERT_EQ(regular.trace_dropped, 0);
+
+  const cluster::ClusterReport full =
+      cluster::run_cluster(traced_config("/dev/full"), 0x0b5);
+  EXPECT_EQ(full.trace_records, 0);
+  EXPECT_GE(full.trace_dropped, regular.trace_records);
+  // The run itself is untouched by its trace's fate.
+  EXPECT_EQ(full.events_executed, regular.events_executed);
+  EXPECT_EQ(full.false_suspicions, regular.false_suspicions);
+  EXPECT_EQ(full.detection_latency_ms.count(),
+            regular.detection_latency_ms.count());
 }
 
 TEST(Trace, OfflineReplayMatchesLiveClusterReport) {
