@@ -1,13 +1,9 @@
 // Experiment E12: simulation-core throughput - how many discrete events
 // per wall-clock second the runtime layer sustains at cluster scale.
 //
-// Two sections:
-//   (a) cluster: end-to-end events/sec, wall-clock ms and peak event-queue
-//       size for the gossip fabric at n in {64, 256, 1024} (the e11
-//       flagship workload, shortened).
-//   (b) core: a synthetic heartbeat-shaped workload (a large population of
-//       periodic timers, each firing a short-delay jittered delivery) run
-//       through the EventQueue alone.
+// Section (a), cluster: end-to-end events/sec, wall-clock ms and peak
+// pending-event count for the gossip fabric at n in {64, 256, 1024} (the
+// e11 flagship workload, shortened).
 //
 // Regressions are measured against the checked-in end-to-end benchmark
 // baseline (bench_end2end/results), not against constants frozen here.
@@ -32,9 +28,7 @@
 
 #include "bench_util.hpp"
 #include "cluster/engine.hpp"
-#include "common/rng.hpp"
 #include "common/table.hpp"
-#include "runtime/event_queue.hpp"
 
 namespace rfd {
 namespace {
@@ -62,36 +56,6 @@ double cpu_ms(const std::function<void()>& fn) {
   return (static_cast<double>(end.tv_sec - start.tv_sec)) * 1e3 +
          (static_cast<double>(end.tv_nsec - start.tv_nsec)) * 1e-6;
 }
-
-// Synthetic heartbeat-shaped workload: `timers` periodic 100ms timers,
-// each firing a 0.5-8.5ms jittered one-shot delivery per period (the
-// heartbeat + network-delivery mix that dominates the cluster engine).
-class CoreWorkload {
- public:
-  explicit CoreWorkload(rt::EventQueue& queue, int timers) : queue_(queue) {
-    const Rng base(0xe12);
-    Rng phases(0x9a5e);
-    rngs_.reserve(static_cast<std::size_t>(timers));
-    for (int i = 0; i < timers; ++i) {
-      rngs_.push_back(base.split(static_cast<std::uint64_t>(i)));
-      queue_.schedule(phases.uniform01() * 100.0, [this, i] { tick(i); });
-    }
-  }
-
-  std::int64_t delivered() const { return delivered_; }
-
- private:
-  void tick(int i) {
-    const double jitter =
-        0.5 + rngs_[static_cast<std::size_t>(i)].uniform01() * 8.0;
-    queue_.schedule_in(jitter, [this] { ++delivered_; });
-    queue_.schedule_in(100.0, [this, i] { tick(i); });
-  }
-
-  rt::EventQueue& queue_;
-  std::vector<Rng> rngs_;
-  std::int64_t delivered_ = 0;
-};
 
 void BM_ClusterThroughput256(benchmark::State& state) {
   ClusterConfig config = gossip_config(256);
@@ -232,30 +196,6 @@ int main(int argc, char** argv) {
     std::printf("\ntrace overhead: %.1f ns per record (events/s ratio "
                 "%.3f)\n\n",
                 ns_per_record, ratio);
-  }
-
-  {
-    Table table({"timers", "sim events", "wall ms", "events/s"});
-    const int timers = smoke ? 256 : 1024;
-    const double horizon = smoke ? 5'000.0 : 20'000.0;
-
-    rt::EventQueue queue;
-    const double ms = wall_ms([&] {
-      CoreWorkload workload(queue, timers);
-      queue.run_until(horizon);
-      benchmark::DoNotOptimize(workload.delivered());
-    });
-    const double events_per_s =
-        ms > 0.0 ? static_cast<double>(queue.executed()) / (ms / 1000.0)
-                 : 0.0;
-    table.add_row({Table::num(timers), Table::num(queue.executed()),
-                   Table::fixed(ms, 1), Table::fixed(events_per_s, 0)});
-    json.row("core")
-        .num("timers", timers)
-        .num("events_executed", static_cast<double>(queue.executed()))
-        .num("wall_ms", ms)
-        .num("events_per_s", events_per_s);
-    table.print("E12b: event core throughput (synthetic heartbeat timers)");
   }
 
   json.write();

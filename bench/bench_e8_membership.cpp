@@ -4,7 +4,9 @@
 // period and reports what the abstraction costs: false exclusions of live
 // nodes (sacrificed to keep the suspicion list accurate), exclusion
 // latency for real crashes, and whether the emulation claim ("every
-// suspicion turns out to be accurate") held at the end of each run.
+// suspicion turns out to be accurate") held at the end of each run. Each
+// run is a cluster engine run with the group membership on
+// (ClusterConfig::exclusion).
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -12,8 +14,8 @@
 namespace rfd {
 namespace {
 
-rt::MembershipConfig base_config() {
-  rt::MembershipConfig config;
+cluster::MembershipConfig base_config() {
+  cluster::MembershipConfig config;
   config.n = 6;
   config.duration_ms = 40'000.0;
   config.network.jitter_sigma = 0.9;
@@ -28,7 +30,7 @@ rt::MembershipConfig base_config() {
 void BM_MembershipRun(benchmark::State& state) {
   const auto config = base_config();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rt::run_membership_experiment(config, 1));
+    benchmark::DoNotOptimize(cluster::run_membership_experiment(config, 1));
   }
 }
 BENCHMARK(BM_MembershipRun)->Unit(benchmark::kMillisecond)->Iterations(3);
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
     int accurate = 0;
     const int runs = 8;
     for (std::uint64_t seed = 0; seed < runs; ++seed) {
-      const auto r = rt::run_membership_experiment(config, seed);
+      const auto r = cluster::run_membership_experiment(config, seed);
       false_exclusions += r.false_exclusions;
       latency.merge(r.exclusion_latency_ms);
       converged += r.converged ? 1 : 0;
@@ -89,9 +91,9 @@ int main(int argc, char** argv) {
       "\nReading: hair-trigger timeouts buy fast detection at the cost of"
       "\nsacrificing live nodes during the unstable period; generous or"
       "\nadaptive detectors exclude (almost) only the real crash. In every"
-      "\nrun the installed abstraction stays accurate - excluded nodes are"
-      "\ndead or halt on learning it - which is precisely how real systems"
-      "\n\"implement\" P from <>P-grade timeouts.\n\n");
+      "\nrun the abstraction stays accurate - the group fences each node it"
+      "\nexcludes - which is precisely how real systems \"implement\" P from"
+      "\n<>P-grade timeouts.\n\n");
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -5,24 +5,23 @@
 // Two sweeps: (a) the speed/accuracy frontier of the fixed timeout, and
 // (b) fixed vs adaptive vs phi-accrual across network regimes. These are
 // the "realistic failure detectors" whose inherent imperfection is the
-// reason the paper's collapse result matters in practice.
-// RFD_E9_TRACE=<path> streams one JSONL trace across all sweeps:
-// "arrival" records (heartbeat inter-arrival gaps, the distribution the
-// adaptive detectors model) and "verdict" records (polled suspicion
-// flips), each tagged with a sweep-unique run id.
+// reason the paper's collapse result matters in practice. Each run is a
+// 2-node cluster engine run scored by the engine's QoS ledger (see
+// cluster/qos.hpp).
+// RFD_E9_TRACE=<path> writes the engine's JSONL trace of one base-config
+// run (the default chen detector and network, seed 0x901): its hb_send,
+// hb_recv, drop, suspect, clear and fault records.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <memory>
 
 #include "bench_util.hpp"
-#include "obs/trace_writer.hpp"
 
 namespace rfd {
 namespace {
 
-rt::QosConfig base_config() {
-  rt::QosConfig config;
+cluster::QosConfig base_config() {
+  cluster::QosConfig config;
   config.heartbeat_interval_ms = 100.0;
   config.duration_ms = 60'000.0;
   config.crash_at_ms = 45'000.0;
@@ -30,11 +29,11 @@ rt::QosConfig base_config() {
 }
 
 std::vector<std::string> qos_row(const std::string& label,
-                                 const rt::QosAggregate& agg, int runs) {
+                                 const cluster::QosAggregate& agg, int runs) {
   return {label,
           Table::fixed(agg.detection_time_ms.mean(), 1),
           Table::fixed(agg.mistake_rate_per_s.mean() * 60.0, 3),
-          Table::fixed(agg.avg_mistake_duration_ms.mean(), 1),
+          Table::fixed(agg.avg_mistake_duration_ms, 1),
           Table::pct(agg.query_accuracy.mean(), 3),
           std::to_string(runs - agg.undetected_crashes) + "/" +
               std::to_string(runs)};
@@ -43,7 +42,7 @@ std::vector<std::string> qos_row(const std::string& label,
 void BM_QosExperiment(benchmark::State& state) {
   const auto config = base_config();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rt::run_qos_experiment(config, 3));
+    benchmark::DoNotOptimize(cluster::run_qos_experiment(config, 3));
   }
 }
 BENCHMARK(BM_QosExperiment)->Unit(benchmark::kMillisecond)->Iterations(3);
@@ -56,14 +55,6 @@ int main(int argc, char** argv) {
   const int kRuns = 12;
   bench::JsonReport json("e9_qos");
 
-  std::unique_ptr<obs::TraceWriter> trace;
-  if (const char* path = std::getenv("RFD_E9_TRACE")) {
-    obs::Config obs_config;
-    obs_config.trace_path = path;
-    trace = std::make_unique<obs::TraceWriter>(obs_config);
-    if (!trace->ok()) trace.reset();
-  }
-  std::int64_t next_run_id = 0;
   std::printf("E9: QoS of timeout-based detectors (heartbeat 100ms, crash at"
               "\n45s of 60s, %d seeded runs per row; mistakes per minute)\n",
               kRuns);
@@ -77,15 +68,12 @@ int main(int argc, char** argv) {
       config.detector.fixed.timeout_ms = timeout;
       config.network.jitter_sigma = 1.1;
       config.network.loss_prob = 0.05;
-      config.trace = trace.get();
-      config.trace_run_id = next_run_id;
-      next_run_id += kRuns;
-      const auto agg = rt::run_qos_sweep(config, 0x901, kRuns);
+      const auto agg = cluster::run_qos_sweep(config, 0x901, kRuns);
       json.row("frontier")
           .num("timeout_ms", timeout)
           .num("detection_ms_mean", agg.detection_time_ms.mean())
           .num("mistakes_per_min", agg.mistake_rate_per_s.mean() * 60.0)
-          .num("mistake_duration_ms_mean", agg.avg_mistake_duration_ms.mean())
+          .num("mistake_duration_ms_mean", agg.avg_mistake_duration_ms)
           .num("query_accuracy", agg.query_accuracy.mean())
           .num("undetected", static_cast<double>(agg.undetected_crashes));
       auto row = qos_row(Table::fixed(timeout, 0), agg, kRuns);
@@ -115,10 +103,7 @@ int main(int argc, char** argv) {
         config.detector.phi.threshold = 8.0;
         config.network.jitter_sigma = net.sigma;
         config.network.loss_prob = net.loss;
-        config.trace = trace.get();
-        config.trace_run_id = next_run_id;
-        next_run_id += kRuns;
-        const auto agg = rt::run_qos_sweep(config, 0x902, kRuns);
+        const auto agg = cluster::run_qos_sweep(config, 0x902, kRuns);
         json.row("detectors")
             .str("detector", rt::detector_kind_name(kind))
             .str("network", net.label)
@@ -133,10 +118,11 @@ int main(int argc, char** argv) {
     }
     table.print("E9b: fixed vs adaptive vs phi-accrual across regimes");
   }
-  if (trace != nullptr) {
-    trace->close();
-    std::printf("trace: %lld records written\n",
-                static_cast<long long>(trace->written_records()));
+  if (const char* path = std::getenv("RFD_E9_TRACE")) {
+    auto config = base_config();
+    config.trace_path = path;
+    cluster::run_qos_experiment(config, 0x901);
+    std::printf("trace: one base-config run written to %s\n", path);
   }
   json.write();
 

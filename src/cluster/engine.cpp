@@ -349,6 +349,12 @@ struct ShardState {
 
   // Shard 0 only: effective faults awaiting coordinator bookkeeping.
   std::vector<FaultNote> fault_notes;
+
+  // With exclusion on: the observers that raised a suspicion at this
+  // tick, and the (proposer, victim) pairs of those then acting as
+  // coordinator (ClusterConfig::exclusion).
+  std::vector<NodeId> raisers;
+  std::vector<std::pair<NodeId, NodeId>> proposals;
 };
 
 /// Total order for the per-window trace merge: records sort by time, then
@@ -453,6 +459,7 @@ class ClusterEngine final : public WindowBoundary {
       nodes_[static_cast<std::size_t>(i)].set_active(false);
     }
 
+    excluded_.assign(static_cast<std::size_t>(max_nodes_), 0);
     report_.n = config_.n;
     report_.max_nodes = max_nodes_;
     report_.topology = shards_.front()->topology->name();
@@ -667,11 +674,12 @@ class ClusterEngine final : public WindowBoundary {
   }
 
  private:
-  /// Leads save_state's bytes ("ENG2"). Restore refuses what older builds
-  /// wrote instead of misreading it: "ENG1" states lack the topology's
-  /// state and the transports' counts, and the soak payload of still
-  /// older builds began with "SOAK".
-  static constexpr std::uint32_t kStateMagic = 0x32474e45u;
+  /// Leads save_state's bytes ("ENG3"). Restore refuses what older builds
+  /// wrote instead of misreading it: "ENG2" states lack the nodes' up
+  /// times and the mistake lengths, "ENG1" ones the topology's state and
+  /// the transports' counts, and the soak payload of still older builds
+  /// began with "SOAK".
+  static constexpr std::uint32_t kStateMagic = 0x33474e45u;
 
   /// The fresh state: the initial membership and the pumps' phases.
   void seed() {
@@ -950,17 +958,20 @@ class ClusterEngine final : public WindowBoundary {
     }
   }
 
-  /// Phase A of a round: run the shard's pumps up to the barrier, with
-  /// scenario faults spliced in at their exact times - after the pumps
-  /// before a fault's time, before the pumps at it.
+  /// Phase A of a round: apply the group's fences, then run the shard's
+  /// pumps up to the barrier, with scenario faults spliced in at their
+  /// exact times - after the pumps before a fault's time, before the
+  /// pumps at it.
   void run_window(ShardState& shard, double t_end, std::int64_t round) {
     shard.check_tick = round - 1;
+    // The group's fences come first, at the previous tick's time.
+    for (const FaultEvent& fence : fences_) apply_fault(shard, fence);
     while (shard.fault_cursor < faults_.size() &&
            faults_[shard.fault_cursor].at_ms <= t_end) {
       const double at = faults_[shard.fault_cursor].at_ms;
       run_pumps(shard, at, /*inclusive=*/false);
       shard.now = at;
-      apply_fault(shard, shard.fault_cursor);
+      apply_fault(shard, faults_[shard.fault_cursor]);
       ++shard.fault_cursor;
     }
     run_pumps(shard, t_end, /*inclusive=*/true);
@@ -997,6 +1008,7 @@ class ClusterEngine final : public WindowBoundary {
     for (const std::uint32_t key : shard.wheel_scratch) {
       evaluate_pair(shard, key, now);
     }
+    if (config_.exclusion) propose(shard);
   }
 
   void deliver(ShardState& shard, const transport::Delivery& m) {
@@ -1104,10 +1116,15 @@ class ClusterEngine final : public WindowBoundary {
     if (suspected != was_suspected) {
       shard.disagreeing += (suspected != down) ? 1 : 0;
       shard.disagreeing -= (was_suspected != down) ? 1 : 0;
+      if (!suspected && !down) {
+        shard.qos.end_mistake(shard.truth, j, node.record(j).suspect_since,
+                              now);
+      }
       node.set_suspected(j, suspected, suspected ? now : -1.0);
       if (shard.qos.flip(i, j, suspected, down, now)) {
         shard.raise_samples.push_back(now - shard.truth.down_since(j));
       }
+      if (suspected && config_.exclusion) shard.raisers.push_back(i);
     }
     // Unsuspected pairs always hold a future deadline; suspected pairs
     // sleep until a counter advance refutes them.
@@ -1121,23 +1138,26 @@ class ClusterEngine final : public WindowBoundary {
   /// every shard decides effectiveness identically from its replica, so
   /// the trace's fault stream is exactly the ground-truth transition
   /// sequence - the invariant the offline replay relies on.
-  void apply_fault(ShardState& shard, std::size_t index) {
-    const FaultEvent& event = faults_[index];
+  void apply_fault(ShardState& shard, const FaultEvent& event) {
     const double now = shard.now;
     const NodeId j = event.node;
     const bool owned = j >= 0 && owns(shard, j);
     ClusterNode* node = owned ? &nodes_[static_cast<std::size_t>(j)] : nullptr;
     const FaultEffect effect = shard.truth.apply(event, now, node);
-    if (effect == FaultEffect::kIgnored) return;
-    if (shard.index == 0) {
-      if (shard.trace != nullptr) shard.trace->emit(fault_record(event, now));
-      shard.fault_notes.push_back({effect, now});
+    // An exclusion is traced even when its victim was already down.
+    if (shard.index == 0 && shard.trace != nullptr &&
+        (effect != FaultEffect::kIgnored ||
+         event.kind == FaultKind::kExclude)) {
+      shard.trace->emit(fault_record(event, now));
     }
+    if (effect == FaultEffect::kIgnored) return;
+    if (shard.index == 0) shard.fault_notes.push_back({effect, now});
     // Bare sockets have no fault network.
     if (rt::Network* net = shard.transport->fault_network()) {
       apply_network_fault(event, *net);
     }
     if (effect == FaultEffect::kDown) {
+      end_mistakes(shard, j, now);
       if (owned) count_row(shard, j, -1);  // the dead row leaves the set
       rescore_column(shard, j);
     } else if (effect == FaultEffect::kUp || effect == FaultEffect::kJoined) {
@@ -1152,6 +1172,91 @@ class ClusterEngine final : public WindowBoundary {
         count_row(shard, j, +1);
       }
     }
+  }
+
+  /// Books the mistakes `j` going down at `now` ends: this shard's live
+  /// observers' suspicions of `j`, and, if the shard owns `j`, its
+  /// suspicions of live peers. Call with the truth replica updated.
+  void end_mistakes(ShardState& shard, NodeId j, double now) {
+    const auto end = [&](NodeId i, NodeId peer) {
+      const ClusterNode& observer = nodes_[static_cast<std::size_t>(i)];
+      if (!observer.is_suspected(peer)) return;
+      shard.qos.end_mistake(shard.truth, peer,
+                            observer.record(peer).suspect_since, now);
+    };
+    for (NodeId i = shard.lo; i < shard.hi; ++i) {
+      if (i != j && nodes_[static_cast<std::size_t>(i)].active()) end(i, j);
+    }
+    for (NodeId peer = 0; owns(shard, j) && peer < max_nodes_; ++peer) {
+      if (peer != j && shard.truth.truly_active(peer)) end(j, peer);
+    }
+  }
+
+  /// Whether `j` is a member of the group: active once and not excluded.
+  bool member(const ShardState& shard, NodeId j) const {
+    return shard.truth.ever_active(j) &&
+           excluded_[static_cast<std::size_t>(j)] == 0;
+  }
+
+  /// After tick k's evaluation: every observer of this shard that raised
+  /// a suspicion at it - each one, if the group lost a member at the
+  /// last coordinator step - and is now the acting coordinator proposes
+  /// the members it suspects.
+  void propose(ShardState& shard) {
+    std::vector<NodeId>& who = shard.raisers;
+    if (group_changed_) {
+      for (NodeId i = shard.lo; i < shard.hi; ++i) who.push_back(i);
+    }
+    std::sort(who.begin(), who.end());
+    who.erase(std::unique(who.begin(), who.end()), who.end());
+    for (const NodeId i : who) {
+      const ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
+      if (!node.active() || !member(shard, i)) continue;
+      NodeId m = 0;
+      while (m < i && (!member(shard, m) || node.is_suspected(m))) ++m;
+      if (m < i) continue;  // a lower member it trusts is acting
+      for (NodeId j = 0; j < max_nodes_; ++j) {
+        if (j != i && member(shard, j) && node.is_suspected(j)) {
+          shard.proposals.emplace_back(i, j);
+        }
+      }
+    }
+    who.clear();
+  }
+
+  /// The coordinator's half of the group: excludes the victims of tick
+  /// k's proposals in proposer order, to be fenced at the start of the
+  /// next window at the tick's time `now`. A proposal whose proposer this
+  /// step excluded is dropped, and so is every one of the run's last
+  /// window.
+  void take_proposals(std::int64_t k, double now) {
+    fences_.clear();
+    std::vector<std::pair<NodeId, NodeId>> proposals;
+    for (const auto& shard : shards_) {
+      proposals.insert(proposals.end(), shard->proposals.begin(),
+                       shard->proposals.end());
+      shard->proposals.clear();
+    }
+    std::sort(proposals.begin(), proposals.end());
+    const FaultState& truth = shards_.front()->truth;
+    for (const auto& [proposer, v] : proposals) {
+      char& excluded = excluded_[static_cast<std::size_t>(v)];
+      if (k >= rounds_total_ || excluded != 0 ||
+          excluded_[static_cast<std::size_t>(proposer)] != 0) {
+        continue;
+      }
+      excluded = 1;
+      if (truth.truly_active(v)) {
+        ++report_.false_exclusions;
+      } else {
+        report_.exclusion_latency_ms.add(now - truth.down_since(v));
+      }
+      FaultEvent& fence = fences_.emplace_back();
+      fence.at_ms = now;
+      fence.kind = FaultKind::kExclude;
+      fence.node = v;
+    }
+    group_changed_ = !fences_.empty();
   }
 
   /// Coordinator bookkeeping for one fault shard 0 found effective:
@@ -1216,6 +1321,7 @@ class ClusterEngine final : public WindowBoundary {
     if (config_.on_window && !config_.on_window(*this) && k < rounds_total_) {
       end_run(k);
     }
+    if (config_.exclusion) take_proposals(k, now);
   }
 
   /// Ends the window loop at tick k on every shard (the fold barrier
@@ -1381,15 +1487,27 @@ class ClusterEngine final : public WindowBoundary {
     report_.missed_detections = tally.missed;
     report_.unmet_victims = tally.unmet;
     sum_shard_counts();
+    std::int64_t mistake_us = 0;
     for (const auto& shard : shards_) {
       report_.raise_latency_ms.insert(report_.raise_latency_ms.end(),
                                       shard->raise_samples.begin(),
                                       shard->raise_samples.end());
+      report_.mistakes += shard->qos.mistakes();
+      mistake_us += shard->qos.mistake_us();
     }
+    report_.mistake_ms = static_cast<double>(mistake_us) / 1000.0;
     // Ascending, so the list is independent of the order raises were
     // evaluated in within a tick - which a restored wheel does not keep.
     std::sort(report_.raise_latency_ms.begin(),
               report_.raise_latency_ms.end());
+    for (NodeId j = 0; j < max_nodes_; ++j) {
+      if (excluded_[static_cast<std::size_t>(j)] == 0) continue;
+      report_.excluded.push_back(j);
+      // The group's fence held: its process and every replica say down.
+      bool down = !nodes_[static_cast<std::size_t>(j)].active();
+      for (const auto& shard : shards_) down &= shard->truth.truly_down(j);
+      report_.excluded_down = report_.excluded_down && down;
+    }
     report_.duration_ms = shards_.front()->now;
     report_.events_executed = logical_executed(rounds_total_);
     report_.peak_event_queue = peak_logical_queue_;
@@ -1475,6 +1593,13 @@ class ClusterEngine final : public WindowBoundary {
   bool last_agreement_ = true;
   std::int64_t peak_logical_queue_ = 0;
 
+  // The group (ClusterConfig::exclusion), ordered by the fold barrier
+  // like the loop state below: every id it excluded, the fences the next
+  // window applies first, and whether the last step excluded anyone.
+  std::vector<char> excluded_;
+  std::vector<FaultEvent> fences_;
+  bool group_changed_ = false;
+
   // Loop state, plain because the fold barrier orders it: the
   // coordinator writes it in the barrier's completion step, and the
   // shards read it only after the barrier releases them. After the run,
@@ -1511,6 +1636,23 @@ class ClusterEngine final : public WindowBoundary {
 
 }  // namespace
 
+std::string network_error(const rt::NetworkParams& params) {
+  if (!(params.loss_prob >= 0.0 && params.loss_prob < 1.0)) {
+    return "network loss probability must lie in [0, 1)";
+  }
+  if (!(params.pre_gst_chaos_prob >= 0.0 && params.pre_gst_chaos_prob <= 1.0)) {
+    return "network pre-GST chaos probability must lie in [0, 1]";
+  }
+  if (!(params.min_delay_ms >= 0.0) || !std::isfinite(params.min_delay_ms) ||
+      !(params.pre_gst_extra_ms >= 0.0) ||
+      !std::isfinite(params.pre_gst_extra_ms) ||
+      !std::isfinite(params.jitter_mu) || !(params.jitter_sigma >= 0.0) ||
+      !std::isfinite(params.jitter_sigma) || !(params.gst_ms >= 0.0)) {
+    return "network delays must be finite and non-negative";
+  }
+  return {};
+}
+
 std::string config_error(const ClusterConfig& config) {
   const int max_nodes = config.max_nodes > 0 ? config.max_nodes : config.n;
   if (config.n < 2) return "n must be at least 2";
@@ -1536,6 +1678,28 @@ std::string config_error(const ClusterConfig& config) {
            "(duration_ms / check_interval_ms must stay below 2^31 - 1)";
   }
   if (config.shards < 1) return "shards must be at least 1";
+  if (!(config.bootstrap_grace_ms > 0.0)) {
+    return "bootstrap_grace_ms must be positive";
+  }
+  if (config.hot_transmissions < 1 || config.hot_transmissions > 127) {
+    return "hot_transmissions must lie in [1, 127]";
+  }
+  if ((config.topology.kind == TopologyKind::kRing &&
+       config.topology.ring_successors < 1) ||
+      (config.topology.kind == TopologyKind::kGossip &&
+       config.topology.gossip_fanout < 1)) {
+    return "the topology's fan-out must be at least 1";
+  }
+  const rt::DetectorParams& d = config.detector;
+  if (d.kind == rt::DetectorKind::kFixed ? !(d.fixed.timeout_ms > 0.0)
+      : d.kind == rt::DetectorKind::kChen
+          ? d.chen.window < 2 || !(d.chen.alpha_ms > 0.0)
+          : d.phi.window < 2 || !(d.phi.threshold > 0.0)) {
+    return "the detector's timeout, alpha or threshold must be positive, "
+           "and its window at least 2";
+  }
+  const std::string error = network_error(config.network);
+  if (!error.empty()) return error;
   // The engine's own endpoints save no in-flight state, and a caller's
   // transport is one endpoint.
   if (config.transport != nullptr && config.shards != 1) {
@@ -1543,6 +1707,15 @@ std::string config_error(const ClusterConfig& config) {
   }
   if (config.transport == nullptr && config.on_window) {
     return "on_window needs a caller's transport";
+  }
+  if (config.transport != nullptr && config.exclusion) {
+    return "exclusion runs on the engine's own network";
+  }
+  // A recover would restart a fenced node outside the group.
+  for (const FaultEvent& e : config.scenario.events) {
+    if (config.exclusion && e.kind == FaultKind::kRecover) {
+      return "exclusion runs on scenarios without recover events";
+    }
   }
   return {};
 }

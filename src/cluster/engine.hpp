@@ -47,7 +47,8 @@ class WindowBoundary {
   /// Appends the state any later protocol record or report field depends
   /// on. Saved: every node's state, the nodes' RNG streams, the pump
   /// times, the topology's role state (hierarchical acting leaders), the
-  /// ground truth, the QoS ledger, the raise latencies, and then the
+  /// ground truth (with the nodes' up times), the QoS ledger (with the
+  /// mistake count and sum), the raise latencies, and then the
   /// transport's own save_state. Rebuilt on restore: the suspicion wheel
   /// (from the nodes' eval ticks), the disagreement count, the clock
   /// (from the tick) and the fault network's state (by replaying the
@@ -112,6 +113,18 @@ struct ClusterConfig {
   /// snapshots. Requires shards == 1; no off-grid tail window runs after
   /// the last tick. Not owned.
   transport::Transport* transport = nullptr;
+  /// Section 1.3's group membership (cluster/membership.hpp). Members
+  /// are the ids ever active and not excluded. Whenever an observer
+  /// raises a suspicion or the group loses a member, an observer that is
+  /// then the acting coordinator (a member suspecting every lower-id
+  /// member) proposes every member it suspects. The coordinator step
+  /// takes the tick's proposals in proposer order, drops one whose
+  /// proposer it has just excluded, and fences each victim with a
+  /// kExclude fault: a crash at the start of the next window, at the
+  /// proposal's tick. The last window's proposals are dropped, so every
+  /// excluded node is down when the report is scored. Not with a
+  /// caller's transport, nor with a scenario that recovers a node.
+  bool exclusion = false;
   /// With a caller's transport only: called once before the first window
   /// (the place to restore a checkpoint) and after every window's
   /// coordinator step, where it may checkpoint or wait. Returning false
@@ -120,8 +133,15 @@ struct ClusterConfig {
   std::function<bool(WindowBoundary&)> on_window;
 };
 
-/// Why run_cluster would refuse `config` (it aborts on one), or empty.
+/// Why run_cluster would refuse `config` (it aborts on one), or empty:
+/// every value the engine or its parts (nodes, detectors, topology,
+/// network) would abort on, NaN included.
 std::string config_error(const ClusterConfig& config);
+
+/// Why rt::Network would refuse `params`, or deliver at a time that is
+/// not a finite one after the send; empty when none. config_error checks
+/// the engine's network with it, and the soak its transports' networks.
+std::string network_error(const rt::NetworkParams& params);
 
 /// Runs one seeded cluster experiment and aggregates cluster QoS.
 ClusterReport run_cluster(const ClusterConfig& config, std::uint64_t seed);

@@ -12,12 +12,14 @@ FaultState::FaultState(int max_nodes, int initial_active) {
   ever_active_.assign(size, 0);
   truth_active_.assign(size, 0);
   down_since_.assign(size, -1.0);
+  up_since_.assign(size, -1.0);
   lying_.assign(size, 0);
   lie_delta_.assign(size, 0.0);
   lie_value_.assign(size, 0.0);
   for (NodeId i = 0; i < initial_active; ++i) {
     ever_active_[at(i)] = 1;
     truth_active_[at(i)] = 1;
+    up_since_[at(i)] = 0.0;
   }
 }
 
@@ -46,6 +48,7 @@ FaultEffect FaultState::apply(const FaultEvent& event, double now,
   switch (event.kind) {
     case FaultKind::kCrash:
     case FaultKind::kLeave:
+    case FaultKind::kExclude:
       if (!truly_active(j)) return FaultEffect::kIgnored;
       truth_active_[at(j)] = 0;
       down_since_[at(j)] = now;
@@ -55,12 +58,14 @@ FaultEffect FaultState::apply(const FaultEvent& event, double now,
       if (!truly_down(j)) return FaultEffect::kIgnored;
       truth_active_[at(j)] = 1;
       down_since_[at(j)] = -1.0;
+      up_since_[at(j)] = now;
       restart();
       return FaultEffect::kUp;
     case FaultKind::kJoin:
       if (ever_active(j)) return FaultEffect::kIgnored;
       ever_active_[at(j)] = 1;
       truth_active_[at(j)] = 1;
+      up_since_[at(j)] = now;
       restart();
       return FaultEffect::kJoined;
     case FaultKind::kLieStart:
@@ -97,6 +102,7 @@ void FaultState::save(ByteWriter& w) const {
     w.u8(static_cast<std::uint8_t>(lying_[p]));
     w.f64(lie_delta_[p]);
     w.f64(lie_value_[p]);
+    w.f64(up_since_[p]);
   }
 }
 
@@ -111,12 +117,17 @@ bool FaultState::restore(ByteReader& r) {
     lying_[p] = static_cast<char>(lying);
     lie_delta_[p] = r.f64();
     lie_value_[p] = r.f64();
+    up_since_[p] = r.f64();
     // Flags are 0 or 1, only an ever-active node is up, exactly the down
-    // ones carry a time, and every number is finite.
+    // ones carry a down time, exactly the ever-active ones an up time, no
+    // later than the down time, and every number is finite.
     const double since = down_since_[p];
+    const double up = up_since_[p];
     if (!r.ok() || ever > 1 || truth > ever || lying > 1 ||
         (ever > truth ? !(since >= 0.0) : since != -1.0) ||
-        !std::isfinite(since + lie_delta_[p] + lie_value_[p])) {
+        (ever != 0 ? !(up >= 0.0) : up != -1.0) ||
+        (ever > truth && !(up <= since)) ||
+        !std::isfinite(since + up + lie_delta_[p] + lie_value_[p])) {
       return false;
     }
   }
@@ -140,6 +151,7 @@ bool is_network_fault(FaultKind kind) {
     case FaultKind::kLeave:
     case FaultKind::kLieStart:
     case FaultKind::kLieEnd:
+    case FaultKind::kExclude:
       return false;
   }
   return false;
@@ -177,6 +189,7 @@ void apply_network_fault(const FaultEvent& event, rt::Network& net) {
     case FaultKind::kLeave:
     case FaultKind::kLieStart:
     case FaultKind::kLieEnd:
+    case FaultKind::kExclude:
       break;
   }
 }
@@ -185,15 +198,20 @@ void QosLedger::save(ByteWriter& w) const {
   w.i64(raises_);
   w.i64(clears_);
   w.i64(false_suspicions_);
+  w.i64(mistakes_);
+  w.i64(mistake_us_);
 }
 
 bool QosLedger::restore(ByteReader& r) {
   raises_ = r.i64();
   clears_ = r.i64();
   false_suspicions_ = r.i64();
+  mistakes_ = r.i64();
+  mistake_us_ = r.i64();
   // Each clear and each false suspicion follows its own raise.
   return r.ok() && clears_ >= 0 && clears_ <= raises_ &&
-         false_suspicions_ >= 0 && false_suspicions_ <= raises_;
+         false_suspicions_ >= 0 && false_suspicions_ <= raises_ &&
+         mistakes_ >= 0 && mistake_us_ >= 0;
 }
 
 }  // namespace rfd::cluster

@@ -7,6 +7,12 @@
 // `.scn` timeline means one thing on every backend, and a replayed trace
 // re-derives the live numbers by construction.
 //
+// A mistake is a stretch during which a live observer suspects a live
+// peer: from the raise, or from the peer's restart under a standing
+// suspicion, to the clear or to either node going down. The ledger counts
+// each one and adds its length when it ends; one still open at the end of
+// a run is not booked.
+//
 // Detection samples have two definitions, one per report. ClusterReport
 // (and the replay) takes, per (live observer, crashed victim) pair, crash
 // -> start of the suspicion still standing at the end of the run: a
@@ -18,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -33,7 +40,7 @@ namespace rfd::cluster {
 /// What an applied fault did, for the caller's own bookkeeping.
 enum class FaultEffect : std::uint8_t {
   kIgnored,  // a no-op under the effectiveness rules: emit nothing
-  kDown,     // crash / leave: the node is now truly down
+  kDown,     // crash / leave / exclude: the node is now truly down
   kUp,       // recover: a down node restarts with empty peer memory
   kJoined,   // join: a never-active id becomes active
   kOnset,    // a partition, storm, link block, slowdown or lie begins
@@ -53,6 +60,10 @@ class FaultState {
   }
   /// When `j` went down; -1 unless it is truly down.
   double down_since(NodeId j) const { return down_since_[at(j)]; }
+  /// When `j`'s latest incarnation started (0 for the initially active,
+  /// else its join or recover time), kept while it is down; -1 for an id
+  /// never active.
+  double up_since(NodeId j) const { return up_since_[at(j)]; }
   /// The truly active ids, ascending: the membership a restarted or
   /// joining process is seeded from.
   std::vector<NodeId> active_contacts() const;
@@ -79,7 +90,8 @@ class FaultState {
     return static_cast<std::uint32_t>(lie_value_[p]);
   }
 
-  /// Checkpoint hooks (per node: ever, truth, down-since, lie state).
+  /// Checkpoint hooks (per node: ever, truth, down-since, lie state,
+  /// up-since).
   /// restore returns false on a truncated or inconsistent state.
   void save(ByteWriter& w) const;
   bool restore(ByteReader& r);
@@ -90,6 +102,7 @@ class FaultState {
   std::vector<char> ever_active_;
   std::vector<char> truth_active_;
   std::vector<double> down_since_;
+  std::vector<double> up_since_;
   std::vector<char> lying_;
   std::vector<double> lie_delta_;
   std::vector<double> lie_value_;
@@ -129,9 +142,27 @@ class QosLedger {
     return suspected && down;
   }
 
+  /// Books the mistake that ends at `now`: an observer's suspicion of
+  /// `j`, raised at `since`, while the observer and `j` were both live.
+  /// The caller checks that both were live just before `now`. A stretch
+  /// of no length is none, so same-time faults book alike in any order.
+  void end_mistake(const FaultState& truth, NodeId j, double since,
+                   double now) {
+    const double ms = now - std::max(since, truth.up_since(j));
+    if (ms > 0.0) {
+      ++mistakes_;
+      mistake_us_ += std::llround(ms * 1000.0);
+    }
+  }
+
   std::int64_t raises() const { return raises_; }
   std::int64_t clears() const { return clears_; }
   std::int64_t false_suspicions() const { return false_suspicions_; }
+  std::int64_t mistakes() const { return mistakes_; }
+  /// The booked mistakes' summed length in whole microseconds: each is
+  /// rounded before it is added, so the sum does not depend on the
+  /// booking order, which the shard count and a restore both change.
+  std::int64_t mistake_us() const { return mistake_us_; }
 
   void save(ByteWriter& w) const;
   bool restore(ByteReader& r);
@@ -141,6 +172,8 @@ class QosLedger {
   std::int64_t raises_ = 0;
   std::int64_t clears_ = 0;
   std::int64_t false_suspicions_ = 0;
+  std::int64_t mistakes_ = 0;
+  std::int64_t mistake_us_ = 0;
 };
 
 /// An observer's cached verdict about one victim at the end of a run.

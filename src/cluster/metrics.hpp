@@ -1,10 +1,9 @@
 // Cluster-level QoS aggregation: what the whole monitoring fabric
-// delivers, as opposed to the single monitor/peer QoS of runtime/qos.hpp
-// (experiment E9). The report makes dissemination topologies directly
+// delivers. The report makes dissemination topologies directly
 // comparable: detection latency percentiles across every (observer,
-// victim) pair, false-suspicion counts, per-node message load, and
-// convergence time - how long after a disruption until every live node
-// agrees on the true crashed set.
+// victim) pair, false-suspicion counts, mistake count and time (T_M),
+// per-node message load, and convergence time - how long after a
+// disruption until every live node agrees on the true crashed set.
 //
 // ClusterReport is the engine's only metric store: its coordinator adds
 // to the report as the run goes, and each `snap` trace record is the
@@ -59,6 +58,24 @@ struct ClusterReport {
   /// Suspicion transitions against peers that were alive at that moment.
   std::int64_t false_suspicions = 0;
   double false_suspicions_per_node_per_min = 0.0;
+  /// Mistakes booked (a mistake is defined in cluster/fault_state.hpp;
+  /// one still open at the end is not counted) and their summed length,
+  /// which is exact to the microsecond.
+  std::int64_t mistakes = 0;
+  double mistake_ms = 0.0;
+
+  // Group membership (ClusterConfig::exclusion; zero and empty without).
+  /// The ids the group excluded, ascending.
+  std::vector<int> excluded;
+  /// Exclusions of a victim that was up: live nodes fenced to keep the
+  /// group's suspect list accurate.
+  std::int64_t false_exclusions = 0;
+  /// Crash -> exclusion, one per victim that was already down.
+  Summary exclusion_latency_ms;
+  /// Every excluded node is down at the end of the run, on every shard's
+  /// ground truth and in its own process: the group's suspect list is
+  /// accurate (vacuously so without exclusions).
+  bool excluded_down = true;
 
   // Agreement. A disruption is a crash/recover/leave, or a heal/storm-end
   // that found the cluster disagreeing; convergence is the time from the

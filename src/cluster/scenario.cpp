@@ -331,6 +331,8 @@ std::optional<ScenarioIssue> Scenario::check() const {
         lying.erase(it);
         break;
       }
+      case FaultKind::kExclude:
+        return ScenarioIssue{index, "exclude is the engine's own fault"};
       case FaultKind::kCrash:
       case FaultKind::kRecover:
       case FaultKind::kJoin:
@@ -381,6 +383,8 @@ const char* fault_kind_cstr(FaultKind kind) {
       return "lie-start";
     case FaultKind::kLieEnd:
       return "lie-end";
+    case FaultKind::kExclude:
+      return "exclude";
   }
   return "?";
 }
@@ -388,7 +392,7 @@ const char* fault_kind_cstr(FaultKind kind) {
 std::string fault_kind_name(FaultKind kind) { return fault_kind_cstr(kind); }
 
 std::optional<FaultKind> fault_kind_from_name(std::string_view name) {
-  for (int k = 0; k <= static_cast<int>(FaultKind::kLieEnd); ++k) {
+  for (int k = 0; k <= static_cast<int>(FaultKind::kExclude); ++k) {
     const auto kind = static_cast<FaultKind>(k);
     if (name == fault_kind_cstr(kind)) return kind;
   }
@@ -405,6 +409,7 @@ obs::Record fault_record(const FaultEvent& event, double t) {
     case FaultKind::kRecover:
     case FaultKind::kJoin:
     case FaultKind::kLeave:
+    case FaultKind::kExclude:
       r.a = event.node;
       break;
     case FaultKind::kPartition:

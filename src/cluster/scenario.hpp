@@ -55,6 +55,8 @@ enum class FaultKind {
                  // moves by `factor` per heartbeat interval (jump or
                  // regress instead of the honest +1)
   kLieEnd,       // node resumes advertising its true counter
+  kExclude,      // the group fenced `node` (ClusterConfig::exclusion): a
+                 // crash the engine applies, never a scenario's event
 };
 
 struct FaultEvent {

@@ -940,6 +940,9 @@ std::string serialize_scenario(const ScenarioDoc& doc) {
       case FaultKind::kLieEnd:
         out += "lie_end at=";
         break;
+      case FaultKind::kExclude:  // refused by Scenario::check
+        out += "exclude at=";
+        break;
     }
     append_number(out, e.at_ms);
     switch (e.kind) {
@@ -949,6 +952,7 @@ std::string serialize_scenario(const ScenarioDoc& doc) {
       case FaultKind::kLeave:
       case FaultKind::kSlowEnd:
       case FaultKind::kLieEnd:
+      case FaultKind::kExclude:
         out += " node=" + std::to_string(e.node);
         break;
       case FaultKind::kSlowStart:

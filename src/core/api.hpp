@@ -7,7 +7,9 @@
 //   - the step-level simulator with causal traces;
 //   - the agreement algorithms and their spec checkers;
 //   - the reductions (T(D->P), TRB->P, totality, the S/P collapse);
-//   - the runtime layer (timeout detectors, QoS, group membership).
+//   - the runtime layer's timeout detectors and network model;
+//   - the cluster engine's experiments on them: Chen-Toueg QoS and
+//     group membership.
 #pragma once
 
 #include "common/cli.hpp"
@@ -56,8 +58,9 @@
 #include "reduction/trb_to_p.hpp"
 
 #include "runtime/detectors.hpp"
-#include "runtime/membership.hpp"
 #include "runtime/network.hpp"
-#include "runtime/qos.hpp"
+
+#include "cluster/membership.hpp"
+#include "cluster/qos.hpp"
 
 #include "core/solvability.hpp"

@@ -22,8 +22,6 @@ enum class RecordType : std::uint8_t {
   kClear,     // observer a cleared its suspicion of victim b
   kFault,     // scenario fault applied; s = kind, a = node, x/y = extras
   kLeader,    // node a flipped acting-leader status (c) for cluster b
-  kArrival,   // QoS monitor a: heartbeat arrival, x = inter-arrival gap ms
-  kVerdict,   // QoS monitor a: suspicion verdict flipped to c at poll time
   kSockErr,   // transport socket error on node a: s = op ("sendmmsg"...),
               // c = errno; one record per error counted
 };

@@ -121,8 +121,20 @@ ReplayQos replay_qos(const std::string& path) {
       event.kind = *fault_kind;
       event.node = static_cast<cluster::NodeId>(node);
       const cluster::FaultEffect effect = truth.apply(event, t);
-      if (effect == cluster::FaultEffect::kUp ||
-          effect == cluster::FaultEffect::kJoined) {
+      if (effect == cluster::FaultEffect::kDown) {
+        // The mistakes the node going down ends: live observers'
+        // suspicions of it, and its own suspicions of live peers.
+        const auto end = [&](std::int64_t i, cluster::NodeId j) {
+          const auto it = suspicion.find(pair_key(i, j));
+          if (it != suspicion.end()) qos.end_mistake(truth, j, it->second, t);
+        };
+        for (cluster::NodeId v = 0; v < result.max_nodes; ++v) {
+          if (v == event.node || !truth.truly_active(v)) continue;
+          end(v, event.node);
+          end(event.node, v);
+        }
+      } else if (effect == cluster::FaultEffect::kUp ||
+                 effect == cluster::FaultEffect::kJoined) {
         // A restarted/joined process has no peer memory: its row of
         // standing suspicions is wiped (ClusterNode::reset_peers).
         for (std::int64_t v = 0; v < result.max_nodes; ++v) {
@@ -138,11 +150,14 @@ ReplayQos replay_qos(const std::string& path) {
       const auto i = static_cast<cluster::NodeId>(observer);
       const auto j = static_cast<cluster::NodeId>(victim);
       const bool raise = type == "suspect";
-      qos.flip(i, j, raise, truth.truly_down(j), t);
+      const bool down = truth.truly_down(j);
+      qos.flip(i, j, raise, down, t);
       if (raise) {
         suspicion[pair_key(i, j)] = t;
-      } else {
-        suspicion.erase(pair_key(i, j));
+      } else if (const auto it = suspicion.find(pair_key(i, j));
+                 it != suspicion.end()) {
+        if (!down) qos.end_mistake(truth, j, it->second, t);
+        suspicion.erase(it);
       }
     } else if (type == "lost") {
       double dropped = 0.0;
@@ -161,6 +176,8 @@ ReplayQos replay_qos(const std::string& path) {
   result.suspicion_raises = qos.raises();
   result.suspicion_clears = qos.clears();
   result.false_suspicions = qos.false_suspicions();
+  result.mistakes = qos.mistakes();
+  result.mistake_ms = static_cast<double>(qos.mistake_us()) / 1000.0;
   cluster::standing_suspicions(
       truth,
       [&](cluster::NodeId i, cluster::NodeId j) {

@@ -4,8 +4,9 @@
 // Feeds the fault / suspect / clear records through the engine's own
 // interpreter and ledger (cluster/fault_state.hpp):
 // FaultState rebuilds the ground truth, QosLedger recounts raises, clears
-// and false suspicions, and standing_suspicions() recomputes the engine's
-// end-of-run detection samples. The live numbers are therefore
+// and false suspicions and re-books every mistake, and
+// standing_suspicions() recomputes the engine's end-of-run detection
+// samples. The live numbers are therefore
 // reproduced by construction: on an engine trace they match the
 // ClusterReport bit-for-bit, on a soak trace the raise/clear/false
 // counts match the SoakReport (the soak's raise-time detection samples
@@ -34,6 +35,8 @@ struct ReplayQos {
   std::int64_t false_suspicions = 0;
   std::int64_t suspicion_raises = 0;
   std::int64_t suspicion_clears = 0;
+  std::int64_t mistakes = 0;
+  double mistake_ms = 0.0;  // summed length
   std::int64_t records_read = 0;
   /// Count from a "lost" accounting record, if present (a lossy trace
   /// cannot re-derive exactly; callers should check this is zero).

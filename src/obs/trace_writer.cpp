@@ -343,21 +343,6 @@ void TraceWriter::format_cold(const Record& r, std::string& out) {
       if (!slow && r.y > 0.0) field_num(out, "prob", r.y);
       break;
     }
-    case RecordType::kArrival:
-      out += "{\"type\":\"arrival\",\"t\":";
-      append_ms(out, r.t);
-      out += ",\"run\":";
-      append_int(out, r.a);
-      field_num(out, "gap_ms", r.x);
-      break;
-    case RecordType::kVerdict:
-      out += "{\"type\":\"verdict\",\"t\":";
-      append_ms(out, r.t);
-      out += ",\"run\":";
-      append_int(out, r.a);
-      out += ",\"suspect\":";
-      append_int(out, r.c);
-      break;
     case RecordType::kSockErr:
       out += "{\"type\":\"sock_err\",\"t\":";
       append_ms(out, r.t);

@@ -27,37 +27,6 @@ double inverse_erfc(double y) {
 
 }  // namespace
 
-FixedTimeoutDetector::FixedTimeoutDetector(FixedTimeoutParams params)
-    : params_(params) {
-  RFD_REQUIRE(params.timeout_ms > 0.0);
-}
-
-void FixedTimeoutDetector::on_heartbeat(double now) { last_heartbeat_ = now; }
-
-bool FixedTimeoutDetector::suspects(double now) const {
-  if (last_heartbeat_ < 0.0) {
-    // Grace period measured from time 0 until the first heartbeat.
-    return now > params_.timeout_ms;
-  }
-  return now - last_heartbeat_ > params_.timeout_ms;
-}
-
-double FixedTimeoutDetector::suspect_deadline() const {
-  if (last_heartbeat_ < 0.0) return params_.timeout_ms;
-  return last_heartbeat_ + params_.timeout_ms;
-}
-
-void FixedTimeoutDetector::save_state(std::vector<double>& out) const {
-  out.push_back(last_heartbeat_);
-}
-
-bool FixedTimeoutDetector::restore_state(const double*& cursor,
-                                         const double* end) {
-  if (end - cursor < 1) return false;
-  last_heartbeat_ = *cursor++;
-  return true;
-}
-
 ChenAdaptiveDetector::ChenAdaptiveDetector(ChenAdaptiveParams params)
     : params_(params) {
   RFD_REQUIRE(params.window >= 2);
@@ -220,14 +189,14 @@ bool PhiAccrualDetector::restore_state(const double*& cursor,
 
 std::unique_ptr<PeerDetector> make_detector(const DetectorParams& params) {
   switch (params.kind) {
-    case DetectorKind::kFixed:
-      return std::make_unique<FixedTimeoutDetector>(params.fixed);
     case DetectorKind::kChen:
       return std::make_unique<ChenAdaptiveDetector>(params.chen);
     case DetectorKind::kPhi:
       return std::make_unique<PhiAccrualDetector>(params.phi);
+    case DetectorKind::kFixed:
+      break;
   }
-  RFD_UNREACHABLE("unknown detector kind");
+  RFD_UNREACHABLE("the fixed timeout is inlined in cluster::ClusterNode");
 }
 
 std::string detector_kind_name(DetectorKind kind) {

@@ -4,7 +4,10 @@
 // them - <>P-grade at best: they can always be wrong before the network
 // stabilizes. Three classics are provided:
 //
-//   FixedTimeoutDetector  - suspect after a constant silence window;
+//   fixed timeout         - suspect after a constant silence window
+//                           (FixedTimeoutParams); it needs no object:
+//                           cluster::ClusterNode keeps each peer's last
+//                           heartbeat time and compares inline;
 //   ChenAdaptiveDetector  - Chen-Toueg NFD-E style: estimate the next
 //                           heartbeat arrival from a sliding window of
 //                           past arrivals and add a safety margin alpha;
@@ -14,8 +17,8 @@
 //                           distribution; suspect when phi exceeds a
 //                           threshold.
 //
-// Each detector instance monitors ONE peer. A node composes one instance
-// per peer (see qos.cpp / membership.cpp).
+// Each adaptive instance monitors ONE peer; a cluster node holds one per
+// peer it has heard (see cluster/node.hpp).
 #pragma once
 
 #include <cstdint>
@@ -44,8 +47,6 @@ class PeerDetector {
   /// after every on_heartbeat.
   virtual double suspect_deadline() const = 0;
 
-  virtual std::string name() const = 0;
-
   /// Checkpoint hooks: append the detector's *mutable* timing state to
   /// `out` (parameters come back from config at reconstruction, derived
   /// constants are recomputed by the constructor). Variable-length
@@ -62,22 +63,6 @@ struct FixedTimeoutParams {
   double timeout_ms = 500.0;
 };
 
-class FixedTimeoutDetector final : public PeerDetector {
- public:
-  explicit FixedTimeoutDetector(FixedTimeoutParams params);
-
-  void on_heartbeat(double now) override;
-  bool suspects(double now) const override;
-  double suspect_deadline() const override;
-  std::string name() const override { return "fixed"; }
-  void save_state(std::vector<double>& out) const override;
-  bool restore_state(const double*& cursor, const double* end) override;
-
- private:
-  FixedTimeoutParams params_;
-  double last_heartbeat_ = -1.0;  // -1 = none yet (grace until first)
-};
-
 struct ChenAdaptiveParams {
   int window = 16;           // arrivals remembered
   double alpha_ms = 100.0;   // safety margin added to the estimated arrival
@@ -91,7 +76,6 @@ class ChenAdaptiveDetector final : public PeerDetector {
   void on_heartbeat(double now) override;
   bool suspects(double now) const override;
   double suspect_deadline() const override;
-  std::string name() const override { return "chen"; }
   void save_state(std::vector<double>& out) const override;
   bool restore_state(const double*& cursor, const double* end) override;
 
@@ -118,7 +102,6 @@ class PhiAccrualDetector final : public PeerDetector {
   void on_heartbeat(double now) override;
   bool suspects(double now) const override;
   double suspect_deadline() const override;
-  std::string name() const override { return "phi"; }
   void save_state(std::vector<double>& out) const override;
   bool restore_state(const double*& cursor, const double* end) override;
 
@@ -146,6 +129,7 @@ struct DetectorParams {
   PhiAccrualParams phi;
 };
 
+/// An adaptive (kChen or kPhi) detector; the fixed timeout has none.
 std::unique_ptr<PeerDetector> make_detector(const DetectorParams& params);
 std::string detector_kind_name(DetectorKind kind);
 

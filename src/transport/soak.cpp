@@ -179,8 +179,18 @@ bool run_soak(const SoakConfig& config, SoakReport& report,
   engine.duration_ms = (ticks + 0.5) * config.tick_ms;
   engine.scenario = config.scenario;
   engine.obs = config.obs;
-  // Refused as errors before anything is built, so no socket is bound.
+  // Refused as errors before anything is built, so no socket is bound:
+  // what the engine, the sim backend's network and the injection layer
+  // would abort on, and what the sockets cannot take.
   error = cluster::config_error(engine);
+  if (error.empty()) error = cluster::network_error(config.network);
+  if (error.empty() && config.flaky) {
+    error = cluster::network_error(config.flaky_params.network);
+    if (error.empty() && !(config.flaky_params.dup_prob >= 0.0 &&
+                           config.flaky_params.dup_prob <= 1.0)) {
+      error = "injection duplication probability must lie in [0, 1]";
+    }
+  }
   if (error.empty()) error = udp_refusal(config, max_nodes);
   if (!error.empty()) return false;
   const auto total_ticks = static_cast<std::int64_t>(ticks);

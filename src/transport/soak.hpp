@@ -141,9 +141,11 @@ struct SoakReport {
 /// checkpoints so a resume under a different config is refused.
 std::uint64_t soak_config_fingerprint(const SoakConfig& config);
 
-/// Executes the soak run. On a config the engine or the socket layer
-/// refuses (n < 2, a UDP port range past 65535, a UDP run whose scenario
-/// has network faults but no `flaky` injection layer, ...) or a resume
+/// Executes the soak run. On a config the engine, the sim network, the
+/// injection layer or the socket layer refuses (n < 2, a timeout of 0 or
+/// NaN, a loss or duplication probability outside its range, a UDP port
+/// range past 65535, a UDP run whose scenario has network faults but no
+/// `flaky` injection layer, ...) or a resume
 /// failure (missing/corrupt/foreign checkpoint), returns false and fills
 /// `error` without running.
 bool run_soak(const SoakConfig& config, SoakReport& report,

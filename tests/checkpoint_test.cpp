@@ -467,7 +467,7 @@ TEST(SoakResume, RefusesAnOwnCounterPast32Bits) {
 
 TEST(SoakResume, RefusesAnOlderEngineState) {
   // A real checkpoint whose engine state leads with the magic of the
-  // format before this one ("ENG1"), re-sealed under a valid CRC, is
+  // format before this one ("ENG2"), re-sealed under a valid CRC, is
   // refused rather than misread.
   reset_shutdown();
   const std::string ckpt = temp_path("old_magic");
@@ -482,8 +482,8 @@ TEST(SoakResume, RefusesAnOlderEngineState) {
   ASSERT_TRUE(read_checkpoint(ckpt, soak_config_fingerprint(config), data,
                               error))
       << error;
-  ASSERT_EQ(read_u64(data.payload, 0) & 0xffffffffu, 0x32474e45u);  // ENG2
-  patch(data.payload, 0, 0x31474e45u, 4);
+  ASSERT_EQ(read_u64(data.payload, 0) & 0xffffffffu, 0x33474e45u);  // ENG3
+  patch(data.payload, 0, 0x32474e45u, 4);
   ASSERT_TRUE(write_checkpoint(ckpt, data, error)) << error;
 
   SoakConfig resume = base_soak_config();

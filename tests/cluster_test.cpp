@@ -5,11 +5,14 @@
 // and the message-complexity separation (gossip sublinear vs all-to-all
 // quadratic) that the E11 bench measures at scale. The digest codec's
 // encoder and checked reader, and the node's digest-entry filter, are
-// tested here too.
+// tested here too, and so are the two experiments that run on the engine:
+// E9's Chen-Toueg QoS and E8's group membership (exclusion), with the
+// engine's refusals of configurations its parts would abort on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -18,12 +21,14 @@
 
 #include "cluster/digest_codec.hpp"
 #include "cluster/engine.hpp"
+#include "cluster/membership.hpp"
 #include "cluster/node.hpp"
+#include "cluster/qos.hpp"
 #include "cluster/scenario.hpp"
 #include "cluster/topology.hpp"
 #include "common/rng.hpp"
-#include "runtime/event_queue.hpp"
 #include "runtime/network.hpp"
+#include "transport/flaky.hpp"
 
 namespace rfd::cluster {
 namespace {
@@ -48,7 +53,6 @@ ClusterConfig base_config(TopologyKind kind, int n) {
 }
 
 TEST(Network, PartitionBlocksCrossTraffic) {
-  rt::EventQueue queue;
   rt::Network net(1, rt::NetworkParams{});
   net.set_partition({{0, 1}, {2, 3}});
   EXPECT_FALSE(net.partitioned(0, 1));
@@ -57,20 +61,16 @@ TEST(Network, PartitionBlocksCrossTraffic) {
   EXPECT_TRUE(net.partitioned(3, 1));
   int delivered = 0;
   const auto send = [&](rt::NodeId from, rt::NodeId to) {
-    if (const auto delay = net.route(from, to, queue.now())) {
-      queue.schedule_in(*delay, [&] { ++delivered; });
-    }
+    if (net.route(from, to, 0.0)) ++delivered;
   };
   send(0, 2);
   send(0, 1);
-  queue.run_until(1e6);
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net.partition_dropped(), 1);
 
   net.clear_partition();
   EXPECT_FALSE(net.partitioned(0, 2));
   send(0, 2);
-  queue.run_until(2e6);
   EXPECT_EQ(delivered, 2);
   EXPECT_EQ(net.partition_dropped(), 1);
 }
@@ -96,6 +96,23 @@ TEST(Network, DelayStormRaisesDelays) {
   for (int i = 0; i < 300; ++i) after_sum += net.sample_delay(0.0);
   EXPECT_GT(storm_sum / 300.0, calm_sum / 300.0 + 400.0);
   EXPECT_LT(after_sum / 300.0, calm_sum / 300.0 + 50.0);
+}
+
+TEST(ClusterNode, FixedTimeoutSuspectsAfterSilence) {
+  // The inlined fixed detector: suspicion after 200 ms without a counter
+  // advance, and a fresh advance restores trust.
+  NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  params.detector.fixed.timeout_ms = 200.0;
+  ClusterNode node(0, 2, params);
+  node.learn_peer(1, 0.0);
+  EXPECT_FALSE(node.observe(1, 1, 900.0).advanced);  // membership only
+  EXPECT_TRUE(node.observe(1, 2, 1000.0).advanced);
+  EXPECT_FALSE(node.suspects(1, 1100.0));
+  EXPECT_TRUE(node.suspects(1, 1300.0));
+  EXPECT_EQ(node.suspect_deadline(1), 1200.0);
+  EXPECT_TRUE(node.observe(1, 3, 1350.0).advanced);  // trust restored
+  EXPECT_FALSE(node.suspects(1, 1400.0));
 }
 
 TEST(ClusterNode, GraceThenDetectorTakesOver) {
@@ -544,6 +561,189 @@ TEST(ClusterLimitsDeathTest, MoreCheckTicksThan32BitsHoldIsRefused) {
   config.duration_ms = 3e9;
   EXPECT_DEATH(run_cluster(config, 7),
                "duration_ms / check_interval_ms must stay below");
+}
+
+TEST(ClusterConfig, ConfigErrorRefusesWhatThePartsWouldAbortOn) {
+  // Each row would abort inside a node, a detector, the topology or the
+  // network; config_error names it first, NaN included.
+  transport::FlakyTransport wire(nullptr, 8, 1, transport::FlakyParams{});
+  const std::vector<std::pair<const char*, void (*)(ClusterConfig&)>> rows = {
+      {"fixed timeout 0",
+       [](ClusterConfig& c) {
+         c.detector.kind = rt::DetectorKind::kFixed;
+         c.detector.fixed.timeout_ms = 0.0;
+       }},
+      {"fixed timeout nan",
+       [](ClusterConfig& c) {
+         c.detector.kind = rt::DetectorKind::kFixed;
+         c.detector.fixed.timeout_ms = std::nan("");
+       }},
+      {"chen window 1", [](ClusterConfig& c) { c.detector.chen.window = 1; }},
+      {"chen alpha nan",
+       [](ClusterConfig& c) { c.detector.chen.alpha_ms = std::nan(""); }},
+      {"phi threshold 0",
+       [](ClusterConfig& c) {
+         c.detector.kind = rt::DetectorKind::kPhi;
+         c.detector.phi.threshold = 0.0;
+       }},
+      {"phi window 0",
+       [](ClusterConfig& c) {
+         c.detector.kind = rt::DetectorKind::kPhi;
+         c.detector.phi.window = 0;
+       }},
+      {"loss 1", [](ClusterConfig& c) { c.network.loss_prob = 1.0; }},
+      {"loss nan",
+       [](ClusterConfig& c) { c.network.loss_prob = std::nan(""); }},
+      {"loss -0.1", [](ClusterConfig& c) { c.network.loss_prob = -0.1; }},
+      {"min delay -1", [](ClusterConfig& c) { c.network.min_delay_ms = -1.0; }},
+      {"min delay nan",
+       [](ClusterConfig& c) { c.network.min_delay_ms = std::nan(""); }},
+      {"jitter sigma nan",
+       [](ClusterConfig& c) { c.network.jitter_sigma = std::nan(""); }},
+      {"pre-GST extra -5",
+       [](ClusterConfig& c) { c.network.pre_gst_extra_ms = -5.0; }},
+      {"chaos prob 2",
+       [](ClusterConfig& c) { c.network.pre_gst_chaos_prob = 2.0; }},
+      {"gst nan", [](ClusterConfig& c) { c.network.gst_ms = std::nan(""); }},
+      {"grace 0", [](ClusterConfig& c) { c.bootstrap_grace_ms = 0.0; }},
+      {"grace nan",
+       [](ClusterConfig& c) { c.bootstrap_grace_ms = std::nan(""); }},
+      {"hot transmissions 0",
+       [](ClusterConfig& c) { c.hot_transmissions = 0; }},
+      {"hot transmissions 128",
+       [](ClusterConfig& c) { c.hot_transmissions = 128; }},
+      {"gossip fanout 0",
+       [](ClusterConfig& c) { c.topology.gossip_fanout = 0; }},
+      {"ring successors 0",
+       [](ClusterConfig& c) {
+         c.topology.kind = TopologyKind::kRing;
+         c.topology.ring_successors = 0;
+       }},
+      {"heartbeat 0", [](ClusterConfig& c) { c.heartbeat_interval_ms = 0.0; }},
+  };
+  const ClusterConfig base = base_config(TopologyKind::kGossip, 8);
+  ASSERT_EQ(config_error(base), "");
+  for (const auto& [name, mutate] : rows) {
+    ClusterConfig config = base;
+    mutate(config);
+    EXPECT_NE(config_error(config), "") << name;
+  }
+  ClusterConfig fenced = base;
+  fenced.exclusion = true;
+  fenced.scenario.crash(1'000.0, 3);
+  EXPECT_EQ(config_error(fenced), "");
+  ClusterConfig revived = fenced;
+  revived.scenario.recover(2'000.0, 3);
+  EXPECT_NE(config_error(revived), "") << "exclusion with a recover";
+  fenced.transport = &wire;
+  EXPECT_NE(config_error(fenced), "") << "exclusion over a caller's transport";
+}
+
+TEST(Qos, CrashIsDetected) {
+  QosConfig config;
+  config.detector.kind = rt::DetectorKind::kChen;
+  config.crash_at_ms = 20'000.0;
+  config.duration_ms = 30'000.0;
+  const QosResult r = run_qos_experiment(config, 1);
+  ASSERT_TRUE(r.crashed);
+  EXPECT_GE(r.detection_time_ms, 0.0);
+  EXPECT_LT(r.detection_time_ms, 2000.0);
+}
+
+TEST(Qos, NoCrashNoDetection) {
+  QosConfig config;
+  config.crash_at_ms = -1.0;
+  config.duration_ms = 15'000.0;
+  const QosResult r = run_qos_experiment(config, 2);
+  EXPECT_FALSE(r.crashed);
+  EXPECT_LT(r.detection_time_ms, 0.0);
+}
+
+TEST(Qos, TightTimeoutTradesAccuracyForSpeed) {
+  // The fundamental QoS trade: a short fixed timeout detects faster but
+  // makes more mistakes on a jittery network than a long one.
+  QosConfig tight;
+  tight.detector.kind = rt::DetectorKind::kFixed;
+  tight.detector.fixed.timeout_ms = 120.0;
+  tight.network.jitter_sigma = 1.2;
+  tight.network.loss_prob = 0.05;
+  QosConfig loose = tight;
+  loose.detector.fixed.timeout_ms = 900.0;
+
+  const QosAggregate a = run_qos_sweep(tight, 3, 10);
+  const QosAggregate b = run_qos_sweep(loose, 3, 10);
+  EXPECT_GT(a.mistake_rate_per_s.mean(), b.mistake_rate_per_s.mean());
+  EXPECT_LT(a.detection_time_ms.mean(), b.detection_time_ms.mean());
+}
+
+TEST(Qos, LossyNetworkHurtsFixedTimeout) {
+  QosConfig clean;
+  clean.detector.kind = rt::DetectorKind::kFixed;
+  clean.detector.fixed.timeout_ms = 150.0;
+  QosConfig lossy = clean;
+  lossy.network.loss_prob = 0.3;
+  const QosAggregate a = run_qos_sweep(clean, 5, 8);
+  const QosAggregate b = run_qos_sweep(lossy, 5, 8);
+  EXPECT_LE(a.mistake_rate_per_s.mean(), b.mistake_rate_per_s.mean());
+}
+
+TEST(Membership, CrashedNodeIsExcluded) {
+  MembershipConfig config;
+  config.n = 5;
+  config.crash_at_ms = std::vector<double>(5, -1.0);
+  config.crash_at_ms[3] = 10'000.0;
+  config.duration_ms = 30'000.0;
+  const MembershipResult r = run_membership_experiment(config, 1);
+  EXPECT_GE(r.exclusions, 1);
+  EXPECT_EQ(r.false_exclusions, 0);
+  EXPECT_TRUE(r.converged) << r.final_view;
+  EXPECT_TRUE(r.suspicions_accurate);
+  EXPECT_GT(r.exclusion_latency_ms.count(), 0);
+}
+
+TEST(Membership, CoordinatorCrashTriggersFailover) {
+  MembershipConfig config;
+  config.n = 5;
+  config.crash_at_ms = std::vector<double>(5, -1.0);
+  config.crash_at_ms[0] = 8'000.0;  // the initial coordinator dies
+  config.duration_ms = 30'000.0;
+  const MembershipResult r = run_membership_experiment(config, 2);
+  EXPECT_TRUE(r.converged) << r.final_view;
+  EXPECT_NE(r.final_view.find("{1"), std::string::npos) << r.final_view;
+}
+
+TEST(Membership, AggressiveTimeoutsSacrificeLiveNodes) {
+  // The cost of emulating P: with hair-trigger timeouts on a jittery
+  // pre-GST network, live nodes get excluded - and then halt, making every
+  // suspicion "accurate" exactly as the paper describes.
+  MembershipConfig config;
+  config.n = 6;
+  config.detector.kind = rt::DetectorKind::kFixed;
+  config.detector.fixed.timeout_ms = 110.0;
+  config.network.jitter_sigma = 1.0;
+  config.network.gst_ms = 20'000.0;
+  config.network.pre_gst_extra_ms = 400.0;
+  config.network.pre_gst_chaos_prob = 0.5;
+  config.duration_ms = 40'000.0;
+  std::int64_t false_exclusions = 0;
+  bool all_accurate = true;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const MembershipResult r = run_membership_experiment(config, seed);
+    false_exclusions += r.false_exclusions;
+    all_accurate = all_accurate && r.suspicions_accurate;
+  }
+  EXPECT_GT(false_exclusions, 0);
+  EXPECT_TRUE(all_accurate);
+}
+
+TEST(Membership, StableNetworkKeepsEveryone) {
+  MembershipConfig config;
+  config.n = 5;
+  config.detector.kind = rt::DetectorKind::kChen;
+  config.duration_ms = 20'000.0;
+  const MembershipResult r = run_membership_experiment(config, 7);
+  EXPECT_EQ(r.exclusions, 0);
+  EXPECT_TRUE(r.converged) << r.final_view;
 }
 
 }  // namespace

@@ -127,16 +127,5 @@ TEST(ChenEdge, WarmupTransitionsSmoothlyIntoAdaptiveMode) {
   EXPECT_TRUE(d.suspects(440.0));
 }
 
-// -------------------------------------------------------------- fixed
-
-TEST(FixedEdge, GraceWindowBeforeFirstHeartbeat) {
-  FixedTimeoutDetector d(FixedTimeoutParams{300.0});
-  EXPECT_FALSE(d.suspects(299.0));
-  EXPECT_TRUE(d.suspects(301.0));
-  d.on_heartbeat(400.0);  // late first heartbeat rescinds the suspicion
-  EXPECT_FALSE(d.suspects(600.0));
-  EXPECT_TRUE(d.suspects(701.0));
-}
-
 }  // namespace
 }  // namespace rfd::rt

@@ -235,11 +235,11 @@ TEST(Determinism, EveryE1aRowAndOracleHistoryIsPinned) {
 }
 
 TEST(Determinism, QosResultsReplay) {
-  rt::QosConfig config;
+  cluster::QosConfig config;
   config.crash_at_ms = 20'000.0;
   config.duration_ms = 30'000.0;
-  const auto a = rt::run_qos_experiment(config, 5);
-  const auto b = rt::run_qos_experiment(config, 5);
+  const auto a = cluster::run_qos_experiment(config, 5);
+  const auto b = cluster::run_qos_experiment(config, 5);
   EXPECT_EQ(a.detection_time_ms, b.detection_time_ms);
   EXPECT_EQ(a.false_transitions, b.false_transitions);
   EXPECT_EQ(a.query_accuracy, b.query_accuracy);
@@ -247,13 +247,13 @@ TEST(Determinism, QosResultsReplay) {
 }
 
 TEST(Determinism, MembershipReplay) {
-  rt::MembershipConfig config;
+  cluster::MembershipConfig config;
   config.n = 5;
   config.crash_at_ms = std::vector<double>(5, -1.0);
   config.crash_at_ms[2] = 8'000.0;
   config.duration_ms = 20'000.0;
-  const auto a = rt::run_membership_experiment(config, 3);
-  const auto b = rt::run_membership_experiment(config, 3);
+  const auto a = cluster::run_membership_experiment(config, 3);
+  const auto b = cluster::run_membership_experiment(config, 3);
   EXPECT_EQ(a.exclusions, b.exclusions);
   EXPECT_EQ(a.false_exclusions, b.false_exclusions);
   EXPECT_EQ(a.final_view, b.final_view);

@@ -2,8 +2,9 @@
 // its accounting of failed writes, byte-identical traces across
 // fixed-seed runs, and the offline QoS re-derivation check - detection
 // percentiles recomputed from the trace must match the engine's live
-// ClusterReport exactly, and a soak trace must replay to the soak's own
-// verdict counts.
+// ClusterReport exactly - mistake lengths included, on hand-computed
+// cases and on a run with the group membership fencing nodes - and a soak
+// trace must replay to the soak's own verdict counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -213,7 +214,102 @@ TEST(Trace, OfflineReplayMatchesLiveClusterReport) {
   EXPECT_EQ(replayed.false_suspicions, live.false_suspicions);
   EXPECT_EQ(replayed.suspicion_raises, live.suspicion_raises);
   EXPECT_EQ(replayed.suspicion_clears, live.suspicion_clears);
+  ASSERT_GT(live.mistakes, 0);
+  EXPECT_EQ(replayed.mistakes, live.mistakes);
+  EXPECT_EQ(replayed.mistake_ms, live.mistake_ms);
   std::remove(path.c_str());
+}
+
+/// Replays the trace at `path` (and removes it) and requires every
+/// re-derivable field to match `live`.
+void expect_replay_matches(const cluster::ClusterReport& live,
+                           const std::string& path) {
+  ASSERT_EQ(live.trace_dropped, 0);
+  const ReplayQos replayed = replay_qos(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(replayed.ok) << replayed.error;
+  EXPECT_EQ(replayed.detection_latency_ms.count(),
+            live.detection_latency_ms.count());
+  EXPECT_EQ(replayed.detection_latency_ms.sum(),
+            live.detection_latency_ms.sum());
+  EXPECT_EQ(replayed.false_suspicions, live.false_suspicions);
+  EXPECT_EQ(replayed.suspicion_raises, live.suspicion_raises);
+  EXPECT_EQ(replayed.suspicion_clears, live.suspicion_clears);
+  EXPECT_EQ(replayed.mistakes, live.mistakes);
+  EXPECT_EQ(replayed.mistake_ms, live.mistake_ms);
+}
+
+TEST(Trace, OfflineReplayMatchesLiveExclusionRun) {
+  // The group fences every member it excludes with an `exclude` fault
+  // record, one per exclusion; the replay reads it as the crash it is.
+  cluster::ClusterConfig config;
+  config.n = 8;
+  config.topology.kind = cluster::TopologyKind::kAllToAll;
+  config.detector.kind = rt::DetectorKind::kFixed;
+  config.detector.fixed.timeout_ms = 250.0;
+  config.check_interval_ms = 50.0;
+  config.duration_ms = 20'000.0;
+  config.network.gst_ms = 8'000.0;
+  config.network.pre_gst_extra_ms = 350.0;
+  config.network.pre_gst_chaos_prob = 0.3;
+  config.exclusion = true;
+  config.scenario.crash(12'000.0, 7);
+  const std::string path = "obs_test_exclusion.jsonl";
+  config.obs.trace_path = path;
+  const cluster::ClusterReport live = cluster::run_cluster(config, 0x0b5);
+  ASSERT_GT(live.false_exclusions, 0);
+  ASSERT_GT(live.mistakes, 0);
+  EXPECT_TRUE(live.excluded_down);
+  EXPECT_EQ(count_lines_containing(read_file(path), "\"kind\":\"exclude\""),
+            static_cast<std::int64_t>(live.excluded.size()));
+  expect_replay_matches(live, path);
+}
+
+/// Two nodes on a jitter-free network (every delay 1.5 ms) with a 250 ms
+/// fixed timeout checked every 500 ms: a heartbeat gap raises a
+/// suspicion at the first 500 ms tick past it.
+cluster::ClusterConfig two_node_config(const std::string& trace_path) {
+  cluster::ClusterConfig config;
+  config.n = 2;
+  config.topology.kind = cluster::TopologyKind::kAllToAll;
+  config.detector.kind = rt::DetectorKind::kFixed;
+  config.detector.fixed.timeout_ms = 250.0;
+  config.check_interval_ms = 500.0;
+  config.duration_ms = 5'000.0;
+  config.network.jitter_sigma = 0.0;
+  config.obs.trace_path = trace_path;
+  return config;
+}
+
+TEST(Trace, FalseSuspicionOpenAtItsVictimsCrashBooksCrashMinusRaise) {
+  // Node 1's link to node 0 goes down at 1000 ms: node 0 last hears it
+  // before 1001.5 ms and falsely suspects it at the 1500 ms tick. Node 1
+  // crashes at 3000 ms with the suspicion still open: one mistake of
+  // exactly 3000 - 1500 ms.
+  const std::string path = "obs_test_mistake_crash.jsonl";
+  cluster::ClusterConfig config = two_node_config(path);
+  config.scenario.link_down(1'000.0, {1}, {0}).crash(3'000.0, 1);
+  const cluster::ClusterReport live = cluster::run_cluster(config, 3);
+  EXPECT_EQ(live.false_suspicions, 1);
+  EXPECT_EQ(live.mistakes, 1);
+  EXPECT_EQ(live.mistake_ms, 1'500.0);
+  expect_replay_matches(live, path);
+}
+
+TEST(Trace, SuspicionSpanningCrashAndRecoveryBooksFromTheRecovery) {
+  // Node 1 crashes at 1000 ms and node 0 rightly suspects it at 1500 ms.
+  // The suspicion turns into a mistake when node 1 restarts at 3000 ms
+  // and ends at the 3500 ms tick, which observes its new heartbeats:
+  // one mistake of 500 ms, none of the time it was down.
+  const std::string path = "obs_test_mistake_recover.jsonl";
+  cluster::ClusterConfig config = two_node_config(path);
+  config.scenario.crash(1'000.0, 1).recover(3'000.0, 1);
+  const cluster::ClusterReport live = cluster::run_cluster(config, 3);
+  EXPECT_EQ(live.false_suspicions, 0);
+  EXPECT_EQ(live.suspicion_clears, 1);
+  EXPECT_EQ(live.mistakes, 1);
+  EXPECT_EQ(live.mistake_ms, 500.0);
+  expect_replay_matches(live, path);
 }
 
 TEST(Trace, SoakTraceReplaysToTheSoakReport) {

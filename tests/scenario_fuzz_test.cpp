@@ -6,7 +6,8 @@
 //   - counters never go negative and the trace sink never drops;
 //   - the run's QoS re-derived offline from the trace (obs::replay_qos)
 //     matches the live report bit-for-bit - detection latency count,
-//     mean and percentiles, false suspicions, raises and clears.
+//     mean and percentiles, false suspicions, raises, clears and every
+//     mistake length.
 //
 // No libFuzzer, no corpus: the 64 inputs are a pure function of their
 // seed, so a failure reproduces anywhere from the seed number alone.
@@ -197,6 +198,8 @@ TEST(ScenarioFuzz, GeneratedTimelinesKeepEngineInvariants) {
         << "seed " << seed;
     EXPECT_EQ(replayed.suspicion_clears, live.suspicion_clears)
         << "seed " << seed;
+    EXPECT_EQ(replayed.mistakes, live.mistakes) << "seed " << seed;
+    EXPECT_EQ(replayed.mistake_ms, live.mistake_ms) << "seed " << seed;
   }
 }
 

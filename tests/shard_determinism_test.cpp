@@ -42,6 +42,18 @@ ClusterConfig shard_config(int n) {
 using testutil::read_file;
 using testutil::report_fingerprint;
 
+/// The mistakes and the group's exclusions, which report_fingerprint
+/// leaves out.
+std::string mistake_and_group_fields(const ClusterReport& r) {
+  std::ostringstream ss;
+  ss.precision(17);
+  ss << r.mistakes << '|' << r.mistake_ms << '|' << r.false_exclusions
+     << '|' << r.exclusion_latency_ms.count() << '|'
+     << r.exclusion_latency_ms.sum() << '|' << r.excluded_down << '|';
+  for (const int id : r.excluded) ss << id << ',';
+  return ss.str();
+}
+
 struct ShardRun {
   ClusterReport report;
   std::string trace;
@@ -71,6 +83,9 @@ ShardRun expect_shard_invariant(ClusterConfig config, std::uint64_t seed,
     }
     EXPECT_EQ(fingerprint, baseline_report)
         << tag << ": report diverged at shards=" << shards;
+    EXPECT_EQ(mistake_and_group_fields(report),
+              mistake_and_group_fields(baseline.report))
+        << tag << ": mistakes or exclusions diverged at shards=" << shards;
     // Byte-identical, not merely equivalent: the merged trace is the
     // replay/analysis input, so even reordering within a timestamp
     // would be a regression.
@@ -238,6 +253,35 @@ TEST(ShardDeterminism, OffGridTailIsShardCountInvariant) {
                             "{\"type\":\"fault\",\"t\":12030,"}) {
     EXPECT_NE(run.trace.find(fault), std::string::npos) << fault;
   }
+}
+
+TEST(ShardDeterminism, ExclusionIsShardCountInvariant) {
+  // The group on 48 nodes: a fixed timeout tight enough that pre-GST
+  // delay spikes get live members excluded (5 of them), and one real
+  // crash after GST. Proposals are staged per shard and merged by the
+  // coordinator step; the fences, their `exclude` records and the
+  // scoring must not depend on the shard count.
+  ClusterConfig config = shard_config(48);
+  config.topology.kind = TopologyKind::kAllToAll;
+  config.detector.kind = rt::DetectorKind::kFixed;
+  config.detector.fixed.timeout_ms = 400.0;
+  config.network.gst_ms = 3'000.0;
+  config.network.pre_gst_extra_ms = 350.0;
+  config.network.pre_gst_chaos_prob = 0.3;
+  config.exclusion = true;
+  config.scenario.crash(8'000.0, 31);
+  const ShardRun run = expect_shard_invariant(config, 7, "exclusion");
+  EXPECT_GT(run.report.false_exclusions, 0);
+  EXPECT_GT(run.report.exclusion_latency_ms.count(), 0);
+  EXPECT_GT(run.report.mistakes, 0);
+  EXPECT_TRUE(run.report.excluded_down);
+  std::size_t excludes = 0;
+  for (std::size_t at = run.trace.find("\"kind\":\"exclude\"");
+       at != std::string::npos;
+       at = run.trace.find("\"kind\":\"exclude\"", at + 1)) {
+    ++excludes;
+  }
+  EXPECT_EQ(excludes, run.report.excluded.size());
 }
 
 TEST(ShardDeterminism, ShardCountBeyondNodesClamps) {

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -701,6 +702,44 @@ TEST(Soak, UdpWithoutInjectionRefusesNetworkFaults) {
   std::string error;
   EXPECT_FALSE(run_soak(config, report, error));
   EXPECT_NE(error.find("--flaky"), std::string::npos) << error;
+}
+
+TEST(Soak, RefusesValuesTheEngineOrItsTransportsWouldAbortOn) {
+  // Each row used to abort inside the engine's node, the sim network or
+  // the injection layer; run_soak now returns false with a reason.
+  const std::vector<std::pair<const char*, void (*)(SoakConfig&)>> rows = {
+      {"--timeout 0", [](SoakConfig& c) { c.detector.fixed.timeout_ms = 0.0; }},
+      {"--timeout nan",
+       [](SoakConfig& c) { c.detector.fixed.timeout_ms = std::nan(""); }},
+      {"--loss 1", [](SoakConfig& c) { c.network.loss_prob = 1.0; }},
+      {"--flaky --flaky-loss 1",
+       [](SoakConfig& c) {
+         c.flaky = true;
+         c.flaky_params.network.loss_prob = 1.0;
+       }},
+      {"--flaky --flaky-dup 2",
+       [](SoakConfig& c) {
+         c.flaky = true;
+         c.flaky_params.dup_prob = 2.0;
+       }},
+      {"--flaky --flaky-dup nan",
+       [](SoakConfig& c) {
+         c.flaky = true;
+         c.flaky_params.dup_prob = std::nan("");
+       }},
+  };
+  for (const auto& [name, mutate] : rows) {
+    SoakConfig config;
+    config.n = 4;
+    config.duration_ms = 1'000.0;
+    config.detector.kind = rt::DetectorKind::kFixed;
+    mutate(config);
+    SoakReport report;
+    std::string error;
+    EXPECT_FALSE(run_soak(config, report, error)) << name;
+    EXPECT_FALSE(error.empty()) << name;
+    EXPECT_EQ(report.ticks_run, 0) << name;
+  }
 }
 
 }  // namespace
