@@ -96,9 +96,10 @@ namespace {
 //      in (receiver, arrival, sender, send-seq) order - an endpoint
 //      stamps each delivery with its sender's send sequence, because
 //      bucket order depends on the shard count - and suspicion
-//      evaluations drain a per-tick wheel whose per-shard content is the
-//      shard's subsequence of the shards=1 sequence, so every per-pair
-//      outcome matches.
+//      evaluations drain a per-tick wheel (led at the grace tick by a
+//      scan of the seeded rows) whose per-shard content is the shard's
+//      subsequence of the shards=1 sequence, so every per-pair outcome
+//      matches.
 //   4. Trace bytes: records are staged per shard and merged once per
 //      window by the fold barrier's completion step, while every shard
 //      waits in that barrier, under a total order on (t, type rank, a, b)
@@ -134,7 +135,8 @@ struct BufferSink final : obs::RecordSink {
 /// replacing the old per-tick unordered_map buckets. push() is an
 /// amortized O(1) vector append into the tick's slot. Keys are 32-bit
 /// pair keys (observer * max_nodes + peer), which is why the engine
-/// refuses max_nodes > kMaxNodes = 65536.
+/// refuses max_nodes > kMaxNodes = 65536. The seeded membership's pairs
+/// all share one grace tick and hold no key here (see seed()).
 class EvalWheel {
  public:
   void push(std::int64_t current_tick, std::int64_t tick,
@@ -169,9 +171,6 @@ class EvalWheel {
   std::map<std::int64_t, std::vector<std::uint32_t>> far_;
 };
 
-/// Largest id space the 32-bit wheel keys cover: max_nodes^2 <= 2^32.
-/// Its n^2 per-pair state alone would be about 150 GB.
-constexpr int kMaxNodes = 65536;
 /// Ticks run to at most kMaxTicks - 1, so last + 1 fits an int32.
 constexpr std::int64_t kMaxTicks = std::numeric_limits<std::int32_t>::max();
 
@@ -685,16 +684,22 @@ class ClusterEngine final : public WindowBoundary {
   void seed() {
     // The initial membership list is configuration, not discovery. No
     // peer is down yet, and every pair's deadline is the end of the
-    // grace window counted from 0, so every pair arms one tick.
+    // grace window counted from 0, so every pair arms one tick, the
+    // grace tick, as arm_pair clamps it. Those n^2 pairs push no wheel
+    // keys: evaluate_seeded() scans them at that tick instead.
     const double grace = config_.bootstrap_grace_ms;
-    const std::int64_t tick = deadline_tick(grace);
+    if (std::isfinite(grace)) {
+      seed_tick_ = std::clamp(deadline_tick(grace), std::int64_t{1},
+                              tick_limit_);
+    }
     for (NodeId i = 0; i < config_.n; ++i) {
-      ShardState& shard = *shards_[static_cast<std::size_t>(
-          owner_[static_cast<std::size_t>(i)])];
+      ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
       for (NodeId j = 0; j < config_.n; ++j) {
         if (i == j) continue;
-        nodes_[static_cast<std::size_t>(i)].learn_peer(j, 0.0);
-        if (std::isfinite(grace)) arm_pair(shard, i, j, tick);
+        node.learn_peer(j, 0.0);
+        if (seed_tick_ >= 0) {
+          node.set_eval_tick(j, static_cast<std::int32_t>(seed_tick_));
+        }
       }
     }
     for (NodeId i = 0; i < max_nodes_; ++i) {
@@ -1000,15 +1005,34 @@ class ClusterEngine final : public WindowBoundary {
     shard.delivered_msgs += static_cast<std::int64_t>(batch.size());
     shard.transport->recycle(batch);
 
-    // Evaluate tick k: drain the suspicion wheel's slot and re-judge
-    // every armed pair.
+    // Evaluate tick k: the seeded pairs at the grace tick, then the
+    // suspicion wheel's slot - re-judging every armed pair.
     shard.check_tick = k;
+    if (k == seed_tick_) evaluate_seeded(shard, now);
     shard.wheel_scratch.clear();
     shard.wheel.drain(k, shard.wheel_scratch);
     for (const std::uint32_t key : shard.wheel_scratch) {
-      evaluate_pair(shard, key, now);
+      evaluate_pair(shard,
+                    static_cast<NodeId>(
+                        key / static_cast<std::uint32_t>(max_nodes_)),
+                    static_cast<NodeId>(
+                        key % static_cast<std::uint32_t>(max_nodes_)),
+                    now);
     }
     if (config_.exclusion) propose(shard);
+  }
+
+  /// The grace tick's share of the seeded membership: this shard's
+  /// seeded rows in (i, j) order - the order their wheel keys would have
+  /// had at the head of the slot. A pair re-armed since is skipped as
+  /// superseded, like a stale key; one re-armed to this very tick holds
+  /// a key too, which then finds it already evaluated.
+  void evaluate_seeded(ShardState& shard, double now) {
+    for (NodeId i = shard.lo; i < std::min(shard.hi, config_.n); ++i) {
+      for (NodeId j = 0; j < config_.n; ++j) {
+        if (j != i) evaluate_pair(shard, i, j, now);
+      }
+    }
   }
 
   void deliver(ShardState& shard, const transport::Delivery& m) {
@@ -1099,11 +1123,7 @@ class ClusterEngine final : public WindowBoundary {
     }
   }
 
-  void evaluate_pair(ShardState& shard, std::uint32_t key, double now) {
-    const NodeId i = static_cast<NodeId>(
-        key / static_cast<std::uint32_t>(max_nodes_));
-    const NodeId j = static_cast<NodeId>(
-        key % static_cast<std::uint32_t>(max_nodes_));
+  void evaluate_pair(ShardState& shard, NodeId i, NodeId j, double now) {
     ClusterNode& node = nodes_[static_cast<std::size_t>(i)];
     if (node.eval_tick(j) != shard.check_tick) return;  // superseded
     node.set_eval_tick(j, -1);
@@ -1117,8 +1137,7 @@ class ClusterEngine final : public WindowBoundary {
       shard.disagreeing += (suspected != down) ? 1 : 0;
       shard.disagreeing -= (was_suspected != down) ? 1 : 0;
       if (!suspected && !down) {
-        shard.qos.end_mistake(shard.truth, j, node.record(j).suspect_since,
-                              now);
+        shard.qos.end_mistake(shard.truth, j, node.suspect_since(j), now);
       }
       node.set_suspected(j, suspected, suspected ? now : -1.0);
       if (shard.qos.flip(i, j, suspected, down, now)) {
@@ -1181,8 +1200,8 @@ class ClusterEngine final : public WindowBoundary {
     const auto end = [&](NodeId i, NodeId peer) {
       const ClusterNode& observer = nodes_[static_cast<std::size_t>(i)];
       if (!observer.is_suspected(peer)) return;
-      shard.qos.end_mistake(shard.truth, peer,
-                            observer.record(peer).suspect_since, now);
+      shard.qos.end_mistake(shard.truth, peer, observer.suspect_since(peer),
+                            now);
     };
     for (NodeId i = shard.lo; i < shard.hi; ++i) {
       if (i != j && nodes_[static_cast<std::size_t>(i)].active()) end(i, j);
@@ -1608,6 +1627,9 @@ class ClusterEngine final : public WindowBoundary {
   /// The run's last check tick + 1, where arm_pair parks far deadlines;
   /// fixed before seeding and never lowered by a stop.
   std::int64_t tick_limit_ = 0;
+  /// The tick the seeded pairs are armed for (-1: none, as after a
+  /// restore, whose wheel holds a key for every armed pair).
+  std::int64_t seed_tick_ = -1;
   /// Set by the coordinator when config_.stop ended the run early; the
   /// tail window reads it.
   bool stopped_early_ = false;

@@ -186,7 +186,7 @@ struct Standing {
 /// `observer`'s cached verdict about `j`.
 inline Standing standing_of(const ClusterNode& observer, NodeId j) {
   return {observer.knows(j), observer.is_suspected(j),
-          observer.record(j).suspect_since};
+          observer.suspect_since(j)};
 }
 
 struct StandingTally {

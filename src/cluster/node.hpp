@@ -22,35 +22,38 @@
 // topologies' per-round scans (target selection, digest rotation) -
 // and by the n^2 (observer, peer) pairs a full cluster
 // holds: 16.7M at n=4096, where each byte per peer costs 16 MB. Per-peer
-// state is struct-of-arrays, one dense array per reader, 34 bytes per
-// peer in all on a kFixed node and 26 on an adaptive one:
+// state is struct-of-arrays, one dense array per reader, 28 bytes per
+// peer in all on a kFixed node and 36 on an adaptive one:
 //   - counters_ (4 bytes/peer): the freshest heartbeat counter. A seen
 //     counter > 0 implies the peer is known, so a stale entry - about
 //     half of all entries - is decided by this one load and touches
 //     nothing else. may_change() is that test, branch-free: the engine
 //     runs it over a whole digest and observes only what it keeps;
 //   - hot_ (one 2-byte PeerHot per peer): the known / suspected / fresh /
-//     armed flag bits and the remaining piggyback budget. select_digest's
-//     hot and rotation passes, the topologies' target refresh and the
-//     engine's skip tests read nothing else, so what they scan is 4 KB
-//     per node at n=2048;
-//   - last_heartbeat_ (8 bytes/peer, kFixed nodes only): the inlined
-//     fixed-timeout detector's entire state. The kFixed detector - the
-//     cluster default - thus needs no heap object and no virtual
-//     dispatch. An adaptive node never reads it, so it allocates none;
+//     armed / heard flag bits and the remaining piggyback budget.
+//     select_digest's hot and rotation passes, the topologies' target
+//     refresh and the engine's skip tests read nothing else, so what
+//     they scan is 4 KB per node at n=2048;
+//   - stamp_ (8 bytes/peer): one time per peer. On a kFixed node it is
+//     the grace origin (when the peer became known) until the peer's
+//     first counter advance sets the heard bit, and the last heartbeat
+//     from then on: that slot and the bit are the inlined fixed-timeout
+//     detector's entire state, so the cluster default needs no heap
+//     object and no virtual dispatch. An adaptive node sets no heard
+//     bit and keeps the grace origin there;
 //   - eval_tick_ (4 bytes/peer): the check tick at which the engine's
 //     suspicion wheel next evaluates the pair, read when the wheel arms
 //     or drains it;
-//   - records_ (16 bytes/peer, cold): known_since and suspect_since -
-//     touched on state transitions, not per entry.
-// Two side structures complete the node:
-//   - detectors_: the kChen/kPhi instance per peer, created on the
-//     first evidence-bearing advance. The vector exists only when the
-//     node's detector is adaptive, so kFixed nodes pay nothing for it;
-//   - hot_ring_: the FIFO of peers with undrained piggyback budget. An
-//     id is queued at most once and never for the node itself, so a
-//     ring of exactly max_nodes slots (4 bytes/peer), allocated with
-//     the node, always holds it.
+//   - suspect_since_ (8 bytes/peer, cold): when the current suspicion
+//     started - touched on suspicion transitions, not per entry;
+//   - hot_ring_ (2 bytes/peer): the FIFO of peers with undrained
+//     piggyback budget. An id is queued at most once and never for the
+//     node itself, so a ring of exactly max_nodes slots, allocated with
+//     the node, always holds it; ids fit 16 bits (kMaxNodes).
+// An adaptive node adds detectors_ (8 bytes/peer): the kChen/kPhi
+// instance per peer, created on the first evidence-bearing advance. The
+// vector exists only when the node's detector is adaptive, so kFixed
+// nodes pay nothing for it.
 // The hot-path queries and observe() are defined inline here so the
 // receive loop and the topology scans compile into flat array walks.
 // Detector state is created lazily on the first counter advance (a node
@@ -76,19 +79,14 @@ namespace rfd::cluster {
 
 using rt::NodeId;
 
-/// Cold per-peer state: touched on membership / suspicion transitions,
-/// never per digest entry.
-struct PeerRecord {
-  double known_since = -1.0;
-  /// When the current suspicion started (engine bookkeeping; -1 = not
-  /// suspected). Written through ClusterNode::set_suspected.
-  double suspect_since = -1.0;
-};
-static_assert(sizeof(PeerRecord) == 16, "PeerRecord must stay 16 bytes");
+/// Largest id space a node holds: its ids fit the hot ring's 16 bits, and
+/// the engine's (observer, peer) wheel keys fit 32. Its n^2 per-pair
+/// state alone would be about 120 GB.
+inline constexpr int kMaxNodes = 65536;
 
 /// Dense per-peer flag slot; see the file header.
 struct PeerHot {
-  std::uint8_t flags = 0;         // kKnown / kSuspected / kFresh / kArmed
+  std::uint8_t flags = 0;  // kKnown / kSuspected / kFresh / kArmed / kHeard
   std::int8_t hot_remaining = 0;  // piggyback budget (> 0 <=> queued)
 };
 static_assert(sizeof(PeerHot) == 2, "PeerHot must stay one 2-byte slot");
@@ -136,7 +134,7 @@ class ClusterNode {
     const std::size_t p = static_cast<std::size_t>(peer);
     if ((hot_[p].flags & kKnownFlag) != 0) return false;
     hot_[p].flags |= kKnownFlag;
-    records_[p].known_since = now;
+    stamp_[p] = now;  // the grace origin
     ++known_count_;
     ++membership_version_;
     return true;
@@ -166,7 +164,7 @@ class ClusterNode {
     const std::size_t p = static_cast<std::size_t>(peer);
     __builtin_prefetch(&hot_[p], 1);
     if (fixed_timeout_ms_ > 0.0) {
-      __builtin_prefetch(&last_heartbeat_[p], 1);
+      __builtin_prefetch(&stamp_[p], 1);
     } else {
       __builtin_prefetch(&detectors_[p]);
     }
@@ -189,13 +187,14 @@ class ClusterNode {
       PeerHot& h = hot_[p];
       h.flags |= kFreshFlag;
       if (fixed_timeout_ms_ > 0.0) {
-        double& last = last_heartbeat_[p];
-        result.started_detector = last < 0.0;
-        last = now;
+        // The stamp turns from the grace origin into the last heartbeat.
+        result.started_detector = (h.flags & kHeardFlag) == 0;
+        h.flags |= kHeardFlag;
+        stamp_[p] = now;
       } else {
         std::unique_ptr<rt::PeerDetector>& detector = detectors_[p];
         if (detector == nullptr) {
-          detector = rt::make_detector(params_.detector);
+          detector = rt::make_detector(params_.detector, phi_z_threshold_);
           result.started_detector = true;
         }
         detector->on_heartbeat(now);
@@ -231,36 +230,33 @@ class ClusterNode {
   bool suspects(NodeId peer, double now) const {
     if (peer == id_ || peer < 0 || peer >= max_nodes_) return false;
     const std::size_t p = static_cast<std::size_t>(peer);
-    if ((hot_[p].flags & kKnownFlag) == 0) return false;
-    if (fixed_timeout_ms_ > 0.0) {
-      const double last = last_heartbeat_[p];
-      if (last < 0.0) return grace_expired(p, now);
-      return now - last > fixed_timeout_ms_;
-    }
+    const std::uint8_t flags = hot_[p].flags;
+    if ((flags & kKnownFlag) == 0) return false;
+    if (fixed_timeout_ms_ > 0.0) return now - stamp_[p] > silence_limit(flags);
     const rt::PeerDetector* detector = detectors_[p].get();
-    if (detector == nullptr) return grace_expired(p, now);
+    if (detector == nullptr) {
+      return now - stamp_[p] > params_.bootstrap_grace_ms;
+    }
     return detector->suspects(now);
   }
 
   /// Expiry deadline for `peer`: absent further counter advances,
   /// suspects(peer, t) holds exactly for t > deadline. +infinity for
   /// self/unknown peers (never suspected). Grace-covered peers expire at
-  /// known_since + bootstrap_grace; heard peers defer to their detector.
+  /// known_since + bootstrap_grace; heard peers defer to their detector
+  /// (a kFixed one: last heartbeat + timeout).
   double suspect_deadline(NodeId peer) const {
     if (peer == id_ || peer < 0 || peer >= max_nodes_) {
       return std::numeric_limits<double>::infinity();
     }
     const std::size_t p = static_cast<std::size_t>(peer);
-    if ((hot_[p].flags & kKnownFlag) == 0) {
+    const std::uint8_t flags = hot_[p].flags;
+    if ((flags & kKnownFlag) == 0) {
       return std::numeric_limits<double>::infinity();
     }
-    if (fixed_timeout_ms_ > 0.0) {
-      const double last = last_heartbeat_[p];
-      if (last < 0.0) return grace_deadline(p);
-      return last + fixed_timeout_ms_;
-    }
+    if (fixed_timeout_ms_ > 0.0) return stamp_[p] + silence_limit(flags);
     const rt::PeerDetector* detector = detectors_[p].get();
-    if (detector == nullptr) return grace_deadline(p);
+    if (detector == nullptr) return stamp_[p] + params_.bootstrap_grace_ms;
     return detector->suspect_deadline();
   }
 
@@ -273,7 +269,7 @@ class ClusterNode {
   /// Updates the cached suspicion verdict (engine wheel only).
   void set_suspected(NodeId peer, bool suspected, double since) {
     const std::size_t p = static_cast<std::size_t>(peer);
-    records_[p].suspect_since = since;
+    suspect_since_[p] = since;
     const std::uint8_t before = hot_[p].flags;
     if (suspected) {
       hot_[p].flags = before | kSuspectedFlag;
@@ -383,7 +379,7 @@ class ClusterNode {
     std::size_t to = read;
     for (std::size_t i = 0; i < visited; ++i) {
       from = (from == 0 ? slots : from) - 1;
-      const NodeId candidate = hot_ring_[from];
+      const std::uint16_t candidate = hot_ring_[from];
       if (hot_[static_cast<std::size_t>(candidate)].hot_remaining <= 0) {
         --hot_count_;
         continue;
@@ -428,8 +424,10 @@ class ClusterNode {
   bool restore_state(const std::uint8_t* data, std::size_t size,
                      std::size_t& consumed);
 
-  const PeerRecord& record(NodeId peer) const {
-    return records_[static_cast<std::size_t>(peer)];
+  /// When the current suspicion of `peer` started (engine bookkeeping;
+  /// -1 = not suspected). Written through set_suspected.
+  double suspect_since(NodeId peer) const {
+    return suspect_since_[static_cast<std::size_t>(peer)];
   }
   /// Current hot-queue occupancy (ids with undrained piggyback budget);
   /// snapshotted by the observability layer as a dissemination-backlog
@@ -441,14 +439,17 @@ class ClusterNode {
   static constexpr std::uint8_t kSuspectedFlag = 2;
   static constexpr std::uint8_t kFreshFlag = 4;
   static constexpr std::uint8_t kArmedFlag = 8;
+  /// A kFixed node's stamp_ holds the last heartbeat, not the grace
+  /// origin. Set only with kKnownFlag; checkpoints leave it out and
+  /// derive it from the heartbeat time they carry.
+  static constexpr std::uint8_t kHeardFlag = 16;
 
-  bool grace_expired(std::size_t p, double now) const {
-    // Known but never heard: allow the bootstrap grace window, measured
-    // from when this node learned the peer exists.
-    return now - records_[p].known_since > params_.bootstrap_grace_ms;
-  }
-  double grace_deadline(std::size_t p) const {
-    return records_[p].known_since + params_.bootstrap_grace_ms;
+  /// The silence a kFixed node tolerates past a known peer's stamp: the
+  /// timeout after its last heartbeat once heard, else the bootstrap
+  /// grace window from when this node learned the peer exists.
+  double silence_limit(std::uint8_t flags) const {
+    return (flags & kHeardFlag) != 0 ? fixed_timeout_ms_
+                                     : params_.bootstrap_grace_ms;
   }
   void enqueue_hot(PeerHot& h, std::size_t p) {
     if (h.hot_remaining <= 0) {
@@ -456,7 +457,7 @@ class ClusterNode {
       RFD_REQUIRE(hot_count_ < hot_ring_.size());
       std::size_t tail = hot_head_ + hot_count_;
       if (tail >= hot_ring_.size()) tail -= hot_ring_.size();
-      hot_ring_[tail] = static_cast<NodeId>(p);
+      hot_ring_[tail] = static_cast<std::uint16_t>(p);
       ++hot_count_;
     }
     h.hot_remaining = static_cast<std::int8_t>(params_.hot_transmissions);
@@ -466,15 +467,18 @@ class ClusterNode {
   int max_nodes_;
   NodeParams params_;
   /// The fixed-timeout fast path: > 0 iff params_.detector.kind ==
-  /// kFixed, in which case each peer's last_heartbeat_ slot is its whole
+  /// kFixed, in which case a heard peer's stamp_ slot is its whole
   /// detector.
   double fixed_timeout_ms_ = -1.0;
+  /// kPhi only: the z threshold every detector the node builds shares,
+  /// solved once here instead of once per peer.
+  double phi_z_threshold_ = 0.0;
   /// Dense per-peer state, one array per reader (see file header).
   std::vector<std::int32_t> counters_;
   std::vector<PeerHot> hot_;
-  std::vector<double> last_heartbeat_;  // -1 = no advance yet; kFixed only
+  std::vector<double> stamp_;  // grace origin or last heartbeat; -1 unknown
   std::vector<std::int32_t> eval_tick_;  // -1 = unarmed
-  std::vector<PeerRecord> records_;
+  std::vector<double> suspect_since_;    // -1 = not suspected
   /// Adaptive detector per peer; empty for kFixed (see file header).
   std::vector<std::unique_ptr<rt::PeerDetector>> detectors_;
   std::int64_t membership_version_ = 0;
@@ -487,7 +491,7 @@ class ClusterNode {
   /// wrapping. Deduplicated via PeerHot::hot_remaining (> 0 <=> queued).
   /// select_digest consumes from the head and writes survivors back in
   /// place of the scanned prefix (see there).
-  std::vector<NodeId> hot_ring_;
+  std::vector<std::uint16_t> hot_ring_;
   std::size_t hot_head_ = 0;
   std::size_t hot_count_ = 0;
 };

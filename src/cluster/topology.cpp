@@ -103,7 +103,7 @@ class GossipTopology final : public Topology {
     // rare next to the per-round pump; cache them keyed on the node's
     // membership version instead of rescanning all peers every call.
     const TargetCache& cache = refreshed(node);
-    const std::vector<NodeId>* candidates = &cache.alive;
+    const std::vector<std::uint16_t>* candidates = &cache.alive;
     // When everyone looks dead, sample from the doubtful instead - and
     // the resurrect extra below then has nothing left to draw from
     // (mirrors the pre-cache list swap, RNG draw for RNG draw).
@@ -135,10 +135,12 @@ class GossipTopology final : public Topology {
   }
 
  private:
+  /// Ids fit 16 bits (kMaxNodes), which halves the lists: together
+  /// they hold every peer the node knows, so n^2 ids per fabric.
   struct TargetCache {
     std::int64_t version = -1;
-    std::vector<NodeId> alive;
-    std::vector<NodeId> doubtful;
+    std::vector<std::uint16_t> alive;
+    std::vector<std::uint16_t> doubtful;
   };
 
   const TargetCache& refreshed(const ClusterNode& node) {
@@ -148,11 +150,8 @@ class GossipTopology final : public Topology {
       cache.doubtful.clear();
       for (NodeId j = 0; j < node.max_nodes(); ++j) {
         if (j == node.id() || !node.knows(j)) continue;
-        if (node.believes_alive(j)) {
-          cache.alive.push_back(j);
-        } else {
-          cache.doubtful.push_back(j);
-        }
+        (node.believes_alive(j) ? cache.alive : cache.doubtful)
+            .push_back(static_cast<std::uint16_t>(j));
       }
       cache.version = node.membership_version();
     }
@@ -166,7 +165,7 @@ class GossipTopology final : public Topology {
   /// the whole pool per call. Slot i is never read again once emitted
   /// (later draws index >= i+1), so only the j-side displacement is
   /// recorded.
-  void sample_without_replacement(const std::vector<NodeId>& pool,
+  void sample_without_replacement(const std::vector<std::uint16_t>& pool,
                                   int fanout, Rng& rng,
                                   std::vector<NodeId>& out) {
     overlay_.clear();
@@ -175,7 +174,7 @@ class GossipTopology final : public Topology {
       for (const Displaced& d : overlay_) {
         if (d.idx == idx) return d.val;
       }
-      return pool[static_cast<std::size_t>(idx)];
+      return static_cast<NodeId>(pool[static_cast<std::size_t>(idx)]);
     };
     auto displace = [&](std::int64_t idx, NodeId val) {
       for (Displaced& d : overlay_) {
@@ -359,7 +358,7 @@ class HierarchicalTopology final : public Topology {
 
 std::unique_ptr<Topology> make_topology(const TopologyParams& params,
                                         int max_nodes) {
-  RFD_REQUIRE(max_nodes >= 2);
+  RFD_REQUIRE(max_nodes >= 2 && max_nodes <= kMaxNodes);
   switch (params.kind) {
     case TopologyKind::kAllToAll:
       return std::make_unique<AllToAllTopology>();

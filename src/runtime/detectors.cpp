@@ -91,14 +91,18 @@ bool ChenAdaptiveDetector::restore_state(const double*& cursor,
   return true;
 }
 
-PhiAccrualDetector::PhiAccrualDetector(PhiAccrualParams params)
-    : params_(params) {
+double phi_z_threshold(const PhiAccrualParams& params) {
+  // suspects() fires when phi > threshold, i.e. when the normal tail
+  // 0.5*erfc(z/sqrt(2)) drops below 10^-threshold.
+  const double tail = std::pow(10.0, -params.threshold);
+  return std::sqrt(2.0) * inverse_erfc(2.0 * tail);
+}
+
+PhiAccrualDetector::PhiAccrualDetector(PhiAccrualParams params,
+                                       double z_threshold)
+    : params_(params), z_threshold_(z_threshold) {
   RFD_REQUIRE(params.window >= 2);
   RFD_REQUIRE(params.threshold > 0.0);
-  // suspects() fires when phi > threshold, i.e. when the normal tail
-  // 0.5*erfc(z/sqrt(2)) drops below 10^-threshold; invert once here.
-  const double tail = std::pow(10.0, -params.threshold);
-  z_threshold_ = std::sqrt(2.0) * inverse_erfc(2.0 * tail);
 }
 
 void PhiAccrualDetector::on_heartbeat(double now) {
@@ -187,12 +191,14 @@ bool PhiAccrualDetector::restore_state(const double*& cursor,
   return true;
 }
 
-std::unique_ptr<PeerDetector> make_detector(const DetectorParams& params) {
+std::unique_ptr<PeerDetector> make_detector(const DetectorParams& params,
+                                            double phi_z_threshold) {
   switch (params.kind) {
     case DetectorKind::kChen:
       return std::make_unique<ChenAdaptiveDetector>(params.chen);
     case DetectorKind::kPhi:
-      return std::make_unique<PhiAccrualDetector>(params.phi);
+      return std::make_unique<PhiAccrualDetector>(params.phi,
+                                                  phi_z_threshold);
     case DetectorKind::kFixed:
       break;
   }

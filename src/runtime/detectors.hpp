@@ -95,9 +95,17 @@ struct PhiAccrualParams {
   double fallback_timeout_ms = 1000.0;
 };
 
+/// The z-score at which phi crosses params.threshold under the normal
+/// fit. It depends on the threshold alone, so a caller building many
+/// detectors solves it once and passes it to each.
+double phi_z_threshold(const PhiAccrualParams& params);
+
 class PhiAccrualDetector final : public PeerDetector {
  public:
-  explicit PhiAccrualDetector(PhiAccrualParams params);
+  explicit PhiAccrualDetector(PhiAccrualParams params)
+      : PhiAccrualDetector(params, phi_z_threshold(params)) {}
+  /// `z_threshold` must be phi_z_threshold(params).
+  PhiAccrualDetector(PhiAccrualParams params, double z_threshold);
 
   void on_heartbeat(double now) override;
   bool suspects(double now) const override;
@@ -114,8 +122,7 @@ class PhiAccrualDetector final : public PeerDetector {
   double last_heartbeat_ = -1.0;
   double mean_ = 0.0;
   double var_ = 0.0;
-  /// z-score at which phi crosses the threshold under the normal fit,
-  /// solved once at construction: the deadline is then
+  /// phi_z_threshold(params_): the deadline is then
   /// last_heartbeat + mean + stddev * z in O(1) per query.
   double z_threshold_ = 0.0;
 };
@@ -130,7 +137,10 @@ struct DetectorParams {
 };
 
 /// An adaptive (kChen or kPhi) detector; the fixed timeout has none.
-std::unique_ptr<PeerDetector> make_detector(const DetectorParams& params);
+/// `phi_z_threshold` is phi_z_threshold(params.phi) for kPhi and unread
+/// otherwise.
+std::unique_ptr<PeerDetector> make_detector(const DetectorParams& params,
+                                            double phi_z_threshold);
 std::string detector_kind_name(DetectorKind kind);
 
 }  // namespace rfd::rt

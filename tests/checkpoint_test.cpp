@@ -318,6 +318,59 @@ TEST(SoakResume, EveryTopologyResumesRecordForRecord) {
   std::remove(trace.c_str());
 }
 
+TEST(SoakResume, ResumesBeforeTheGraceTick) {
+  // A fresh run's seeded pairs hold no wheel keys: each shard scans them
+  // at the grace tick (1400 ms here, one tick before the 1500 ms grace
+  // deadline). A run restored at 1000 ms rebuilds a key for every armed
+  // pair instead. Both must write the same records on every detector,
+  // through a crash before the grace tick and one after it. The fixed
+  // timeout outlasts the grace window, so a first advance never arms
+  // its pair earlier: every fixed pair waits for that one tick.
+  reset_shutdown();
+  using cluster::testutil::protocol_records;
+  using cluster::testutil::read_file;
+  const std::string ckpt = temp_path("before_grace");
+  const std::string trace = temp_path("before_grace_trace");
+  for (const rt::DetectorKind detector :
+       {rt::DetectorKind::kFixed, rt::DetectorKind::kChen,
+        rt::DetectorKind::kPhi}) {
+    SCOPED_TRACE(rt::detector_kind_name(detector));
+    SoakConfig base;
+    base.n = 10;
+    base.seed = 20020623;
+    base.tick_ms = 100.0;
+    base.duration_ms = 6'000.0;
+    base.bootstrap_grace_ms = 1'500.0;
+    base.network.loss_prob = 0.03;
+    base.detector.kind = detector;
+    base.detector.fixed.timeout_ms = 2'000.0;
+    base.scenario.crash(500.0, 2).crash(3'000.0, 7);
+    SoakConfig full = base;
+    full.obs.trace_path = trace;
+    SoakReport report;
+    std::string error;
+    ASSERT_TRUE(run_soak(full, report, error)) << error;
+    ASSERT_GT(report.raises, 0);
+    const std::vector<std::string> want =
+        protocol_records(read_file(trace), 1'000.0);
+
+    SoakConfig first = base;
+    first.duration_ms = 1'000.0;
+    first.checkpoint_path = ckpt;
+    ASSERT_TRUE(run_soak(first, report, error)) << error;
+    SoakConfig second = base;
+    second.checkpoint_path = ckpt;
+    second.resume = true;
+    second.obs.trace_path = trace;
+    ASSERT_TRUE(run_soak(second, report, error)) << error;
+    const std::vector<std::string> got = protocol_records(read_file(trace));
+    ASSERT_GT(got.size(), 1000u);
+    EXPECT_EQ(got, want);
+  }
+  std::remove(ckpt.c_str());
+  std::remove(trace.c_str());
+}
+
 TEST(SoakResume, UdpCountersCarryOn) {
   // Leg 1 checkpoints at 3000 ms and leg 2 resumes to 6000 ms, over
   // real loopback sockets behind 5% injected loss: the counters carry
@@ -581,11 +634,11 @@ TEST(NodeCheckpoint, RefusesStatesTheHotRingCannotHold) {
 }
 
 TEST(NodeCheckpoint, AdaptiveNodeWritesTheFixedHeartbeatSlot) {
-  // An adaptive node keeps no last_heartbeat_ array, yet its checkpoint
-  // keeps the kFixed layout: after the 33-byte header and the counters,
-  // each peer's 10-byte hot entry starts with an 8-byte heartbeat time
-  // that holds -1.0 ("no advance yet"), and a restore refuses any other
-  // value there.
+  // An adaptive node records no heartbeat time (its stamp stays the
+  // grace origin), yet its checkpoint keeps the kFixed layout: after the
+  // 33-byte header and the counters, each peer's 10-byte hot entry
+  // starts with an 8-byte heartbeat time that holds -1.0 ("no advance
+  // yet"), and a restore refuses any other value there.
   cluster::NodeParams params;
   params.detector.kind = rt::DetectorKind::kChen;
   cluster::ClusterNode node(0, 4, params);
@@ -659,6 +712,149 @@ TEST(NodeCheckpoint, RestoredRingResavesIdentically) {
   restored.select_digest(2, keep_all, b);
   EXPECT_EQ(a, (std::vector<cluster::NodeId>{3, 1}));
   EXPECT_EQ(a, b);
+}
+
+/// Deadlines and verdicts of every peer of `node` at a few times.
+std::vector<double> verdicts(const cluster::ClusterNode& node) {
+  std::vector<double> out;
+  for (cluster::NodeId p = 0; p < node.max_nodes(); ++p) {
+    out.push_back(node.suspect_deadline(p));
+    out.push_back(node.suspect_since(p));
+    out.push_back(node.knows(p));
+    out.push_back(node.is_suspected(p));
+    for (const double t : {250.0, 500.0, 1'099.0, 1'101.0, 5'000.0}) {
+      out.push_back(node.suspects(p, t));
+    }
+  }
+  return out;
+}
+
+TEST(NodeCheckpoint, EveryPeerStateKeepsItsVerdicts) {
+  // Peer 1 is known but unheard (grace), 2 heard (timeout), 3 heard and
+  // suspected, 4 unknown. A restored node judges each the same way and
+  // saves the same bytes, on every detector kind.
+  for (const rt::DetectorKind kind :
+       {rt::DetectorKind::kFixed, rt::DetectorKind::kChen,
+        rt::DetectorKind::kPhi}) {
+    SCOPED_TRACE(rt::detector_kind_name(kind));
+    cluster::NodeParams params;
+    params.detector.kind = kind;
+    params.detector.fixed.timeout_ms = 200.0;
+    params.bootstrap_grace_ms = 1'000.0;
+    cluster::ClusterNode node(0, 5, params);
+    node.learn_peer(1, 100.0);
+    node.observe(2, 1, 150.0);
+    node.observe(2, 2, 300.0);
+    node.observe(3, 1, 150.0);
+    node.observe(3, 2, 200.0);
+    node.set_suspected(3, true, 450.0);
+    std::vector<std::uint8_t> bytes;
+    node.save_state(bytes);
+    cluster::ClusterNode restored(0, 5, params);
+    std::size_t consumed = 0;
+    ASSERT_TRUE(restored.restore_state(bytes.data(), bytes.size(), consumed));
+    EXPECT_EQ(consumed, bytes.size());
+    EXPECT_EQ(verdicts(restored), verdicts(node));
+    std::vector<std::uint8_t> resaved;
+    restored.save_state(resaved);
+    EXPECT_EQ(resaved, bytes);
+  }
+}
+
+/// A kFixed node of 4 peers: the 33-byte header, 4-byte counters and
+/// 10-byte hot entries (heartbeat, flags, budget), 8-byte eval ticks,
+/// then the 17-byte records (known_since, suspect_since, no-detector
+/// flag); see RefusesStatesTheHotRingCannotHold.
+constexpr std::size_t kHotEntry = 33 + 4 * 4;
+constexpr std::size_t kRecordEntry = kHotEntry + 10 * 4 + 8 * 4;
+
+TEST(NodeCheckpoint, PreMergeStatesRestoreToTheSameDeadlines) {
+  // Before a kFixed node kept one time per peer, a heard peer's record
+  // carried its real grace origin next to its heartbeat; now that slot
+  // repeats the heartbeat. A state hand-built in the old form restores
+  // to the same deadlines and verdicts, and saves in the new one.
+  cluster::NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  params.detector.fixed.timeout_ms = 200.0;
+  params.bootstrap_grace_ms = 1'000.0;
+  cluster::ClusterNode node(0, 4, params);
+  node.learn_peer(1, 0.0);
+  node.observe(1, 1, 50.0);
+  node.observe(1, 2, 700.0);  // heard: deadline 900
+  node.learn_peer(2, 100.0);  // unheard: deadline 1100
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  const auto known_since = [](std::size_t peer) {
+    return kRecordEntry + 17 * peer;
+  };
+  ASSERT_EQ(read_u64(bytes, kHotEntry + 10 * 1),
+            std::bit_cast<std::uint64_t>(700.0));
+  ASSERT_EQ(read_u64(bytes, known_since(1)),
+            std::bit_cast<std::uint64_t>(700.0));
+  ASSERT_EQ(read_u64(bytes, known_since(2)),
+            std::bit_cast<std::uint64_t>(100.0));
+
+  std::vector<std::uint8_t> old_form = bytes;
+  patch(old_form, known_since(1), std::bit_cast<std::uint64_t>(0.0), 8);
+  cluster::ClusterNode restored(0, 4, params);
+  std::size_t consumed = 0;
+  ASSERT_TRUE(
+      restored.restore_state(old_form.data(), old_form.size(), consumed));
+  EXPECT_EQ(restored.suspect_deadline(1), 900.0);
+  EXPECT_EQ(restored.suspect_deadline(2), 1'100.0);
+  EXPECT_EQ(verdicts(restored), verdicts(node));
+  std::vector<std::uint8_t> resaved;
+  restored.save_state(resaved);
+  EXPECT_EQ(resaved, bytes);
+}
+
+TEST(NodeCheckpoint, RefusesAHeartbeatWithoutMembership) {
+  // One time slot per peer relies on heard => known: a heartbeat on file
+  // for a peer without the known flag is refused (a later learn_peer
+  // would overwrite it), and so are a NaN heartbeat and the heard bit,
+  // which the format leaves implicit. Any negative time still reads as
+  // "no advance yet".
+  cluster::NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  cluster::ClusterNode node(0, 4, params);
+  node.learn_peer(1, 0.0);
+  node.observe(1, 1, 50.0);
+  node.observe(1, 2, 700.0);
+  node.learn_peer(2, 100.0);
+  std::vector<std::uint8_t> bytes;
+  node.save_state(bytes);
+  const auto heartbeat = [](std::size_t peer) { return kHotEntry + 10 * peer; };
+  const auto flags = [](std::size_t peer) {
+    return kHotEntry + 10 * peer + 8;
+  };
+  const auto restores = [&params](const std::vector<std::uint8_t>& b) {
+    cluster::ClusterNode restored(0, 4, params);
+    std::size_t consumed = 0;
+    return restored.restore_state(b.data(), b.size(), consumed);
+  };
+  EXPECT_TRUE(restores(bytes));
+
+  std::vector<std::uint8_t> forgotten = bytes;
+  forgotten[flags(1)] &= static_cast<std::uint8_t>(~1u);  // the known flag
+  EXPECT_FALSE(restores(forgotten)) << "a heard peer not known";
+
+  std::vector<std::uint8_t> stranger = bytes;
+  patch(stranger, heartbeat(3), std::bit_cast<std::uint64_t>(500.0), 8);
+  EXPECT_FALSE(restores(stranger)) << "a heartbeat of a peer never met";
+
+  std::vector<std::uint8_t> nan = bytes;
+  patch(nan, heartbeat(1),
+        std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN()),
+        8);
+  EXPECT_FALSE(restores(nan)) << "a NaN heartbeat";
+
+  std::vector<std::uint8_t> heard_bit = bytes;
+  heard_bit[flags(1)] |= 16;
+  EXPECT_FALSE(restores(heard_bit)) << "the heard bit on file";
+
+  std::vector<std::uint8_t> negative = bytes;
+  patch(negative, heartbeat(2), std::bit_cast<std::uint64_t>(-2.0), 8);
+  EXPECT_TRUE(restores(negative)) << "a negative heartbeat";
 }
 
 /// One seeded mutation of a soak payload: byte flips, truncation, or a

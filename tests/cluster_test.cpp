@@ -139,6 +139,74 @@ TEST(ClusterNode, GraceThenDetectorTakesOver) {
   EXPECT_FALSE(node.suspects(0, 5000.0));  // never self-suspects
 }
 
+TEST(ClusterNode, UnheardPeerExpiresAtKnownSincePlusGrace) {
+  // Until its first counter advance a peer is judged by the grace window
+  // counted from when it became known - also after a first counter,
+  // which proves membership only - on both detector families.
+  for (const rt::DetectorKind kind :
+       {rt::DetectorKind::kFixed, rt::DetectorKind::kChen}) {
+    NodeParams params;
+    params.detector.kind = kind;
+    params.detector.fixed.timeout_ms = 200.0;
+    params.bootstrap_grace_ms = 1000.0;
+    ClusterNode node(0, 3, params);
+    node.learn_peer(1, 300.0);
+    EXPECT_EQ(node.suspect_deadline(1), 1300.0);
+    EXPECT_FALSE(node.observe(1, 4, 900.0).advanced);
+    EXPECT_EQ(node.suspect_deadline(1), 1300.0);
+    EXPECT_FALSE(node.suspects(1, 1300.0));
+    EXPECT_TRUE(node.suspects(1, 1300.5));
+    // A peer first met through a digest entry is known from then on.
+    EXPECT_TRUE(node.observe(2, 0, 700.0).newly_known);
+    EXPECT_EQ(node.suspect_deadline(2), 1700.0);
+  }
+}
+
+TEST(ClusterNode, FirstAdvanceSwitchesToTheTimeout) {
+  // A kFixed peer's one time slot turns from the grace origin into the
+  // last heartbeat: the deadline becomes last + timeout, even where that
+  // lies past the grace deadline, and only the first advance reports
+  // that the detector started.
+  NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  params.detector.fixed.timeout_ms = 800.0;
+  params.bootstrap_grace_ms = 1000.0;
+  ClusterNode node(0, 2, params);
+  node.learn_peer(1, 0.0);
+  EXPECT_FALSE(node.observe(1, 1, 100.0).started_detector);
+  const ObserveResult first = node.observe(1, 2, 900.0);
+  EXPECT_TRUE(first.advanced);
+  EXPECT_TRUE(first.started_detector);
+  EXPECT_EQ(node.suspect_deadline(1), 1700.0);
+  EXPECT_FALSE(node.suspects(1, 1600.0));  // the grace origin is gone
+  EXPECT_TRUE(node.suspects(1, 1700.5));
+  const ObserveResult second = node.observe(1, 3, 1000.0);
+  EXPECT_TRUE(second.advanced);
+  EXPECT_FALSE(second.started_detector);
+  EXPECT_EQ(node.suspect_deadline(1), 1800.0);
+}
+
+TEST(ClusterNode, ResetPeersClearsTheHeardBit) {
+  // A restart forgets the heartbeat: a re-seeded contact is grace-covered
+  // from the reset, and its next advance starts the detector again.
+  NodeParams params;
+  params.detector.kind = rt::DetectorKind::kFixed;
+  params.detector.fixed.timeout_ms = 200.0;
+  params.bootstrap_grace_ms = 1000.0;
+  ClusterNode node(0, 3, params);
+  node.learn_peer(1, 0.0);
+  node.observe(1, 1, 100.0);
+  ASSERT_TRUE(node.observe(1, 2, 200.0).started_detector);
+  ASSERT_EQ(node.suspect_deadline(1), 400.0);
+  node.reset_peers(5000.0, {1});
+  EXPECT_TRUE(node.knows(1));
+  EXPECT_EQ(node.suspect_deadline(1), 6000.0);
+  EXPECT_FALSE(node.suspects(1, 5900.0));
+  EXPECT_FALSE(node.observe(1, 3, 5100.0).advanced);  // membership only
+  EXPECT_TRUE(node.observe(1, 4, 5200.0).started_detector);
+  EXPECT_EQ(node.suspect_deadline(1), 5400.0);
+}
+
 TEST(ClusterNode, MayChangeDropsOnlyEntriesObserveIgnores) {
   // Twin nodes take the same randomized digests: one observes every
   // entry, the other only the entries may_change() keeps, judged
@@ -551,6 +619,9 @@ TEST(ClusterLimitsDeathTest, MaxNodesPast65536IsRefused) {
   ClusterConfig config = base_config(TopologyKind::kGossip, 2);
   config.max_nodes = 65537;
   EXPECT_DEATH(run_cluster(config, 7), "65536");
+  // A node built outside the engine refuses it too: its hot ring holds
+  // 16-bit ids.
+  EXPECT_DEATH(ClusterNode(0, 65537, NodeParams{}), "65536");
 }
 
 TEST(ClusterLimitsDeathTest, MoreCheckTicksThan32BitsHoldIsRefused) {
